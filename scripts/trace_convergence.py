@@ -22,8 +22,7 @@ def main() -> int:
     parser.add_argument("--iot-db", type=float, default=10.0)
     parser.add_argument("--sweeps", type=int, default=400)
     parser.add_argument("--variant", default="gauss_seidel_loop",
-                        choices=["gauss_seidel_loop", "symmetric_gauss_seidel",
-                                 "jacobi_star"])
+                        choices=["gauss_seidel_loop", "symmetric_gauss_seidel"])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default="out/trace")
     args = parser.parse_args()

@@ -5,11 +5,9 @@ from .model import (Scenario, ChannelSet, NoisePool, Covariance, build_channel,
                     powers_from_ratios)
 from .central import (EqualizerMatrix, SingularMatrixError, mmse_centralized,
                       zf_centralized, apply_equalizer, sample_objective)
-from .daisy import (DbuState, ChainMessage, Schedule, BcdResult, ProtocolError,
-                    make_chain, bdac_init, bcd_block_update, run_bcd,
-                    consistency_audit)
-from .interconnect import (Topology, TrafficLedger, FlopLedger,
-                           predicted_traffic, meter, flop_report)
+from .daisy import (Chain, Schedule, BcdResult, make_chain, bdac_init,
+                    bcd_block_update, running_sums, run_bcd, consistency_audit)
+from .interconnect import Topology, TrafficLedger, predicted_traffic
 from .detect import (Constellation, ErrorStats, modulate, demodulate_hard,
                      run_link)
 from .harness import (ExperimentConfig, ResultRow, run_experiment, emit_csv,

@@ -30,11 +30,6 @@ def herm_solve(A: np.ndarray, B: np.ndarray, *, rcond_floor: float = RCOND_FLOOR
     return scipy.linalg.cho_solve(cho, B, check_finite=False)
 
 
-def solve_right(B: np.ndarray, A: np.ndarray, **kw) -> np.ndarray:
-    """Solve X A = B for Hermitian positive definite A."""
-    return herm_solve(A, B.conj().T, **kw).conj().T
-
-
 @dataclass(frozen=True)
 class EqualizerMatrix:
     """K x M equalizer W with per-cluster column blocks W_c (K x M_c)."""

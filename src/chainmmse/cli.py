@@ -105,8 +105,8 @@ def cmd_traffic(args) -> int:
     rng = harness.trial_rngs(0, 0, 0)
     channels = model.build_channel(scenario, rng[0])
     pool = model.draw_noise_pool(channels, scenario, rng[1])
-    dbus = daisy.make_chain(channels, pool, scenario.E_s)
-    result = daisy.run_bcd(dbus, daisy.Schedule(L=args.L))
+    chain = daisy.make_chain(channels, pool, scenario.E_s)
+    result = daisy.run_bcd(chain, daisy.Schedule(L=args.L))
     predicted = predicted_traffic(args.K, args.N, args.L)
     ledger = result.ledger
     print(f"predicted per-link entries (loop chain): {predicted}")

@@ -1,23 +1,23 @@
-"""Decentralized equalization over a chain of DBU states.
+"""Decentralized equalization over a daisy chain of antenna clusters.
 
-Each DBU owns one antenna cluster: the local channel block H_c, the local
-noise samples n_c^i, and the local sample covariance block R_cc. The
-block-diagonal initializer discards the off-diagonal covariance blocks; the
-coordinate-descent sweeps then recover them implicitly by passing only the
-K x K running fit matrix A and the N length-K running noise projections b_i
-from DBU to DBU, so the payload never depends on the antenna count.
+Cluster c owns the rows H_c of the channel, the rows n_c of the noise
+samples, its local sample covariance block R_cc, and the columns W_c of the
+equalizer. The block-diagonal initializer discards the off-diagonal
+covariance blocks; the coordinate-descent sweeps then recover them implicitly
+by passing only the K x K running fit matrix A = sum_j W_j H_j and the K x N
+running noise projections b = sum_j W_j n_j from cluster to cluster, so the
+payload never depends on the antenna count.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .central import (EqualizerMatrix, SingularMatrixError, herm_solve,
-                      sample_objective)
-from .model import ChannelSet, NoisePool
+from .central import EqualizerMatrix, SingularMatrixError, herm_solve
+from .model import ChannelSet, NoisePool, cluster_slices
 from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
                            PHASE_SWEEP, Topology, TrafficLedger)
 
@@ -25,105 +25,45 @@ RCOND_LOAD = 1e-12
 DIAG_LOAD = 1e-10
 
 
-class ProtocolError(RuntimeError):
-    """Chain message arrived out of order (stale sweep index)."""
-
-
 @dataclass
-class DbuState:
-    """Per-cluster worker state for the chain algorithms.
-
-    noise is (M_c, N) with samples as columns; it may be None when the state
-    was built from explicit covariance blocks, in which case only the
-    block-diagonal initializer is available.
-    """
-    index: int
-    H_c: np.ndarray
-    noise: np.ndarray | None
-    R_cc: np.ndarray
+class Chain:
+    """One chain instance. Cluster c holds rows slices[c] of H and noise,
+    entry c of R, gram_cho and loaded, and columns slices[c] of W."""
+    H: np.ndarray            # M x K channel
+    noise: np.ndarray        # M x N noise samples as columns
+    slices: list[slice]
     E_s: float
-    W_c: np.ndarray | None = None
-    _gram_cho: tuple = field(default=None, repr=False)
-    loaded: bool = False  # diagonal loading applied to the update Gram matrix
+    R: list[np.ndarray]      # local sample covariance blocks R_cc
+    gram_cho: list[tuple]    # Cholesky factors of E_s H_c H_c^H + R_cc
+    loaded: list[bool]       # diagonal loading applied to that Gram matrix
+    W: np.ndarray            # K x M equalizer
 
     @property
-    def M_c(self) -> int:
-        return self.H_c.shape[0]
-
-    def gram_solve_right(self, B: np.ndarray) -> np.ndarray:
-        """Solve X (E_s H_c H_c^H + R_cc) = B against the cached factorization."""
-        return scipy.linalg.cho_solve(self._gram_cho, B.conj().T,
-                                      check_finite=False).conj().T
+    def cluster_sizes(self) -> tuple[int, ...]:
+        return tuple(s.stop - s.start for s in self.slices)
 
 
-def _prepare_gram(dbu: DbuState) -> None:
-    G = dbu.E_s * (dbu.H_c @ dbu.H_c.conj().T) + dbu.R_cc
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= 0.0 or w[0] / w[-1] < RCOND_LOAD:
-        # keep long Monte Carlo runs alive on near-singular local blocks
-        load = DIAG_LOAD * np.trace(G).real / dbu.M_c
-        G = G + load * np.eye(dbu.M_c)
-        dbu.loaded = True
-        warnings.warn(f"cluster {dbu.index}: ill-conditioned update matrix, "
-                      f"diagonal loading {load:.3e} applied")
-    dbu._gram_cho = scipy.linalg.cho_factor(G, check_finite=False)
-
-
-def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> list[DbuState]:
-    """Build one DbuState per cluster from a channel realization and noise pool."""
-    dbus = []
-    for c in range(len(channels.cluster_sizes)):
-        nc = pool.block(c)
-        R_cc = nc @ nc.conj().T / pool.N
-        dbu = DbuState(index=c, H_c=channels.block(c), noise=nc.copy(),
-                       R_cc=R_cc, E_s=E_s)
-        _prepare_gram(dbu)
-        dbus.append(dbu)
-    return dbus
-
-
-def make_chain_from_cov(channels: ChannelSet, R_blocks: list[np.ndarray],
-                        E_s: float) -> list[DbuState]:
-    """Chain states with explicit diagonal covariance blocks and no noise samples."""
-    dbus = []
-    for c, R_cc in enumerate(R_blocks):
-        dbu = DbuState(index=c, H_c=channels.block(c), noise=None,
-                       R_cc=np.asarray(R_cc), E_s=E_s)
-        _prepare_gram(dbu)
-        dbus.append(dbu)
-    return dbus
-
-
-@dataclass
-class ChainMessage:
-    """The (A, {b_i}) payload passed DBU-to-DBU.
-
-    A is the K x K running sum of W_j H_j; b stacks the N running vectors
-    sum_j W_j n_j^i as columns of a K x N matrix.
-    """
-    A: np.ndarray
-    b: np.ndarray
-    sweep: int
-    origin: int
-
-    @property
-    def entries(self) -> int:
-        return int(self.A.size + self.b.size)  # K^2 + N*K
-
-    def to_bytes(self) -> bytes:
-        """Canonical wire form: row-major, interleaved re/im, little-endian f8."""
-        payload = np.concatenate([self.A.ravel(), self.b.ravel()])
-        out = np.empty(2 * payload.size)
-        out[0::2] = payload.real
-        out[1::2] = payload.imag
-        return out.astype("<f8").tobytes()
-
-
-def _receive(msg: ChainMessage, expected_sweep: int) -> ChainMessage:
-    if msg.sweep != expected_sweep:
-        raise ProtocolError(f"stale message from DBU {msg.origin}: "
-                            f"sweep {msg.sweep}, expected {expected_sweep}")
-    return msg
+def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> Chain:
+    """Build the chain of one channel realization and noise pool, with W = 0."""
+    H, noise = channels.H, pool.samples
+    slices = cluster_slices(channels.cluster_sizes)
+    R, gram_cho, loaded = [], [], []
+    for c, s in enumerate(slices):
+        R_cc = noise[s] @ noise[s].conj().T / pool.N
+        G = E_s * (H[s] @ H[s].conj().T) + R_cc
+        w = np.linalg.eigvalsh(G)
+        load = bool(w[0] <= 0.0 or w[0] / w[-1] < RCOND_LOAD)
+        if load:
+            # keep long Monte Carlo runs alive on near-singular local blocks
+            delta = DIAG_LOAD * np.trace(G).real / G.shape[0]
+            G = G + delta * np.eye(G.shape[0])
+            warnings.warn(f"cluster {c}: ill-conditioned update matrix, "
+                          f"diagonal loading {delta:.3e} applied")
+        R.append(R_cc)
+        gram_cho.append(scipy.linalg.cho_factor(G, check_finite=False))
+        loaded.append(load)
+    return Chain(H=H, noise=noise, slices=slices, E_s=E_s, R=R, gram_cho=gram_cho,
+                 loaded=loaded, W=np.zeros((H.shape[1], H.shape[0]), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -131,74 +71,83 @@ class Schedule:
     """Sweep plan: update order variant and sweep count L."""
     variant: str = "gauss_seidel_loop"
     L: int = 4
-    early_stop_tol: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ("gauss_seidel_loop", "symmetric_gauss_seidel", "jacobi_star"):
+        if self.variant not in ("gauss_seidel_loop", "symmetric_gauss_seidel"):
             raise ValueError(f"unknown schedule variant {self.variant!r}")
         if self.L < 0:
             raise ValueError("L must be >= 0")
 
     @property
     def topology_variant(self) -> str:
-        return {"gauss_seidel_loop": "uni_loop",
-                "symmetric_gauss_seidel": "bi_chain",
-                "jacobi_star": "star"}[self.variant]
+        return "uni_loop" if self.variant == "gauss_seidel_loop" else "bi_chain"
+
+    def order(self, C: int) -> list[int]:
+        """Clusters in the update order of one sweep."""
+        if self.variant == "gauss_seidel_loop":
+            return list(range(C))
+        return list(range(C)) + list(range(C - 2, -1, -1))
 
 
-def bdac_init(dbus: list[DbuState], ledger: TrafficLedger | None = None) -> EqualizerMatrix:
+def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> EqualizerMatrix:
     """Block-diagonal-covariance initializer.
 
     W0 = (sum_c H_c^H R_cc^-1 H_c + I/E_s)^-1 [H_1^H R_11^-1, ..., H_C^H R_CC^-1],
     realized as one K x K Gram accumulation circuit followed by local solves.
-    Sets W_c on every DBU and returns the assembled matrix.
+    Sets chain.W and returns a copy of it.
     """
-    K = dbus[0].H_c.shape[1]
-    E_s = dbus[0].E_s
-    S = np.eye(K, dtype=complex) / E_s
+    K = chain.H.shape[1]
+    S = np.eye(K, dtype=complex) / chain.E_s
     X = []  # per-cluster R_cc^-1 H_c
-    for dbu in dbus:
+    for c, s in enumerate(chain.slices):
         try:
-            X_c = herm_solve(dbu.R_cc, dbu.H_c, what=f"R_cc of cluster {dbu.index}")
+            X_c = herm_solve(chain.R[c], chain.H[s], what=f"R_cc of cluster {c}")
         except SingularMatrixError as exc:
             raise SingularMatrixError(
-                f"cluster {dbu.index}: singular local covariance block") from exc
+                f"cluster {c}: singular local covariance block") from exc
         X.append(X_c)
-        S = S + dbu.H_c.conj().T @ X_c
+        S = S + chain.H[s].conj().T @ X_c
     if ledger is not None:
         for link in ledger.topology.links:
             ledger.add(PHASE_GRAM, link, K * K)
-    blocks = []
-    for dbu, X_c in zip(dbus, X):
-        dbu.W_c = herm_solve(S, X_c.conj().T, what="BDAC Gram sum")
-        blocks.append(dbu.W_c)
-    return EqualizerMatrix(W=np.hstack(blocks),
-                           cluster_sizes=tuple(d.M_c for d in dbus), label="bdac")
+    chain.W = np.hstack([herm_solve(S, X_c.conj().T, what="BDAC Gram sum") for X_c in X])
+    return EqualizerMatrix(W=chain.W.copy(), cluster_sizes=chain.cluster_sizes,
+                           label="bdac")
 
 
-def bcd_block_update(dbu: DbuState, A: np.ndarray, b: np.ndarray,
-                     E_s: float | None = None):
-    """One coordinate-descent block solve at DBU c.
+def bcd_block_update(chain: Chain, c: int, A: np.ndarray, b: np.ndarray):
+    """One coordinate-descent block solve at cluster c.
 
-    Given the incoming running sums A = sum_j W_j H_j and b_i = sum_j W_j n_j^i
-    (current blocks, Gauss-Seidel order), returns the new W_c together with the
-    outgoing sums updated by the subtract-then-add recursions.
+    Given the incoming running sums A = sum_j W_j H_j and b = sum_j W_j n_j
+    (current blocks, Gauss-Seidel order), writes the new W_c into chain.W and
+    returns the outgoing sums updated by the subtract-then-add recursions.
     """
-    if dbu.noise is None:
-        raise ValueError(f"cluster {dbu.index} has no noise samples; "
-                         "block updates need the local pool")
-    E_s = dbu.E_s if E_s is None else E_s
-    K = dbu.H_c.shape[1]
-    W_old = dbu.W_c if dbu.W_c is not None else np.zeros((K, dbu.M_c), dtype=complex)
-    N = dbu.noise.shape[1]
+    s = chain.slices[c]
+    H_c, n_c, W_old = chain.H[s], chain.noise[s], chain.W[:, s]
+    K, N = H_c.shape[1], n_c.shape[1]
+    WH_old, Wn_old = W_old @ H_c, W_old @ n_c
 
-    fit = E_s * ((np.eye(K) - A + W_old @ dbu.H_c) @ dbu.H_c.conj().T)
-    noise_corr = (b - W_old @ dbu.noise) @ dbu.noise.conj().T / N
-    W_new = dbu.gram_solve_right(fit - noise_corr)
+    fit = chain.E_s * ((np.eye(K) - A + WH_old) @ H_c.conj().T)
+    noise_corr = (b - Wn_old) @ n_c.conj().T / N
+    # right solve X G = fit - noise_corr against the cached factor of G
+    W_new = scipy.linalg.cho_solve(chain.gram_cho[c], (fit - noise_corr).conj().T,
+                                   check_finite=False).conj().T
 
-    A_out = A - W_old @ dbu.H_c + W_new @ dbu.H_c
-    b_out = b - W_old @ dbu.noise + W_new @ dbu.noise
-    return W_new, A_out, b_out
+    A_out = A - WH_old + W_new @ H_c
+    b_out = b - Wn_old + W_new @ n_c
+    chain.W[:, s] = W_new
+    return A_out, b_out
+
+
+def running_sums(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
+    """A = sum_c W_c H_c and b = sum_c W_c n_c, accumulated in cluster order."""
+    K, N = chain.H.shape[1], chain.noise.shape[1]
+    A = np.zeros((K, K), dtype=complex)
+    b = np.zeros((K, N), dtype=complex)
+    for s in chain.slices:
+        A = A + chain.W[:, s] @ chain.H[s]
+        b = b + chain.W[:, s] @ chain.noise[s]
+    return A, b
 
 
 @dataclass(frozen=True)
@@ -211,142 +160,58 @@ class AuditReport:
         return max(self.max_dev_A, self.max_dev_b)
 
 
-def consistency_audit(dbus: list[DbuState], A: np.ndarray, b: np.ndarray) -> AuditReport:
+def consistency_audit(chain: Chain, A: np.ndarray, b: np.ndarray) -> AuditReport:
     """Recompute the running sums from scratch and report the carried-message drift."""
-    A_ref = sum(d.W_c @ d.H_c for d in dbus)
-    b_ref = sum(d.W_c @ d.noise for d in dbus)
+    A_ref, b_ref = running_sums(chain)
     return AuditReport(max_dev_A=float(np.max(np.abs(A - A_ref))),
                        max_dev_b=float(np.max(np.abs(b - b_ref))))
-
-
-def _full_objective(dbus: list[DbuState], E_s: float) -> float:
-    H = np.vstack([d.H_c for d in dbus])
-    samples = np.vstack([d.noise for d in dbus])
-    W = np.hstack([d.W_c for d in dbus])
-    K = H.shape[1]
-    fit = W @ H - np.eye(K)
-    return float(E_s * np.linalg.norm(fit, "fro") ** 2
-                 + np.linalg.norm(W @ samples, "fro") ** 2 / samples.shape[1])
-
-
-def _assemble(dbus: list[DbuState], label: str) -> EqualizerMatrix:
-    return EqualizerMatrix(W=np.hstack([d.W_c for d in dbus]),
-                           cluster_sizes=tuple(d.M_c for d in dbus), label=label)
 
 
 @dataclass
 class BcdResult:
     W: EqualizerMatrix
-    objectives: list[tuple[int, int, float]]  # (sweep, block, objective after update)
     ledger: TrafficLedger
-    initial_objective: float
-    iterates: list[np.ndarray] | None = None
-    sweeps_run: int = 0
+    iterates: list[np.ndarray] | None = None  # W after every block update
 
 
-def run_bcd(dbus: list[DbuState], schedule: Schedule,
-            ledger: TrafficLedger | None = None,
-            keep_iterates: bool = False,
-            track_objectives: bool = True) -> BcdResult:
+def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> BcdResult:
     """Full chain run: block-diagonal init, A/b preprocessing circuits, L sweeps.
 
-    Returns the final equalizer, the sample objective recorded after every
-    block update, and the per-link traffic ledger.
+    Returns the final equalizer and the per-link traffic ledger; with
+    keep_iterates, also a copy of W after every block update.
     """
-    C = len(dbus)
-    E_s = dbus[0].E_s
-    K = dbus[0].H_c.shape[1]
-    N = dbus[0].noise.shape[1] if dbus[0].noise is not None else 0
+    C = len(chain.slices)
+    K, N = chain.H.shape[1], chain.noise.shape[1]
+    entries = K * K + N * K  # one (A, b) message
     topology = Topology(schedule.topology_variant, C)
-    if ledger is None:
-        ledger = TrafficLedger(topology)
+    ledger = TrafficLedger(topology)
 
-    bdac_init(dbus, ledger=ledger)
+    bdac_init(chain, ledger=ledger)
 
     # A0/b0 accumulation circuit (sequential around the chain), then the
-    # distribution circuit handing the completed sums to the other DBUs.
-    A = np.zeros((K, K), dtype=complex)
-    b = np.zeros((K, N), dtype=complex)
-    for dbu in dbus:
-        A = A + dbu.W_c @ dbu.H_c
-        b = b + dbu.W_c @ dbu.noise
+    # distribution circuit handing the completed sums to the other clusters.
+    A, b = running_sums(chain)
     for link in topology.links:
-        ledger.add(PHASE_ACCUMULATE, link, K * K + N * K)
+        ledger.add(PHASE_ACCUMULATE, link, entries)
     for link in topology.links:
-        ledger.add(PHASE_DISTRIBUTE, link, K * K + N * K)
+        ledger.add(PHASE_DISTRIBUTE, link, entries)
 
-    f0 = _full_objective(dbus, E_s)
-    objectives: list[tuple[int, int, float]] = []
+    order = schedule.order(C)
+    # the message crosses one link per consecutive pair of the order, then
+    # returns to the start: over the loop link, or from cluster 0 to cluster 1
+    # to restart the forward pass of the bi-directional chain
+    hops = list(zip(order, order[1:]))
+    hops.append((C - 1, 0) if schedule.variant == "gauss_seidel_loop" else (0, 1))
     iterates: list[np.ndarray] | None = [] if keep_iterates else None
-    msg = ChainMessage(A=A, b=b, sweep=1, origin=C - 1)
-
-    sweeps_run = 0
-    f_prev_sweep = f0
-    for l in range(1, schedule.L + 1):
-        if schedule.variant == "jacobi_star":
-            _jacobi_sweep(dbus, msg, ledger, topology)
-        else:
-            order = list(range(C))
-            if schedule.variant == "symmetric_gauss_seidel":
-                order += list(range(C - 2, -1, -1))
-            pos_prev = None
-            for pos in order:
-                dbu = dbus[pos]
-                msg = _receive(msg, l)
-                W_new, A_out, b_out = bcd_block_update(dbu, msg.A, msg.b)
-                dbu.W_c = W_new
-                msg = ChainMessage(A=A_out, b=b_out, sweep=l, origin=pos)
-                if pos_prev is not None and C > 1:
-                    ledger.add(PHASE_SWEEP, (pos_prev, pos), msg.entries)
-                pos_prev = pos
-                if track_objectives:
-                    objectives.append((l, pos, _full_objective(dbus, E_s)))
-                if iterates is not None:
-                    iterates.append(np.hstack([d.W_c for d in dbus]))
-            if C > 1:
-                if schedule.variant == "gauss_seidel_loop":
-                    # the loop link returns the message to DBU 0 for the next sweep
-                    ledger.add(PHASE_SWEEP, (C - 1, 0), msg.entries)
-                else:
-                    # bi-directional chain: hand back to DBU 1 to restart forward
-                    ledger.add(PHASE_SWEEP, (0, 1), msg.entries)
-            msg = ChainMessage(A=msg.A, b=msg.b, sweep=l + 1, origin=msg.origin)
-        if schedule.variant == "jacobi_star":
-            msg = ChainMessage(A=msg.A, b=msg.b, sweep=l + 1, origin=msg.origin)
-            if track_objectives:
-                objectives.append((l, -1, _full_objective(dbus, E_s)))
+    for _ in range(schedule.L):
+        for c in order:
+            A, b = bcd_block_update(chain, c, A, b)
             if iterates is not None:
-                iterates.append(np.hstack([d.W_c for d in dbus]))
-        sweeps_run = l
-        if schedule.early_stop_tol is not None and objectives:
-            f_now = objectives[-1][2]
-            if abs(f_prev_sweep - f_now) <= schedule.early_stop_tol * max(f_now, 1e-300):
-                break
-            f_prev_sweep = f_now
+                iterates.append(chain.W.copy())
+        if C > 1:
+            for link in hops:
+                ledger.add(PHASE_SWEEP, link, entries)
 
-    return BcdResult(W=_assemble(dbus, f"bcd_L{schedule.L}"), objectives=objectives,
-                     ledger=ledger, initial_objective=f0, iterates=iterates,
-                     sweeps_run=sweeps_run)
-
-
-def _jacobi_sweep(dbus: list[DbuState], msg: ChainMessage,
-                  ledger: TrafficLedger, topology: Topology) -> None:
-    """All blocks solve against the same snapshot, then the hub recombines.
-
-    No monotone-descent guarantee; offered for the star layout only. Mutates
-    msg.A / msg.b in place with the recombined sums.
-    """
-    A_snap, b_snap = msg.A.copy(), msg.b.copy()
-    updates = []
-    for dbu in dbus:
-        W_new, _, _ = bcd_block_update(dbu, A_snap, b_snap)
-        updates.append(W_new)
-    A_new, b_new = A_snap, b_snap
-    for dbu, W_new in zip(dbus, updates):
-        A_new = A_new - dbu.W_c @ dbu.H_c + W_new @ dbu.H_c
-        b_new = b_new - dbu.W_c @ dbu.noise + W_new @ dbu.noise
-        dbu.W_c = W_new
-    for link in topology.links:
-        # hub -> spoke snapshot, spoke -> hub updated contribution
-        ledger.add(PHASE_SWEEP, link, 2 * msg.entries)
-    msg.A, msg.b = A_new, b_new
+    return BcdResult(W=EqualizerMatrix(W=chain.W.copy(), cluster_sizes=chain.cluster_sizes,
+                                       label=f"bcd_L{schedule.L}"),
+                     ledger=ledger, iterates=iterates)

@@ -33,8 +33,9 @@ def parse_algorithm(token: str) -> tuple[str, int | None]:
     if name not in KNOWN_ALGORITHMS:
         raise ValueError(f"algorithms: unknown algorithm {token!r}")
     if name == "bcd":
-        if not arg:
-            raise ValueError("algorithms: 'bcd' needs a sweep count, e.g. 'bcd:4'")
+        if not arg.isdigit():
+            raise ValueError(f"algorithms: {token!r} needs a sweep count >= 0, "
+                             "e.g. 'bcd:4'")
         return name, int(arg)
     if arg:
         raise ValueError(f"algorithms: {name!r} takes no argument")
@@ -55,16 +56,29 @@ class ExperimentConfig:
 
     def __post_init__(self):
         errors = []
-        if not self.es_n0_db:
-            errors.append("es_n0_db: grid must be nonempty")
-        if not self.iot_db:
-            errors.append("iot_db: grid must be nonempty")
-        if not self.algorithms:
-            errors.append("algorithms: list must be nonempty")
+        for key in ("es_n0_db", "iot_db", "algorithms"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                errors.append(f"{key}: must be a list, got {value!r}")
+                value = ()
+            elif not value:
+                errors.append(f"{key}: list must be nonempty")
+            object.__setattr__(self, key, tuple(value))
+        # plain floats, so emit_csv writes '0.0' and not 'np.float64(0.0)'
+        for key in ("es_n0_db", "iot_db"):
+            try:
+                object.__setattr__(self, key, tuple(
+                    None if v is None else float(v) for v in getattr(self, key)))
+            except (TypeError, ValueError):
+                errors.append(f"{key}: grid values must be numbers")
         if self.trials < 1:
             errors.append("trials: must be >= 1")
         if self.symbols_per_trial < 1:
             errors.append("symbols_per_trial: must be >= 1")
+        try:
+            daisy.Schedule(variant=self.schedule_variant)
+        except ValueError as exc:
+            errors.append(f"schedule_variant: {exc}")
         for token in self.algorithms:
             try:
                 parse_algorithm(token)
@@ -130,13 +144,13 @@ def _build_equalizer(token: str, channels, pool, R_hat, R_exact, scenario,
         W = central.mmse_centralized(channels.H, R_hat, E_s,
                                      scenario.cluster_sizes, label=name)
     elif name == "bdac":
-        dbus = daisy.make_chain(channels, pool, E_s)
+        chain = daisy.make_chain(channels, pool, E_s)
         ledger = TrafficLedger(Topology("uni_loop", scenario.C))
-        W = daisy.bdac_init(dbus, ledger=ledger)
+        W = daisy.bdac_init(chain, ledger=ledger)
         traffic = ledger.total()
     else:  # bcd:L
-        dbus = daisy.make_chain(channels, pool, E_s)
-        result = daisy.run_bcd(dbus, daisy.Schedule(variant=variant, L=L))
+        chain = daisy.make_chain(channels, pool, E_s)
+        result = daisy.run_bcd(chain, daisy.Schedule(variant=variant, L=L))
         W = result.W
         traffic = result.ledger.total()
     objective = central.sample_objective(W, channels.H, pool, E_s)
@@ -231,11 +245,14 @@ def convergence_trace(scenario: model.Scenario, L: int = 50,
     R_hat = model.sample_covariance(pool)
     W_star = central.mmse_centralized(channels.H, R_hat, scenario.E_s).W
     norm_star = np.linalg.norm(W_star, "fro")
-    dbus = daisy.make_chain(channels, pool, scenario.E_s)
-    result = daisy.run_bcd(dbus, daisy.Schedule(variant=variant, L=L),
+    schedule = daisy.Schedule(variant=variant, L=L)
+    result = daisy.run_bcd(daisy.make_chain(channels, pool, scenario.E_s), schedule,
                            keep_iterates=True)
+    updates = [(sweep, block) for sweep in range(1, L + 1)
+               for block in schedule.order(scenario.C)]
     rows = []
-    for (sweep, block, obj), W in zip(result.objectives, result.iterates):
+    for (sweep, block), W in zip(updates, result.iterates):
+        obj = central.sample_objective(W, channels.H, pool, scenario.E_s)
         err = np.linalg.norm(W - W_star, "fro") / norm_star
         rows.append(TraceRow(sweep=sweep, block=block, objective=obj, w_error=float(err)))
     return rows
@@ -255,7 +272,8 @@ def load_config(path, **overrides) -> ExperimentConfig:
     """Read a YAML experiment config (see README for the schema)."""
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
-    profile = overrides.pop("profile", None) or raw.pop("profile", None)
+    file_profile = raw.pop("profile", None)
+    profile = overrides.pop("profile", None) or file_profile
     sc_raw = dict(raw.pop("scenario", {}))
     if "gain_range_db" in sc_raw:
         sc_raw["gain_range_db"] = tuple(sc_raw["gain_range_db"])
@@ -271,9 +289,9 @@ def load_config(path, **overrides) -> ExperimentConfig:
             scenario = model.Scenario.uniform(M, C, **sc_raw)
     params = dict(
         scenario=scenario,
-        es_n0_db=tuple(raw.pop("es_n0_db", (10.0,))),
-        iot_db=tuple(raw.pop("iot_db", (10.0,))),
-        algorithms=tuple(raw.pop("algorithms", ("zf", "mmse_sampleR", "bdac", "bcd:4"))),
+        es_n0_db=raw.pop("es_n0_db", (10.0,)),
+        iot_db=raw.pop("iot_db", (10.0,)),
+        algorithms=raw.pop("algorithms", ("zf", "mmse_sampleR", "bdac", "bcd:4")),
         trials=raw.pop("trials", 10),
         symbols_per_trial=raw.pop("symbols_per_trial", 250),
         seed=raw.pop("seed", 1),

@@ -1,4 +1,4 @@
-"""Chain topologies, exact per-link traffic metering, and complexity counters.
+"""Chain topologies and exact per-link traffic metering.
 
 Traffic is counted in complex-valued entries (16 bytes each). The closed-form
 per-link prediction for the uni-directional loop is (3K^2 + 2NK) + L*K*(N+K):
@@ -7,7 +7,7 @@ preprocessing plus L sweeps, independent of the antenna count M.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BYTES_PER_ENTRY = 16  # complex128: interleaved re/im float64
 
@@ -19,12 +19,12 @@ PHASE_SWEEP = "sweep"
 
 @dataclass(frozen=True)
 class Topology:
-    """DBU interconnection graph: uni-directional loop, bi-directional chain, or star."""
+    """Cluster interconnection graph: uni-directional loop or bi-directional chain."""
     variant: str
     C: int
 
     def __post_init__(self):
-        if self.variant not in ("uni_loop", "bi_chain", "star"):
+        if self.variant not in ("uni_loop", "bi_chain"):
             raise ValueError(f"unknown topology variant {self.variant!r}")
         if self.C < 1:
             raise ValueError("C must be >= 1")
@@ -35,9 +35,7 @@ class Topology:
             return ()
         if self.variant == "uni_loop":
             return tuple((c, (c + 1) % self.C) for c in range(self.C))
-        if self.variant == "bi_chain":
-            return tuple((c, c + 1) for c in range(self.C - 1))
-        return tuple((0, c) for c in range(1, self.C))  # star, node 0 is the hub
+        return tuple((c, c + 1) for c in range(self.C - 1))
 
     def canonical(self, link: tuple[int, int]) -> tuple[int, int]:
         """Resolve a (possibly reversed) endpoint pair to the stored link."""
@@ -69,10 +67,6 @@ class TrafficLedger:
     def total(self, phase_prefix: str = "") -> int:
         return sum(n for (p, _), n in self.counts.items() if p.startswith(phase_prefix))
 
-    def merge(self, other: "TrafficLedger") -> None:
-        for key, n in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + n
-
     def csv_rows(self) -> list[tuple[str, str, int, int]]:
         rows = []
         for (phase, link), n in sorted(self.counts.items()):
@@ -86,76 +80,8 @@ class TrafficLedger:
             writer.writerows(self.csv_rows())
 
 
-def meter(ledger: TrafficLedger, link: tuple[int, int], payload_entries: int,
-          phase: str = PHASE_SWEEP) -> None:
-    """Record payload_entries complex entries crossing link in the given phase."""
-    ledger.add(phase, link, payload_entries)
-
-
 def predicted_traffic(K: int, N: int, L: int) -> int:
     """Per-link complex entries for the loop chain: (3K^2 + 2NK) + L*K*(N+K)."""
     if min(K, N, L) < 0:
         raise ValueError("K, N, L must be >= 0")
     return 3 * K * K + 2 * N * K + L * K * (N + K)
-
-
-@dataclass(frozen=True)
-class FlopLedger:
-    """Complex multiply-accumulate counts per phase, plus dominant-term estimates.
-
-    The *_macs fields count the multiplications the implementation actually
-    performs (matrix products at a*b*c per (a,b)@(b,c), PD factorizations at
-    m^3/3, triangular solve pairs at m^2 per right-hand side). The *_dominant
-    fields evaluate the leading-order expressions for the same phases.
-    """
-    init_macs: int
-    per_sweep_macs: int
-    centralized_macs: int
-    init_dominant: int        # M*K^2 + N*M*M_c
-    per_sweep_dominant: int   # N*M*K + M*M_c*K
-    centralized_dominant: int  # M^3 + N*M^2
-
-    def __post_init__(self):
-        for name in ("init_macs", "per_sweep_macs", "centralized_macs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-def flop_report(scenario, L: int) -> FlopLedger:
-    """Count complex MACs of the decentralized pipeline vs the centralized solve."""
-    K, N = scenario.K, scenario.N
-    M = scenario.M
-    sizes = scenario.cluster_sizes
-    Mc_max = max(sizes)
-
-    init = 0
-    per_sweep = 0
-    for Mc in sizes:
-        # local sample covariance, its factorization, R_cc^-1 H_c, Gram term
-        init += Mc * Mc * N
-        init += Mc ** 3 // 3
-        init += Mc * Mc * K
-        init += K * K * Mc
-        # chain Gram factorization + local W_c solve
-        init += K ** 3 // 3
-        init += K * K * Mc
-        # one block update: E_s H_c H_c^H factorization amortized into init
-        init += Mc * Mc * K + Mc ** 3 // 3
-        # sweep: W H_c, (.)H_c^H, W N_c, (.)N_c^H, right-solve against cached factor
-        per_sweep += K * Mc * K + K * K * Mc
-        per_sweep += K * Mc * N + K * N * Mc
-        per_sweep += Mc * Mc * K
-
-    centralized = M * M * N          # sample covariance
-    centralized += M ** 3 // 3       # factorization
-    centralized += M * M * K         # R^-1 H
-    centralized += K * K * M + K ** 3 // 3 + K * K * M
-
-    return FlopLedger(
-        init_macs=init,
-        per_sweep_macs=per_sweep,
-        centralized_macs=centralized,
-        init_dominant=M * K * K + N * M * Mc_max,
-        per_sweep_dominant=N * M * K + M * Mc_max * K,
-        centralized_dominant=M ** 3 + N * M * M,
-    )

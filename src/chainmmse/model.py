@@ -126,7 +126,8 @@ def build_channel(scenario: Scenario, rng: np.random.Generator | None = None) ->
     uniformly in dB over scenario.gain_range_db.
     """
     if rng is None:
-        rng = np.random.default_rng(scenario.seed)
+        # the channel and noise pool streams are the two children of the seed
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(2)[0])
     lo, hi = scenario.gain_range_db
 
     def draw(n_users: int) -> np.ndarray:
@@ -171,7 +172,7 @@ def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
                     rng: np.random.Generator | None = None) -> NoisePool:
     """Draw the N independent pilot-RE noise samples."""
     if rng is None:
-        rng = np.random.default_rng(scenario.seed + 1)
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(2)[1])
     sigma2, p_int, _ = powers_from_ratios(scenario)
     samples = draw_colored_noise(channels, sigma2, p_int, scenario.N, rng)
     return NoisePool(samples=samples, cluster_sizes=scenario.cluster_sizes,

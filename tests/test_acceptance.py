@@ -33,7 +33,7 @@ class _DeskRun(NamedTuple):
     instance: tuple  # (scenario, channels, pool, R_hat) from make_instance
     W_star: np.ndarray  # centralized sample-MMSE solution
     W_gs: np.ndarray  # chain equalizer after L=50 gauss_seidel_loop sweeps
-    objs_gs: list
+    objs_gs: list  # sample objective after every block update, per schedule
     objs_sym: list
 
 
@@ -52,12 +52,15 @@ def desk_instances():
         W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s).W
         t0 = time.perf_counter()
         res_gs = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
-                               daisy.Schedule(variant="gauss_seidel_loop", L=50))
+                               daisy.Schedule(variant="gauss_seidel_loop", L=50),
+                               keep_iterates=True)
         gs_elapsed += time.perf_counter() - t0
         res_sym = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
-                                daisy.Schedule(variant="symmetric_gauss_seidel", L=50))
-        runs.append(_DeskRun((sc, ch, pool, R_hat), W_star, res_gs.W.W,
-                             res_gs.objectives, res_sym.objectives))
+                                daisy.Schedule(variant="symmetric_gauss_seidel", L=50),
+                                keep_iterates=True)
+        objs = [[central.sample_objective(W, ch.H, pool, sc.E_s) for W in res.iterates]
+                for res in (res_gs, res_sym)]
+        runs.append(_DeskRun((sc, ch, pool, R_hat), W_star, res_gs.W.W, *objs))
     return runs, gs_elapsed
 
 
@@ -81,14 +84,12 @@ def _block_gs_sweep(W, Q, B, slices):
 
 def _chain_sweep_from(ch, pool, E_s, W):
     """One chain sweep of bcd_block_update, started from the blocks of W."""
-    dbus = daisy.make_chain(ch, pool, E_s)
-    for dbu, sl in zip(dbus, model.cluster_slices(ch.cluster_sizes)):
-        dbu.W_c = W[:, sl].copy()
-    A = sum(d.W_c @ d.H_c for d in dbus)
-    b = sum(d.W_c @ d.noise for d in dbus)
-    for dbu in dbus:
-        dbu.W_c, A, b = daisy.bcd_block_update(dbu, A, b)
-    return np.hstack([d.W_c for d in dbus])
+    chain = daisy.make_chain(ch, pool, E_s)
+    chain.W = W.copy()
+    A, b = daisy.running_sums(chain)
+    for c in range(len(chain.slices)):
+        A, b = daisy.bcd_block_update(chain, c, A, b)
+    return chain.W
 
 
 def test_criterion_1_global_optimum_at_l50(desk_instances):
@@ -128,7 +129,7 @@ def test_criterion_1_global_optimum_at_l50(desk_instances):
         budget = math.ceil(math.log(1e-9 / _rel(W0, run.W_star)) / math.log(rho))
         budgets.append(budget)
         res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
-                            daisy.Schedule(L=budget), track_objectives=False)
+                            daisy.Schedule(L=budget))
         final = max(final, _rel(res.W.W, run.W_star))
     ok = (mismatch < 1e-8 and max(rhos) < 1.0 and fixed_point < 1e-12
           and final < 1e-8 and elapsed < 5.0)
@@ -154,8 +155,7 @@ def test_criterion_3_monotone_descent(desk_instances):
     runs, _ = desk_instances
     increases = 0
     for run in runs:
-        for objs in (run.objs_gs, run.objs_sym):
-            vals = [f for _, _, f in objs]
+        for vals in (run.objs_gs, run.objs_sym):
             increases += sum(cur > prev * (1.0 + 1e-12)
                              for prev, cur in zip(vals, vals[1:]))
     _verdict(3, "no objective increase beyond 1e-12 relative, both schedules",
@@ -299,7 +299,7 @@ def test_supplementary_global_optimum_with_adequate_budget():
                                             K_int=4, N=64, es_n0_db=0.0)
         W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s).W
         res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
-                            daisy.Schedule(L=1200), track_objectives=False)
+                            daisy.Schedule(L=1200))
         rel = (np.linalg.norm(res.W.W - W_star, "fro")
                / np.linalg.norm(W_star, "fro"))
         worst = max(worst, float(rel))

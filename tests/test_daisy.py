@@ -1,31 +1,39 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from chainmmse import central, daisy, model
+from chainmmse import central, model
 from chainmmse.central import mmse_centralized, sample_objective
-from chainmmse.daisy import (ChainMessage, ProtocolError, Schedule, bcd_block_update,
-                             bdac_init, consistency_audit, make_chain,
-                             make_chain_from_cov, run_bcd, _receive)
+from chainmmse.daisy import (Schedule, bcd_block_update, bdac_init,
+                             consistency_audit, make_chain, run_bcd)
+from chainmmse.interconnect import PHASE_SWEEP
 
 from conftest import make_instance
 
 
-def _zero_blocks(dbus, K):
-    for d in dbus:
-        d.W_c = np.zeros((K, d.M_c), dtype=complex)
-
-
-def _running_sums(dbus):
-    A = sum(d.W_c @ d.H_c for d in dbus)
-    b = sum(d.W_c @ d.noise for d in dbus)
+def _running_sums(chain):
+    A = sum(chain.W[:, s] @ chain.H[s] for s in chain.slices)
+    b = sum(chain.W[:, s] @ chain.noise[s] for s in chain.slices)
     return A, b
+
+
+def _disjoint_pool(sc, rng, zero_cluster=None):
+    """Noise pool in which each cluster has its own sample columns, so the
+    sample covariance is exactly block diagonal; zero_cluster gets none."""
+    samples = np.zeros((sc.M, sc.N), dtype=complex)
+    columns = np.array_split(np.arange(sc.N), sc.C)
+    for c, (rows, cols) in enumerate(zip(sc.slices, columns)):
+        if c != zero_cluster:
+            samples[rows, cols] = model.crandn(rng, sc.cluster_sizes[c], cols.size)
+    return model.NoisePool(samples=samples, cluster_sizes=sc.cluster_sizes,
+                           sigma2_thermal=0.0, p_int=0.0)
 
 
 class TestBdacInit:
     def test_single_cluster_equals_centralized(self):
         sc, ch, pool, Rhat = make_instance(seed=1, M=8, C=1, K=3, K_int=2, N=32)
-        dbus = make_chain(ch, pool, sc.E_s)
-        W0 = bdac_init(dbus)
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
         W_ref = mmse_centralized(ch.H, Rhat, sc.E_s)
         assert np.linalg.norm(W0.W - W_ref.W) / np.linalg.norm(W_ref.W) < 1e-12
 
@@ -33,22 +41,16 @@ class TestBdacInit:
         # when R itself is block diagonal, the approximation discards nothing
         sc, ch, _, _ = make_instance(seed=2, M=8, C=2, K=3, K_int=0, N=32,
                                      iot_db=None)
-        rng = np.random.default_rng(5)
-        blocks = []
-        for Mc in sc.cluster_sizes:
-            A = rng.standard_normal((Mc, Mc)) + 1j * rng.standard_normal((Mc, Mc))
-            blocks.append(A @ A.conj().T + 0.2 * np.eye(Mc))
-        import scipy.linalg
-        R_full = scipy.linalg.block_diag(*blocks)
-        dbus = make_chain_from_cov(ch, blocks, sc.E_s)
-        W0 = bdac_init(dbus)
-        W_ref = mmse_centralized(ch.H, R_full, sc.E_s)
+        pool = _disjoint_pool(sc, np.random.default_rng(5))
+        R = model.sample_covariance(pool)
+        assert not R.block(0, 1).any()
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
+        W_ref = mmse_centralized(ch.H, R, sc.E_s)
         assert np.linalg.norm(W0.W - W_ref.W) / np.linalg.norm(W_ref.W) < 1e-12
 
     def test_monolithic_formula_oracle(self):
         sc, ch, pool, Rhat = make_instance(seed=3, M=8, C=2, K=2, K_int=2, N=32)
-        dbus = make_chain(ch, pool, sc.E_s)
-        W0 = bdac_init(dbus)
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
         # assemble the closed form centrally from the diagonal blocks
         S = np.eye(sc.K, dtype=complex) / sc.E_s
         rhs = []
@@ -63,70 +65,58 @@ class TestBdacInit:
 
     def test_singular_local_block_names_cluster(self):
         sc, ch, _, _ = make_instance(seed=4, M=4, C=2, K=2, K_int=2, N=16)
-        blocks = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
-        dbus = make_chain_from_cov(ch, blocks, sc.E_s)
+        pool = _disjoint_pool(sc, np.random.default_rng(4), zero_cluster=1)
+        chain = make_chain(ch, pool, sc.E_s)
         with pytest.raises(central.SingularMatrixError, match="cluster 1"):
-            bdac_init(dbus)
+            bdac_init(chain)
 
 
 class TestBlockUpdate:
     def test_single_cluster_one_shot(self):
         sc, ch, pool, Rhat = make_instance(seed=5, M=8, C=1, K=3, K_int=2, N=32)
-        dbus = make_chain(ch, pool, sc.E_s)
-        _zero_blocks(dbus, sc.K)
-        W1, A, b = bcd_block_update(dbus[0], np.zeros((sc.K, sc.K), complex),
-                                    np.zeros((sc.K, sc.N), complex))
+        chain = make_chain(ch, pool, sc.E_s)  # W starts at zero
+        bcd_block_update(chain, 0, np.zeros((sc.K, sc.K), complex),
+                         np.zeros((sc.K, sc.N), complex))
         W_ref = mmse_centralized(ch.H, Rhat, sc.E_s).W
-        assert np.linalg.norm(W1 - W_ref) / np.linalg.norm(W_ref) < 1e-10
+        assert np.linalg.norm(chain.W - W_ref) / np.linalg.norm(W_ref) < 1e-10
 
     def test_centralized_solution_is_fixed_point(self):
         sc, ch, pool, Rhat = make_instance(seed=6)
-        W_star = mmse_centralized(ch.H, Rhat, sc.E_s, sc.cluster_sizes)
-        dbus = make_chain(ch, pool, sc.E_s)
-        for c, d in enumerate(dbus):
-            d.W_c = W_star.block(c).copy()
-        A, b = _running_sums(dbus)
-        for d in dbus:
-            W_new, A, b = bcd_block_update(d, A, b)
-            rel = np.linalg.norm(W_new - d.W_c) / np.linalg.norm(d.W_c)
+        W_star = mmse_centralized(ch.H, Rhat, sc.E_s).W
+        chain = make_chain(ch, pool, sc.E_s)
+        chain.W = W_star.copy()
+        A, b = _running_sums(chain)
+        for c, s in enumerate(chain.slices):
+            A, b = bcd_block_update(chain, c, A, b)
+            rel = np.linalg.norm(chain.W[:, s] - W_star[:, s]) / np.linalg.norm(W_star[:, s])
             assert rel < 1e-10
-            d.W_c = W_new
 
     def test_monolithic_block_solution_oracle(self):
         sc, ch, pool, Rhat = make_instance(seed=7, M=16, C=4, K=4, K_int=4, N=64)
-        dbus = make_chain(ch, pool, sc.E_s)
+        chain = make_chain(ch, pool, sc.E_s)
         rng = np.random.default_rng(17)
-        for d in dbus:
-            d.W_c = 0.1 * (rng.standard_normal((sc.K, d.M_c))
-                           + 1j * rng.standard_normal((sc.K, d.M_c)))
-        A, b = _running_sums(dbus)
-        for c, d in enumerate(dbus):
-            W_new, A, b = bcd_block_update(d, A, b)
-            others = [j for j in range(sc.C) if j != c]
-            sum_WH = sum(dbus[j].W_c @ dbus[j].H_c for j in others)
-            sum_WR = sum(dbus[j].W_c @ (dbus[j].noise @ d.noise.conj().T) / sc.N
-                         for j in others)
-            G = sc.E_s * d.H_c @ d.H_c.conj().T + d.R_cc
-            W_ref = (sc.E_s * (np.eye(sc.K) - sum_WH) @ d.H_c.conj().T
+        chain.W = 0.1 * (rng.standard_normal((sc.K, sc.M))
+                         + 1j * rng.standard_normal((sc.K, sc.M)))
+        A, b = _running_sums(chain)
+        H, n = chain.H, chain.noise
+        for c, s in enumerate(chain.slices):
+            others = [chain.slices[j] for j in range(sc.C) if j != c]
+            sum_WH = sum(chain.W[:, o] @ H[o] for o in others)
+            sum_WR = sum(chain.W[:, o] @ (n[o] @ n[s].conj().T) / sc.N for o in others)
+            G = sc.E_s * H[s] @ H[s].conj().T + Rhat.block(c, c)
+            W_ref = (sc.E_s * (np.eye(sc.K) - sum_WH) @ H[s].conj().T
                      - sum_WR) @ np.linalg.inv(G)
-            assert np.linalg.norm(W_new - W_ref) / np.linalg.norm(W_ref) < 1e-11
-            d.W_c = W_new
-
-    def test_stale_message_raises(self):
-        msg = ChainMessage(A=np.zeros((2, 2)), b=np.zeros((2, 4)), sweep=3, origin=0)
-        with pytest.raises(ProtocolError):
-            _receive(msg, expected_sweep=4)
+            A, b = bcd_block_update(chain, c, A, b)
+            assert np.linalg.norm(chain.W[:, s] - W_ref) / np.linalg.norm(W_ref) < 1e-11
 
 
 class TestRunBcd:
     def test_zero_sweeps_returns_initializer(self):
         sc, ch, pool, _ = make_instance(seed=8)
-        dbus = make_chain(ch, pool, sc.E_s)
-        res = run_bcd(dbus, Schedule(L=0))
-        dbus2 = make_chain(ch, pool, sc.E_s)
-        W0 = bdac_init(dbus2)
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=0), keep_iterates=True)
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
         np.testing.assert_array_equal(res.W.W, W0.W)
-        assert res.objectives == []
+        assert res.iterates == []
 
     @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
     def test_converges_to_global_minimum(self, variant):
@@ -135,16 +125,14 @@ class TestRunBcd:
         # README: L=50 is far too few at this tolerance)
         sc, ch, pool, Rhat = make_instance(seed=9)
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s).W
-        dbus = make_chain(ch, pool, sc.E_s)
-        res = run_bcd(dbus, Schedule(variant=variant, L=2000))
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(variant=variant, L=2000))
         rel = np.linalg.norm(res.W.W - W_star) / np.linalg.norm(W_star)
         assert rel < 1e-8
 
     def test_convergence_is_eventually_geometric(self):
         sc, ch, pool, Rhat = make_instance(seed=10)
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s).W
-        dbus = make_chain(ch, pool, sc.E_s)
-        res = run_bcd(dbus, Schedule(L=120), keep_iterates=True)
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=120), keep_iterates=True)
         errs = np.array([np.linalg.norm(W - W_star) for W in res.iterates[sc.C - 1::sc.C]])
         logs = np.log(errs[20:])
         slope = np.polyfit(np.arange(logs.size), logs, 1)[0]
@@ -156,9 +144,10 @@ class TestRunBcd:
     @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
     def test_monotone_descent_per_block_update(self, variant):
         sc, ch, pool, _ = make_instance(seed=11)
-        dbus = make_chain(ch, pool, sc.E_s)
-        res = run_bcd(dbus, Schedule(variant=variant, L=30))
-        values = [res.initial_objective] + [f for _, _, f in res.objectives]
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(variant=variant, L=30),
+                      keep_iterates=True)
+        values = [sample_objective(W, ch.H, pool, sc.E_s) for W in [W0.W] + res.iterates]
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev * (1.0 + 1e-12)
 
@@ -167,7 +156,6 @@ class TestRunBcd:
         # permutation both runs land on the same equalizer
         sc, ch, pool, Rhat = make_instance(seed=12, M=12, C=3, K=3, K_int=3, N=48)
         perm = np.random.default_rng(0).permutation(sc.M)
-        import dataclasses
         ch_p = dataclasses.replace(ch, H=ch.H[perm], H_int=ch.H_int[perm])
         pool_p = dataclasses.replace(pool, samples=pool.samples[perm])
 
@@ -180,90 +168,55 @@ class TestRunBcd:
                / np.linalg.norm(res_a.W.W))
         assert rel < 1e-8
 
-    def test_jacobi_star_fixed_point(self):
-        sc, ch, pool, Rhat = make_instance(seed=13)
-        W_star = mmse_centralized(ch.H, Rhat, sc.E_s, sc.cluster_sizes)
-        dbus = make_chain(ch, pool, sc.E_s)
-        for c, d in enumerate(dbus):
-            d.W_c = W_star.block(c).copy()
-        A, b = _running_sums(dbus)
-        msg = ChainMessage(A=A, b=b, sweep=1, origin=0)
-        from chainmmse.interconnect import Topology, TrafficLedger
-        topo = Topology("star", sc.C)
-        daisy._jacobi_sweep(dbus, msg, TrafficLedger(topo), topo)
-        W_after = np.hstack([d.W_c for d in dbus])
-        rel = np.linalg.norm(W_after - W_star.W) / np.linalg.norm(W_star.W)
-        assert rel < 1e-10
-
     def test_message_size_independent_of_m(self):
+        # one sweep sends one (A, b) message, K^2 + N*K entries, over each link
         for M in (16, 32, 64):
             sc, ch, pool, _ = make_instance(seed=14, M=M, C=4, K=4, K_int=4, N=64)
-            dbus = make_chain(ch, pool, sc.E_s)
-            bdac_init(dbus)
-            A, b = _running_sums(dbus)
-            msg = ChainMessage(A=A, b=b, sweep=1, origin=0)
-            assert msg.entries == sc.K ** 2 + sc.N * sc.K
-            assert len(msg.to_bytes()) == 16 * msg.entries
-
-
-    def test_early_stop_halts_before_budget(self):
-        sc, ch, pool, _ = make_instance(seed=20)
-        dbus = make_chain(ch, pool, sc.E_s)
-        res = run_bcd(dbus, Schedule(L=5000, early_stop_tol=1e-10))
-        assert res.sweeps_run < 5000
+            ledger = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=1)).ledger
+            for link in ledger.topology.links:
+                assert ledger.per_link(link, PHASE_SWEEP) == sc.K ** 2 + sc.N * sc.K
 
 
 class TestConsistencyAudit:
     def test_zero_after_preprocessing(self):
         sc, ch, pool, _ = make_instance(seed=15)
-        dbus = make_chain(ch, pool, sc.E_s)
-        bdac_init(dbus)
-        A, b = _running_sums(dbus)
-        report = consistency_audit(dbus, A, b)
+        chain = make_chain(ch, pool, sc.E_s)
+        bdac_init(chain)
+        A, b = _running_sums(chain)
+        report = consistency_audit(chain, A, b)
         assert report.max_dev == 0.0
 
     def test_small_after_many_updates(self):
         sc, ch, pool, _ = make_instance(seed=16)
-        dbus = make_chain(ch, pool, sc.E_s)
-        bdac_init(dbus)
-        A, b = _running_sums(dbus)
+        chain = make_chain(ch, pool, sc.E_s)
+        bdac_init(chain)
+        A, b = _running_sums(chain)
         for sweep in range(4):
-            for d in dbus:
-                W_new, A, b = bcd_block_update(d, A, b)
-                d.W_c = W_new
-                assert consistency_audit(dbus, A, b).max_dev < 1e-10
+            for c in range(sc.C):
+                A, b = bcd_block_update(chain, c, A, b)
+                assert consistency_audit(chain, A, b).max_dev < 1e-10
 
     def test_detects_injected_corruption(self):
         sc, ch, pool, _ = make_instance(seed=17)
-        dbus = make_chain(ch, pool, sc.E_s)
-        bdac_init(dbus)
-        A, b = _running_sums(dbus)
+        chain = make_chain(ch, pool, sc.E_s)
+        bdac_init(chain)
+        A, b = _running_sums(chain)
         b = b.copy()
         b[1, 3] += 0.5
-        report = consistency_audit(dbus, A, b)
+        report = consistency_audit(chain, A, b)
         assert report.max_dev_b == pytest.approx(0.5)
         assert report.max_dev_A == 0.0
-
-
-def test_block_update_requires_noise_samples():
-    sc, ch, _, _ = make_instance(seed=18, M=4, C=2, K=2, K_int=0, N=16,
-                                 iot_db=None)
-    dbus = make_chain_from_cov(ch, [np.eye(2, dtype=complex)] * 2, sc.E_s)
-    bdac_init(dbus)
-    with pytest.raises(ValueError, match="noise samples"):
-        bcd_block_update(dbus[0], np.zeros((2, 2)), np.zeros((2, 16)))
 
 
 def test_ill_conditioned_local_block_gets_loaded():
     sc, ch, _, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
                                  iot_db=None)
     # nearly singular local covariance and tiny channel block
-    import dataclasses
     ch = dataclasses.replace(ch, H=ch.H * 1e-12)
     pool = model.NoisePool(samples=np.zeros((4, 16), complex),
                            cluster_sizes=sc.cluster_sizes,
                            sigma2_thermal=0.0, p_int=0.0)
     pool.samples[0, 0] = 1.0
     with pytest.warns(UserWarning, match="diagonal loading"):
-        dbus = make_chain(ch, pool, sc.E_s)
-    assert any(d.loaded for d in dbus)
+        chain = make_chain(ch, pool, sc.E_s)
+    assert any(chain.loaded)

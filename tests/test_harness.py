@@ -1,7 +1,12 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
-from chainmmse import harness, model
+from chainmmse import cli, harness, model
 from chainmmse.harness import (ExperimentConfig, emit_csv, emit_convergence_trace,
                                load_config, parse_algorithm, profile_scenario,
                                read_results_csv, run_experiment)
@@ -40,6 +45,8 @@ class TestConfig:
             _small_config(es_n0_db=())
         with pytest.raises(ValueError, match="algorithms"):
             _small_config(algorithms=("warp",))
+        with pytest.raises(ValueError, match="schedule_variant"):
+            _small_config(schedule_variant="red_black")
 
     def test_profiles(self):
         desk = profile_scenario("desk")
@@ -63,6 +70,42 @@ class TestConfig:
         assert cfg.es_n0_db == (4.0, 8.0)
         cfg2 = load_config(path, seed=11)
         assert cfg2.seed == 11
+
+    def test_numpy_grid_values_round_trip_through_csv(self, tmp_path):
+        cfg = _small_config(es_n0_db=tuple(np.linspace(0, 4, 2)),
+                            algorithms=("zf",), trials=1)
+        assert all(type(v) is float for v in cfg.es_n0_db)
+        path = tmp_path / "results.csv"
+        emit_csv(run_experiment(cfg), path)
+        assert [r.es_n0_db for r in read_results_csv(path)] == [0.0, 4.0]
+
+    def test_scalar_grid_rejected_naming_key(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, N: 16}\nes_n0_db: 0.0\n")
+        with pytest.raises(ValueError, match="es_n0_db: must be a list"):
+            load_config(path)
+
+    def test_string_algorithms_rejected_naming_key(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, N: 16}\nalgorithms: zf\n")
+        with pytest.raises(ValueError, match="algorithms: must be a list"):
+            load_config(path)
+
+    def test_negative_sweep_count_rejected(self):
+        with pytest.raises(ValueError, match="'bcd:-1' needs a sweep count"):
+            parse_algorithm("bcd:-1")
+        with pytest.raises(ValueError, match="algorithms"):
+            _small_config(algorithms=("bcd:-1",))
+
+    def test_cli_profile_overrides_config_profile(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("profile: desk\nalgorithms: [zf]\ntrials: 1\n"
+                        "symbols_per_trial: 10\n")
+        assert load_config(path, profile="paper").scenario.M == 128
+        assert cli.main(["run", "--config", str(path), "--profile", "paper",
+                         "--out", str(tmp_path)]) == 0
+        rows = read_results_csv(tmp_path / "results.csv")
+        assert [(r.M, r.C, r.K) for r in rows] == [(128, 8, 8)]
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -164,3 +207,30 @@ class TestConvergenceTrace:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sweep,block,objective,w_error"
         assert len(lines) == len(rows) + 1
+
+
+def _bench_module(name):
+    """Import a standalone module of the repository's bench/ directory."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["desk", "chain_deep"])
+def test_workload_matches_stored_reference(workload, tmp_path):
+    """Exact results of a benchmark workload at seed 1: BER, SER, symbols and
+    traffic equal the stored reference, the objective to 1e-12 relative."""
+    check, workloads = _bench_module("check"), _bench_module("workloads")
+    config = workloads.WORKLOADS[workload].config(1)
+    reference = check.load_reference(workload, config, 1)
+    assert reference is not None
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    emit_csv(run_experiment(load_config(path)), tmp_path / "results.csv")
+    rows = check.read_rows(tmp_path / "results.csv")
+    attempted, failures = check.check_rows(rows, config, reference)
+    assert failures == {}
+    assert attempted == len(rows) == len(reference)

@@ -39,6 +39,24 @@ def test_channel_deterministic_under_seed():
     assert np.array_equal(a.H, b.H) and np.array_equal(a.H_int, b.H_int)
 
 
+def test_default_channel_and_noise_streams_differ():
+    # both default streams are children of SeedSequence(seed), so the noise
+    # pool of seed s is not drawn from the channel stream of seed s+1
+    sc = model.Scenario.uniform(8, 2, K=2, K_int=2, N=16, seed=5)
+    ch = model.build_channel(sc)
+    pool = model.draw_noise_pool(ch, sc)
+    ch_seq, pool_seq = np.random.SeedSequence(5).spawn(2)
+    np.testing.assert_array_equal(
+        model.build_channel(sc, np.random.default_rng(ch_seq)).H, ch.H)
+    np.testing.assert_array_equal(
+        model.draw_noise_pool(ch, sc, np.random.default_rng(pool_seq)).samples,
+        pool.samples)
+    for next_seed_stream in (np.random.default_rng(6),
+                             np.random.default_rng(np.random.SeedSequence(6).spawn(2)[0])):
+        other = model.draw_noise_pool(ch, sc, next_seed_stream)
+        assert not np.allclose(other.samples, pool.samples)
+
+
 def test_no_interference_gives_empty_channel_and_white_noise():
     sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None, seed=1)
     ch = model.build_channel(sc)
