@@ -61,7 +61,7 @@ def _resolve_config(args) -> harness.ExperimentConfig:
                                      ("zf", "mmse_exactR", "mmse_sampleR", "bdac",
                                       "bcd:1", "bcd:4")),
             **overrides)
-    if getattr(args, "sweeps", None):
+    if getattr(args, "sweeps", None) is not None:
         algs = tuple(f"bcd:{args.sweeps}" if a.startswith("bcd") else a
                      for a in config.algorithms)
         config = harness.ExperimentConfig(**{**config.__dict__, "algorithms": algs})

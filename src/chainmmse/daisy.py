@@ -7,6 +7,10 @@ covariance blocks; the coordinate-descent sweeps then recover them implicitly
 by passing only the K x K running fit matrix A = sum_j W_j H_j and the K x N
 running noise projections b = sum_j W_j n_j from cluster to cluster, so the
 payload never depends on the antenna count.
+
+A Chain holds T trials stacked along a leading axis, and every step runs on
+all of them at once as stacked matmuls and solves; a traffic ledger meters
+one chain instance.
 """
 from __future__ import annotations
 
@@ -14,9 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .central import EqualizerMatrix, SingularMatrixError, herm_solve
+from .central import EqualizerMatrix, herm, herm_solve
 from .model import ChannelSet, NoisePool, cluster_slices
 from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
                            PHASE_SWEEP, Topology, TrafficLedger)
@@ -27,16 +30,17 @@ DIAG_LOAD = 1e-10
 
 @dataclass
 class Chain:
-    """One chain instance. Cluster c holds rows slices[c] of H and noise,
-    entry c of R, gram_cho and loaded, and columns slices[c] of W."""
-    H: np.ndarray            # M x K channel
-    noise: np.ndarray        # M x N noise samples as columns
+    """T chain instances stacked along a leading trial axis. Cluster c holds
+    rows slices[c] of H and noise, entry c of R and gram_inv, column c of
+    loaded, and columns slices[c] of W."""
+    H: np.ndarray            # T x M x K channels
+    noise: np.ndarray        # T x M x N noise samples as columns
     slices: list[slice]
     E_s: float
-    R: list[np.ndarray]      # local sample covariance blocks R_cc
-    gram_cho: list[tuple]    # Cholesky factors of E_s H_c H_c^H + R_cc
-    loaded: list[bool]       # diagonal loading applied to that Gram matrix
-    W: np.ndarray            # K x M equalizer
+    R: list[np.ndarray]      # T x M_c x M_c local sample covariance blocks R_cc
+    gram_inv: list[np.ndarray]  # inverses of the Gram matrices E_s H_c H_c^H + R_cc
+    loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
+    W: np.ndarray            # T x K x M equalizers
 
     @property
     def cluster_sizes(self) -> tuple[int, ...]:
@@ -44,26 +48,32 @@ class Chain:
 
 
 def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> Chain:
-    """Build the chain of one channel realization and noise pool, with W = 0."""
+    """Build the chains of a stack of trials (see model.stack_trials), with
+    W = 0; a single trial builds a stack of one."""
     H, noise = channels.H, pool.samples
+    if H.ndim == 2:
+        H, noise = H[None], noise[None]
+    T, M, K = H.shape
     slices = cluster_slices(channels.cluster_sizes)
-    R, gram_cho, loaded = [], [], []
+    R, gram_inv = [], []
+    loaded = np.zeros((T, len(slices)), dtype=bool)
     for c, s in enumerate(slices):
-        R_cc = noise[s] @ noise[s].conj().T / pool.N
-        G = E_s * (H[s] @ H[s].conj().T) + R_cc
+        R_cc = noise[:, s] @ herm(noise[:, s]) / pool.N
+        G = E_s * (H[:, s] @ herm(H[:, s])) + R_cc
         w = np.linalg.eigvalsh(G)
-        load = bool(w[0] <= 0.0 or w[0] / w[-1] < RCOND_LOAD)
-        if load:
+        lo, hi = w[:, 0], w[:, -1]
+        rcond = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
+        loaded[:, c] = (lo <= 0.0) | (rcond < RCOND_LOAD)
+        for t in np.flatnonzero(loaded[:, c]):
             # keep long Monte Carlo runs alive on near-singular local blocks
-            delta = DIAG_LOAD * np.trace(G).real / G.shape[0]
-            G = G + delta * np.eye(G.shape[0])
-            warnings.warn(f"cluster {c}: ill-conditioned update matrix, "
+            delta = DIAG_LOAD * np.trace(G[t]).real / G.shape[-1]
+            G[t] += delta * np.eye(G.shape[-1])
+            warnings.warn(f"cluster {c}, trial {t}: ill-conditioned update matrix, "
                           f"diagonal loading {delta:.3e} applied")
         R.append(R_cc)
-        gram_cho.append(scipy.linalg.cho_factor(G, check_finite=False))
-        loaded.append(load)
-    return Chain(H=H, noise=noise, slices=slices, E_s=E_s, R=R, gram_cho=gram_cho,
-                 loaded=loaded, W=np.zeros((H.shape[1], H.shape[0]), dtype=complex))
+        gram_inv.append(np.linalg.inv(G))
+    return Chain(H=H, noise=noise, slices=slices, E_s=E_s, R=R, gram_inv=gram_inv,
+                 loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -94,59 +104,57 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> EqualizerMat
 
     W0 = (sum_c H_c^H R_cc^-1 H_c + I/E_s)^-1 [H_1^H R_11^-1, ..., H_C^H R_CC^-1],
     realized as one K x K Gram accumulation circuit followed by local solves.
-    Sets chain.W and returns a copy of it.
+    Sets chain.W and returns a copy of it; the ledger meters one chain instance.
     """
-    K = chain.H.shape[1]
+    K = chain.H.shape[-1]
     S = np.eye(K, dtype=complex) / chain.E_s
     X = []  # per-cluster R_cc^-1 H_c
     for c, s in enumerate(chain.slices):
-        try:
-            X_c = herm_solve(chain.R[c], chain.H[s], what=f"R_cc of cluster {c}")
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"cluster {c}: singular local covariance block") from exc
+        H_c = chain.H[:, s]
+        X_c = herm_solve(chain.R[c], H_c,
+                         what=f"cluster {c}: local covariance block R_cc")
         X.append(X_c)
-        S = S + chain.H[s].conj().T @ X_c
+        S = S + herm(H_c) @ X_c
     if ledger is not None:
         for link in ledger.topology.links:
             ledger.add(PHASE_GRAM, link, K * K)
-    chain.W = np.hstack([herm_solve(S, X_c.conj().T, what="BDAC Gram sum") for X_c in X])
+    chain.W = herm_solve(S, herm(np.concatenate(X, axis=1)), what="BDAC Gram sum")
     return EqualizerMatrix(W=chain.W.copy(), cluster_sizes=chain.cluster_sizes,
                            label="bdac")
 
 
 def bcd_block_update(chain: Chain, c: int, A: np.ndarray, b: np.ndarray):
-    """One coordinate-descent block solve at cluster c.
+    """One coordinate-descent block solve at cluster c, in every trial.
 
     Given the incoming running sums A = sum_j W_j H_j and b = sum_j W_j n_j
-    (current blocks, Gauss-Seidel order), writes the new W_c into chain.W and
-    returns the outgoing sums updated by the subtract-then-add recursions.
+    (current blocks, Gauss-Seidel order; T x K x K and T x K x N), writes the
+    new W_c into chain.W and returns the outgoing sums updated by the
+    subtract-then-add recursions.
     """
     s = chain.slices[c]
-    H_c, n_c, W_old = chain.H[s], chain.noise[s], chain.W[:, s]
-    K, N = H_c.shape[1], n_c.shape[1]
+    H_c, n_c, W_old = chain.H[:, s], chain.noise[:, s], chain.W[:, :, s]
+    K, N = H_c.shape[-1], n_c.shape[-1]
     WH_old, Wn_old = W_old @ H_c, W_old @ n_c
 
-    fit = chain.E_s * ((np.eye(K) - A + WH_old) @ H_c.conj().T)
-    noise_corr = (b - Wn_old) @ n_c.conj().T / N
-    # right solve X G = fit - noise_corr against the cached factor of G
-    W_new = scipy.linalg.cho_solve(chain.gram_cho[c], (fit - noise_corr).conj().T,
-                                   check_finite=False).conj().T
+    fit = chain.E_s * ((np.eye(K) - A + WH_old) @ herm(H_c))
+    noise_corr = (b - Wn_old) @ herm(n_c) / N
+    # right solve W_new G = fit - noise_corr with the cached inverse of G
+    W_new = (fit - noise_corr) @ chain.gram_inv[c]
 
     A_out = A - WH_old + W_new @ H_c
     b_out = b - Wn_old + W_new @ n_c
-    chain.W[:, s] = W_new
+    chain.W[:, :, s] = W_new
     return A_out, b_out
 
 
 def running_sums(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     """A = sum_c W_c H_c and b = sum_c W_c n_c, accumulated in cluster order."""
-    K, N = chain.H.shape[1], chain.noise.shape[1]
-    A = np.zeros((K, K), dtype=complex)
-    b = np.zeros((K, N), dtype=complex)
+    T, K, N = chain.W.shape[0], chain.H.shape[-1], chain.noise.shape[-1]
+    A = np.zeros((T, K, K), dtype=complex)
+    b = np.zeros((T, K, N), dtype=complex)
     for s in chain.slices:
-        A = A + chain.W[:, s] @ chain.H[s]
-        b = b + chain.W[:, s] @ chain.noise[s]
+        A = A + chain.W[:, :, s] @ chain.H[:, s]
+        b = b + chain.W[:, :, s] @ chain.noise[:, s]
     return A, b
 
 
@@ -171,17 +179,17 @@ def consistency_audit(chain: Chain, A: np.ndarray, b: np.ndarray) -> AuditReport
 class BcdResult:
     W: EqualizerMatrix
     ledger: TrafficLedger
-    iterates: list[np.ndarray] | None = None  # W after every block update
+    iterates: list[np.ndarray] | None = None  # T x K x M W after every block update
 
 
 def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> BcdResult:
     """Full chain run: block-diagonal init, A/b preprocessing circuits, L sweeps.
 
-    Returns the final equalizer and the per-link traffic ledger; with
-    keep_iterates, also a copy of W after every block update.
+    Returns the final equalizers and the per-link traffic ledger of one chain
+    instance; with keep_iterates, also a copy of W after every block update.
     """
     C = len(chain.slices)
-    K, N = chain.H.shape[1], chain.noise.shape[1]
+    K, N = chain.H.shape[-1], chain.noise.shape[-1]
     entries = K * K + N * K  # one (A, b) message
     topology = Topology(schedule.topology_variant, C)
     ledger = TrafficLedger(topology)

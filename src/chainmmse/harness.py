@@ -6,6 +6,12 @@ SeedSequence([seed, point_index, trial_index]), so every algorithm sees
 identical channels, pools, bits, and data noise, and BER comparisons are
 paired. Total RNG consumption is therefore independent of the algorithm
 subset, and trials may run in any order.
+
+The trials of a grid point are drawn one by one and built in chunks: each
+chunk's channels and noise pools are stacked along a leading trial axis, and
+every algorithm builds the equalizers of the whole chunk in one call. A
+trial's equalizers do not depend on the chunk it falls in. Frames are still
+generated and evaluated one trial at a time, in trial order.
 """
 from __future__ import annotations
 
@@ -21,6 +27,10 @@ from .interconnect import Topology, TrafficLedger
 
 KNOWN_ALGORITHMS = ("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd")
 
+# bytes of stacked trial data per chunk; a chunk of the desk profile holds
+# 8 trials, one of the paper profile a single trial
+CHUNK_BYTES = 1 << 19
+
 # wall_time_s is a ResultRow field but deliberately not a CSV column: the
 # results file must be byte-identical across reruns of the same seed
 RESULT_COLUMNS = ["algorithm", "L", "es_n0_db", "iot_db", "M", "C", "K", "N",
@@ -29,6 +39,9 @@ RESULT_COLUMNS = ["algorithm", "L", "es_n0_db", "iot_db", "M", "C", "K", "N",
 
 def parse_algorithm(token: str) -> tuple[str, int | None]:
     """Split an algorithm token like 'bcd:4' into (name, sweeps)."""
+    if not isinstance(token, str):
+        raise ValueError(f"algorithms: {token!r} is not a string; write e.g. "
+                         "'zf' or 'bcd:4'")
     name, _, arg = token.partition(":")
     if name not in KNOWN_ALGORITHMS:
         raise ValueError(f"algorithms: unknown algorithm {token!r}")
@@ -71,10 +84,14 @@ class ExperimentConfig:
                     None if v is None else float(v) for v in getattr(self, key)))
             except (TypeError, ValueError):
                 errors.append(f"{key}: grid values must be numbers")
-        if self.trials < 1:
-            errors.append("trials: must be >= 1")
-        if self.symbols_per_trial < 1:
-            errors.append("symbols_per_trial: must be >= 1")
+        for key in ("trials", "symbols_per_trial"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                errors.append(f"{key}: must be an integer, got {value!r}")
+            elif value < 1:
+                errors.append(f"{key}: must be >= 1")
+            else:
+                object.__setattr__(self, key, int(value))
         try:
             daisy.Schedule(variant=self.schedule_variant)
         except ValueError as exc:
@@ -129,9 +146,16 @@ def trial_rngs(seed: int, point_index: int, trial_index: int):
     return [np.random.default_rng(child) for child in ss.spawn(3)]
 
 
+def chunk_trials(scenario: model.Scenario) -> int:
+    """Trials built as one stack: CHUNK_BYTES over a trial's complex noise
+    samples and covariance matrix, 16 M (N + M) bytes."""
+    return max(1, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
+
+
 def _build_equalizer(token: str, channels, pool, R_hat, R_exact, scenario,
                      variant: str):
-    """Returns (EqualizerMatrix, traffic_entries, objective)."""
+    """Builds a stack of trials. Returns (EqualizerMatrix of T x K x M
+    equalizers, traffic_entries of one trial, objective per trial)."""
     name, L = parse_algorithm(token)
     E_s = scenario.E_s
     traffic = 0
@@ -168,22 +192,39 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         traffic = {a: 0 for a in config.algorithms}
         objective = {a: 0.0 for a in config.algorithms}
         wall = {a: 0.0 for a in config.algorithms}
-        for t in range(config.trials):
-            rng_ch, rng_pool, rng_data = trial_rngs(config.seed, p, t)
-            channels = model.build_channel(sc, rng_ch)
-            pool = model.draw_noise_pool(channels, sc, rng_pool)
+        chunk = chunk_trials(sc)
+        for first in range(0, config.trials, chunk):
+            rngs = [trial_rngs(config.seed, p, t)
+                    for t in range(first, min(first + chunk, config.trials))]
+            channel_sets = [model.build_channel(sc, rng_ch) for rng_ch, _, _ in rngs]
+            channels, pool = model.stack_trials(
+                channel_sets, [model.draw_noise_pool(ch, sc, rng_pool)
+                               for ch, (_, rng_pool, _) in zip(channel_sets, rngs)])
             R_hat = model.sample_covariance(pool)
-            R_exact = model.exact_covariance(channels, sc)
-            frame = detect.make_frame(channels, sc, config.symbols_per_trial,
-                                      rng_data, const)
+            R_exact = (model.exact_covariance(channels, sc)
+                       if "mmse_exactR" in config.algorithms else None)
+            built = {}
             for token in config.algorithms:
                 t0 = time.perf_counter()
-                W, tr, obj = _build_equalizer(token, channels, pool, R_hat,
-                                              R_exact, sc, config.schedule_variant)
+                try:
+                    W, tr, obj = _build_equalizer(token, channels, pool, R_hat,
+                                                  R_exact, sc, config.schedule_variant)
+                except central.SingularMatrixError as exc:
+                    raise central.SingularMatrixError(
+                        f"{token} at Es/N0 {es} dB, IoT {iot} dB, in the stack of "
+                        f"trials {first}..{first + len(rngs) - 1} (stack trial t is "
+                        f"trial {first} + t): {exc}") from exc
                 wall[token] += time.perf_counter() - t0
-                stats[token] = stats[token] + detect.evaluate_equalizer(W, frame, sc, const)
-                traffic[token] += tr
-                objective[token] += obj
+                built[token] = (W.W, obj)
+                traffic[token] += len(rngs) * tr
+            for i, (ch, (_, _, rng_data)) in enumerate(zip(channel_sets, rngs)):
+                frame = detect.make_frame(ch, sc, config.symbols_per_trial,
+                                          rng_data, const)
+                for token, (W, obj) in built.items():
+                    stats[token] = stats[token] + detect.evaluate_equalizer(
+                        W[i], frame, sc, const)
+                    objective[token] += float(obj[i])
+                del frame  # not held while the next trial's frame is drawn
         for token in config.algorithms:
             name, L = parse_algorithm(token)
             st = stats[token]
@@ -251,10 +292,11 @@ def convergence_trace(scenario: model.Scenario, L: int = 50,
     updates = [(sweep, block) for sweep in range(1, L + 1)
                for block in schedule.order(scenario.C)]
     rows = []
-    for (sweep, block), W in zip(updates, result.iterates):
-        obj = central.sample_objective(W, channels.H, pool, scenario.E_s)
-        err = np.linalg.norm(W - W_star, "fro") / norm_star
-        rows.append(TraceRow(sweep=sweep, block=block, objective=obj, w_error=float(err)))
+    for (sweep, block), W in zip(updates, result.iterates):  # stacks of one trial
+        obj = central.sample_objective(W[0], channels.H, pool, scenario.E_s)
+        err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
+        rows.append(TraceRow(sweep=sweep, block=block, objective=float(obj),
+                             w_error=float(err)))
     return rows
 
 
@@ -280,6 +322,10 @@ def load_config(path, **overrides) -> ExperimentConfig:
     if profile:
         scenario = profile_scenario(profile, **sc_raw)
     else:
+        missing = [f"scenario.{k}" for k in ("M", "C") if k not in sc_raw]
+        if missing:
+            raise ValueError(f"{' and '.join(missing)} required when no profile "
+                             "is given")
         M, C = sc_raw.pop("M"), sc_raw.pop("C")
         if "cluster_sizes" in sc_raw:
             scenario = model.Scenario(M=M, C=C,

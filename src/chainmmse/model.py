@@ -2,7 +2,9 @@
 
 The receiver noise is the sum of thermal noise and signals from out-of-cell
 interference users, so its covariance is non-diagonal ("colored"). All
-operations here are pure and seed-deterministic.
+operations here are pure and seed-deterministic. Draws are per trial;
+stack_trials stacks a chunk of trials along a leading axis, and the
+covariance functions accept such stacks.
 """
 from __future__ import annotations
 
@@ -105,18 +107,19 @@ def powers_from_ratios(scenario: Scenario) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Target channel H (M x K) and interference channel H_int (M x K_int)."""
+    """Target channel H (M x K) and interference channel H_int (M x K_int),
+    or (T, M, K) and (T, M, K_int) stacks of T trials."""
     H: np.ndarray
     H_int: np.ndarray
     cluster_sizes: tuple[int, ...]
 
     def block(self, c: int) -> np.ndarray:
         """Rows of H belonging to cluster c (an M_c x K view)."""
-        return self.H[cluster_slices(self.cluster_sizes)[c]]
+        return self.H[..., cluster_slices(self.cluster_sizes)[c], :]
 
     @property
     def blocks(self) -> list[np.ndarray]:
-        return [self.H[s] for s in cluster_slices(self.cluster_sizes)]
+        return [self.H[..., s, :] for s in cluster_slices(self.cluster_sizes)]
 
 
 def build_channel(scenario: Scenario, rng: np.random.Generator | None = None) -> ChannelSet:
@@ -153,7 +156,8 @@ def draw_colored_noise(channels: ChannelSet, sigma2: float, p_int: float,
 
 @dataclass(frozen=True)
 class NoisePool:
-    """N pilot-RE noise sample vectors, stored as columns of (M, N)."""
+    """N pilot-RE noise sample vectors, stored as columns of (M, N), or a
+    (T, M, N) stack of T trials."""
     samples: np.ndarray
     cluster_sizes: tuple[int, ...]
     sigma2_thermal: float
@@ -161,11 +165,11 @@ class NoisePool:
 
     @property
     def N(self) -> int:
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
     def block(self, c: int) -> np.ndarray:
         """Cluster-c rows of every sample, shape (M_c, N)."""
-        return self.samples[cluster_slices(self.cluster_sizes)[c]]
+        return self.samples[..., cluster_slices(self.cluster_sizes)[c], :]
 
 
 def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
@@ -179,24 +183,41 @@ def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
                      sigma2_thermal=sigma2, p_int=p_int)
 
 
+def stack_trials(channel_sets: list[ChannelSet],
+                 pools: list[NoisePool]) -> tuple[ChannelSet, NoisePool]:
+    """Stack per-trial channels and noise pools of one scenario along a new
+    leading trial axis."""
+    first = pools[0]
+    channels = ChannelSet(H=np.stack([c.H for c in channel_sets]),
+                          H_int=np.stack([c.H_int for c in channel_sets]),
+                          cluster_sizes=channel_sets[0].cluster_sizes)
+    pool = NoisePool(samples=np.stack([p.samples for p in pools]),
+                     cluster_sizes=first.cluster_sizes,
+                     sigma2_thermal=first.sigma2_thermal, p_int=first.p_int)
+    return channels, pool
+
+
 @dataclass(frozen=True)
 class Covariance:
-    """M x M Hermitian PSD noise covariance with per-cluster block views."""
+    """M x M Hermitian PSD noise covariance (or a (T, M, M) stack) with
+    per-cluster block views."""
     full: np.ndarray
     cluster_sizes: tuple[int, ...]
 
     def block(self, m: int, n: int) -> np.ndarray:
         sl = cluster_slices(self.cluster_sizes)
-        return self.full[sl[m], sl[n]]
+        return self.full[..., sl[m], sl[n]]
 
 
 def exact_covariance(channels: ChannelSet, scenario: Scenario) -> Covariance:
     """True covariance p_int * H_int H_int^H + sigma2 * I of the colored noise."""
     sigma2, p_int, _ = powers_from_ratios(scenario)
-    M = channels.H.shape[0]
-    full = sigma2 * np.eye(M, dtype=complex)
-    if channels.H_int.shape[1] > 0 and p_int > 0.0:
-        full = full + p_int * (channels.H_int @ channels.H_int.conj().T)
+    H_int = channels.H_int
+    M = H_int.shape[-2]
+    full = np.broadcast_to(sigma2 * np.eye(M, dtype=complex),
+                           H_int.shape[:-2] + (M, M)).copy()
+    if H_int.shape[-1] > 0 and p_int > 0.0:
+        full = full + p_int * (H_int @ H_int.conj().swapaxes(-1, -2))
     return Covariance(full=full, cluster_sizes=scenario.cluster_sizes)
 
 
@@ -204,5 +225,5 @@ def sample_covariance(pool: NoisePool) -> Covariance:
     """Average of outer products over the pool, (1/N) sum_i n_i n_i^H."""
     if pool.N == 0:
         raise ValueError("noise pool is empty")
-    full = pool.samples @ pool.samples.conj().T / pool.N
+    full = pool.samples @ pool.samples.conj().swapaxes(-1, -2) / pool.N
     return Covariance(full=full, cluster_sizes=pool.cluster_sizes)

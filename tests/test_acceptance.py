@@ -58,9 +58,9 @@ def desk_instances():
         res_sym = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
                                 daisy.Schedule(variant="symmetric_gauss_seidel", L=50),
                                 keep_iterates=True)
-        objs = [[central.sample_objective(W, ch.H, pool, sc.E_s) for W in res.iterates]
+        objs = [[central.sample_objective(W[0], ch.H, pool, sc.E_s) for W in res.iterates]
                 for res in (res_gs, res_sym)]
-        runs.append(_DeskRun((sc, ch, pool, R_hat), W_star, res_gs.W.W, *objs))
+        runs.append(_DeskRun((sc, ch, pool, R_hat), W_star, res_gs.W.W[0], *objs))
     return runs, gs_elapsed
 
 
@@ -85,11 +85,11 @@ def _block_gs_sweep(W, Q, B, slices):
 def _chain_sweep_from(ch, pool, E_s, W):
     """One chain sweep of bcd_block_update, started from the blocks of W."""
     chain = daisy.make_chain(ch, pool, E_s)
-    chain.W = W.copy()
+    chain.W = W[None].copy()
     A, b = daisy.running_sums(chain)
     for c in range(len(chain.slices)):
         A, b = daisy.bcd_block_update(chain, c, A, b)
-    return chain.W
+    return chain.W[0]
 
 
 def test_criterion_1_global_optimum_at_l50(desk_instances):
@@ -130,7 +130,7 @@ def test_criterion_1_global_optimum_at_l50(desk_instances):
         budgets.append(budget)
         res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
                             daisy.Schedule(L=budget))
-        final = max(final, _rel(res.W.W, run.W_star))
+        final = max(final, _rel(res.W.W[0], run.W_star))
     ok = (mismatch < 1e-8 and max(rhos) < 1.0 and fixed_point < 1e-12
           and final < 1e-8 and elapsed < 5.0)
     _verdict(1, "L=50 chain equals centralized block Gauss-Seidel to 1e-8, and "
@@ -146,7 +146,7 @@ def test_criterion_2_single_cluster_exactness():
     sc, ch, pool, R_hat = make_instance(seed=100, M=16, C=1, K=4, K_int=4, N=64)
     W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s).W
     res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s), daisy.Schedule(L=1))
-    rel = np.linalg.norm(res.W.W - W_star, "fro") / np.linalg.norm(W_star, "fro")
+    rel = np.linalg.norm(res.W.W[0] - W_star, "fro") / np.linalg.norm(W_star, "fro")
     _verdict(2, "C=1 single block update equals centralized MMSE to 1e-10",
              rel < 1e-10, f"rel error {rel:.3e}")
 
@@ -300,7 +300,7 @@ def test_supplementary_global_optimum_with_adequate_budget():
         W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s).W
         res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
                             daisy.Schedule(L=1200))
-        rel = (np.linalg.norm(res.W.W - W_star, "fro")
+        rel = (np.linalg.norm(res.W.W[0] - W_star, "fro")
                / np.linalg.norm(W_star, "fro"))
         worst = max(worst, float(rel))
     print(f"[PASS] supplementary: global optimum reached at L=1200, "

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from conftest import make_instance
 
 
 def _running_sums(chain):
-    A = sum(chain.W[:, s] @ chain.H[s] for s in chain.slices)
-    b = sum(chain.W[:, s] @ chain.noise[s] for s in chain.slices)
+    A = sum(chain.W[..., s] @ chain.H[:, s] for s in chain.slices)
+    b = sum(chain.W[..., s] @ chain.noise[:, s] for s in chain.slices)
     return A, b
 
 
@@ -33,9 +34,9 @@ def _disjoint_pool(sc, rng, zero_cluster=None):
 class TestBdacInit:
     def test_single_cluster_equals_centralized(self):
         sc, ch, pool, Rhat = make_instance(seed=1, M=8, C=1, K=3, K_int=2, N=32)
-        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s)).W[0]
         W_ref = mmse_centralized(ch.H, Rhat, sc.E_s)
-        assert np.linalg.norm(W0.W - W_ref.W) / np.linalg.norm(W_ref.W) < 1e-12
+        assert np.linalg.norm(W0 - W_ref.W) / np.linalg.norm(W_ref.W) < 1e-12
 
     def test_exact_block_diagonal_covariance_is_exact(self):
         # when R itself is block diagonal, the approximation discards nothing
@@ -44,13 +45,13 @@ class TestBdacInit:
         pool = _disjoint_pool(sc, np.random.default_rng(5))
         R = model.sample_covariance(pool)
         assert not R.block(0, 1).any()
-        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s)).W[0]
         W_ref = mmse_centralized(ch.H, R, sc.E_s)
-        assert np.linalg.norm(W0.W - W_ref.W) / np.linalg.norm(W_ref.W) < 1e-12
+        assert np.linalg.norm(W0 - W_ref.W) / np.linalg.norm(W_ref.W) < 1e-12
 
     def test_monolithic_formula_oracle(self):
         sc, ch, pool, Rhat = make_instance(seed=3, M=8, C=2, K=2, K_int=2, N=32)
-        W0 = bdac_init(make_chain(ch, pool, sc.E_s))
+        W0 = bdac_init(make_chain(ch, pool, sc.E_s)).W[0]
         # assemble the closed form centrally from the diagonal blocks
         S = np.eye(sc.K, dtype=complex) / sc.E_s
         rhs = []
@@ -61,7 +62,7 @@ class TestBdacInit:
             S = S + Hc.conj().T @ X
             rhs.append(X.conj().T)
         W_ref = np.linalg.solve(S, np.hstack(rhs))
-        assert np.linalg.norm(W0.W - W_ref) / np.linalg.norm(W_ref) < 1e-12
+        assert np.linalg.norm(W0 - W_ref) / np.linalg.norm(W_ref) < 1e-12
 
     def test_singular_local_block_names_cluster(self):
         sc, ch, _, _ = make_instance(seed=4, M=4, C=2, K=2, K_int=2, N=16)
@@ -70,44 +71,52 @@ class TestBdacInit:
         with pytest.raises(central.SingularMatrixError, match="cluster 1"):
             bdac_init(chain)
 
+    def test_singular_block_in_one_trial_names_cluster_and_trial(self):
+        sc, ch, pool, _ = make_instance(seed=4, M=4, C=2, K=2, K_int=2, N=16)
+        singular = _disjoint_pool(sc, np.random.default_rng(4), zero_cluster=1)
+        chain = make_chain(*model.stack_trials([ch] * 3, [pool, pool, singular]), sc.E_s)
+        with pytest.raises(central.SingularMatrixError,
+                           match="cluster 1: .* in trial 2 is numerically singular"):
+            bdac_init(chain)
+
 
 class TestBlockUpdate:
     def test_single_cluster_one_shot(self):
         sc, ch, pool, Rhat = make_instance(seed=5, M=8, C=1, K=3, K_int=2, N=32)
         chain = make_chain(ch, pool, sc.E_s)  # W starts at zero
-        bcd_block_update(chain, 0, np.zeros((sc.K, sc.K), complex),
-                         np.zeros((sc.K, sc.N), complex))
+        bcd_block_update(chain, 0, np.zeros((1, sc.K, sc.K), complex),
+                         np.zeros((1, sc.K, sc.N), complex))
         W_ref = mmse_centralized(ch.H, Rhat, sc.E_s).W
-        assert np.linalg.norm(chain.W - W_ref) / np.linalg.norm(W_ref) < 1e-10
+        assert np.linalg.norm(chain.W[0] - W_ref) / np.linalg.norm(W_ref) < 1e-10
 
     def test_centralized_solution_is_fixed_point(self):
         sc, ch, pool, Rhat = make_instance(seed=6)
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s).W
         chain = make_chain(ch, pool, sc.E_s)
-        chain.W = W_star.copy()
+        chain.W = W_star[None].copy()
         A, b = _running_sums(chain)
         for c, s in enumerate(chain.slices):
             A, b = bcd_block_update(chain, c, A, b)
-            rel = np.linalg.norm(chain.W[:, s] - W_star[:, s]) / np.linalg.norm(W_star[:, s])
+            rel = np.linalg.norm(chain.W[0][:, s] - W_star[:, s]) / np.linalg.norm(W_star[:, s])
             assert rel < 1e-10
 
     def test_monolithic_block_solution_oracle(self):
         sc, ch, pool, Rhat = make_instance(seed=7, M=16, C=4, K=4, K_int=4, N=64)
         chain = make_chain(ch, pool, sc.E_s)
         rng = np.random.default_rng(17)
-        chain.W = 0.1 * (rng.standard_normal((sc.K, sc.M))
-                         + 1j * rng.standard_normal((sc.K, sc.M)))
+        chain.W = 0.1 * (rng.standard_normal((1, sc.K, sc.M))
+                         + 1j * rng.standard_normal((1, sc.K, sc.M)))
         A, b = _running_sums(chain)
-        H, n = chain.H, chain.noise
+        H, n, W = ch.H, pool.samples, chain.W[0]
         for c, s in enumerate(chain.slices):
             others = [chain.slices[j] for j in range(sc.C) if j != c]
-            sum_WH = sum(chain.W[:, o] @ H[o] for o in others)
-            sum_WR = sum(chain.W[:, o] @ (n[o] @ n[s].conj().T) / sc.N for o in others)
+            sum_WH = sum(W[:, o] @ H[o] for o in others)
+            sum_WR = sum(W[:, o] @ (n[o] @ n[s].conj().T) / sc.N for o in others)
             G = sc.E_s * H[s] @ H[s].conj().T + Rhat.block(c, c)
             W_ref = (sc.E_s * (np.eye(sc.K) - sum_WH) @ H[s].conj().T
                      - sum_WR) @ np.linalg.inv(G)
             A, b = bcd_block_update(chain, c, A, b)
-            assert np.linalg.norm(chain.W[:, s] - W_ref) / np.linalg.norm(W_ref) < 1e-11
+            assert np.linalg.norm(W[:, s] - W_ref) / np.linalg.norm(W_ref) < 1e-11
 
 
 class TestRunBcd:
@@ -126,14 +135,14 @@ class TestRunBcd:
         sc, ch, pool, Rhat = make_instance(seed=9)
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s).W
         res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(variant=variant, L=2000))
-        rel = np.linalg.norm(res.W.W - W_star) / np.linalg.norm(W_star)
+        rel = np.linalg.norm(res.W.W[0] - W_star) / np.linalg.norm(W_star)
         assert rel < 1e-8
 
     def test_convergence_is_eventually_geometric(self):
         sc, ch, pool, Rhat = make_instance(seed=10)
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s).W
         res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=120), keep_iterates=True)
-        errs = np.array([np.linalg.norm(W - W_star) for W in res.iterates[sc.C - 1::sc.C]])
+        errs = np.array([np.linalg.norm(W[0] - W_star) for W in res.iterates[sc.C - 1::sc.C]])
         logs = np.log(errs[20:])
         slope = np.polyfit(np.arange(logs.size), logs, 1)[0]
         assert slope < -1e-3  # linear decay of log error
@@ -147,7 +156,8 @@ class TestRunBcd:
         W0 = bdac_init(make_chain(ch, pool, sc.E_s))
         res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(variant=variant, L=30),
                       keep_iterates=True)
-        values = [sample_objective(W, ch.H, pool, sc.E_s) for W in [W0.W] + res.iterates]
+        values = [sample_objective(W[0], ch.H, pool, sc.E_s)
+                  for W in [W0.W] + res.iterates]
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev * (1.0 + 1e-12)
 
@@ -163,7 +173,7 @@ class TestRunBcd:
         res_a = run_bcd(make_chain(ch, pool, sc.E_s), sched)
         res_b = run_bcd(make_chain(ch_p, pool_p, sc.E_s), sched)
         W_b_unpermuted = np.empty_like(res_b.W.W)
-        W_b_unpermuted[:, perm] = res_b.W.W
+        W_b_unpermuted[..., perm] = res_b.W.W
         rel = (np.linalg.norm(res_a.W.W - W_b_unpermuted)
                / np.linalg.norm(res_a.W.W))
         assert rel < 1e-8
@@ -202,21 +212,42 @@ class TestConsistencyAudit:
         bdac_init(chain)
         A, b = _running_sums(chain)
         b = b.copy()
-        b[1, 3] += 0.5
+        b[0, 1, 3] += 0.5
         report = consistency_audit(chain, A, b)
         assert report.max_dev_b == pytest.approx(0.5)
         assert report.max_dev_A == 0.0
 
 
+def _ill_conditioned_trial(sc, ch, pool):
+    """Tiny channel and a noise pool with one nonzero entry: cluster 0's Gram
+    matrix is near singular."""
+    samples = np.zeros_like(pool.samples)
+    samples[0, 0] = 1.0
+    return (dataclasses.replace(ch, H=ch.H * 1e-12),
+            dataclasses.replace(pool, samples=samples))
+
+
 def test_ill_conditioned_local_block_gets_loaded():
-    sc, ch, _, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
-                                 iot_db=None)
-    # nearly singular local covariance and tiny channel block
-    ch = dataclasses.replace(ch, H=ch.H * 1e-12)
-    pool = model.NoisePool(samples=np.zeros((4, 16), complex),
-                           cluster_sizes=sc.cluster_sizes,
-                           sigma2_thermal=0.0, p_int=0.0)
-    pool.samples[0, 0] = 1.0
+    sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
+                                    iot_db=None)
     with pytest.warns(UserWarning, match="diagonal loading"):
-        chain = make_chain(ch, pool, sc.E_s)
-    assert any(chain.loaded)
+        chain = make_chain(*_ill_conditioned_trial(sc, ch, pool), sc.E_s)
+    assert chain.loaded.any()
+
+
+def test_near_singular_trial_in_stack_loads_only_that_trial():
+    sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
+                                    iot_db=None)
+    ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chain = make_chain(*model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool]),
+                           sc.E_s)
+    assert not chain.loaded[[0, 2]].any() and chain.loaded[1, 0]
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == chain.loaded.sum()
+    assert all(", trial 1: " in m and "diagonal loading" in m for m in messages)
+    alone = make_chain(ch, pool, sc.E_s)
+    for t in (0, 2):
+        for c in range(sc.C):
+            np.testing.assert_array_equal(chain.gram_inv[c][t], alone.gram_inv[c][0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chainmmse import cli, harness, model
+from chainmmse import central, cli, harness, model
 from chainmmse.harness import (ExperimentConfig, emit_csv, emit_convergence_trace,
                                load_config, parse_algorithm, profile_scenario,
                                read_results_csv, run_experiment)
@@ -107,6 +107,39 @@ class TestConfig:
         rows = read_results_csv(tmp_path / "results.csv")
         assert [(r.M, r.C, r.K) for r in rows] == [(128, 8, 8)]
 
+    def test_non_string_algorithm_rejected_naming_key(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, N: 16}\nalgorithms: [4]\n")
+        with pytest.raises(ValueError, match="algorithms: 4 is not a string"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [("trials", "'3'"), ("trials", "2.5"),
+                                            ("symbols_per_trial", "'250'"),
+                                            ("symbols_per_trial", "true")])
+    def test_non_integer_count_rejected_naming_key(self, tmp_path, key, value):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"scenario: {{M: 8, C: 2, K: 2, N: 16}}\n{key}: {value}\n")
+        with pytest.raises(ValueError, match=f"{key}: must be an integer"):
+            load_config(path)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = _small_config(trials=np.int64(2), symbols_per_trial=np.int32(50))
+        assert type(cfg.trials) is int and type(cfg.symbols_per_trial) is int
+
+    @pytest.mark.parametrize("scenario, missing", [("{K: 2}", "scenario.M and scenario.C"),
+                                                   ("{M: 8, K: 2}", "scenario.C")])
+    def test_missing_dimensions_without_profile_named(self, tmp_path, scenario, missing):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"scenario: {scenario}\n")
+        with pytest.raises(ValueError, match=f"^{missing} required when no profile"):
+            load_config(path)
+
+    def test_cli_zero_sweeps_override(self, tmp_path):
+        assert cli.main(["run", "--algorithms", "bdac,bcd:4", "--sweeps", "0",
+                         "--trials", "1", "--symbols", "10", "--out", str(tmp_path)]) == 0
+        rows = read_results_csv(tmp_path / "results.csv")
+        assert {(r.algorithm, r.L) for r in rows} == {("bdac", 0), ("bcd", 0)}
+
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text("scenario: {M: 8, C: 2, K: 2, N: 16}\nturbo: true\n")
@@ -133,6 +166,19 @@ class TestRunExperiment:
             algorithms=("zf",), trials=2, symbols_per_trial=100, seed=3))
         assert all(r.ber == 0.0 for r in rows)
 
+    def test_singular_covariance_names_grid_point_and_trials(self):
+        # no noise at all: the sample covariance of every trial is zero
+        sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None,
+                                    constellation=4, seed=0)
+        cfg = ExperimentConfig(scenario=sc, es_n0_db=(np.inf,), iot_db=(None,),
+                               algorithms=("zf", "mmse_sampleR"), trials=3,
+                               symbols_per_trial=10, seed=3)
+        with pytest.raises(central.SingularMatrixError,
+                           match=r"^mmse_sampleR at Es/N0 inf dB, IoT None dB, in the "
+                                 r"stack of trials 0\.\.2 .*: noise covariance in "
+                                 r"trial 0 is numerically singular"):
+            run_experiment(cfg)
+
     def test_bcd_beats_initializer_on_grid(self):
         # paired comparison with common random numbers on the desk profile
         cfg = ExperimentConfig(
@@ -151,6 +197,24 @@ class TestRunExperiment:
             se = np.sqrt(bdac.ber * (1 - bdac.ber) / bits
                          + bcd.ber * (1 - bcd.ber) / bits)
             assert bcd.ber <= bdac.ber + 2.0 * se, f"Es/N0={es}"
+
+    def test_results_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
+        # 5 trials: chunks of 8 (one stack), of 2 (2+2+1) and of 1
+        cfg = _small_config(algorithms=("zf", "mmse_exactR", "mmse_sampleR", "bdac",
+                                        "bcd:3"), trials=5)
+        assert harness.chunk_trials(cfg.scenario) >= 5
+        blobs = []
+        for budget in (harness.CHUNK_BYTES, 2 * 16 * 8 * (16 + 8), 1):
+            monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+            path = tmp_path / f"{budget}.csv"
+            emit_csv(run_experiment(cfg), path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_chunk_size_from_byte_budget(self):
+        # 16 M (N + M) bytes per trial: 64 KiB on desk, 640 KiB on paper
+        assert harness.chunk_trials(profile_scenario("desk")) == 8
+        assert harness.chunk_trials(profile_scenario("paper")) == 1
 
     def test_traffic_column_independent_of_m(self):
         entries = []
@@ -219,7 +283,7 @@ def _bench_module(name):
     return module
 
 
-@pytest.mark.parametrize("workload", ["desk", "chain_deep"])
+@pytest.mark.parametrize("workload", ["desk", "chain_deep", "paper", "detect_long"])
 def test_workload_matches_stored_reference(workload, tmp_path):
     """Exact results of a benchmark workload at seed 1: BER, SER, symbols and
     traffic equal the stored reference, the objective to 1e-12 relative."""
