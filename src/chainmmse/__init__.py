@@ -1,10 +1,10 @@
 """Decentralized daisy-chain MMSE uplink equalization under colored noise."""
 
-from .model import (Scenario, ChannelSet, NoisePool, Covariance, build_channel,
+from .model import (Scenario, ChannelSet, NoisePool, build_channel,
                     draw_noise_pool, exact_covariance, sample_covariance,
                     powers_from_ratios)
-from .central import (EqualizerMatrix, SingularMatrixError, mmse_centralized,
-                      zf_centralized, apply_equalizer, sample_objective)
+from .central import (SingularMatrixError, mmse_centralized, zf_centralized,
+                      sample_objective)
 from .daisy import (Chain, Schedule, BcdResult, make_chain, bdac_init,
                     bcd_block_update, running_sums, run_bcd, consistency_audit)
 from .interconnect import Topology, TrafficLedger, predicted_traffic

@@ -62,8 +62,10 @@ def _resolve_config(args) -> harness.ExperimentConfig:
                                       "bcd:1", "bcd:4")),
             **overrides)
     if getattr(args, "sweeps", None) is not None:
-        algs = tuple(f"bcd:{args.sweeps}" if a.startswith("bcd") else a
-                     for a in config.algorithms)
+        # every bcd token becomes the one bcd:L token, in the first one's place
+        algs = tuple(dict.fromkeys(
+            f"bcd:{args.sweeps}" if harness.parse_algorithm(a)[0] == "bcd" else a
+            for a in config.algorithms))
         config = harness.ExperimentConfig(**{**config.__dict__, "algorithms": algs})
     return config
 

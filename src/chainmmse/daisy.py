@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import EqualizerMatrix, herm, herm_solve
+from .central import herm, herm_solve
 from .model import ChannelSet, NoisePool, cluster_slices
 from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
                            PHASE_SWEEP, Topology, TrafficLedger)
@@ -41,10 +41,6 @@ class Chain:
     gram_inv: list[np.ndarray]  # inverses of the Gram matrices E_s H_c H_c^H + R_cc
     loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
     W: np.ndarray            # T x K x M equalizers
-
-    @property
-    def cluster_sizes(self) -> tuple[int, ...]:
-        return tuple(s.stop - s.start for s in self.slices)
 
 
 def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> Chain:
@@ -99,7 +95,7 @@ class Schedule:
         return list(range(C)) + list(range(C - 2, -1, -1))
 
 
-def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> EqualizerMatrix:
+def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
     """Block-diagonal-covariance initializer.
 
     W0 = (sum_c H_c^H R_cc^-1 H_c + I/E_s)^-1 [H_1^H R_11^-1, ..., H_C^H R_CC^-1],
@@ -119,8 +115,7 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> EqualizerMat
         for link in ledger.topology.links:
             ledger.add(PHASE_GRAM, link, K * K)
     chain.W = herm_solve(S, herm(np.concatenate(X, axis=1)), what="BDAC Gram sum")
-    return EqualizerMatrix(W=chain.W.copy(), cluster_sizes=chain.cluster_sizes,
-                           label="bdac")
+    return chain.W.copy()
 
 
 def bcd_block_update(chain: Chain, c: int, A: np.ndarray, b: np.ndarray):
@@ -177,7 +172,7 @@ def consistency_audit(chain: Chain, A: np.ndarray, b: np.ndarray) -> AuditReport
 
 @dataclass
 class BcdResult:
-    W: EqualizerMatrix
+    W: np.ndarray            # T x K x M final equalizers
     ledger: TrafficLedger
     iterates: list[np.ndarray] | None = None  # T x K x M W after every block update
 
@@ -220,6 +215,4 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> Bc
             for link in hops:
                 ledger.add(PHASE_SWEEP, link, entries)
 
-    return BcdResult(W=EqualizerMatrix(W=chain.W.copy(), cluster_sizes=chain.cluster_sizes,
-                                       label=f"bcd_L{schedule.L}"),
-                     ledger=ledger, iterates=iterates)
+    return BcdResult(W=chain.W.copy(), ledger=ledger, iterates=iterates)

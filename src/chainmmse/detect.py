@@ -48,6 +48,8 @@ class Constellation:
         a_i = sym >> self._axis_bits
         a_q = sym & (self.side - 1)
         self.points = self._amp[a_i] + 1j * self._amp[a_q]
+        # bit errors between two symbol indices: popcount of their XOR
+        self._popcount = np.array([bin(i).count("1") for i in range(order)])
 
     def _decide_axis(self, x: np.ndarray) -> np.ndarray:
         """Nearest amplitude level -> axis bit pattern."""
@@ -55,31 +57,33 @@ class Constellation:
                         0, self.side - 1).astype(np.int64)
         return _binary_to_gray(level)
 
+    def decide(self, s_hat: np.ndarray) -> np.ndarray:
+        """Symbol index of the nearest point to every entry of s_hat."""
+        a_i, a_q = self._decide_axis(s_hat.real), self._decide_axis(s_hat.imag)
+        return (a_i << self._axis_bits) | a_q
+
+
+def _symbol_indices(bits: np.ndarray, bps: int) -> np.ndarray:
+    """Symbol index of every group of bps bits along the last axis, MSB first."""
+    weights = 1 << np.arange(bps - 1, -1, -1)
+    return bits.reshape(bits.shape[:-1] + (-1, bps)) @ weights
+
 
 def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Map a 0/1 stream to unit-average-energy symbols, MSB first."""
+    """Map a 0/1 stream to unit-average-energy symbols, MSB first; every row
+    of a 2-D bit block is a stream of its own."""
     bits = np.asarray(bits, dtype=np.int64)
     bps = constellation.bits_per_symbol
-    if bits.size % bps != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by {bps}")
-    groups = bits.reshape(-1, bps)
-    sym = np.zeros(groups.shape[0], dtype=np.int64)
-    for j in range(bps):
-        sym = (sym << 1) | groups[:, j]
-    return constellation.points[sym]
+    if bits.shape[-1] % bps != 0:
+        raise ValueError(f"bit count {bits.shape[-1]} not divisible by {bps}")
+    return constellation.points[_symbol_indices(bits, bps)]
 
 
 def demodulate_hard(s_hat: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Nearest-point decision per symbol, inverse Gray map, MSB-first bits."""
-    s_hat = np.asarray(s_hat).ravel()
-    a_i = constellation._decide_axis(s_hat.real)
-    a_q = constellation._decide_axis(s_hat.imag)
-    sym = (a_i << constellation._axis_bits) | a_q
-    bps = constellation.bits_per_symbol
-    bits = np.empty((s_hat.size, bps), dtype=np.int64)
-    for j in range(bps):
-        bits[:, j] = (sym >> (bps - 1 - j)) & 1
-    return bits.ravel()
+    sym = constellation.decide(np.asarray(s_hat).ravel())
+    shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
+    return ((sym[:, None] >> shifts) & 1).ravel()
 
 
 @dataclass(frozen=True)
@@ -119,31 +123,27 @@ def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
     K = channels.H.shape[1]
     sigma2, p_int, scale = powers_from_ratios(scenario)
     bits = rng.integers(0, 2, size=(K, n_symbols * const.bits_per_symbol))
-    S = np.vstack([modulate(bits[k], const) for k in range(K)])
+    S = modulate(bits, const)
     noise = draw_colored_noise(channels, sigma2, p_int, n_symbols, rng)
     Y = scale * (channels.H @ S) + noise
     return Frame(bits=bits, symbols=S, Y=Y)
 
 
-def evaluate_equalizer(W, frame: Frame, scenario: Scenario,
+def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
                        constellation: Constellation | None = None) -> ErrorStats:
-    """Equalize a frame, hard-demap, and count bit/symbol errors."""
+    """Equalize a frame, hard-decide all users at once, and count bit/symbol
+    errors on the symbol indices (the bits are the index's MSB-first binary)."""
     const = constellation or Constellation(scenario.constellation)
-    Wm = W.W if hasattr(W, "W") else np.asarray(W)
     _, _, scale = powers_from_ratios(scenario)
-    S_hat = (Wm @ frame.Y) / scale
+    wrong = (const.decide((W @ frame.Y) / scale)
+             ^ _symbol_indices(frame.bits, const.bits_per_symbol))
     K, n = frame.symbols.shape
-    bit_errors = symbol_errors = 0
-    for k in range(K):
-        rx_bits = demodulate_hard(S_hat[k], const)
-        diff = rx_bits != frame.bits[k]
-        bit_errors += int(diff.sum())
-        symbol_errors += int(diff.reshape(n, -1).any(axis=1).sum())
-    return ErrorStats(bit_errors=bit_errors, symbol_errors=symbol_errors,
+    return ErrorStats(bit_errors=int(const._popcount[wrong].sum()),
+                      symbol_errors=int(np.count_nonzero(wrong)),
                       bits=K * n * const.bits_per_symbol, symbols=K * n)
 
 
-def run_link(channels: ChannelSet, scenario: Scenario, W, n_symbols: int,
+def run_link(channels: ChannelSet, scenario: Scenario, W: np.ndarray, n_symbols: int,
              rng: np.random.Generator) -> ErrorStats:
     """End-to-end link evaluation of an equalizer over n_symbols data REs."""
     const = Constellation(scenario.constellation)

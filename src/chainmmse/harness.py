@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -84,23 +84,30 @@ class ExperimentConfig:
                     None if v is None else float(v) for v in getattr(self, key)))
             except (TypeError, ValueError):
                 errors.append(f"{key}: grid values must be numbers")
-        for key in ("trials", "symbols_per_trial"):
+        for key, least in (("trials", 1), ("symbols_per_trial", 1), ("seed", 0)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 errors.append(f"{key}: must be an integer, got {value!r}")
-            elif value < 1:
-                errors.append(f"{key}: must be >= 1")
+            elif value < least:
+                errors.append(f"{key}: must be >= {least}")
             else:
                 object.__setattr__(self, key, int(value))
         try:
             daisy.Schedule(variant=self.schedule_variant)
         except ValueError as exc:
             errors.append(f"schedule_variant: {exc}")
+        seen = {}
         for token in self.algorithms:
             try:
-                parse_algorithm(token)
+                key = parse_algorithm(token)
             except ValueError as exc:
                 errors.append(str(exc))
+                continue
+            if key in seen:
+                # each (name, L) is one results row
+                errors.append(f"algorithms: {token!r} repeats {seen[key]!r}")
+            else:
+                seen[key] = token
         if errors:
             raise ValueError("invalid experiment config: " + "; ".join(errors))
 
@@ -131,13 +138,29 @@ PROFILES = {
 }
 
 
+_SCENARIO_KEYS = frozenset(f.name for f in fields(model.Scenario))
+
+
 def profile_scenario(name: str, **overrides) -> model.Scenario:
     if name not in PROFILES:
         raise ValueError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    params = dict(PROFILES[name])
-    params.update(overrides)
-    M, C = params.pop("M"), params.pop("C")
-    return model.Scenario.uniform(M, C, **params)
+    return _make_scenario({**PROFILES[name], **overrides})
+
+
+def _make_scenario(params: dict) -> model.Scenario:
+    """Scenario from its fields; M is split into C equal clusters unless
+    cluster_sizes is given."""
+    unknown = sorted(set(params) - _SCENARIO_KEYS)
+    if unknown:
+        raise ValueError("unknown scenario keys: "
+                         + ", ".join(f"scenario.{k}" for k in unknown))
+    missing = [f"scenario.{k}" for k in ("M", "C") if k not in params]
+    if missing:
+        raise ValueError(f"{' and '.join(missing)} required when no profile "
+                         "is given")
+    if "cluster_sizes" in params:
+        return model.Scenario(**params)
+    return model.Scenario.uniform(**params)
 
 
 def trial_rngs(seed: int, point_index: int, trial_index: int):
@@ -154,22 +177,22 @@ def chunk_trials(scenario: model.Scenario) -> int:
 
 def _build_equalizer(token: str, channels, pool, R_hat, R_exact, scenario,
                      variant: str):
-    """Builds a stack of trials. Returns (EqualizerMatrix of T x K x M
-    equalizers, traffic_entries of one trial, objective per trial)."""
+    """Builds a stack of trials. Returns (T x K x M equalizers,
+    traffic_entries of one trial, objective per trial)."""
     name, L = parse_algorithm(token)
     E_s = scenario.E_s
     traffic = 0
     if name == "zf":
-        W = central.zf_centralized(channels.H, scenario.cluster_sizes)
+        W = central.zf_centralized(channels.H)
     elif name == "mmse_exactR":
-        W = central.mmse_centralized(channels.H, R_exact, E_s,
-                                     scenario.cluster_sizes, label=name)
+        W = central.mmse_centralized(channels.H, R_exact, E_s)
     elif name == "mmse_sampleR":
-        W = central.mmse_centralized(channels.H, R_hat, E_s,
-                                     scenario.cluster_sizes, label=name)
+        W = central.mmse_centralized(channels.H, R_hat, E_s)
     elif name == "bdac":
         chain = daisy.make_chain(channels, pool, E_s)
-        ledger = TrafficLedger(Topology("uni_loop", scenario.C))
+        # metered on the schedule's topology, as run_bcd meters its initializer
+        topology = Topology(daisy.Schedule(variant=variant).topology_variant, scenario.C)
+        ledger = TrafficLedger(topology)
         W = daisy.bdac_init(chain, ledger=ledger)
         traffic = ledger.total()
     else:  # bcd:L
@@ -215,7 +238,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                         f"trials {first}..{first + len(rngs) - 1} (stack trial t is "
                         f"trial {first} + t): {exc}") from exc
                 wall[token] += time.perf_counter() - t0
-                built[token] = (W.W, obj)
+                built[token] = (W, obj)
                 traffic[token] += len(rngs) * tr
             for i, (ch, (_, _, rng_data)) in enumerate(zip(channel_sets, rngs)):
                 frame = detect.make_frame(ch, sc, config.symbols_per_trial,
@@ -284,7 +307,7 @@ def convergence_trace(scenario: model.Scenario, L: int = 50,
     channels = model.build_channel(scenario, rng_ch)
     pool = model.draw_noise_pool(channels, scenario, rng_pool)
     R_hat = model.sample_covariance(pool)
-    W_star = central.mmse_centralized(channels.H, R_hat, scenario.E_s).W
+    W_star = central.mmse_centralized(channels.H, R_hat, scenario.E_s)
     norm_star = np.linalg.norm(W_star, "fro")
     schedule = daisy.Schedule(variant=variant, L=L)
     result = daisy.run_bcd(daisy.make_chain(channels, pool, scenario.E_s), schedule,
@@ -319,20 +342,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
     sc_raw = dict(raw.pop("scenario", {}))
     if "gain_range_db" in sc_raw:
         sc_raw["gain_range_db"] = tuple(sc_raw["gain_range_db"])
-    if profile:
-        scenario = profile_scenario(profile, **sc_raw)
-    else:
-        missing = [f"scenario.{k}" for k in ("M", "C") if k not in sc_raw]
-        if missing:
-            raise ValueError(f"{' and '.join(missing)} required when no profile "
-                             "is given")
-        M, C = sc_raw.pop("M"), sc_raw.pop("C")
-        if "cluster_sizes" in sc_raw:
-            scenario = model.Scenario(M=M, C=C,
-                                      cluster_sizes=tuple(sc_raw.pop("cluster_sizes")),
-                                      **sc_raw)
-        else:
-            scenario = model.Scenario.uniform(M, C, **sc_raw)
+    scenario = profile_scenario(profile, **sc_raw) if profile else _make_scenario(sc_raw)
     params = dict(
         scenario=scenario,
         es_n0_db=raw.pop("es_n0_db", (10.0,)),

@@ -9,7 +9,7 @@ covariance functions accept such stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,9 +28,8 @@ def cluster_slices(cluster_sizes) -> list[slice]:
 class Scenario:
     """All dimensions and power levels of one simulation setup.
 
-    es_n0_db and iot_db are interpreted in dB by default; set db_ratios=False
-    to read them as linear ratios instead. iot_db=None disables interference
-    power entirely (only valid together with K_int=0 semantics, see
+    es_n0_db and iot_db are in dB. iot_db=None disables interference power
+    entirely (only valid together with K_int=0 semantics, see
     powers_from_ratios).
     """
     M: int                              # BS antennas
@@ -43,10 +42,8 @@ class Scenario:
     es_n0_db: float = 10.0              # signal-to-thermal-noise ratio
     iot_db: float | None = 10.0         # interference-over-thermal ratio
     constellation: int = 16             # QAM order: 4 / 16 / 64
-    n_coh: int = 500                    # symbols per coherence block
     seed: int = 0
     gain_range_db: tuple[float, float] = (0.0, 0.0)  # large-scale gain span
-    db_ratios: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "cluster_sizes", tuple(int(m) for m in self.cluster_sizes))
@@ -89,12 +86,8 @@ def powers_from_ratios(scenario: Scenario) -> tuple[float, float, float]:
     Total interference power over total thermal power per antenna equals the
     IoT ratio, so per-user interference power carries a 1/K_int factor.
     """
-    if scenario.db_ratios:
-        es_n0 = 10.0 ** (scenario.es_n0_db / 10.0)
-        iot = None if scenario.iot_db is None else 10.0 ** (scenario.iot_db / 10.0)
-    else:
-        es_n0 = scenario.es_n0_db
-        iot = scenario.iot_db
+    es_n0 = 10.0 ** (scenario.es_n0_db / 10.0)
+    iot = None if scenario.iot_db is None else 10.0 ** (scenario.iot_db / 10.0)
     sigma2 = scenario.E_s / es_n0
     if scenario.K_int == 0:
         if iot is not None and iot > 0.0:
@@ -112,14 +105,6 @@ class ChannelSet:
     H: np.ndarray
     H_int: np.ndarray
     cluster_sizes: tuple[int, ...]
-
-    def block(self, c: int) -> np.ndarray:
-        """Rows of H belonging to cluster c (an M_c x K view)."""
-        return self.H[..., cluster_slices(self.cluster_sizes)[c], :]
-
-    @property
-    def blocks(self) -> list[np.ndarray]:
-        return [self.H[..., s, :] for s in cluster_slices(self.cluster_sizes)]
 
 
 def build_channel(scenario: Scenario, rng: np.random.Generator | None = None) -> ChannelSet:
@@ -159,17 +144,10 @@ class NoisePool:
     """N pilot-RE noise sample vectors, stored as columns of (M, N), or a
     (T, M, N) stack of T trials."""
     samples: np.ndarray
-    cluster_sizes: tuple[int, ...]
-    sigma2_thermal: float
-    p_int: float
 
     @property
     def N(self) -> int:
         return self.samples.shape[-1]
-
-    def block(self, c: int) -> np.ndarray:
-        """Cluster-c rows of every sample, shape (M_c, N)."""
-        return self.samples[..., cluster_slices(self.cluster_sizes)[c], :]
 
 
 def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
@@ -178,39 +156,22 @@ def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(2)[1])
     sigma2, p_int, _ = powers_from_ratios(scenario)
-    samples = draw_colored_noise(channels, sigma2, p_int, scenario.N, rng)
-    return NoisePool(samples=samples, cluster_sizes=scenario.cluster_sizes,
-                     sigma2_thermal=sigma2, p_int=p_int)
+    return NoisePool(draw_colored_noise(channels, sigma2, p_int, scenario.N, rng))
 
 
 def stack_trials(channel_sets: list[ChannelSet],
                  pools: list[NoisePool]) -> tuple[ChannelSet, NoisePool]:
     """Stack per-trial channels and noise pools of one scenario along a new
     leading trial axis."""
-    first = pools[0]
     channels = ChannelSet(H=np.stack([c.H for c in channel_sets]),
                           H_int=np.stack([c.H_int for c in channel_sets]),
                           cluster_sizes=channel_sets[0].cluster_sizes)
-    pool = NoisePool(samples=np.stack([p.samples for p in pools]),
-                     cluster_sizes=first.cluster_sizes,
-                     sigma2_thermal=first.sigma2_thermal, p_int=first.p_int)
-    return channels, pool
+    return channels, NoisePool(np.stack([p.samples for p in pools]))
 
 
-@dataclass(frozen=True)
-class Covariance:
-    """M x M Hermitian PSD noise covariance (or a (T, M, M) stack) with
-    per-cluster block views."""
-    full: np.ndarray
-    cluster_sizes: tuple[int, ...]
-
-    def block(self, m: int, n: int) -> np.ndarray:
-        sl = cluster_slices(self.cluster_sizes)
-        return self.full[..., sl[m], sl[n]]
-
-
-def exact_covariance(channels: ChannelSet, scenario: Scenario) -> Covariance:
-    """True covariance p_int * H_int H_int^H + sigma2 * I of the colored noise."""
+def exact_covariance(channels: ChannelSet, scenario: Scenario) -> np.ndarray:
+    """True covariance p_int * H_int H_int^H + sigma2 * I of the colored noise,
+    (M, M) or a (T, M, M) stack."""
     sigma2, p_int, _ = powers_from_ratios(scenario)
     H_int = channels.H_int
     M = H_int.shape[-2]
@@ -218,12 +179,11 @@ def exact_covariance(channels: ChannelSet, scenario: Scenario) -> Covariance:
                            H_int.shape[:-2] + (M, M)).copy()
     if H_int.shape[-1] > 0 and p_int > 0.0:
         full = full + p_int * (H_int @ H_int.conj().swapaxes(-1, -2))
-    return Covariance(full=full, cluster_sizes=scenario.cluster_sizes)
+    return full
 
 
-def sample_covariance(pool: NoisePool) -> Covariance:
+def sample_covariance(pool: NoisePool) -> np.ndarray:
     """Average of outer products over the pool, (1/N) sum_i n_i n_i^H."""
     if pool.N == 0:
         raise ValueError("noise pool is empty")
-    full = pool.samples @ pool.samples.conj().swapaxes(-1, -2) / pool.N
-    return Covariance(full=full, cluster_sizes=pool.cluster_sizes)
+    return pool.samples @ pool.samples.conj().swapaxes(-1, -2) / pool.N

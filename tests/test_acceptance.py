@@ -49,7 +49,7 @@ def desk_instances():
     for seed in range(20):
         sc, ch, pool, R_hat = make_instance(seed=seed, M=16, C=4, K=4,
                                             K_int=4, N=64, iot_db=10.0)
-        W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s).W
+        W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s)
         t0 = time.perf_counter()
         res_gs = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
                                daisy.Schedule(variant="gauss_seidel_loop", L=50),
@@ -60,7 +60,7 @@ def desk_instances():
                                 keep_iterates=True)
         objs = [[central.sample_objective(W[0], ch.H, pool, sc.E_s) for W in res.iterates]
                 for res in (res_gs, res_sym)]
-        runs.append(_DeskRun((sc, ch, pool, R_hat), W_star, res_gs.W.W[0], *objs))
+        runs.append(_DeskRun((sc, ch, pool, R_hat), W_star, res_gs.W[0], *objs))
     return runs, gs_elapsed
 
 
@@ -110,10 +110,10 @@ def test_criterion_1_global_optimum_at_l50(desk_instances):
     for run in runs:
         sc, ch, pool, R_hat = run.instance
         slices = sc.slices
-        Q = sc.E_s * (ch.H @ ch.H.conj().T) + R_hat.full
+        Q = sc.E_s * (ch.H @ ch.H.conj().T) + R_hat
         B = sc.E_s * ch.H.conj().T
-        R_bd = scipy.linalg.block_diag(*(R_hat.block(c, c) for c in range(sc.C)))
-        W = W0 = central.mmse_centralized(ch.H, R_bd, sc.E_s).W  # BDAC start
+        R_bd = scipy.linalg.block_diag(*(R_hat[s, s] for s in slices))
+        W = W0 = central.mmse_centralized(ch.H, R_bd, sc.E_s)  # BDAC start
         for _ in range(50):
             W = _block_gs_sweep(W, Q, B, slices)
         mismatch = max(mismatch, _rel(run.W_gs, W))
@@ -130,7 +130,7 @@ def test_criterion_1_global_optimum_at_l50(desk_instances):
         budgets.append(budget)
         res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
                             daisy.Schedule(L=budget))
-        final = max(final, _rel(res.W.W[0], run.W_star))
+        final = max(final, _rel(res.W[0], run.W_star))
     ok = (mismatch < 1e-8 and max(rhos) < 1.0 and fixed_point < 1e-12
           and final < 1e-8 and elapsed < 5.0)
     _verdict(1, "L=50 chain equals centralized block Gauss-Seidel to 1e-8, and "
@@ -144,9 +144,9 @@ def test_criterion_1_global_optimum_at_l50(desk_instances):
 
 def test_criterion_2_single_cluster_exactness():
     sc, ch, pool, R_hat = make_instance(seed=100, M=16, C=1, K=4, K_int=4, N=64)
-    W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s).W
+    W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s)
     res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s), daisy.Schedule(L=1))
-    rel = np.linalg.norm(res.W.W[0] - W_star, "fro") / np.linalg.norm(W_star, "fro")
+    rel = np.linalg.norm(res.W[0] - W_star, "fro") / np.linalg.norm(W_star, "fro")
     _verdict(2, "C=1 single block update equals centralized MMSE to 1e-10",
              rel < 1e-10, f"rel error {rel:.3e}")
 
@@ -240,13 +240,13 @@ def test_criterion_7_sample_covariance_consistency():
     sc0 = model.Scenario.uniform(8, 2, K=2, K_int=4, N=8, es_n0_db=10.0,
                                  iot_db=10.0, seed=11)
     ch = model.build_channel(sc0, np.random.default_rng(11))
-    R = model.exact_covariance(ch, sc0).full
+    R = model.exact_covariance(ch, sc0)
     errs = []
     for N in (1_000, 10_000, 100_000):
         sc = dataclasses.replace(sc0, N=N)
         per_pool = [
             np.linalg.norm(model.sample_covariance(
-                model.draw_noise_pool(ch, sc, np.random.default_rng([N, t]))).full - R)
+                model.draw_noise_pool(ch, sc, np.random.default_rng([N, t]))) - R)
             for t in range(6)]
         errs.append(np.mean(per_pool))
     slope = float(np.polyfit(np.log10([1e3, 1e4, 1e5]), np.log10(errs), 1)[0])
@@ -297,10 +297,10 @@ def test_supplementary_global_optimum_with_adequate_budget():
     for seed in range(5):
         sc, ch, pool, R_hat = make_instance(seed=seed, M=16, C=4, K=4,
                                             K_int=4, N=64, es_n0_db=0.0)
-        W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s).W
+        W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s)
         res = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
                             daisy.Schedule(L=1200))
-        rel = (np.linalg.norm(res.W.W[0] - W_star, "fro")
+        rel = (np.linalg.norm(res.W[0] - W_star, "fro")
                / np.linalg.norm(W_star, "fro"))
         worst = max(worst, float(rel))
     print(f"[PASS] supplementary: global optimum reached at L=1200, "

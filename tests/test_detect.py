@@ -160,7 +160,7 @@ class TestRunLink:
         phase = np.exp(1j * 0.7)
         frame_rot = dataclasses.replace(frame, Y=phase * frame.Y)
         stats_a = evaluate_equalizer(W, frame, sc)
-        stats_b = evaluate_equalizer(W.W / phase, frame_rot, sc)
+        stats_b = evaluate_equalizer(W / phase, frame_rot, sc)
         assert stats_a == stats_b
 
     def test_batch_accumulation_matches_single_run(self):
@@ -181,3 +181,24 @@ class TestRunLink:
                                (slice(250, 600), slice(500, 1200))]]
         merged = part[0] + part[1]
         assert merged == combined
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_error_counts_match_per_user_bit_oracle(self, order):
+        # all users are decided at once and counted on symbol indices; compare
+        # with demapping every user's row to bits and counting bit by bit
+        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16, es_n0_db=12.0,
+                                    constellation=order, seed=13)
+        ch = model.build_channel(sc, np.random.default_rng(13))
+        W = central.zf_centralized(ch.H)
+        frame = make_frame(ch, sc, 3000, np.random.default_rng(14))
+        const = Constellation(order)
+        for k in range(sc.K):
+            np.testing.assert_array_equal(frame.symbols[k], modulate(frame.bits[k], const))
+        _, _, scale = model.powers_from_ratios(sc)
+        rx_bits = np.stack([demodulate_hard(s, const) for s in W @ frame.Y / scale])
+        wrong = rx_bits != frame.bits
+        per_symbol = wrong.reshape(sc.K, 3000, -1)
+        stats = evaluate_equalizer(W, frame, sc)
+        assert stats.bit_errors == int(wrong.sum()) > 0
+        assert stats.symbol_errors == int(per_symbol.any(axis=-1).sum())
+        assert (stats.bits, stats.symbols) == (wrong.size, sc.K * 3000)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from chainmmse import central, cli, harness, model
+from chainmmse import central, cli, daisy, harness, model
+from chainmmse.interconnect import PHASE_GRAM, predicted_traffic
 from chainmmse.harness import (ExperimentConfig, emit_csv, emit_convergence_trace,
                                load_config, parse_algorithm, profile_scenario,
                                read_results_csv, run_experiment)
@@ -123,8 +124,50 @@ class TestConfig:
             load_config(path)
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = _small_config(trials=np.int64(2), symbols_per_trial=np.int32(50))
+        cfg = _small_config(trials=np.int64(2), symbols_per_trial=np.int32(50),
+                            seed=np.int64(0))
         assert type(cfg.trials) is int and type(cfg.symbols_per_trial) is int
+        assert type(cfg.seed) is int and cfg.seed == 0
+
+    @pytest.mark.parametrize("value", ["-1", "'x'", "1.5", "true"])
+    def test_bad_seed_rejected_naming_key(self, tmp_path, value):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"scenario: {{M: 8, C: 2, K: 2, N: 16}}\nseed: {value}\n")
+        with pytest.raises(ValueError, match="seed: must be"):
+            load_config(path)
+
+    @pytest.mark.parametrize("algorithms", [("bdac", "bdac"), ("zf", "bcd:4", "bcd:04")])
+    def test_repeated_algorithm_rejected(self, algorithms):
+        # two tokens of one (name, L) would write two rows of one algorithm
+        with pytest.raises(ValueError, match=f"algorithms: '{algorithms[-1]}' repeats"):
+            _small_config(algorithms=algorithms)
+
+    def test_cli_sweeps_collapses_bcd_tokens(self, tmp_path):
+        assert cli.main(["run", "--algorithms", "bdac,bcd:1,zf,bcd:4", "--sweeps", "7",
+                         "--trials", "1", "--symbols", "10", "--out", str(tmp_path)]) == 0
+        rows = read_results_csv(tmp_path / "results.csv")
+        assert ([(r.algorithm, r.L) for r in rows[:3]]
+                == [("bdac", 0), ("bcd", 7), ("zf", 0)])
+        assert len(rows) == 3 * 5  # five Es/N0 points
+        sc = profile_scenario("desk")
+        assert rows[1].traffic_entries == sc.C * predicted_traffic(sc.K, sc.N, 7)
+
+    def test_profile_with_uneven_cluster_sizes(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("profile: desk\nscenario: {cluster_sizes: [4, 4, 8, 16]}\n")
+        sc = load_config(path).scenario
+        assert (sc.M, sc.C, sc.cluster_sizes) == (32, 4, (4, 4, 8, 16))
+
+    @pytest.mark.parametrize("scenario, key", [
+        ("{foo: 1}", "foo"),
+        ("{M: 8, C: 2, K: 2, N: 16, n_coh: 500}", "n_coh"),
+        ("{M: 8, C: 2, K: 2, N: 16, db_ratios: false}", "db_ratios")])
+    @pytest.mark.parametrize("profile", ["", "profile: desk\n"])
+    def test_unknown_scenario_key_named(self, tmp_path, scenario, key, profile):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"{profile}scenario: {scenario}\n")
+        with pytest.raises(ValueError, match=f"unknown scenario keys: scenario.{key}$"):
+            load_config(path)
 
     @pytest.mark.parametrize("scenario, missing", [("{K: 2}", "scenario.M and scenario.C"),
                                                    ("{M: 8, K: 2}", "scenario.C")])
@@ -215,6 +258,17 @@ class TestRunExperiment:
         # 16 M (N + M) bytes per trial: 64 KiB on desk, 640 KiB on paper
         assert harness.chunk_trials(profile_scenario("desk")) == 8
         assert harness.chunk_trials(profile_scenario("paper")) == 1
+
+    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    def test_bdac_traffic_is_the_schedule_gram_phase(self, variant):
+        cfg = _small_config(algorithms=("bdac",), schedule_variant=variant)
+        sc = cfg.scenario
+        rng_ch, rng_pool, _ = harness.trial_rngs(0, 0, 0)
+        ch = model.build_channel(sc, rng_ch)
+        chain = daisy.make_chain(ch, model.draw_noise_pool(ch, sc, rng_pool), sc.E_s)
+        ledger = daisy.run_bcd(chain, daisy.Schedule(variant=variant, L=1)).ledger
+        [row] = run_experiment(cfg)
+        assert row.traffic_entries == cfg.trials * ledger.total(PHASE_GRAM)
 
     def test_traffic_column_independent_of_m(self):
         entries = []

@@ -64,7 +64,7 @@ def test_no_interference_gives_empty_channel_and_white_noise():
     R = model.exact_covariance(ch, sc)
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     assert p_int == 0.0
-    np.testing.assert_allclose(R.full, sigma2 * np.eye(8), atol=0)
+    np.testing.assert_allclose(R, sigma2 * np.eye(8), atol=0)
 
 
 def test_exact_covariance_white_reduction():
@@ -72,7 +72,7 @@ def test_exact_covariance_white_reduction():
                                 es_n0_db=0.0, E_s=1.0, seed=0)
     ch = model.build_channel(sc)
     R = model.exact_covariance(ch, sc)
-    np.testing.assert_allclose(R.full, np.eye(4))
+    np.testing.assert_allclose(R, np.eye(4))
 
 
 def test_exact_covariance_rank_one_outer_product():
@@ -85,7 +85,7 @@ def test_exact_covariance_rank_one_outer_product():
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     # rebuild with sigma2=0, p_int=1 directly through the covariance formula
     R = p_int * (e1 @ e1.conj().T)
-    full = model.exact_covariance(ch, sc).full - sigma2 * np.eye(4)
+    full = model.exact_covariance(ch, sc) - sigma2 * np.eye(4)
     np.testing.assert_allclose(full, R, atol=1e-15)
     assert np.linalg.matrix_rank(full) == 1
 
@@ -95,7 +95,7 @@ def test_exact_covariance_monte_carlo_oracle():
     sc = model.Scenario.uniform(4, 2, K=2, K_int=3, N=8, es_n0_db=6.0,
                                 iot_db=8.0, seed=5)
     ch = model.build_channel(sc)
-    R = model.exact_covariance(ch, sc).full
+    R = model.exact_covariance(ch, sc)
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     rng = np.random.default_rng(99)
     acc = np.zeros((4, 4), dtype=complex)
@@ -114,7 +114,7 @@ def test_noise_pool_count_and_partition():
     assert pool.samples.shape == (3, 1)
     sc2 = model.Scenario.uniform(6, 3, K=2, K_int=2, N=10, seed=0)
     pool2 = model.draw_noise_pool(model.build_channel(sc2), sc2)
-    stacked = np.vstack([pool2.block(c) for c in range(3)])
+    stacked = np.vstack([pool2.samples[s] for s in sc2.slices])
     np.testing.assert_array_equal(stacked, pool2.samples)
 
 
@@ -129,13 +129,13 @@ def test_sample_covariance_shrinks_like_sqrt_n():
     sc0 = model.Scenario.uniform(8, 2, K=2, K_int=4, N=8, es_n0_db=10.0,
                                  iot_db=10.0, seed=11)
     ch = model.build_channel(sc0, np.random.default_rng(11))
-    R = model.exact_covariance(ch, sc0).full
+    R = model.exact_covariance(ch, sc0)
     errs = []
     for N in (1_000, 10_000, 100_000):
         sc = dataclasses.replace(sc0, N=N)
         per_pool = [
             np.linalg.norm(model.sample_covariance(
-                model.draw_noise_pool(ch, sc, np.random.default_rng([N, t]))).full - R)
+                model.draw_noise_pool(ch, sc, np.random.default_rng([N, t]))) - R)
             for t in range(6)]
         errs.append(np.mean(per_pool))
     slope = np.polyfit(np.log10([1e3, 1e4, 1e5]), np.log10(errs), 1)[0]
@@ -146,13 +146,11 @@ def test_sample_covariance_single_and_zero_samples():
     sc = model.Scenario.uniform(2, 2, K=1, K_int=1, N=1, seed=2)
     pool = model.draw_noise_pool(model.build_channel(sc), sc)
     n = pool.samples[:, 0]
-    np.testing.assert_allclose(model.sample_covariance(pool).full,
+    np.testing.assert_allclose(model.sample_covariance(pool),
                                np.outer(n, n.conj()))
-    zero = model.NoisePool(samples=np.zeros((4, 3), complex),
-                           cluster_sizes=(2, 2), sigma2_thermal=0.0, p_int=0.0)
-    assert np.all(model.sample_covariance(zero).full == 0)
-    empty = model.NoisePool(samples=np.zeros((4, 0), complex),
-                            cluster_sizes=(2, 2), sigma2_thermal=0.0, p_int=0.0)
+    zero = model.NoisePool(samples=np.zeros((4, 3), complex))
+    assert np.all(model.sample_covariance(zero) == 0)
+    empty = model.NoisePool(samples=np.zeros((4, 0), complex))
     with pytest.raises(ValueError):
         model.sample_covariance(empty)
 
@@ -166,7 +164,7 @@ def test_sample_covariance_two_loop_oracle():
             for b in range(8):
                 acc[a, b] += n[a] * np.conj(n[b])
     acc /= pool.N
-    assert np.max(np.abs(acc - Rhat.full)) < 1e-14
+    assert np.max(np.abs(acc - Rhat)) < 1e-14
 
 
 def test_powers_from_ratios_values():
@@ -186,14 +184,6 @@ def test_powers_from_ratios_values():
     assert p_int == pytest.approx(0.625)
 
 
-def test_powers_from_ratios_linear_flag():
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=2, N=8, es_n0_db=4.0,
-                                iot_db=10.0, db_ratios=False)
-    sigma2, p_int, _ = model.powers_from_ratios(sc)
-    assert sigma2 == pytest.approx(0.25)
-    assert p_int == pytest.approx(0.25 * 10.0 / 2)
-
-
 def test_powers_inconsistent_interference_config():
     sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=10.0)
     with pytest.raises(ValueError):
@@ -211,24 +201,28 @@ def test_partition_round_trip(seed, C):
     ch = model.build_channel(sc)
     pool = model.draw_noise_pool(ch, sc)
     R = model.sample_covariance(pool)
-    np.testing.assert_array_equal(np.vstack(ch.blocks), ch.H)
-    np.testing.assert_array_equal(np.vstack([pool.block(c) for c in range(C)]),
+    slices = model.cluster_slices(sizes)
+    assert [s.stop - s.start for s in slices] == list(sizes)
+    assert slices[0].start == 0 and slices[-1].stop == M
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    np.testing.assert_array_equal(np.vstack([ch.H[s] for s in slices]), ch.H)
+    np.testing.assert_array_equal(np.vstack([pool.samples[s] for s in slices]),
                                   pool.samples)
-    rebuilt = np.block([[R.block(m, n) for n in range(C)] for m in range(C)])
-    np.testing.assert_array_equal(rebuilt, R.full)
+    rebuilt = np.block([[R[m, n] for n in slices] for m in slices])
+    np.testing.assert_array_equal(rebuilt, R)
 
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_sample_covariance_hermitian_psd(seed):
     _, _, _, Rhat = make_instance(seed=seed, M=8, C=2, K=2, K_int=2, N=16)
-    full = Rhat.full
+    full = Rhat
     herm_err = np.max(np.abs(full - full.conj().T))
     assert herm_err <= 1e-12 * max(np.max(np.abs(full)), 1e-300)
     eigs = np.linalg.eigvalsh(full)
     assert eigs.min() >= -1e-10 * np.trace(full).real
     assert np.all(np.diag(full).real >= 0)
-    for m in range(2):
-        for n in range(2):
-            np.testing.assert_array_equal(Rhat.block(m, n),
-                                          Rhat.block(n, m).conj().T)
+    slices = model.cluster_slices((4, 4))
+    for m in slices:
+        for n in slices:
+            np.testing.assert_array_equal(Rhat[m, n], Rhat[n, m].conj().T)

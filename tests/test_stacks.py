@@ -9,13 +9,13 @@ from chainmmse import central, daisy, model
 def _build(channels, pool, sc, L):
     """Every stacked build of the library on one stack of trials."""
     chain_W = daisy.run_bcd(daisy.make_chain(channels, pool, sc.E_s),
-                            daisy.Schedule(L=L)).W.W
+                            daisy.Schedule(L=L)).W
     return {
-        "bdac": daisy.bdac_init(daisy.make_chain(channels, pool, sc.E_s)).W,
+        "bdac": daisy.bdac_init(daisy.make_chain(channels, pool, sc.E_s)),
         f"bcd:{L}": chain_W,
         "mmse": central.mmse_centralized(channels.H, model.exact_covariance(channels, sc),
-                                         sc.E_s).W,
-        "zf": central.zf_centralized(channels.H).W,
+                                         sc.E_s),
+        "zf": central.zf_centralized(channels.H),
         "sample_objective": central.sample_objective(chain_W, channels.H, pool, sc.E_s),
     }
 
