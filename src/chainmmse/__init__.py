@@ -6,10 +6,9 @@ from .model import (Scenario, ChannelSet, NoisePool, build_channel,
 from .central import (SingularMatrixError, mmse_centralized, zf_centralized,
                       sample_objective)
 from .daisy import (Chain, Schedule, BcdResult, make_chain, bdac_init,
-                    bcd_block_update, running_sums, run_bcd, consistency_audit)
+                    bcd_block_update, residual, run_bcd)
 from .interconnect import Topology, TrafficLedger, predicted_traffic
-from .detect import (Constellation, ErrorStats, modulate, demodulate_hard,
-                     run_link)
+from .detect import Constellation, ErrorStats, modulate
 from .harness import (ExperimentConfig, ResultRow, run_experiment, emit_csv,
                       convergence_trace, emit_convergence_trace, load_config)
 

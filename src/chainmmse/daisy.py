@@ -4,9 +4,14 @@ Cluster c owns the rows H_c of the channel, the rows n_c of the noise
 samples, its local sample covariance block R_cc, and the columns W_c of the
 equalizer. The block-diagonal initializer discards the off-diagonal
 covariance blocks; the coordinate-descent sweeps then recover them implicitly
-by passing only the K x K running fit matrix A = sum_j W_j H_j and the K x N
-running noise projections b = sum_j W_j n_j from cluster to cluster, so the
-payload never depends on the antenna count.
+by passing one K x (K+N) residual message m = [W H - I | W n] from cluster to
+cluster, so the payload never depends on the antenna count.
+
+Each cluster caches Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1, with G_c the
+Gram matrix E_s H_c H_c^H + R_cc of its block. The exact block minimizer is
+then W_c + D with D = -m Phi_c, and the message leaves the cluster as
+m + D [H_c | n_c]. The centralized sample-MMSE solution is the fixed point,
+where m Phi_c = 0 for every cluster.
 
 A Chain holds T trials stacked along a leading axis, and every step runs on
 all of them at once as stacked matmuls and solves; a traffic ledger meters
@@ -31,14 +36,15 @@ DIAG_LOAD = 1e-10
 @dataclass
 class Chain:
     """T chain instances stacked along a leading trial axis. Cluster c holds
-    rows slices[c] of H and noise, entry c of R and gram_inv, column c of
-    loaded, and columns slices[c] of W."""
-    H: np.ndarray            # T x M x K channels
-    noise: np.ndarray        # T x M x N noise samples as columns
+    rows slices[c] of Hn, entry c of R and phi, column c of loaded, and
+    columns slices[c] of W."""
+    Hn: np.ndarray           # T x M x (K+N): channels and noise samples side by side
+    H: np.ndarray            # T x M x K view of Hn
+    noise: np.ndarray        # T x M x N view of Hn
     slices: list[slice]
     E_s: float
     R: list[np.ndarray]      # T x M_c x M_c local sample covariance blocks R_cc
-    gram_inv: list[np.ndarray]  # inverses of the Gram matrices E_s H_c H_c^H + R_cc
+    phi: list[np.ndarray]    # T x (K+N) x M_c: [E_s H_c^H ; n_c^H / N] G_c^-1
     loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
     W: np.ndarray            # T x K x M equalizers
 
@@ -46,15 +52,19 @@ class Chain:
 def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> Chain:
     """Build the chains of a stack of trials (see model.stack_trials), with
     W = 0; a single trial builds a stack of one."""
-    H, noise = channels.H, pool.samples
-    if H.ndim == 2:
-        H, noise = H[None], noise[None]
-    T, M, K = H.shape
+    Hn = np.concatenate([channels.H, pool.samples], axis=-1)
+    if Hn.ndim == 2:
+        Hn = Hn[None]
+    T, M = Hn.shape[:2]
+    K, N = channels.H.shape[-1], pool.N
+    H, noise = Hn[..., :K], Hn[..., K:]
+    # column scaling of [H_c | n_c] to [E_s H_c | n_c / N]
+    scale = np.concatenate([np.full(K, E_s), np.full(N, 1.0 / N)])
     slices = cluster_slices(channels.cluster_sizes)
-    R, gram_inv = [], []
+    R, phi = [], []
     loaded = np.zeros((T, len(slices)), dtype=bool)
     for c, s in enumerate(slices):
-        R_cc = noise[:, s] @ herm(noise[:, s]) / pool.N
+        R_cc = noise[:, s] @ herm(noise[:, s]) / N
         G = E_s * (H[:, s] @ herm(H[:, s])) + R_cc
         w = np.linalg.eigvalsh(G)
         lo, hi = w[:, 0], w[:, -1]
@@ -67,8 +77,8 @@ def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> Chain:
             warnings.warn(f"cluster {c}, trial {t}: ill-conditioned update matrix, "
                           f"diagonal loading {delta:.3e} applied")
         R.append(R_cc)
-        gram_inv.append(np.linalg.inv(G))
-    return Chain(H=H, noise=noise, slices=slices, E_s=E_s, R=R, gram_inv=gram_inv,
+        phi.append(herm(Hn[:, s] * scale) @ np.linalg.inv(G))
+    return Chain(Hn=Hn, H=H, noise=noise, slices=slices, E_s=E_s, R=R, phi=phi,
                  loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
 
 
@@ -118,56 +128,26 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
     return chain.W.copy()
 
 
-def bcd_block_update(chain: Chain, c: int, A: np.ndarray, b: np.ndarray):
+def bcd_block_update(chain: Chain, c: int, m: np.ndarray) -> np.ndarray:
     """One coordinate-descent block solve at cluster c, in every trial.
 
-    Given the incoming running sums A = sum_j W_j H_j and b = sum_j W_j n_j
-    (current blocks, Gauss-Seidel order; T x K x K and T x K x N), writes the
-    new W_c into chain.W and returns the outgoing sums updated by the
-    subtract-then-add recursions.
+    Given the incoming message m = [W H - I | W n] of the current W
+    (T x K x (K+N)), moves W_c to the block minimizer and returns the
+    outgoing message.
     """
     s = chain.slices[c]
-    H_c, n_c, W_old = chain.H[:, s], chain.noise[:, s], chain.W[:, :, s]
-    K, N = H_c.shape[-1], n_c.shape[-1]
-    WH_old, Wn_old = W_old @ H_c, W_old @ n_c
-
-    fit = chain.E_s * ((np.eye(K) - A + WH_old) @ herm(H_c))
-    noise_corr = (b - Wn_old) @ herm(n_c) / N
-    # right solve W_new G = fit - noise_corr with the cached inverse of G
-    W_new = (fit - noise_corr) @ chain.gram_inv[c]
-
-    A_out = A - WH_old + W_new @ H_c
-    b_out = b - Wn_old + W_new @ n_c
-    chain.W[:, :, s] = W_new
-    return A_out, b_out
+    D = -(m @ chain.phi[c])
+    chain.W[:, :, s] += D
+    return m + D @ chain.Hn[:, s]
 
 
-def running_sums(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
-    """A = sum_c W_c H_c and b = sum_c W_c n_c, accumulated in cluster order."""
-    T, K, N = chain.W.shape[0], chain.H.shape[-1], chain.noise.shape[-1]
-    A = np.zeros((T, K, K), dtype=complex)
-    b = np.zeros((T, K, N), dtype=complex)
-    for s in chain.slices:
-        A = A + chain.W[:, :, s] @ chain.H[:, s]
-        b = b + chain.W[:, :, s] @ chain.noise[:, s]
-    return A, b
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    max_dev_A: float
-    max_dev_b: float
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.max_dev_A, self.max_dev_b)
-
-
-def consistency_audit(chain: Chain, A: np.ndarray, b: np.ndarray) -> AuditReport:
-    """Recompute the running sums from scratch and report the carried-message drift."""
-    A_ref, b_ref = running_sums(chain)
-    return AuditReport(max_dev_A=float(np.max(np.abs(A - A_ref))),
-                       max_dev_b=float(np.max(np.abs(b - b_ref))))
+def residual(chain: Chain) -> np.ndarray:
+    """The message [W H - I | W n], computed afresh from the current W;
+    its distance to a carried message is the carried-message drift."""
+    m = chain.W @ chain.Hn
+    K = m.shape[-2]
+    m[..., :K] -= np.eye(K)
+    return m
 
 
 @dataclass
@@ -178,22 +158,23 @@ class BcdResult:
 
 
 def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> BcdResult:
-    """Full chain run: block-diagonal init, A/b preprocessing circuits, L sweeps.
+    """Full chain run: block-diagonal init, message preprocessing circuits,
+    L sweeps.
 
     Returns the final equalizers and the per-link traffic ledger of one chain
     instance; with keep_iterates, also a copy of W after every block update.
     """
     C = len(chain.slices)
     K, N = chain.H.shape[-1], chain.noise.shape[-1]
-    entries = K * K + N * K  # one (A, b) message
+    entries = K * (K + N)  # one message
     topology = Topology(schedule.topology_variant, C)
     ledger = TrafficLedger(topology)
 
     bdac_init(chain, ledger=ledger)
 
-    # A0/b0 accumulation circuit (sequential around the chain), then the
-    # distribution circuit handing the completed sums to the other clusters.
-    A, b = running_sums(chain)
+    # accumulation circuit of the initial message (sequential around the
+    # chain), then the distribution circuit handing it to the other clusters
+    m = residual(chain)
     for link in topology.links:
         ledger.add(PHASE_ACCUMULATE, link, entries)
     for link in topology.links:
@@ -208,7 +189,7 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> Bc
     iterates: list[np.ndarray] | None = [] if keep_iterates else None
     for _ in range(schedule.L):
         for c in order:
-            A, b = bcd_block_update(chain, c, A, b)
+            m = bcd_block_update(chain, c, m)
             if iterates is not None:
                 iterates.append(chain.W.copy())
         if C > 1:

@@ -79,13 +79,6 @@ def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     return constellation.points[_symbol_indices(bits, bps)]
 
 
-def demodulate_hard(s_hat: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Nearest-point decision per symbol, inverse Gray map, MSB-first bits."""
-    sym = constellation.decide(np.asarray(s_hat).ravel())
-    shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
-    return ((sym[:, None] >> shifts) & 1).ravel()
-
-
 @dataclass(frozen=True)
 class ErrorStats:
     bit_errors: int = 0
@@ -142,10 +135,3 @@ def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
                       symbol_errors=int(np.count_nonzero(wrong)),
                       bits=K * n * const.bits_per_symbol, symbols=K * n)
 
-
-def run_link(channels: ChannelSet, scenario: Scenario, W: np.ndarray, n_symbols: int,
-             rng: np.random.Generator) -> ErrorStats:
-    """End-to-end link evaluation of an equalizer over n_symbols data REs."""
-    const = Constellation(scenario.constellation)
-    frame = make_frame(channels, scenario, n_symbols, rng, const)
-    return evaluate_equalizer(W, frame, scenario, const)

@@ -274,23 +274,6 @@ def emit_csv(rows: list[ResultRow], path) -> None:
                              r.symbols, r.traffic_entries, repr(r.objective)])
 
 
-def read_results_csv(path) -> list[ResultRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(ResultRow(
-                algorithm=rec["algorithm"], L=int(rec["L"]),
-                es_n0_db=float(rec["es_n0_db"]), iot_db=float(rec["iot_db"]),
-                M=int(rec["M"]), C=int(rec["C"]), K=int(rec["K"]), N=int(rec["N"]),
-                ber=float(rec["ber"]), ser=float(rec["ser"]),
-                symbols=int(rec["symbols"]),
-                traffic_entries=int(rec["traffic_entries"]),
-                objective=float(rec["objective"]),
-                wall_time_s=0.0))
-    return rows
-
-
 @dataclass(frozen=True)
 class TraceRow:
     sweep: int
@@ -299,11 +282,11 @@ class TraceRow:
     w_error: float  # ||W - W*||_F / ||W*||_F against the centralized solve
 
 
-def convergence_trace(scenario: model.Scenario, L: int = 50,
-                      variant: str = "gauss_seidel_loop",
-                      seed: int | None = None) -> list[TraceRow]:
-    """Run one chain instance and report per-block-update distance to the optimum."""
-    rng_ch, rng_pool, _ = trial_rngs(seed if seed is not None else scenario.seed, 0, 0)
+def convergence_trace(scenario: model.Scenario, seed: int, L: int = 50,
+                      variant: str = "gauss_seidel_loop") -> list[TraceRow]:
+    """Run one chain instance, drawn as trial 0 of grid point 0 of the seed,
+    and report per-block-update distance to the optimum."""
+    rng_ch, rng_pool, _ = trial_rngs(seed, 0, 0)
     channels = model.build_channel(scenario, rng_ch)
     pool = model.draw_noise_pool(channels, scenario, rng_pool)
     R_hat = model.sample_covariance(pool)
@@ -339,9 +322,9 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raw = yaml.safe_load(fh) or {}
     file_profile = raw.pop("profile", None)
     profile = overrides.pop("profile", None) or file_profile
-    sc_raw = dict(raw.pop("scenario", {}))
-    if "gain_range_db" in sc_raw:
-        sc_raw["gain_range_db"] = tuple(sc_raw["gain_range_db"])
+    sc_raw = raw.pop("scenario", None) or {}
+    if not isinstance(sc_raw, dict):
+        raise ValueError(f"scenario: must be a mapping of scenario keys, got {sc_raw!r}")
     scenario = profile_scenario(profile, **sc_raw) if profile else _make_scenario(sc_raw)
     params = dict(
         scenario=scenario,

@@ -9,6 +9,7 @@ covariance functions accept such stacks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +23,17 @@ def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
 def cluster_slices(cluster_sizes) -> list[slice]:
     offsets = np.concatenate(([0], np.cumsum(cluster_sizes)))
     return [slice(int(offsets[c]), int(offsets[c + 1])) for c in range(len(cluster_sizes))]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(key: str, value) -> int:
+    """value as a plain int; a ValueError naming scenario.<key> otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"scenario.{key}: must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -42,11 +54,26 @@ class Scenario:
     es_n0_db: float = 10.0              # signal-to-thermal-noise ratio
     iot_db: float | None = 10.0         # interference-over-thermal ratio
     constellation: int = 16             # QAM order: 4 / 16 / 64
-    seed: int = 0
     gain_range_db: tuple[float, float] = (0.0, 0.0)  # large-scale gain span
 
     def __post_init__(self):
-        object.__setattr__(self, "cluster_sizes", tuple(int(m) for m in self.cluster_sizes))
+        for key in ("M", "K", "C", "N", "K_int", "constellation"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        sizes = self.cluster_sizes
+        if not isinstance(sizes, (list, tuple)):
+            raise ValueError(f"scenario.cluster_sizes: must be a list of integers, "
+                             f"got {sizes!r}")
+        object.__setattr__(self, "cluster_sizes",
+                           tuple(_integer("cluster_sizes", m) for m in sizes))
+        for key in ("E_s", "es_n0_db", "iot_db"):
+            value = getattr(self, key)
+            if not _is_number(value) and not (key == "iot_db" and value is None):
+                raise ValueError(f"scenario.{key}: must be a number, got {value!r}")
+        gains = self.gain_range_db
+        if (not isinstance(gains, (list, tuple)) or len(gains) != 2
+                or not all(_is_number(g) for g in gains)):
+            raise ValueError(f"scenario.gain_range_db: must be two numbers, got {gains!r}")
+        object.__setattr__(self, "gain_range_db", tuple(gains))
         if self.C < 1 or len(self.cluster_sizes) != self.C:
             raise ValueError(f"cluster_sizes must have C={self.C} entries")
         if any(m < 1 for m in self.cluster_sizes):
@@ -68,7 +95,8 @@ class Scenario:
     @classmethod
     def uniform(cls, M: int, C: int, **kwargs) -> "Scenario":
         """Scenario with M antennas split into C equal clusters."""
-        if M % C != 0:
+        M, C = _integer("M", M), _integer("C", C)
+        if C < 1 or M % C != 0:
             raise ValueError(f"M={M} not divisible by C={C}")
         return cls(M=M, C=C, cluster_sizes=(M // C,) * C, **kwargs)
 
@@ -107,15 +135,12 @@ class ChannelSet:
     cluster_sizes: tuple[int, ...]
 
 
-def build_channel(scenario: Scenario, rng: np.random.Generator | None = None) -> ChannelSet:
+def build_channel(scenario: Scenario, rng: np.random.Generator) -> ChannelSet:
     """i.i.d. Rayleigh channels with log-uniform large-scale gains.
 
     Entry variance of column k is the linear gain of user k; gains are drawn
     uniformly in dB over scenario.gain_range_db.
     """
-    if rng is None:
-        # the channel and noise pool streams are the two children of the seed
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(2)[0])
     lo, hi = scenario.gain_range_db
 
     def draw(n_users: int) -> np.ndarray:
@@ -151,10 +176,8 @@ class NoisePool:
 
 
 def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
-                    rng: np.random.Generator | None = None) -> NoisePool:
+                    rng: np.random.Generator) -> NoisePool:
     """Draw the N independent pilot-RE noise samples."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(2)[1])
     sigma2, p_int, _ = powers_from_ratios(scenario)
     return NoisePool(draw_colored_noise(channels, sigma2, p_int, scenario.N, rng))
 

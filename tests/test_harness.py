@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,15 +9,24 @@ import yaml
 
 from chainmmse import central, cli, daisy, harness, model
 from chainmmse.interconnect import PHASE_GRAM, predicted_traffic
-from chainmmse.harness import (ExperimentConfig, emit_csv, emit_convergence_trace,
-                               load_config, parse_algorithm, profile_scenario,
-                               read_results_csv, run_experiment)
+from chainmmse.harness import (ExperimentConfig, ResultRow, emit_csv,
+                               emit_convergence_trace, load_config, parse_algorithm,
+                               profile_scenario, run_experiment)
+
+
+def read_results_csv(path) -> list[ResultRow]:
+    """Parse results.csv back into rows; wall_time_s is not a column."""
+    types = {"algorithm": str, "L": int, "M": int, "C": int, "K": int, "N": int,
+             "symbols": int, "traffic_entries": int}
+    with open(path, newline="") as fh:
+        return [ResultRow(**{k: types.get(k, float)(v) for k, v in rec.items()},
+                          wall_time_s=0.0)
+                for rec in csv.DictReader(fh)]
 
 
 def _small_config(**overrides):
     params = dict(
-        scenario=model.Scenario.uniform(8, 2, K=2, K_int=2, N=16,
-                                        constellation=4, seed=0),
+        scenario=model.Scenario.uniform(8, 2, K=2, K_int=2, N=16, constellation=4),
         es_n0_db=(8.0,),
         iot_db=(10.0,),
         algorithms=("zf", "mmse_sampleR", "bdac", "bcd:2"),
@@ -39,7 +49,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_algorithm("genie")
 
-    def test_validation_names_fields(self):
+    def test_validation_names_fields(self, tmp_path):
         with pytest.raises(ValueError, match="trials"):
             _small_config(trials=0)
         with pytest.raises(ValueError, match="es_n0_db"):
@@ -48,6 +58,20 @@ class TestConfig:
             _small_config(algorithms=("warp",))
         with pytest.raises(ValueError, match="schedule_variant"):
             _small_config(schedule_variant="red_black")
+        path = tmp_path / "exp.yaml"
+        for text, key in [("profile: desk\nscenario: {cluster_sizes: 4}", "cluster_sizes"),
+                          ("scenario: {M: '8', C: 2, K: 2, N: 16}", "M"),
+                          ("scenario:", "M"),
+                          ("scenario: {M: 8, C: 2, K: 2.5, N: 16}", "K"),
+                          ("profile: desk\nscenario: {constellation: 16.0}",
+                           "constellation"),
+                          ("profile: desk\nscenario: {E_s: one}", "E_s"),
+                          ("profile: desk\nscenario: {gain_range_db: 3}", "gain_range_db")]:
+            path.write_text(text + "\n")
+            with pytest.raises(ValueError, match=rf"scenario\.{key}\b"):
+                load_config(path)
+        path.write_text("profile: desk\nscenario:\n")
+        assert load_config(path).scenario == profile_scenario("desk")
 
     def test_profiles(self):
         desk = profile_scenario("desk")
@@ -203,7 +227,7 @@ class TestRunExperiment:
 
     def test_zero_noise_zf_has_zero_ber(self):
         sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None,
-                                    constellation=4, seed=0)
+                                    constellation=4)
         rows = run_experiment(ExperimentConfig(
             scenario=sc, es_n0_db=(np.inf,), iot_db=(None,),
             algorithms=("zf",), trials=2, symbols_per_trial=100, seed=3))
@@ -212,7 +236,7 @@ class TestRunExperiment:
     def test_singular_covariance_names_grid_point_and_trials(self):
         # no noise at all: the sample covariance of every trial is zero
         sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None,
-                                    constellation=4, seed=0)
+                                    constellation=4)
         cfg = ExperimentConfig(scenario=sc, es_n0_db=(np.inf,), iot_db=(None,),
                                algorithms=("zf", "mmse_sampleR"), trials=3,
                                symbols_per_trial=10, seed=3)
@@ -274,7 +298,7 @@ class TestRunExperiment:
         entries = []
         for M in (16, 32):
             sc = model.Scenario.uniform(M, 4, K=4, K_int=2, N=64,
-                                        constellation=4, seed=0)
+                                        constellation=4)
             cfg = _small_config(scenario=sc, algorithms=("bcd:2",), trials=1)
             entries.append(run_experiment(cfg)[0].traffic_entries)
         assert entries[0] == entries[1] > 0
@@ -305,16 +329,15 @@ class TestCsv:
 
 class TestConvergenceTrace:
     def test_single_cluster_one_row_per_sweep(self):
-        sc = model.Scenario.uniform(8, 1, K=2, K_int=2, N=32, seed=2)
-        rows = harness.convergence_trace(sc, L=5)
+        sc = model.Scenario.uniform(8, 1, K=2, K_int=2, N=32)
+        rows = harness.convergence_trace(sc, seed=2, L=5)
         assert len(rows) == 5
         assert all(r.block == 0 for r in rows)
         assert rows[0].w_error < 1e-9  # exact after the first block solve
 
     def test_converges_and_monotone(self, tmp_path):
-        sc = model.Scenario.uniform(16, 4, K=4, K_int=4, N=64, es_n0_db=0.0,
-                                    seed=3)
-        rows = harness.convergence_trace(sc, L=400)
+        sc = model.Scenario.uniform(16, 4, K=4, K_int=4, N=64, es_n0_db=0.0)
+        rows = harness.convergence_trace(sc, seed=3, L=400)
         assert len(rows) == 400 * 4
         assert rows[-1].w_error < 1e-8
         objs = [r.objective for r in rows]

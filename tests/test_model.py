@@ -25,41 +25,22 @@ def test_channel_unit_variance_statistics():
     # gains forced to 1: entries should have unit mean power; one big draw
     # gives 1e5 entries for the statistical check
     sc = model.Scenario(M=50_000, K=2, C=1, cluster_sizes=(50_000,), N=50_000,
-                        gain_range_db=(0.0, 0.0), seed=7)
-    ch = model.build_channel(sc)
+                        gain_range_db=(0.0, 0.0))
+    ch = model.build_channel(sc, np.random.default_rng(7))
     power = np.mean(np.abs(ch.H) ** 2)
     assert abs(power - 1.0) < 0.02
 
 
 def test_channel_deterministic_under_seed():
-    sc = model.Scenario.uniform(16, 4, K=4, K_int=3, N=32, seed=42,
-                                gain_range_db=(-6.0, 0.0))
-    a = model.build_channel(sc)
-    b = model.build_channel(sc)
+    sc = model.Scenario.uniform(16, 4, K=4, K_int=3, N=32, gain_range_db=(-6.0, 0.0))
+    a = model.build_channel(sc, np.random.default_rng(42))
+    b = model.build_channel(sc, np.random.default_rng(42))
     assert np.array_equal(a.H, b.H) and np.array_equal(a.H_int, b.H_int)
 
 
-def test_default_channel_and_noise_streams_differ():
-    # both default streams are children of SeedSequence(seed), so the noise
-    # pool of seed s is not drawn from the channel stream of seed s+1
-    sc = model.Scenario.uniform(8, 2, K=2, K_int=2, N=16, seed=5)
-    ch = model.build_channel(sc)
-    pool = model.draw_noise_pool(ch, sc)
-    ch_seq, pool_seq = np.random.SeedSequence(5).spawn(2)
-    np.testing.assert_array_equal(
-        model.build_channel(sc, np.random.default_rng(ch_seq)).H, ch.H)
-    np.testing.assert_array_equal(
-        model.draw_noise_pool(ch, sc, np.random.default_rng(pool_seq)).samples,
-        pool.samples)
-    for next_seed_stream in (np.random.default_rng(6),
-                             np.random.default_rng(np.random.SeedSequence(6).spawn(2)[0])):
-        other = model.draw_noise_pool(ch, sc, next_seed_stream)
-        assert not np.allclose(other.samples, pool.samples)
-
-
 def test_no_interference_gives_empty_channel_and_white_noise():
-    sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None, seed=1)
-    ch = model.build_channel(sc)
+    sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None)
+    ch = model.build_channel(sc, np.random.default_rng(1))
     assert ch.H_int.shape == (8, 0)
     R = model.exact_covariance(ch, sc)
     sigma2, p_int, _ = model.powers_from_ratios(sc)
@@ -69,16 +50,15 @@ def test_no_interference_gives_empty_channel_and_white_noise():
 
 def test_exact_covariance_white_reduction():
     sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None,
-                                es_n0_db=0.0, E_s=1.0, seed=0)
-    ch = model.build_channel(sc)
+                                es_n0_db=0.0, E_s=1.0)
+    ch = model.build_channel(sc, np.random.default_rng(0))
     R = model.exact_covariance(ch, sc)
     np.testing.assert_allclose(R, np.eye(4))
 
 
 def test_exact_covariance_rank_one_outer_product():
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=1, N=8, seed=0,
-                                es_n0_db=10.0, iot_db=10.0)
-    ch = model.build_channel(sc)
+    sc = model.Scenario.uniform(4, 2, K=2, K_int=1, N=8, es_n0_db=10.0, iot_db=10.0)
+    ch = model.build_channel(sc, np.random.default_rng(0))
     e1 = np.zeros((4, 1), dtype=complex)
     e1[0, 0] = 1.0
     ch = dataclasses.replace(ch, H_int=e1)
@@ -93,8 +73,8 @@ def test_exact_covariance_rank_one_outer_product():
 def test_exact_covariance_monte_carlo_oracle():
     # empirical covariance of 1e6 independent colored draws, chunked
     sc = model.Scenario.uniform(4, 2, K=2, K_int=3, N=8, es_n0_db=6.0,
-                                iot_db=8.0, seed=5)
-    ch = model.build_channel(sc)
+                                iot_db=8.0)
+    ch = model.build_channel(sc, np.random.default_rng(5))
     R = model.exact_covariance(ch, sc)
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     rng = np.random.default_rng(99)
@@ -109,25 +89,27 @@ def test_exact_covariance_monte_carlo_oracle():
 
 
 def test_noise_pool_count_and_partition():
-    sc = model.Scenario.uniform(3, 3, K=2, K_int=2, N=1, seed=0)
-    pool = model.draw_noise_pool(model.build_channel(sc), sc)
+    rng = np.random.default_rng(0)
+    sc = model.Scenario.uniform(3, 3, K=2, K_int=2, N=1)
+    pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
     assert pool.samples.shape == (3, 1)
-    sc2 = model.Scenario.uniform(6, 3, K=2, K_int=2, N=10, seed=0)
-    pool2 = model.draw_noise_pool(model.build_channel(sc2), sc2)
+    sc2 = model.Scenario.uniform(6, 3, K=2, K_int=2, N=10)
+    pool2 = model.draw_noise_pool(model.build_channel(sc2, rng), sc2, rng)
     stacked = np.vstack([pool2.samples[s] for s in sc2.slices])
     np.testing.assert_array_equal(stacked, pool2.samples)
 
 
 def test_noise_pool_zero_sources():
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None, seed=0)
+    rng = np.random.default_rng(0)
+    sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None)
     sc = dataclasses.replace(sc, es_n0_db=np.inf)  # sigma2 = 0
-    pool = model.draw_noise_pool(model.build_channel(sc), sc)
+    pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
     assert np.all(pool.samples == 0)
 
 
 def test_sample_covariance_shrinks_like_sqrt_n():
     sc0 = model.Scenario.uniform(8, 2, K=2, K_int=4, N=8, es_n0_db=10.0,
-                                 iot_db=10.0, seed=11)
+                                 iot_db=10.0)
     ch = model.build_channel(sc0, np.random.default_rng(11))
     R = model.exact_covariance(ch, sc0)
     errs = []
@@ -143,8 +125,9 @@ def test_sample_covariance_shrinks_like_sqrt_n():
 
 
 def test_sample_covariance_single_and_zero_samples():
-    sc = model.Scenario.uniform(2, 2, K=1, K_int=1, N=1, seed=2)
-    pool = model.draw_noise_pool(model.build_channel(sc), sc)
+    rng = np.random.default_rng(2)
+    sc = model.Scenario.uniform(2, 2, K=1, K_int=1, N=1)
+    pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
     n = pool.samples[:, 0]
     np.testing.assert_allclose(model.sample_covariance(pool),
                                np.outer(n, n.conj()))
@@ -197,9 +180,9 @@ def test_partition_round_trip(seed, C):
     sizes = tuple(int(s) for s in rng.integers(1, 5, size=C))
     M = sum(sizes)
     sc = model.Scenario(M=M, K=1, C=C, cluster_sizes=sizes, N=max(sizes) + 2,
-                        K_int=1, seed=seed)
-    ch = model.build_channel(sc)
-    pool = model.draw_noise_pool(ch, sc)
+                        K_int=1)
+    ch = model.build_channel(sc, rng)
+    pool = model.draw_noise_pool(ch, sc, rng)
     R = model.sample_covariance(pool)
     slices = model.cluster_slices(sizes)
     assert [s.stop - s.start for s in slices] == list(sizes)
