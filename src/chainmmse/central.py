@@ -22,23 +22,28 @@ def herm(A: np.ndarray) -> np.ndarray:
     return A.conj().swapaxes(-1, -2)
 
 
+def rcond(A: np.ndarray) -> np.ndarray:
+    """Reciprocal condition number of a Hermitian matrix or of each one in a
+    stack: the ratio of its extreme eigenvalues, 0 when the largest is <= 0."""
+    w = np.linalg.eigvalsh(A)
+    lo, hi = w[..., 0], w[..., -1]
+    return np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
+
+
 def herm_solve(A: np.ndarray, B: np.ndarray, *, what: str = "matrix") -> np.ndarray:
     """Solve A X = B for Hermitian positive definite A, or a stack of them.
 
-    The eigenvalues are the positive-definiteness check: raises
-    SingularMatrixError, naming the first failing trial of a stack, when the
-    reciprocal condition number (ratio of extreme eigenvalues) falls below
+    rcond(A) is the positive-definiteness check: raises SingularMatrixError,
+    naming the first failing trial of a stack, when it falls below
     RCOND_FLOOR. The solve itself is LU-based (np.linalg.solve).
     """
-    w = np.linalg.eigvalsh(A)
-    lo, hi = w[..., 0], w[..., -1]
-    rcond = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
-    bad = (lo <= 0.0) | (rcond < RCOND_FLOOR)
+    r = rcond(A)
+    bad = r < RCOND_FLOOR
     if bad.any():
         t = int(np.flatnonzero(bad)[0])
         where = f" in trial {t}" if bad.ndim else ""
         raise SingularMatrixError(f"{what}{where} is numerically singular "
-                                  f"(rcond ~ {rcond.flat[t]:.2e})")
+                                  f"(rcond ~ {r.flat[t]:.2e})")
     return np.linalg.solve(A, B)
 
 

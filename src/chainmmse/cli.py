@@ -5,7 +5,7 @@ import argparse
 import os
 
 from . import daisy, harness, model
-from .interconnect import Topology, TrafficLedger, predicted_traffic
+from .interconnect import predicted_traffic
 
 
 def _add_run(sub):
@@ -24,9 +24,10 @@ def _add_run(sub):
 def _add_trace(sub):
     p = sub.add_parser("trace", help="per-block convergence trace; writes trace.csv")
     p.add_argument("--config", help="YAML experiment config")
-    p.add_argument("--profile", choices=sorted(harness.PROFILES), default="desk")
+    p.add_argument("--profile", choices=sorted(harness.PROFILES),
+                   help="scenario profile (default desk); replaces the config's")
     p.add_argument("--sweeps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, help="default: the config's seed, else 1")
     p.add_argument("--out", default=".")
 
 
@@ -84,13 +85,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.config:
-        config = harness.load_config(args.config)
-        scenario, variant = config.scenario, config.schedule_variant
-    else:
-        scenario, variant = harness.profile_scenario(args.profile), "gauss_seidel_loop"
-    rows = harness.convergence_trace(scenario, L=args.sweeps, variant=variant,
-                                     seed=args.seed)
+    config = _resolve_config(args)
+    rows = harness.convergence_trace(config.scenario, L=args.sweeps,
+                                     variant=config.schedule_variant, seed=config.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trace.csv")
     harness.emit_convergence_trace(rows, path)
@@ -132,6 +129,8 @@ def main(argv=None) -> int:
     _add_trace(sub)
     _add_traffic(sub)
     args = parser.parse_args(argv)
+    if args.command == "trace" and args.sweeps < 1:
+        parser.error(f"argument --sweeps: must be >= 1, got {args.sweeps}")
     return {"run": cmd_run, "trace": cmd_trace, "traffic": cmd_traffic}[args.command](args)
 
 

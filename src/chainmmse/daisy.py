@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import herm, herm_solve
+from .central import herm, herm_solve, rcond
 from .model import ChannelSet, NoisePool, cluster_slices
 from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
                            PHASE_SWEEP, Topology, TrafficLedger)
@@ -66,10 +66,7 @@ def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> Chain:
     for c, s in enumerate(slices):
         R_cc = noise[:, s] @ herm(noise[:, s]) / N
         G = E_s * (H[:, s] @ herm(H[:, s])) + R_cc
-        w = np.linalg.eigvalsh(G)
-        lo, hi = w[:, 0], w[:, -1]
-        rcond = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
-        loaded[:, c] = (lo <= 0.0) | (rcond < RCOND_LOAD)
+        loaded[:, c] = rcond(G) < RCOND_LOAD
         for t in np.flatnonzero(loaded[:, c]):
             # keep long Monte Carlo runs alive on near-singular local blocks
             delta = DIAG_LOAD * np.trace(G[t]).real / G.shape[-1]
@@ -93,10 +90,6 @@ class Schedule:
             raise ValueError(f"unknown schedule variant {self.variant!r}")
         if self.L < 0:
             raise ValueError("L must be >= 0")
-
-    @property
-    def topology_variant(self) -> str:
-        return "uni_loop" if self.variant == "gauss_seidel_loop" else "bi_chain"
 
     def order(self, C: int) -> list[int]:
         """Clusters in the update order of one sweep."""
@@ -152,8 +145,10 @@ def residual(chain: Chain) -> np.ndarray:
 
 @dataclass
 class BcdResult:
-    W: np.ndarray            # T x K x M final equalizers
+    W: np.ndarray            # T x K x M final equalizers, depths[-1]
     ledger: TrafficLedger
+    depths: np.ndarray       # (L+1) x T x K x M: W after the BDAC start and each sweep
+    traffic: list[int]       # ledger.total() at the same depths
     iterates: list[np.ndarray] | None = None  # T x K x M W after every block update
 
 
@@ -161,13 +156,14 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> Bc
     """Full chain run: block-diagonal init, message preprocessing circuits,
     L sweeps.
 
-    Returns the final equalizers and the per-link traffic ledger of one chain
-    instance; with keep_iterates, also a copy of W after every block update.
+    Returns the final equalizers, the per-link traffic ledger of one chain
+    instance, and W and the traffic so far at every depth 0..L; with
+    keep_iterates, also a copy of W after every block update.
     """
     C = len(chain.slices)
-    K, N = chain.H.shape[-1], chain.noise.shape[-1]
-    entries = K * (K + N)  # one message
-    topology = Topology(schedule.topology_variant, C)
+    entries = chain.H.shape[-1] * chain.Hn.shape[-1]  # one K x (K+N) message
+    loop = schedule.variant == "gauss_seidel_loop"
+    topology = Topology("uni_loop" if loop else "bi_chain", C)
     ledger = TrafficLedger(topology)
 
     bdac_init(chain, ledger=ledger)
@@ -185,9 +181,12 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> Bc
     # returns to the start: over the loop link, or from cluster 0 to cluster 1
     # to restart the forward pass of the bi-directional chain
     hops = list(zip(order, order[1:]))
-    hops.append((C - 1, 0) if schedule.variant == "gauss_seidel_loop" else (0, 1))
+    hops.append((C - 1, 0) if loop else (0, 1))
     iterates: list[np.ndarray] | None = [] if keep_iterates else None
-    for _ in range(schedule.L):
+    # one block for all depths: cheaper than L+1 separate copies
+    depths = np.empty((schedule.L + 1,) + chain.W.shape, dtype=complex)
+    depths[0], traffic = chain.W, [ledger.total()]
+    for d in range(1, schedule.L + 1):
         for c in order:
             m = bcd_block_update(chain, c, m)
             if iterates is not None:
@@ -195,5 +194,7 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> Bc
         if C > 1:
             for link in hops:
                 ledger.add(PHASE_SWEEP, link, entries)
+        depths[d] = chain.W
+        traffic.append(ledger.total())
 
-    return BcdResult(W=chain.W.copy(), ledger=ledger, iterates=iterates)
+    return BcdResult(depths[-1], ledger, depths, traffic, iterates)

@@ -16,10 +16,8 @@ from .model import ChannelSet, Scenario, draw_colored_noise, powers_from_ratios
 
 def _gray_to_binary(g: np.ndarray) -> np.ndarray:
     b = g.copy()
-    shift = 1
-    while shift < 8:
+    for shift in (1, 2, 4):  # prefix XOR of up to 8 bits
         b ^= b >> shift
-        shift *= 2
     return b
 
 

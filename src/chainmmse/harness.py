@@ -7,11 +7,11 @@ identical channels, pools, bits, and data noise, and BER comparisons are
 paired. Total RNG consumption is therefore independent of the algorithm
 subset, and trials may run in any order.
 
-The trials of a grid point are drawn one by one and built in chunks: each
-chunk's channels and noise pools are stacked along a leading trial axis, and
-every algorithm builds the equalizers of the whole chunk in one call. A
-trial's equalizers do not depend on the chunk it falls in. Frames are still
-generated and evaluated one trial at a time, in trial order.
+Trials are drawn one by one and built in chunks stacked along a leading
+trial axis: each centralized algorithm builds a chunk in one call, and all
+chain algorithms read theirs from one chain run (bdac at depth 0, bcd:L at
+depth L). A trial's equalizers do not depend on its chunk. Frames are generated
+and evaluated one trial at a time, in trial order.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import numpy as np
 import yaml
 
 from . import central, daisy, detect, model
-from .interconnect import Topology, TrafficLedger
 
 KNOWN_ALGORITHMS = ("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd")
 
@@ -175,46 +174,39 @@ def chunk_trials(scenario: model.Scenario) -> int:
     return max(1, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
 
 
-def _build_equalizer(token: str, channels, pool, R_hat, R_exact, scenario,
-                     variant: str):
-    """Builds a stack of trials. Returns (T x K x M equalizers,
-    traffic_entries of one trial, objective per trial)."""
-    name, L = parse_algorithm(token)
-    E_s = scenario.E_s
-    traffic = 0
-    if name == "zf":
-        W = central.zf_centralized(channels.H)
-    elif name == "mmse_exactR":
-        W = central.mmse_centralized(channels.H, R_exact, E_s)
-    elif name == "mmse_sampleR":
-        W = central.mmse_centralized(channels.H, R_hat, E_s)
-    elif name == "bdac":
-        chain = daisy.make_chain(channels, pool, E_s)
-        # metered on the schedule's topology, as run_bcd meters its initializer
-        topology = Topology(daisy.Schedule(variant=variant).topology_variant, scenario.C)
-        ledger = TrafficLedger(topology)
-        W = daisy.bdac_init(chain, ledger=ledger)
-        traffic = ledger.total()
-    else:  # bcd:L
-        chain = daisy.make_chain(channels, pool, E_s)
-        result = daisy.run_bcd(chain, daisy.Schedule(variant=variant, L=L))
-        W = result.W
-        traffic = result.ledger.total()
-    objective = central.sample_objective(W, channels.H, pool, E_s)
-    return W, traffic, objective
+def _build_equalizer(token: str, channels, R_hat, R_exact, E_s: float) -> np.ndarray:
+    """T x K x M equalizers of a centralized solver for a stack of trials."""
+    if token == "zf":
+        return central.zf_centralized(channels.H)
+    return central.mmse_centralized(
+        channels.H, R_exact if token == "mmse_exactR" else R_hat, E_s)
+
+
+def _run_chain(depths: dict[str, int], channels, pool, E_s: float, variant: str):
+    """One chain run over a stack of trials to the deepest of depths (chain token
+    -> sweeps, bdac 0): {token: (T x K x M equalizers, traffic of one trial)}."""
+    result = daisy.run_bcd(daisy.make_chain(channels, pool, E_s),
+                           daisy.Schedule(variant=variant, L=max(depths.values())))
+    # bdac, the initializer alone, sends only its Gram accumulation
+    return {t: (result.depths[L], result.ledger.total(daisy.PHASE_GRAM) if t == "bdac"
+                else result.traffic[L]) for t, L in depths.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every algorithm at every (Es/N0, IoT) grid point."""
+    parsed = {token: parse_algorithm(token) for token in config.algorithms}
+    depths = {t: L or 0 for t, (name, L) in parsed.items() if name in ("bdac", "bcd")}
+    # one build per centralized token; the chain tokens share one, timed as the deepest
+    builds = [(t,) for t in config.algorithms if t not in depths]
+    builds += [tuple(depths)] if depths else []
     rows = []
     grid = [(es, iot) for iot in config.iot_db for es in config.es_n0_db]
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
         const = detect.Constellation(sc.constellation)
         stats = {a: detect.ErrorStats() for a in config.algorithms}
-        traffic = {a: 0 for a in config.algorithms}
-        objective = {a: 0.0 for a in config.algorithms}
-        wall = {a: 0.0 for a in config.algorithms}
+        traffic = dict.fromkeys(config.algorithms, 0)
+        objective, wall = (dict.fromkeys(config.algorithms, 0.0) for _ in range(2))
         chunk = chunk_trials(sc)
         for first in range(0, config.trials, chunk):
             rngs = [trial_rngs(config.seed, p, t)
@@ -226,20 +218,26 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             R_hat = model.sample_covariance(pool)
             R_exact = (model.exact_covariance(channels, sc)
                        if "mmse_exactR" in config.algorithms else None)
-            built = {}
-            for token in config.algorithms:
+            built = {}  # token -> (W, traffic of one trial), then (W, objective per trial)
+            for tokens in builds:
                 t0 = time.perf_counter()
                 try:
-                    W, tr, obj = _build_equalizer(token, channels, pool, R_hat,
-                                                  R_exact, sc, config.schedule_variant)
+                    if tokens[0] in depths:
+                        built.update(_run_chain(depths, channels, pool, sc.E_s,
+                                                config.schedule_variant))
+                    else:
+                        W = _build_equalizer(tokens[0], channels, R_hat, R_exact, sc.E_s)
+                        built[tokens[0]] = (W, 0)
                 except central.SingularMatrixError as exc:
                     raise central.SingularMatrixError(
-                        f"{token} at Es/N0 {es} dB, IoT {iot} dB, in the stack of "
-                        f"trials {first}..{first + len(rngs) - 1} (stack trial t is "
-                        f"trial {first} + t): {exc}") from exc
-                wall[token] += time.perf_counter() - t0
-                built[token] = (W, obj)
-                traffic[token] += len(rngs) * tr
+                        f"{', '.join(tokens)} at Es/N0 {es} dB, IoT {iot} dB, in the "
+                        f"stack of trials {first}..{first + len(rngs) - 1} (stack "
+                        f"trial t is trial {first} + t): {exc}") from exc
+                for t in tokens:
+                    W, tr = built[t]
+                    built[t] = (W, central.sample_objective(W, channels.H, pool, sc.E_s))
+                    traffic[t] += len(rngs) * tr
+                wall[max(tokens, key=lambda t: depths.get(t, 0))] += time.perf_counter() - t0
             for i, (ch, (_, _, rng_data)) in enumerate(zip(channel_sets, rngs)):
                 frame = detect.make_frame(ch, sc, config.symbols_per_trial,
                                           rng_data, const)
@@ -248,8 +246,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                         W[i], frame, sc, const)
                     objective[token] += float(obj[i])
                 del frame  # not held while the next trial's frame is drawn
-        for token in config.algorithms:
-            name, L = parse_algorithm(token)
+        for token, (name, L) in parsed.items():
             st = stats[token]
             rows.append(ResultRow(
                 algorithm=name, L=L or 0, es_n0_db=es, iot_db=iot,

@@ -170,6 +170,28 @@ class TestRunBcd:
                / np.linalg.norm(res_a.W))
         assert rel < 1e-8
 
+    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    def test_each_depth_equals_a_run_of_that_depth(self, variant):
+        # one L=4 run serves bdac and every bcd:L with L <= 4 in the harness
+        instances = [make_instance(seed=s)[1:3] for s in (17, 18, 19)]
+        sc = make_instance(seed=17)[0]
+        stack = model.stack_trials(*zip(*instances))
+        deep = run_bcd(make_chain(*stack, sc.E_s), Schedule(variant=variant, L=4))
+        assert len(deep.depths) == len(deep.traffic) == 5
+        np.testing.assert_array_equal(deep.W, deep.depths[-1])
+        # the reference sweeps: the same block updates, applied by hand
+        chain = make_chain(*stack, sc.E_s)
+        bdac_init(chain)
+        m = residual(chain)
+        for d in range(5):
+            for c in Schedule(variant=variant).order(sc.C) if d else ():
+                m = bcd_block_update(chain, c, m)
+            np.testing.assert_array_equal(deep.depths[d], chain.W)
+            alone = run_bcd(make_chain(*stack, sc.E_s), Schedule(variant=variant, L=d))
+            np.testing.assert_array_equal(deep.depths[d], alone.W)
+            assert isinstance(deep.traffic[d], int)
+            assert deep.traffic[d] == alone.ledger.total()
+
     def test_message_size_independent_of_m(self):
         # one sweep sends one K x (K+N) message over each link
         for M in (16, 32, 64):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -245,6 +246,16 @@ class TestRunExperiment:
                                  r"stack of trials 0\.\.2 .*: noise covariance in "
                                  r"trial 0 is numerically singular"):
             run_experiment(cfg)
+        # the chain tokens share one chain run, and the message names them all
+        # (every local Gram matrix is rank deficient and gets loaded first)
+        cfg = dataclasses.replace(cfg, algorithms=("zf", "bdac", "bcd:1"))
+        with pytest.warns(UserWarning, match="diagonal loading"), \
+                pytest.raises(central.SingularMatrixError,
+                              match=r"^bdac, bcd:1 at Es/N0 inf dB, IoT None dB, in "
+                                    r"the stack of trials 0\.\.2 .*: cluster 0: local "
+                                    r"covariance block R_cc in trial 0 is numerically "
+                                    r"singular"):
+            run_experiment(cfg)
 
     def test_bcd_beats_initializer_on_grid(self):
         # paired comparison with common random numbers on the desk profile
@@ -294,6 +305,31 @@ class TestRunExperiment:
         [row] = run_experiment(cfg)
         assert row.traffic_entries == cfg.trials * ledger.total(PHASE_GRAM)
 
+    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    def test_chain_tokens_read_one_chain_run_per_stack(self, variant, monkeypatch):
+        tokens = ("bdac", "bcd:0", "bcd:1", "bcd:4")
+        # 5 trials in chunks of 2: three stacks at each of two grid points
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
+        cfg = _small_config(algorithms=("zf",) + tokens, schedule_variant=variant,
+                            es_n0_db=(0.0, 8.0), trials=5)
+
+        def key(r):
+            return r.es_n0_db, r.algorithm, r.L
+
+        def rows_of(config):
+            return sorted((dataclasses.replace(r, wall_time_s=0.0)
+                           for r in run_experiment(config)), key=key)
+
+        alone = sorted((r for t in cfg.algorithms
+                        for r in rows_of(dataclasses.replace(cfg, algorithms=(t,)))),
+                       key=key)
+        calls = []
+        make_chain = daisy.make_chain
+        monkeypatch.setattr(daisy, "make_chain",
+                            lambda *a, **kw: calls.append(1) or make_chain(*a, **kw))
+        assert rows_of(cfg) == alone
+        assert len(calls) == 2 * 3
+
     def test_traffic_column_independent_of_m(self):
         entries = []
         for M in (16, 32):
@@ -319,7 +355,6 @@ class TestCsv:
         assert len(path.read_text().strip().splitlines()) == 2
 
     def test_round_trip_exact(self, tmp_path):
-        import dataclasses
         rows = run_experiment(_small_config())
         path = tmp_path / "results.csv"
         emit_csv(rows, path)
@@ -328,6 +363,29 @@ class TestCsv:
 
 
 class TestConvergenceTrace:
+    def test_cli_traces_the_config_seed(self, tmp_path):
+        path = tmp_path / "seed7.yaml"
+        path.write_text("profile: desk\nseed: 7\n")
+        runs = {"config": ["--config", str(path)],
+                "profile": ["--profile", "desk", "--seed", "7"],
+                "override": ["--config", str(path), "--seed", "1"],
+                "default": []}
+        traces = {}
+        for name, argv in runs.items():
+            assert cli.main(["trace", *argv, "--sweeps", "2",
+                             "--out", str(tmp_path / name)]) == 0
+            traces[name] = (tmp_path / name / "trace.csv").read_bytes()
+        assert traces["config"] == traces["profile"]
+        assert traces["override"] == traces["default"] != traces["config"]
+
+    @pytest.mark.parametrize("sweeps", ["0", "-3"])
+    def test_cli_rejects_sweeps_below_one(self, tmp_path, capsys, sweeps):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trace", f"--sweeps={sweeps}", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument --sweeps: must be >= 1, got {sweeps}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_single_cluster_one_row_per_sweep(self):
         sc = model.Scenario.uniform(8, 1, K=2, K_int=2, N=32)
         rows = harness.convergence_trace(sc, seed=2, L=5)
