@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import NoisePool
-
 RCOND_FLOOR = 1e-12
 
 
@@ -67,15 +65,17 @@ def zf_centralized(H: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(f"channel is rank deficient: {exc}") from exc
 
 
-def sample_objective(W: np.ndarray, H: np.ndarray, pool: NoisePool, E_s: float):
-    """Sample-average MMSE cost E_s ||W H - I||_F^2 + (1/N) sum_i ||W n_i||^2.
+def sample_objective(W: np.ndarray, H: np.ndarray, pool: np.ndarray, E_s: float):
+    """Sample-average MMSE cost E_s ||W H - I||_F^2 + (1/N) sum_i ||W n_i||^2
+    over the N columns n_i of the noise pool.
 
     This is the quadratic the decentralized sweeps descend on; its unique
     minimizer is mmse_centralized(H, sample_covariance(pool), E_s). Returns
-    one value per trial of a stack, a scalar for a single matrix.
+    one value per matrix of a stack (W may carry leading axes beyond H's),
+    a scalar for a single matrix.
     """
     K = H.shape[-1]
     fit = W @ H - np.eye(K)
-    noise = W @ pool.samples
+    noise = W @ pool
     return (E_s * np.linalg.norm(fit, "fro", axis=(-2, -1)) ** 2
-            + np.linalg.norm(noise, "fro", axis=(-2, -1)) ** 2 / pool.N)
+            + np.linalg.norm(noise, "fro", axis=(-2, -1)) ** 2 / pool.shape[-1])

@@ -19,6 +19,7 @@ def _add_run(sub):
     p.add_argument("--sweeps", type=int, help="replace bcd sweep counts with this L")
     p.add_argument("--trials", type=int)
     p.add_argument("--symbols", type=int)
+    return p
 
 
 def _add_trace(sub):
@@ -29,6 +30,7 @@ def _add_trace(sub):
     p.add_argument("--sweeps", type=int, default=50)
     p.add_argument("--seed", type=int, help="default: the config's seed, else 1")
     p.add_argument("--out", default=".")
+    return p
 
 
 def _add_traffic(sub):
@@ -39,6 +41,7 @@ def _add_traffic(sub):
     p.add_argument("--C", type=int, default=4)
     p.add_argument("--M", type=int, default=None, help="antennas (default 4*C)")
     p.add_argument("--out", default=".")
+    return p
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
@@ -71,8 +74,14 @@ def _resolve_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def cmd_run(args) -> int:
-    config = _resolve_config(args)
+def _resolve_traffic(args) -> tuple[model.Scenario, daisy.Schedule]:
+    M = args.M if args.M is not None else 4 * args.C
+    scenario = model.Scenario.uniform(M, args.C, K=args.K, K_int=args.K,
+                                      N=args.N, iot_db=10.0)
+    return scenario, daisy.Schedule(L=args.L)
+
+
+def cmd_run(args, config: harness.ExperimentConfig) -> int:
     rows = harness.run_experiment(config)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "results.csv")
@@ -84,8 +93,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    config = _resolve_config(args)
+def cmd_trace(args, config: harness.ExperimentConfig) -> int:
     rows = harness.convergence_trace(config.scenario, L=args.sweeps,
                                      variant=config.schedule_variant, seed=config.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -97,15 +105,13 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_traffic(args) -> int:
-    M = args.M if args.M is not None else 4 * args.C
-    scenario = model.Scenario.uniform(M, args.C, K=args.K, K_int=args.K,
-                                      N=args.N, iot_db=10.0)
+def cmd_traffic(args, inputs: tuple[model.Scenario, daisy.Schedule]) -> int:
+    scenario, schedule = inputs
     rng = harness.trial_rngs(0, 0, 0)
     channels = model.build_channel(scenario, rng[0])
     pool = model.draw_noise_pool(channels, scenario, rng[1])
     chain = daisy.make_chain(channels, pool, scenario.E_s)
-    result = daisy.run_bcd(chain, daisy.Schedule(L=args.L))
+    result = daisy.run_bcd(chain, schedule)
     predicted = predicted_traffic(args.K, args.N, args.L)
     ledger = result.ledger
     print(f"predicted per-link entries (loop chain): {predicted}")
@@ -125,13 +131,22 @@ def main(argv=None) -> int:
         prog="chainmmse",
         description="Decentralized chain MMSE equalization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run(sub)
-    _add_trace(sub)
-    _add_traffic(sub)
+    parsers = {"run": _add_run(sub), "trace": _add_trace(sub),
+               "traffic": _add_traffic(sub)}
     args = parser.parse_args(argv)
     if args.command == "trace" and args.sweeps < 1:
         parser.error(f"argument --sweeps: must be >= 1, got {args.sweeps}")
-    return {"run": cmd_run, "trace": cmd_trace, "traffic": cmd_traffic}[args.command](args)
+    resolve, command = {"run": (_resolve_config, cmd_run),
+                        "trace": (_resolve_config, cmd_trace),
+                        "traffic": (_resolve_traffic, cmd_traffic)}[args.command]
+    # a bad input value or config file is a usage error; errors raised while
+    # the command runs, such as SingularMatrixError, propagate
+    try:
+        inputs = resolve(args)
+    except (OSError, ValueError) as exc:
+        sub_parser = parsers[args.command]
+        sub_parser.exit(2, f"{sub_parser.prog}: error: {exc}\n")
+    return command(args, inputs)
 
 
 if __name__ == "__main__":

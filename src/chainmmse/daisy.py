@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .central import herm, herm_solve, rcond
-from .model import ChannelSet, NoisePool, cluster_slices
+from .model import ChannelSet, cluster_slices
 from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
                            PHASE_SWEEP, Topology, TrafficLedger)
 
@@ -49,14 +49,14 @@ class Chain:
     W: np.ndarray            # T x K x M equalizers
 
 
-def make_chain(channels: ChannelSet, pool: NoisePool, E_s: float) -> Chain:
+def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
     """Build the chains of a stack of trials (see model.stack_trials), with
     W = 0; a single trial builds a stack of one."""
-    Hn = np.concatenate([channels.H, pool.samples], axis=-1)
+    Hn = np.concatenate([channels.H, pool], axis=-1)
     if Hn.ndim == 2:
         Hn = Hn[None]
     T, M = Hn.shape[:2]
-    K, N = channels.H.shape[-1], pool.N
+    K, N = channels.H.shape[-1], pool.shape[-1]
     H, noise = Hn[..., :K], Hn[..., K:]
     # column scaling of [H_c | n_c] to [E_s H_c | n_c / N]
     scale = np.concatenate([np.full(K, E_s), np.full(N, 1.0 / N)])
@@ -145,19 +145,21 @@ def residual(chain: Chain) -> np.ndarray:
 
 @dataclass
 class BcdResult:
-    W: np.ndarray            # T x K x M final equalizers, depths[-1]
+    W: np.ndarray            # T x K x M final equalizers
     ledger: TrafficLedger
-    depths: np.ndarray       # (L+1) x T x K x M: W after the BDAC start and each sweep
-    traffic: list[int]       # ledger.total() at the same depths
+    depths: dict[int, np.ndarray]  # depth -> T x K x M W, for the depths asked for
+    traffic: list[int]       # ledger.total() after the BDAC start and each sweep
     iterates: list[np.ndarray] | None = None  # T x K x M W after every block update
 
 
-def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> BcdResult:
+def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
+            depths: tuple[int, ...] = ()) -> BcdResult:
     """Full chain run: block-diagonal init, message preprocessing circuits,
     L sweeps.
 
     Returns the final equalizers, the per-link traffic ledger of one chain
-    instance, and W and the traffic so far at every depth 0..L; with
+    instance, the traffic so far at every depth 0..L (0 is the BDAC start,
+    d the end of sweep d), and a copy of W at each of the given depths; with
     keep_iterates, also a copy of W after every block update.
     """
     C = len(chain.slices)
@@ -183,9 +185,8 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> Bc
     hops = list(zip(order, order[1:]))
     hops.append((C - 1, 0) if loop else (0, 1))
     iterates: list[np.ndarray] | None = [] if keep_iterates else None
-    # one block for all depths: cheaper than L+1 separate copies
-    depths = np.empty((schedule.L + 1,) + chain.W.shape, dtype=complex)
-    depths[0], traffic = chain.W, [ledger.total()]
+    kept = {0: chain.W.copy()} if 0 in depths else {}
+    traffic = [ledger.total()]
     for d in range(1, schedule.L + 1):
         for c in order:
             m = bcd_block_update(chain, c, m)
@@ -194,7 +195,8 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False) -> Bc
         if C > 1:
             for link in hops:
                 ledger.add(PHASE_SWEEP, link, entries)
-        depths[d] = chain.W
+        if d in depths:
+            kept[d] = chain.W.copy()
         traffic.append(ledger.total())
 
-    return BcdResult(depths[-1], ledger, depths, traffic, iterates)
+    return BcdResult(chain.W, ledger, kept, traffic, iterates)

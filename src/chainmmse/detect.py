@@ -1,4 +1,4 @@
-"""QAM modulation, hard-decision demapping, and error-rate accounting.
+"""QAM modulation, hard-decision demapping, and error counting.
 
 Square Gray-mapped constellations (4/16/64-QAM), unit average energy. A
 symbol integer of b bits uses the first b/2 bits for the in-phase axis and
@@ -78,27 +78,6 @@ def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ErrorStats:
-    bit_errors: int = 0
-    symbol_errors: int = 0
-    bits: int = 0
-    symbols: int = 0
-
-    @property
-    def ber(self) -> float:
-        return self.bit_errors / self.bits if self.bits else 0.0
-
-    @property
-    def ser(self) -> float:
-        return self.symbol_errors / self.symbols if self.symbols else 0.0
-
-    def __add__(self, other: "ErrorStats") -> "ErrorStats":
-        return ErrorStats(self.bit_errors + other.bit_errors,
-                          self.symbol_errors + other.symbol_errors,
-                          self.bits + other.bits, self.symbols + other.symbols)
-
-
-@dataclass(frozen=True)
 class Frame:
     """One batch of data REs: transmitted bits/symbols and the received block."""
     bits: np.ndarray      # (K, n_symbols * bits_per_symbol)
@@ -121,15 +100,17 @@ def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
 
 
 def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
-                       constellation: Constellation | None = None) -> ErrorStats:
-    """Equalize a frame, hard-decide all users at once, and count bit/symbol
-    errors on the symbol indices (the bits are the index's MSB-first binary)."""
+                       constellation: Constellation | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Equalize a frame with a K x M equalizer or a (..., K, M) stack of them,
+    hard-decide all users at once, and count bit and symbol errors on the
+    symbol indices (the bits are the index's MSB-first binary).
+
+    Returns (bit_errors, symbol_errors), integers over W's leading axes.
+    """
     const = constellation or Constellation(scenario.constellation)
     _, _, scale = powers_from_ratios(scenario)
     wrong = (const.decide((W @ frame.Y) / scale)
              ^ _symbol_indices(frame.bits, const.bits_per_symbol))
-    K, n = frame.symbols.shape
-    return ErrorStats(bit_errors=int(const._popcount[wrong].sum()),
-                      symbol_errors=int(np.count_nonzero(wrong)),
-                      bits=K * n * const.bits_per_symbol, symbols=K * n)
-
+    return (const._popcount[wrong].sum(axis=(-2, -1)),
+            np.count_nonzero(wrong, axis=(-2, -1)))

@@ -10,8 +10,10 @@ subset, and trials may run in any order.
 Trials are drawn one by one and built in chunks stacked along a leading
 trial axis: each centralized algorithm builds a chunk in one call, and all
 chain algorithms read theirs from one chain run (bdac at depth 0, bcd:L at
-depth L). A trial's equalizers do not depend on its chunk. Frames are generated
-and evaluated one trial at a time, in trial order.
+depth L). The chunk's equalizers form one algorithm x trial stack, scored by
+one objective call; a trial's equalizers do not depend on its chunk. Frames
+are generated one trial at a time, in trial order, and each is equalized and
+decided once for all algorithms.
 """
 from __future__ import annotations
 
@@ -186,7 +188,8 @@ def _run_chain(depths: dict[str, int], channels, pool, E_s: float, variant: str)
     """One chain run over a stack of trials to the deepest of depths (chain token
     -> sweeps, bdac 0): {token: (T x K x M equalizers, traffic of one trial)}."""
     result = daisy.run_bcd(daisy.make_chain(channels, pool, E_s),
-                           daisy.Schedule(variant=variant, L=max(depths.values())))
+                           daisy.Schedule(variant=variant, L=max(depths.values())),
+                           depths=tuple(depths.values()))
     # bdac, the initializer alone, sends only its Gram accumulation
     return {t: (result.depths[L], result.ledger.total(daisy.PHASE_GRAM) if t == "bdac"
                 else result.traffic[L]) for t, L in depths.items()}
@@ -194,19 +197,22 @@ def _run_chain(depths: dict[str, int], channels, pool, E_s: float, variant: str)
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every algorithm at every (Es/N0, IoT) grid point."""
-    parsed = {token: parse_algorithm(token) for token in config.algorithms}
-    depths = {t: L or 0 for t, (name, L) in parsed.items() if name in ("bdac", "bcd")}
+    parsed = [parse_algorithm(token) for token in config.algorithms]
+    depths = {t: L or 0 for t, (name, L) in zip(config.algorithms, parsed)
+              if name in ("bdac", "bcd")}
     # one build per centralized token; the chain tokens share one, timed as the deepest
     builds = [(t,) for t in config.algorithms if t not in depths]
     builds += [tuple(depths)] if depths else []
+    A = len(config.algorithms)
+    axis = {t: a for a, t in enumerate(config.algorithms)}  # the algorithm axis
     rows = []
     grid = [(es, iot) for iot in config.iot_db for es in config.es_n0_db]
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
         const = detect.Constellation(sc.constellation)
-        stats = {a: detect.ErrorStats() for a in config.algorithms}
-        traffic = dict.fromkeys(config.algorithms, 0)
-        objective, wall = (dict.fromkeys(config.algorithms, 0.0) for _ in range(2))
+        errors = np.zeros((2, A), dtype=np.int64)  # bit errors, symbol errors
+        traffic = np.zeros(A, dtype=np.int64)
+        objective, wall = np.zeros(A), np.zeros(A)
         chunk = chunk_trials(sc)
         for first in range(0, config.trials, chunk):
             rngs = [trial_rngs(config.seed, p, t)
@@ -218,43 +224,42 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             R_hat = model.sample_covariance(pool)
             R_exact = (model.exact_covariance(channels, sc)
                        if "mmse_exactR" in config.algorithms else None)
-            built = {}  # token -> (W, traffic of one trial), then (W, objective per trial)
+            W = np.empty((A, len(rngs), sc.K, sc.M), dtype=complex)
             for tokens in builds:
                 t0 = time.perf_counter()
                 try:
                     if tokens[0] in depths:
-                        built.update(_run_chain(depths, channels, pool, sc.E_s,
-                                                config.schedule_variant))
+                        for t, (W_t, tr) in _run_chain(depths, channels, pool, sc.E_s,
+                                                       config.schedule_variant).items():
+                            W[axis[t]] = W_t
+                            traffic[axis[t]] += len(rngs) * tr
                     else:
-                        W = _build_equalizer(tokens[0], channels, R_hat, R_exact, sc.E_s)
-                        built[tokens[0]] = (W, 0)
+                        W[axis[tokens[0]]] = _build_equalizer(tokens[0], channels, R_hat,
+                                                              R_exact, sc.E_s)
                 except central.SingularMatrixError as exc:
                     raise central.SingularMatrixError(
                         f"{', '.join(tokens)} at Es/N0 {es} dB, IoT {iot} dB, in the "
                         f"stack of trials {first}..{first + len(rngs) - 1} (stack "
                         f"trial t is trial {first} + t): {exc}") from exc
-                for t in tokens:
-                    W, tr = built[t]
-                    built[t] = (W, central.sample_objective(W, channels.H, pool, sc.E_s))
-                    traffic[t] += len(rngs) * tr
-                wall[max(tokens, key=lambda t: depths.get(t, 0))] += time.perf_counter() - t0
+                wall[axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
+                    time.perf_counter() - t0)
+            obj = central.sample_objective(W, channels.H, pool, sc.E_s)
             for i, (ch, (_, _, rng_data)) in enumerate(zip(channel_sets, rngs)):
                 frame = detect.make_frame(ch, sc, config.symbols_per_trial,
                                           rng_data, const)
-                for token, (W, obj) in built.items():
-                    stats[token] = stats[token] + detect.evaluate_equalizer(
-                        W[i], frame, sc, const)
-                    objective[token] += float(obj[i])
+                errors += detect.evaluate_equalizer(W[:, i], frame, sc, const)
+                objective += obj[:, i]  # trial by trial, in trial order
                 del frame  # not held while the next trial's frame is drawn
-        for token, (name, L) in parsed.items():
-            st = stats[token]
+        symbols = config.trials * sc.K * config.symbols_per_trial
+        for a, (name, L) in enumerate(parsed):
             rows.append(ResultRow(
                 algorithm=name, L=L or 0, es_n0_db=es, iot_db=iot,
                 M=sc.M, C=sc.C, K=sc.K, N=sc.N,
-                ber=st.ber, ser=st.ser, symbols=st.symbols,
-                traffic_entries=traffic[token],
-                objective=objective[token] / config.trials,
-                wall_time_s=wall[token]))
+                ber=int(errors[0, a]) / (symbols * const.bits_per_symbol),
+                ser=int(errors[1, a]) / symbols, symbols=symbols,
+                traffic_entries=int(traffic[a]),
+                objective=float(objective[a]) / config.trials,
+                wall_time_s=float(wall[a])))
     return rows
 
 

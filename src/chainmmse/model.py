@@ -164,32 +164,22 @@ def draw_colored_noise(channels: ChannelSet, sigma2: float, p_int: float,
     return noise
 
 
-@dataclass(frozen=True)
-class NoisePool:
-    """N pilot-RE noise sample vectors, stored as columns of (M, N), or a
-    (T, M, N) stack of T trials."""
-    samples: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.samples.shape[-1]
-
-
 def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
-                    rng: np.random.Generator) -> NoisePool:
-    """Draw the N independent pilot-RE noise samples."""
+                    rng: np.random.Generator) -> np.ndarray:
+    """Draw the N independent pilot-RE noise samples: the noise pool, one
+    sample per column of an (M, N) array."""
     sigma2, p_int, _ = powers_from_ratios(scenario)
-    return NoisePool(draw_colored_noise(channels, sigma2, p_int, scenario.N, rng))
+    return draw_colored_noise(channels, sigma2, p_int, scenario.N, rng)
 
 
 def stack_trials(channel_sets: list[ChannelSet],
-                 pools: list[NoisePool]) -> tuple[ChannelSet, NoisePool]:
-    """Stack per-trial channels and noise pools of one scenario along a new
-    leading trial axis."""
+                 pools: list[np.ndarray]) -> tuple[ChannelSet, np.ndarray]:
+    """Stack per-trial channels and (M, N) noise pools of one scenario along a
+    new leading trial axis."""
     channels = ChannelSet(H=np.stack([c.H for c in channel_sets]),
                           H_int=np.stack([c.H_int for c in channel_sets]),
                           cluster_sizes=channel_sets[0].cluster_sizes)
-    return channels, NoisePool(np.stack([p.samples for p in pools]))
+    return channels, np.stack(pools)
 
 
 def exact_covariance(channels: ChannelSet, scenario: Scenario) -> np.ndarray:
@@ -205,8 +195,10 @@ def exact_covariance(channels: ChannelSet, scenario: Scenario) -> np.ndarray:
     return full
 
 
-def sample_covariance(pool: NoisePool) -> np.ndarray:
-    """Average of outer products over the pool, (1/N) sum_i n_i n_i^H."""
-    if pool.N == 0:
+def sample_covariance(pool: np.ndarray) -> np.ndarray:
+    """Average of outer products over the (..., M, N) pool's columns,
+    (1/N) sum_i n_i n_i^H."""
+    N = pool.shape[-1]
+    if N == 0:
         raise ValueError("noise pool is empty")
-    return pool.samples @ pool.samples.conj().swapaxes(-1, -2) / pool.N
+    return pool @ pool.conj().swapaxes(-1, -2) / N

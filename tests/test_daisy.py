@@ -21,7 +21,7 @@ def _disjoint_pool(sc, rng, zero_cluster=None):
     for c, (rows, cols) in enumerate(zip(sc.slices, columns)):
         if c != zero_cluster:
             samples[rows, cols] = model.crandn(rng, sc.cluster_sizes[c], cols.size)
-    return model.NoisePool(samples=samples)
+    return samples
 
 
 class TestBdacInit:
@@ -99,7 +99,7 @@ class TestBlockUpdate:
         chain.W = 0.1 * (rng.standard_normal((1, sc.K, sc.M))
                          + 1j * rng.standard_normal((1, sc.K, sc.M)))
         m = residual(chain)
-        H, n, W = ch.H, pool.samples, chain.W[0]
+        H, n, W = ch.H, pool, chain.W[0]
         for c, s in enumerate(chain.slices):
             others = [chain.slices[j] for j in range(sc.C) if j != c]
             sum_WH = sum(W[:, o] @ H[o] for o in others)
@@ -159,7 +159,7 @@ class TestRunBcd:
         sc, ch, pool, Rhat = make_instance(seed=12, M=12, C=3, K=3, K_int=3, N=48)
         perm = np.random.default_rng(0).permutation(sc.M)
         ch_p = dataclasses.replace(ch, H=ch.H[perm], H_int=ch.H_int[perm])
-        pool_p = dataclasses.replace(pool, samples=pool.samples[perm])
+        pool_p = pool[perm]
 
         sched = Schedule(L=4000)
         res_a = run_bcd(make_chain(ch, pool, sc.E_s), sched)
@@ -176,9 +176,11 @@ class TestRunBcd:
         instances = [make_instance(seed=s)[1:3] for s in (17, 18, 19)]
         sc = make_instance(seed=17)[0]
         stack = model.stack_trials(*zip(*instances))
-        deep = run_bcd(make_chain(*stack, sc.E_s), Schedule(variant=variant, L=4))
-        assert len(deep.depths) == len(deep.traffic) == 5
-        np.testing.assert_array_equal(deep.W, deep.depths[-1])
+        # W is kept only at the depths asked for; the final W always
+        kept = (0, 1, 3)
+        deep = run_bcd(make_chain(*stack, sc.E_s), Schedule(variant=variant, L=4),
+                       depths=kept)
+        assert sorted(deep.depths) == list(kept) and len(deep.traffic) == 5
         # the reference sweeps: the same block updates, applied by hand
         chain = make_chain(*stack, sc.E_s)
         bdac_init(chain)
@@ -186,11 +188,14 @@ class TestRunBcd:
         for d in range(5):
             for c in Schedule(variant=variant).order(sc.C) if d else ():
                 m = bcd_block_update(chain, c, m)
-            np.testing.assert_array_equal(deep.depths[d], chain.W)
             alone = run_bcd(make_chain(*stack, sc.E_s), Schedule(variant=variant, L=d))
-            np.testing.assert_array_equal(deep.depths[d], alone.W)
+            assert alone.depths == {}
+            np.testing.assert_array_equal(alone.W, chain.W)
+            if d in kept:
+                np.testing.assert_array_equal(deep.depths[d], chain.W)
             assert isinstance(deep.traffic[d], int)
             assert deep.traffic[d] == alone.ledger.total()
+        np.testing.assert_array_equal(deep.W, chain.W)
 
     def test_message_size_independent_of_m(self):
         # one sweep sends one K x (K+N) message over each link
@@ -209,7 +214,7 @@ class TestConsistencyAudit:
         W0 = bdac_init(chain)[0]
         m = residual(chain)
         np.testing.assert_array_equal(m, residual(chain))
-        oracle = np.hstack([W0 @ ch.H - np.eye(sc.K), W0 @ pool.samples])
+        oracle = np.hstack([W0 @ ch.H - np.eye(sc.K), W0 @ pool])
         assert np.max(np.abs(m[0] - oracle)) < 1e-13
 
     def test_small_after_many_updates(self):
@@ -227,10 +232,9 @@ class TestConsistencyAudit:
 def _ill_conditioned_trial(sc, ch, pool):
     """Tiny channel and a noise pool with one nonzero entry: cluster 0's Gram
     matrix is near singular."""
-    samples = np.zeros_like(pool.samples)
+    samples = np.zeros_like(pool)
     samples[0, 0] = 1.0
-    return (dataclasses.replace(ch, H=ch.H * 1e-12),
-            dataclasses.replace(pool, samples=samples))
+    return dataclasses.replace(ch, H=ch.H * 1e-12), samples
 
 
 def test_ill_conditioned_local_block_gets_loaded():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from chainmmse import central, model
-from chainmmse.detect import (Constellation, ErrorStats, evaluate_equalizer,
-                              make_frame, modulate)
+from chainmmse.detect import Constellation, evaluate_equalizer, make_frame, modulate
 
 
 def demodulate_hard(s_hat, constellation):
@@ -113,17 +112,34 @@ class TestDemodulate:
         np.testing.assert_array_equal(demodulate_hard(modulate(bits, c), c), bits)
 
 
-class TestErrorStats:
-    def test_rates(self):
-        st_ = ErrorStats(bit_errors=5, symbol_errors=3, bits=100, symbols=25)
-        assert st_.ber == 0.05 and st_.ser == 0.12
-        assert ErrorStats().ber == 0.0
+def _equalizer_stack(ch, rng):
+    """ZF, two perturbed ZFs and a poor random equalizer: a stack of four
+    whose error counts differ."""
+    W = central.zf_centralized(ch.H)
+    K, M = W.shape
+    size = np.abs(W).mean()
+    return np.stack([W, W + 0.2 * size * model.crandn(rng, K, M),
+                     W + 0.5 * size * model.crandn(rng, K, M), model.crandn(rng, K, M)])
 
-    def test_additive_merge(self):
-        a = ErrorStats(1, 1, 10, 5)
-        b = ErrorStats(2, 2, 30, 15)
-        c = a + b
-        assert (c.bit_errors, c.symbol_errors, c.bits, c.symbols) == (3, 3, 40, 20)
+
+class TestErrorCounts:
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_stack_counts_equal_each_equalizer_alone(self, order):
+        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                                    constellation=order)
+        ch = model.build_channel(sc, np.random.default_rng(21))
+        W = _equalizer_stack(ch, np.random.default_rng(22))
+        frame = make_frame(ch, sc, 1500, np.random.default_rng(23))
+        bit_errors, symbol_errors = evaluate_equalizer(W, frame, sc)
+        assert bit_errors.shape == symbol_errors.shape == (4,)
+        assert bit_errors.dtype.kind == symbol_errors.dtype.kind == "i"
+        assert len(set(bit_errors.tolist())) == 4  # the counts differ
+        for a in range(4):
+            assert evaluate_equalizer(W[a], frame, sc) == (bit_errors[a], symbol_errors[a])
+        # any leading axes: a 2 x 2 stack of the same equalizers
+        grid = evaluate_equalizer(W.reshape(2, 2, *W.shape[1:]), frame, sc)
+        np.testing.assert_array_equal(grid[0].ravel(), bit_errors)
+        np.testing.assert_array_equal(grid[1].ravel(), symbol_errors)
 
 
 class TestRunLink:
@@ -132,19 +148,19 @@ class TestRunLink:
                                     es_n0_db=np.inf, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(4))
         W = central.zf_centralized(ch.H)
-        stats = evaluate_equalizer(W, make_frame(ch, sc, 2000, np.random.default_rng(5)), sc)
-        assert stats.bit_errors == 0
-        assert stats.bits == 3 * 2000 * 4
+        frame = make_frame(ch, sc, 2000, np.random.default_rng(5))
+        assert evaluate_equalizer(W, frame, sc) == (0, 0)
+        assert frame.bits.size == 3 * 2000 * 4
 
     def test_zero_equalizer_is_coin_flipping(self):
         sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None,
                                     es_n0_db=10.0, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(6))
         W = np.zeros((2, 4), dtype=complex)
-        stats = evaluate_equalizer(W, make_frame(ch, sc, 13_000, np.random.default_rng(7)),
-                                   sc)
-        assert stats.bits >= 100_000
-        assert abs(stats.ber - 0.5) < 0.01
+        frame = make_frame(ch, sc, 13_000, np.random.default_rng(7))
+        bit_errors, _ = evaluate_equalizer(W, frame, sc)
+        assert frame.bits.size >= 100_000
+        assert abs(bit_errors / frame.bits.size - 0.5) < 0.01
 
     def test_awgn_qpsk_matches_q_function(self):
         # single antenna, unit channel: BER = Q(sqrt(2*Eb/N0)) with
@@ -152,11 +168,11 @@ class TestRunLink:
         es_n0_db = 6.0
         sc, ch = _awgn_scenario(es_n0_db)
         W = central.zf_centralized(ch.H)
-        stats = evaluate_equalizer(W, make_frame(ch, sc, 500_000, np.random.default_rng(8)),
-                                   sc)
+        frame = make_frame(ch, sc, 500_000, np.random.default_rng(8))
+        bit_errors, _ = evaluate_equalizer(W, frame, sc)
         theory = norm.sf(math.sqrt(10.0 ** (es_n0_db / 10.0)))
-        se = math.sqrt(theory * (1.0 - theory) / stats.bits)
-        assert abs(stats.ber - theory) < 3.0 * se
+        se = math.sqrt(theory * (1.0 - theory) / frame.bits.size)
+        assert abs(bit_errors / frame.bits.size - theory) < 3.0 * se
 
     def test_global_phase_rotation_invariance(self):
         # rotate the received block and counter-rotate the equalizer: the
@@ -168,26 +184,27 @@ class TestRunLink:
         frame = make_frame(ch, sc, 20_000, np.random.default_rng(10))
         phase = np.exp(1j * 0.7)
         frame_rot = dataclasses.replace(frame, Y=phase * frame.Y)
-        stats_a = evaluate_equalizer(W, frame, sc)
-        stats_b = evaluate_equalizer(W / phase, frame_rot, sc)
-        assert stats_a == stats_b
+        counts_a = evaluate_equalizer(W, frame, sc)
+        counts_b = evaluate_equalizer(W / phase, frame_rot, sc)
+        assert counts_a == counts_b
 
     def test_batch_accumulation_matches_single_run(self):
         sc = model.Scenario.uniform(4, 2, K=2, K_int=2, N=8, es_n0_db=8.0,
                                     constellation=4)
         ch = model.build_channel(sc, np.random.default_rng(11))
-        W = central.zf_centralized(ch.H)
+        W = _equalizer_stack(ch, np.random.default_rng(24))
         frame = make_frame(ch, sc, 600, np.random.default_rng(12))
-        combined = evaluate_equalizer(W, frame, sc)
-        part = [evaluate_equalizer(
+        combined = np.array(evaluate_equalizer(W, frame, sc))
+        part = [np.array(evaluate_equalizer(
             W, dataclasses.replace(frame,
                                    bits=frame.bits[:, sl_b],
                                    symbols=frame.symbols[:, sl_s],
-                                   Y=frame.Y[:, sl_s]), sc)
+                                   Y=frame.Y[:, sl_s]), sc))
             for sl_s, sl_b in [(slice(0, 250), slice(0, 500)),
                                (slice(250, 600), slice(500, 1200))]]
-        merged = part[0] + part[1]
-        assert merged == combined
+        # (bit errors, symbol errors) x equalizer counts of the two parts add up
+        assert combined.shape == (2, 4) and combined[0].any()
+        np.testing.assert_array_equal(part[0] + part[1], combined)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_error_counts_match_per_user_bit_oracle(self, order):
@@ -205,7 +222,6 @@ class TestRunLink:
         rx_bits = np.stack([demodulate_hard(s, const) for s in W @ frame.Y / scale])
         wrong = rx_bits != frame.bits
         per_symbol = wrong.reshape(sc.K, 3000, -1)
-        stats = evaluate_equalizer(W, frame, sc)
-        assert stats.bit_errors == int(wrong.sum()) > 0
-        assert stats.symbol_errors == int(per_symbol.any(axis=-1).sum())
-        assert (stats.bits, stats.symbols) == (wrong.size, sc.K * 3000)
+        bit_errors, symbol_errors = evaluate_equalizer(W, frame, sc)
+        assert bit_errors == int(wrong.sum()) > 0
+        assert symbol_errors == int(per_symbol.any(axis=-1).sum())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chainmmse import central, cli, daisy, harness, model
+from chainmmse import central, cli, daisy, detect, harness, model
 from chainmmse.interconnect import PHASE_GRAM, predicted_traffic
 from chainmmse.harness import (ExperimentConfig, ResultRow, emit_csv,
                                emit_convergence_trace, load_config, parse_algorithm,
@@ -330,6 +330,48 @@ class TestRunExperiment:
         assert rows_of(cfg) == alone
         assert len(calls) == 2 * 3
 
+    def test_one_detection_call_per_trial_and_one_objective_call_per_chunk(
+            self, monkeypatch):
+        # 5 trials in chunks of 2: three stacks at each of two grid points
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
+        cfg = _small_config(algorithms=("zf", "mmse_exactR", "mmse_sampleR", "bdac",
+                                        "bcd:2"), es_n0_db=(0.0, 8.0), trials=5)
+
+        def rows_of(config):
+            return sorted((dataclasses.replace(r, wall_time_s=0.0)
+                           for r in run_experiment(config)),
+                          key=lambda r: (r.es_n0_db, r.algorithm, r.L))
+
+        alone = sorted((r for t in cfg.algorithms
+                        for r in rows_of(dataclasses.replace(cfg, algorithms=(t,)))),
+                       key=lambda r: (r.es_n0_db, r.algorithm, r.L))
+        detected, scored = [], []  # the shape of W in every call
+        evaluate, objective = detect.evaluate_equalizer, central.sample_objective
+        monkeypatch.setattr(detect, "evaluate_equalizer", lambda W, *a, **kw:
+                            detected.append(W.shape) or evaluate(W, *a, **kw))
+        monkeypatch.setattr(central, "sample_objective", lambda W, *a, **kw:
+                            scored.append(W.shape) or objective(W, *a, **kw))
+        assert rows_of(cfg) == alone
+        # the A x K x M equalizers of one trial, the A x T x K x M ones of a chunk
+        assert detected == [(5, 2, 8)] * (2 * 5)
+        assert scored == [(5, T, 2, 8) for T in (2, 2, 1)] * 2
+
+    def test_rates_are_error_counts_over_config_totals(self, monkeypatch):
+        cfg = _small_config(trials=3)
+        counts = []
+        evaluate = detect.evaluate_equalizer
+        monkeypatch.setattr(detect, "evaluate_equalizer",
+                            lambda *a, **kw: counts.append(evaluate(*a, **kw)) or counts[-1])
+        rows = run_experiment(cfg)
+        bit_errors, symbol_errors = np.sum(counts, axis=0)
+        symbols = cfg.trials * cfg.scenario.K * cfg.symbols_per_trial
+        assert bit_errors.any()
+        for a, row in enumerate(rows):
+            assert row.symbols == symbols
+            assert row.ber == int(bit_errors[a]) / (2 * symbols)  # QPSK: 2 bits
+            assert row.ser == int(symbol_errors[a]) / symbols
+            assert type(row.ber) is type(row.ser) is type(row.objective) is float
+
     def test_traffic_column_independent_of_m(self):
         entries = []
         for M in (16, 32):
@@ -360,6 +402,34 @@ class TestCsv:
         emit_csv(rows, path)
         emitted = [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
         assert read_results_csv(path) == emitted
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
+        (["run", "--config", "missing.yaml"],
+         "[Errno 2] No such file or directory: 'missing.yaml'"),
+        (["trace", "--seed", "-1"], "invalid experiment config: seed: must be >= 0"),
+        (["traffic", "--K", "2", "--N", "8", "--L", "-1"], "L must be >= 0"),
+        (["traffic", "--K", "2", "--N", "8", "--L", "1", "--C", "0"],
+         "M=0 not divisible by C=0"),
+        (["traffic", "--K", "0", "--N", "8", "--L", "1"], "need M >= K >= 1, got M=16, K=0")])
+    def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
+                                           message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"chainmmse {argv[0]}: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_errors_of_the_run_itself_propagate(self, tmp_path):
+        # no noise at all: a valid config whose sample covariance is singular
+        path = tmp_path / "silent.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, K_int: 0, N: 16}\n"
+                        "es_n0_db: [.inf]\niot_db: [null]\nalgorithms: [mmse_sampleR]\n")
+        with pytest.raises(central.SingularMatrixError, match="noise covariance"):
+            cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
 
 
 class TestConvergenceTrace:

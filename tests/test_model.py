@@ -92,11 +92,11 @@ def test_noise_pool_count_and_partition():
     rng = np.random.default_rng(0)
     sc = model.Scenario.uniform(3, 3, K=2, K_int=2, N=1)
     pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
-    assert pool.samples.shape == (3, 1)
+    assert pool.shape == (3, 1)
     sc2 = model.Scenario.uniform(6, 3, K=2, K_int=2, N=10)
     pool2 = model.draw_noise_pool(model.build_channel(sc2, rng), sc2, rng)
-    stacked = np.vstack([pool2.samples[s] for s in sc2.slices])
-    np.testing.assert_array_equal(stacked, pool2.samples)
+    stacked = np.vstack([pool2[s] for s in sc2.slices])
+    np.testing.assert_array_equal(stacked, pool2)
 
 
 def test_noise_pool_zero_sources():
@@ -104,7 +104,7 @@ def test_noise_pool_zero_sources():
     sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None)
     sc = dataclasses.replace(sc, es_n0_db=np.inf)  # sigma2 = 0
     pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
-    assert np.all(pool.samples == 0)
+    assert np.all(pool == 0)
 
 
 def test_sample_covariance_shrinks_like_sqrt_n():
@@ -128,12 +128,12 @@ def test_sample_covariance_single_and_zero_samples():
     rng = np.random.default_rng(2)
     sc = model.Scenario.uniform(2, 2, K=1, K_int=1, N=1)
     pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
-    n = pool.samples[:, 0]
+    n = pool[:, 0]
     np.testing.assert_allclose(model.sample_covariance(pool),
                                np.outer(n, n.conj()))
-    zero = model.NoisePool(samples=np.zeros((4, 3), complex))
+    zero = np.zeros((4, 3), complex)
     assert np.all(model.sample_covariance(zero) == 0)
-    empty = model.NoisePool(samples=np.zeros((4, 0), complex))
+    empty = np.zeros((4, 0), complex)
     with pytest.raises(ValueError):
         model.sample_covariance(empty)
 
@@ -141,12 +141,12 @@ def test_sample_covariance_single_and_zero_samples():
 def test_sample_covariance_two_loop_oracle():
     sc, ch, pool, Rhat = make_instance(seed=8, M=8, C=2, K=2, K_int=2, N=64)
     acc = np.zeros((8, 8), dtype=complex)
-    for i in range(pool.N):
-        n = pool.samples[:, i]
+    for i in range(sc.N):
+        n = pool[:, i]
         for a in range(8):
             for b in range(8):
                 acc[a, b] += n[a] * np.conj(n[b])
-    acc /= pool.N
+    acc /= sc.N
     assert np.max(np.abs(acc - Rhat)) < 1e-14
 
 
@@ -189,8 +189,7 @@ def test_partition_round_trip(seed, C):
     assert slices[0].start == 0 and slices[-1].stop == M
     assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
     np.testing.assert_array_equal(np.vstack([ch.H[s] for s in slices]), ch.H)
-    np.testing.assert_array_equal(np.vstack([pool.samples[s] for s in slices]),
-                                  pool.samples)
+    np.testing.assert_array_equal(np.vstack([pool[s] for s in slices]), pool)
     rebuilt = np.block([[R[m, n] for n in slices] for m in slices])
     np.testing.assert_array_equal(rebuilt, R)
 
