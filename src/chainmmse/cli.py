@@ -88,8 +88,9 @@ def cmd_run(args, config: harness.ExperimentConfig) -> int:
     harness.emit_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     for r in rows:
+        iot = "none" if r.iot_db is None else f"{r.iot_db:4.1f} dB"
         print(f"  {r.algorithm:>12s} L={r.L} Es/N0={r.es_n0_db:5.1f} dB "
-              f"IoT={r.iot_db:4.1f} dB  BER={r.ber:.3e}  SER={r.ser:.3e}")
+              f"IoT={iot}  BER={r.ber:.3e}  SER={r.ser:.3e}")
     return 0
 
 

@@ -7,7 +7,7 @@ amplitude, so QPSK bits 00 -> (+1+j)/sqrt(2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,10 +61,11 @@ class Constellation:
         return (a_i << self._axis_bits) | a_q
 
 
-def _symbol_indices(bits: np.ndarray, bps: int) -> np.ndarray:
+def _symbol_indices(bits: np.ndarray, bps: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Symbol index of every group of bps bits along the last axis, MSB first."""
     weights = 1 << np.arange(bps - 1, -1, -1)
-    return bits.reshape(bits.shape[:-1] + (-1, bps)) @ weights
+    return np.matmul(bits.reshape(bits.shape[:-1] + (-1, bps)), weights, out=out)
 
 
 def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -79,24 +80,51 @@ def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """One batch of data REs: transmitted bits/symbols and the received block."""
-    bits: np.ndarray      # (K, n_symbols * bits_per_symbol)
+    """One batch of data REs: transmitted symbols and the received block.
+
+    The transmitted bits are the MSB-first binary of the symbol indices.
+    """
+    sym: np.ndarray       # (K, n_symbols) symbol indices into the constellation
     symbols: np.ndarray   # (K, n_symbols), unit average energy
     Y: np.ndarray         # (M, n_symbols)
+    work: np.ndarray = field(repr=False)  # (M, n_symbols) scratch of make_frame
 
 
 def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
                rng: np.random.Generator,
-               constellation: Constellation | None = None) -> Frame:
-    """Generate data REs with fresh colored noise over the same interference channel."""
+               constellation: Constellation | None = None,
+               out: Frame | None = None) -> Frame:
+    """Generate data REs with fresh colored noise over the same interference channel.
+
+    out, a frame that make_frame returned for the same K, M and n_symbols, is
+    refilled in place and returned; its values are those of a new frame.
+    """
     const = constellation or Constellation(scenario.constellation)
-    K = channels.H.shape[1]
+    M, K = channels.H.shape
+    if out is None:
+        out = Frame(sym=np.empty((K, n_symbols), dtype=np.int64),
+                    symbols=np.empty((K, n_symbols), dtype=complex),
+                    Y=np.empty((M, n_symbols), dtype=complex),
+                    work=np.empty((M, n_symbols), dtype=complex))
+    elif ({out.sym.shape, out.symbols.shape} != {(K, n_symbols)}
+          or {out.Y.shape, out.work.shape} != {(M, n_symbols)}):
+        raise ValueError(f"out: frame of K={out.sym.shape[0]}, M={out.Y.shape[0]}, "
+                         f"{out.Y.shape[1]} symbols cannot hold K={K}, M={M}, "
+                         f"{n_symbols} symbols")
     sigma2, p_int, scale = powers_from_ratios(scenario)
     bits = rng.integers(0, 2, size=(K, n_symbols * const.bits_per_symbol))
-    S = modulate(bits, const)
-    noise = draw_colored_noise(channels, sigma2, p_int, n_symbols, rng)
-    Y = scale * (channels.H @ S) + noise
-    return Frame(bits=bits, symbols=S, Y=Y)
+    _symbol_indices(bits, const.bits_per_symbol, out=out.sym)
+    np.take(const.points, out.sym, out=out.symbols, mode="clip")
+    Y, work = out.Y, out.work
+    draw_colored_noise(channels, sigma2, p_int, n_symbols, rng, out=Y, work=work)
+    np.matmul(channels.H, out.symbols, out=work)
+    work *= scale
+    Y += work
+    return out
+
+
+# bytes of equalized symbols, a (..., K, block) complex stack, decided at once
+DETECT_BYTES = 1 << 18
 
 
 def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
@@ -104,13 +132,21 @@ def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize a frame with a K x M equalizer or a (..., K, M) stack of them,
     hard-decide all users at once, and count bit and symbol errors on the
-    symbol indices (the bits are the index's MSB-first binary).
+    symbol indices (the bits are the index's MSB-first binary). The frame is
+    equalized and decided in blocks of columns, DETECT_BYTES of W @ Y each.
 
     Returns (bit_errors, symbol_errors), integers over W's leading axes.
     """
     const = constellation or Constellation(scenario.constellation)
     _, _, scale = powers_from_ratios(scenario)
-    wrong = (const.decide((W @ frame.Y) / scale)
-             ^ _symbol_indices(frame.bits, const.bits_per_symbol))
-    return (const._popcount[wrong].sum(axis=(-2, -1)),
-            np.count_nonzero(wrong, axis=(-2, -1)))
+    block = max(1, DETECT_BYTES // (16 * (W.size // W.shape[-1])))
+    bit_errors = np.zeros(W.shape[:-2], dtype=np.int64)
+    symbol_errors = np.zeros(W.shape[:-2], dtype=np.int64)
+    for first in range(0, frame.Y.shape[-1], block):
+        cols = slice(first, first + block)
+        s_hat = W @ frame.Y[:, cols]
+        s_hat /= scale
+        wrong = const.decide(s_hat) ^ frame.sym[:, cols]
+        bit_errors += const._popcount[wrong].sum(axis=(-2, -1))
+        symbol_errors += np.count_nonzero(wrong, axis=(-2, -1))
+    return bit_errors, symbol_errors

@@ -11,9 +11,9 @@ Trials are drawn one by one and built in chunks stacked along a leading
 trial axis: each centralized algorithm builds a chunk in one call, and all
 chain algorithms read theirs from one chain run (bdac at depth 0, bcd:L at
 depth L). The chunk's equalizers form one algorithm x trial stack, scored by
-one objective call; a trial's equalizers do not depend on its chunk. Frames
-are generated one trial at a time, in trial order, and each is equalized and
-decided once for all algorithms.
+one objective call; a trial's equalizers do not depend on its chunk. The run
+keeps one frame and refills it for every trial, in trial order; each frame is
+equalized and decided once for all algorithms, in blocks of symbols.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ class ResultRow:
     algorithm: str
     L: int
     es_n0_db: float
-    iot_db: float
+    iot_db: float | None
     M: int
     C: int
     K: int
@@ -206,6 +206,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     A = len(config.algorithms)
     axis = {t: a for a, t in enumerate(config.algorithms)}  # the algorithm axis
     rows = []
+    frame = None  # one frame of the run's shape, refilled for every trial
     grid = [(es, iot) for iot in config.iot_db for es in config.es_n0_db]
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
@@ -246,10 +247,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             obj = central.sample_objective(W, channels.H, pool, sc.E_s)
             for i, (ch, (_, _, rng_data)) in enumerate(zip(channel_sets, rngs)):
                 frame = detect.make_frame(ch, sc, config.symbols_per_trial,
-                                          rng_data, const)
+                                          rng_data, const, out=frame)
                 errors += detect.evaluate_equalizer(W[:, i], frame, sc, const)
                 objective += obj[:, i]  # trial by trial, in trial order
-                del frame  # not held while the next trial's frame is drawn
         symbols = config.trials * sc.K * config.symbols_per_trial
         for a, (name, L) in enumerate(parsed):
             rows.append(ResultRow(

@@ -17,7 +17,22 @@ import numpy as np
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Circularly symmetric complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    z = np.empty(shape, dtype=complex)
+    fill_crandn(rng, z, np.empty((2,) + shape))
+    return z
+
+
+def fill_crandn(rng: np.random.Generator, z: np.ndarray, draws: np.ndarray) -> None:
+    """Fill the complex array z with crandn draws, in place.
+
+    draws is a float buffer of shape (2,) + z.shape that receives the normals:
+    the real block, then the imaginary block, the stream of two consecutive
+    standard_normal(z.shape) calls. The result equals, bit for bit,
+    (a + 1j * b) / sqrt(2) for those two blocks a and b.
+    """
+    rng.standard_normal(out=draws)
+    z.real, z.imag = draws
+    z /= np.sqrt(2.0)
 
 
 def cluster_slices(cluster_sizes) -> list[slice]:
@@ -154,13 +169,24 @@ def build_channel(scenario: Scenario, rng: np.random.Generator) -> ChannelSet:
 
 
 def draw_colored_noise(channels: ChannelSet, sigma2: float, p_int: float,
-                       n: int, rng: np.random.Generator) -> np.ndarray:
-    """n columns of thermal-plus-interference noise, shape (M, n)."""
+                       n: int, rng: np.random.Generator,
+                       out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """n columns of thermal-plus-interference noise, shape (M, n).
+
+    The noise is written into out; work is scratch space. Both are (M, n)
+    complex C-contiguous arrays, allocated when not given.
+    """
     M, K_int = channels.H_int.shape
-    noise = np.sqrt(sigma2) * crandn(rng, M, n)
+    noise = np.empty((M, n), dtype=complex) if out is None else out
+    work = np.empty((M, n), dtype=complex) if work is None else work
+    fill_crandn(rng, noise, work.view(float).reshape((2, M, n)))
+    noise *= np.sqrt(sigma2)
     if K_int > 0 and p_int > 0.0:
         x = crandn(rng, K_int, n)  # unit-power interference symbols
-        noise = noise + np.sqrt(p_int) * (channels.H_int @ x)
+        np.matmul(channels.H_int, x, out=work)
+        work *= np.sqrt(p_int)
+        noise += work
     return noise
 
 

@@ -15,6 +15,20 @@ def make_instance(seed=0, M=16, C=4, K=4, K_int=4, N=64, es_n0_db=10.0,
     return sc, channels, pool, model.sample_covariance(pool)
 
 
+def crandn_reference(rng, *shape):
+    """The reference formula of model.crandn: two normal blocks, combined."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def colored_noise_reference(channels, sigma2, p_int, n, rng):
+    """The reference formula of model.draw_colored_noise."""
+    M, K_int = channels.H_int.shape
+    noise = np.sqrt(sigma2) * crandn_reference(rng, M, n)
+    if K_int > 0 and p_int > 0.0:
+        noise = noise + np.sqrt(p_int) * (channels.H_int @ crandn_reference(rng, K_int, n))
+    return noise
+
+
 @pytest.fixture
 def instance():
     return make_instance(seed=3)

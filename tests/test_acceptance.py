@@ -263,7 +263,7 @@ def test_criterion_8_awgn_qpsk_sanity():
     W = central.zf_centralized(ch.H)
     frame = detect.make_frame(ch, sc, 500_000, np.random.default_rng(8))
     bit_errors, _ = detect.evaluate_equalizer(W, frame, sc)
-    bits = frame.bits.size
+    bits = frame.sym.size * detect.Constellation(4).bits_per_symbol
     ber = int(bit_errors) / bits
     # the ratio is per-bit SNR: Q(sqrt(2*Eb/N0)) with Eb/N0 = E_s/(2 sigma2)
     theory = float(norm.sf(math.sqrt(10.0 ** (es_n0_db / 10.0))))

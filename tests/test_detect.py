@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from chainmmse import central, model
+from chainmmse import central, detect, model
 from chainmmse.detect import Constellation, evaluate_equalizer, make_frame, modulate
+
+from conftest import colored_noise_reference
 
 
 def demodulate_hard(s_hat, constellation):
@@ -141,6 +143,73 @@ class TestErrorCounts:
         np.testing.assert_array_equal(grid[0].ravel(), bit_errors)
         np.testing.assert_array_equal(grid[1].ravel(), symbol_errors)
 
+    @pytest.mark.parametrize("extra", ["below", "equal", "two_blocks_and_17"])
+    def test_blocked_counts_equal_the_blocks_counted_by_hand(self, extra):
+        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                                    constellation=16)
+        ch = model.build_channel(sc, np.random.default_rng(25))
+        W = _equalizer_stack(ch, np.random.default_rng(26))
+        block = detect.DETECT_BYTES // (16 * 4 * sc.K)
+        n = {"below": block // 3, "equal": block, "two_blocks_and_17": 2 * block + 17}[extra]
+        frame = make_frame(ch, sc, n, np.random.default_rng(27))
+        const = Constellation(16)
+        _, _, scale = model.powers_from_ratios(sc)
+        bit_errors, symbol_errors = np.zeros(4, np.int64), np.zeros(4, np.int64)
+        for first in range(0, n, block):
+            cols = slice(first, min(first + block, n))
+            wrong = const.decide(W @ frame.Y[:, cols] / scale) ^ frame.sym[:, cols]
+            for a in range(4):
+                bit_errors[a] += sum(bin(int(v)).count("1") for v in wrong[a].ravel())
+                symbol_errors[a] += int(np.count_nonzero(wrong[a]))
+        got = evaluate_equalizer(W, frame, sc)
+        assert bit_errors.all()
+        np.testing.assert_array_equal(got[0], bit_errors)
+        np.testing.assert_array_equal(got[1], symbol_errors)
+
+
+class TestFrame:
+    @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None)])
+    def test_refilled_frame_equals_a_new_frame(self, K_int, iot_db):
+        sc = model.Scenario.uniform(8, 2, K=3, K_int=K_int, N=16, iot_db=iot_db,
+                                    es_n0_db=7.0, constellation=64)
+        old = make_frame(model.build_channel(sc, np.random.default_rng(30)), sc, 700,
+                         np.random.default_rng(31))
+        arrays = (old.sym, old.symbols, old.Y, old.work)
+        ch = model.build_channel(sc, np.random.default_rng(32))
+        new = make_frame(ch, sc, 700, np.random.default_rng(33))
+        refilled = make_frame(ch, sc, 700, np.random.default_rng(33), out=old)
+        assert refilled is old
+        for name in ("Y", "symbols", "sym"):
+            got, want = getattr(refilled, name), getattr(new, name)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        for before, after in zip(arrays, (refilled.sym, refilled.symbols,
+                                          refilled.Y, refilled.work)):
+            assert np.shares_memory(before, after)
+
+    @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None)])
+    def test_frame_is_the_reference_formula_byte_for_byte(self, K_int, iot_db):
+        sc = model.Scenario.uniform(8, 2, K=3, K_int=K_int, N=16, iot_db=iot_db,
+                                    es_n0_db=7.0, constellation=16)
+        ch = model.build_channel(sc, np.random.default_rng(36))
+        const = Constellation(16)
+        sigma2, p_int, scale = model.powers_from_ratios(sc)
+        ref = np.random.default_rng(37)
+        bits = ref.integers(0, 2, size=(3, 500 * const.bits_per_symbol))
+        S = modulate(bits, const)
+        Y = scale * (ch.H @ S) + colored_noise_reference(ch, sigma2, p_int, 500, ref)
+        frame = make_frame(ch, sc, 500, np.random.default_rng(37))
+        np.testing.assert_array_equal(const.points[frame.sym], S)
+        assert frame.symbols.tobytes() == S.tobytes()
+        assert frame.Y.tobytes() == Y.tobytes()
+
+    def test_refill_rejects_a_frame_of_another_shape(self):
+        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16)
+        ch = model.build_channel(sc, np.random.default_rng(34))
+        old = make_frame(ch, sc, 100, np.random.default_rng(35))
+        with pytest.raises(ValueError, match="cannot hold K=3, M=8, 101 symbols"):
+            make_frame(ch, sc, 101, np.random.default_rng(35), out=old)
+
 
 class TestRunLink:
     def test_zero_noise_zf_is_error_free(self):
@@ -150,7 +219,8 @@ class TestRunLink:
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 2000, np.random.default_rng(5))
         assert evaluate_equalizer(W, frame, sc) == (0, 0)
-        assert frame.bits.size == 3 * 2000 * 4
+        assert frame.sym.shape == (3, 2000)
+        assert frame.sym.size * Constellation(16).bits_per_symbol == 3 * 2000 * 4
 
     def test_zero_equalizer_is_coin_flipping(self):
         sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None,
@@ -159,8 +229,9 @@ class TestRunLink:
         W = np.zeros((2, 4), dtype=complex)
         frame = make_frame(ch, sc, 13_000, np.random.default_rng(7))
         bit_errors, _ = evaluate_equalizer(W, frame, sc)
-        assert frame.bits.size >= 100_000
-        assert abs(bit_errors / frame.bits.size - 0.5) < 0.01
+        bits = frame.sym.size * Constellation(16).bits_per_symbol
+        assert bits >= 100_000
+        assert abs(bit_errors / bits - 0.5) < 0.01
 
     def test_awgn_qpsk_matches_q_function(self):
         # single antenna, unit channel: BER = Q(sqrt(2*Eb/N0)) with
@@ -170,9 +241,10 @@ class TestRunLink:
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 500_000, np.random.default_rng(8))
         bit_errors, _ = evaluate_equalizer(W, frame, sc)
+        bits = frame.sym.size * Constellation(4).bits_per_symbol
         theory = norm.sf(math.sqrt(10.0 ** (es_n0_db / 10.0)))
-        se = math.sqrt(theory * (1.0 - theory) / frame.bits.size)
-        assert abs(bit_errors / frame.bits.size - theory) < 3.0 * se
+        se = math.sqrt(theory * (1.0 - theory) / bits)
+        assert abs(bit_errors / bits - theory) < 3.0 * se
 
     def test_global_phase_rotation_invariance(self):
         # rotate the received block and counter-rotate the equalizer: the
@@ -196,12 +268,9 @@ class TestRunLink:
         frame = make_frame(ch, sc, 600, np.random.default_rng(12))
         combined = np.array(evaluate_equalizer(W, frame, sc))
         part = [np.array(evaluate_equalizer(
-            W, dataclasses.replace(frame,
-                                   bits=frame.bits[:, sl_b],
-                                   symbols=frame.symbols[:, sl_s],
-                                   Y=frame.Y[:, sl_s]), sc))
-            for sl_s, sl_b in [(slice(0, 250), slice(0, 500)),
-                               (slice(250, 600), slice(500, 1200))]]
+            W, dataclasses.replace(frame, sym=frame.sym[:, sl],
+                                   symbols=frame.symbols[:, sl], Y=frame.Y[:, sl]), sc))
+            for sl in [slice(0, 250), slice(250, 600)]]
         # (bit errors, symbol errors) x equalizer counts of the two parts add up
         assert combined.shape == (2, 4) and combined[0].any()
         np.testing.assert_array_equal(part[0] + part[1], combined)
@@ -216,11 +285,15 @@ class TestRunLink:
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 3000, np.random.default_rng(14))
         const = Constellation(order)
+        # the bit block is the first draw of the frame's data stream
+        bits = np.random.default_rng(14).integers(
+            0, 2, size=(sc.K, 3000 * const.bits_per_symbol))
         for k in range(sc.K):
-            np.testing.assert_array_equal(frame.symbols[k], modulate(frame.bits[k], const))
+            np.testing.assert_array_equal(frame.symbols[k], modulate(bits[k], const))
+        np.testing.assert_array_equal(const.points[frame.sym], frame.symbols)
         _, _, scale = model.powers_from_ratios(sc)
         rx_bits = np.stack([demodulate_hard(s, const) for s in W @ frame.Y / scale])
-        wrong = rx_bits != frame.bits
+        wrong = rx_bits != bits
         per_symbol = wrong.reshape(sc.K, 3000, -1)
         bit_errors, symbol_errors = evaluate_equalizer(W, frame, sc)
         assert bit_errors == int(wrong.sum()) > 0

@@ -423,6 +423,19 @@ class TestCli:
         assert capsys.readouterr().err == f"chainmmse {argv[0]}: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_run_without_interference_prints_a_null_iot(self, tmp_path, capsys):
+        path = tmp_path / "white.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, K_int: 0, N: 16}\n"
+                        "es_n0_db: [4.0]\niot_db: [null]\nalgorithms: [zf, bcd:1]\n"
+                        "trials: 2\nsymbols_per_trial: 50\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = list(csv.DictReader(
+            (tmp_path / "out" / "results.csv").read_text().splitlines()))
+        assert [(r["algorithm"], r["iot_db"]) for r in rows] == [("zf", "None"),
+                                                                 ("bcd", "None")]
+        out = capsys.readouterr().out
+        assert out.count("Es/N0=  4.0 dB IoT=none  BER=") == 2
+
     def test_errors_of_the_run_itself_propagate(self, tmp_path):
         # no noise at all: a valid config whose sample covariance is singular
         path = tmp_path / "silent.yaml"

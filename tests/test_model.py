@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chainmmse import model
 
-from conftest import make_instance
+from conftest import colored_noise_reference, crandn_reference, make_instance
 
 
 def test_scenario_invariants_enforced():
@@ -86,6 +86,34 @@ def test_exact_covariance_monte_carlo_oracle():
         acc += n @ n.conj().T
     emp = acc / total
     assert np.linalg.norm(emp - R) / np.linalg.norm(R) < 0.01
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(), (1,), (1, 1), (3, 0), (4, 7), (2, 3, 5), (32, 20000)]))
+@settings(max_examples=60, deadline=None)
+def test_crandn_is_the_reference_formula_byte_for_byte(seed, shape):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = model.crandn(rng, *shape), crandn_reference(ref, *shape)
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == ref.random()  # both streams advanced alike
+
+
+@pytest.mark.parametrize("K_int, iot_db", [(3, 10.0), (0, None)])
+def test_colored_noise_is_the_reference_formula_byte_for_byte(K_int, iot_db):
+    sc = model.Scenario.uniform(6, 2, K=2, K_int=K_int, N=40, iot_db=iot_db,
+                                es_n0_db=3.0)
+    ch = model.build_channel(sc, np.random.default_rng(5))
+    sigma2, p_int, _ = model.powers_from_ratios(sc)
+    for seed in range(5):
+        want = colored_noise_reference(ch, sigma2, p_int, 40, np.random.default_rng(seed))
+        got = model.draw_noise_pool(ch, sc, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+        # into given arrays: the same values, written in place
+        out, work = np.empty((6, 40), complex), np.empty((6, 40), complex)
+        noise = model.draw_colored_noise(ch, sigma2, p_int, 40,
+                                         np.random.default_rng(seed), out=out, work=work)
+        assert noise is out and out.tobytes() == want.tobytes()
 
 
 def test_noise_pool_count_and_partition():
