@@ -21,19 +21,41 @@ def herm(A: np.ndarray) -> np.ndarray:
 
 
 def rcond(A: np.ndarray) -> np.ndarray:
-    """Reciprocal condition number of a Hermitian matrix or of each one in a
-    stack: the ratio of its extreme eigenvalues, 0 when the largest is <= 0."""
-    w = np.linalg.eigvalsh(A)
-    lo, hi = w[..., 0], w[..., -1]
-    return np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
+    """Estimated reciprocal condition number of a Hermitian matrix or of each
+    one in a stack: min_i L_ii^2 / max_i A_ii for the Cholesky factor L of A,
+    and 0 when A is not numerically positive definite (the factorization
+    fails).
+
+    lambda_min <= L_ii^2 and A_ii <= lambda_max, so the estimate is never
+    below the eigenvalue ratio lambda_min / lambda_max, and never above 1.
+    Dividing by A's diagonal rather than L's keeps it at the rounding level
+    for a singular matrix whose diagonal entries differ widely, where the
+    last pivot is rounding noise of the largest one. A matrix one rank short
+    can still read above 1e-12 when its leading block is ill conditioned
+    (6 of 20000 random 32 x 32 Gram matrices of 31 vectors, at most 1.4e-11;
+    none of those two or more short).
+
+    The whole stack is factored in one call; only when some matrix fails to
+    factor is it refactored one matrix at a time.
+    """
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        if A.ndim == 2:
+            return np.zeros(())
+        return np.array([rcond(a) for a in A])
+    pivots = np.diagonal(L, axis1=-2, axis2=-1).real ** 2
+    ratio = pivots.min(axis=-1) / np.diagonal(A, axis1=-2, axis2=-1).real.max(axis=-1)
+    return np.minimum(ratio, 1.0)   # a pivot squared may round above A_ii
 
 
 def herm_solve(A: np.ndarray, B: np.ndarray, *, what: str = "matrix") -> np.ndarray:
     """Solve A X = B for Hermitian positive definite A, or a stack of them.
 
-    rcond(A) is the positive-definiteness check: raises SingularMatrixError,
-    naming the first failing trial of a stack, when it falls below
-    RCOND_FLOOR. The solve itself is LU-based (np.linalg.solve).
+    rcond(A), a Cholesky factorization, is the positive-definiteness check:
+    raises SingularMatrixError, naming the first failing trial of a stack,
+    when it falls below RCOND_FLOOR. The solve itself is LU-based
+    (np.linalg.solve); the factor only guards it.
     """
     r = rcond(A)
     bad = r < RCOND_FLOOR

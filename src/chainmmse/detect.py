@@ -145,7 +145,8 @@ def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
     for first in range(0, frame.Y.shape[-1], block):
         cols = slice(first, first + block)
         s_hat = W @ frame.Y[:, cols]
-        s_hat /= scale
+        parts = s_hat.view(float)   # real and imaginary parts side by side
+        parts *= 1 / scale          # the bits of s_hat /= scale, in a real loop
         wrong = const.decide(s_hat) ^ frame.sym[:, cols]
         bit_errors += const._popcount[wrong].sum(axis=(-2, -1))
         symbol_errors += np.count_nonzero(wrong, axis=(-2, -1))

@@ -27,12 +27,16 @@ def fill_crandn(rng: np.random.Generator, z: np.ndarray, draws: np.ndarray) -> N
 
     draws is a float buffer of shape (2,) + z.shape that receives the normals:
     the real block, then the imaginary block, the stream of two consecutive
-    standard_normal(z.shape) calls. The result equals, bit for bit,
-    (a + 1j * b) / sqrt(2) for those two blocks a and b.
+    standard_normal(z.shape) calls. Each block is written already scaled,
+    a * (1/sqrt(2)) into z.real and b * (1/sqrt(2)) into z.imag: a real
+    multiply by the reciprocal, which is how numpy's complex division by
+    sqrt(2) + 0j scales too. So z equals (a + 1j * b) / sqrt(2) bit for bit,
+    except for the sign of an exactly zero draw, which z keeps and the
+    complex formula may flip.
     """
     rng.standard_normal(out=draws)
-    z.real, z.imag = draws
-    z /= np.sqrt(2.0)
+    np.multiply(draws[0], 1 / np.sqrt(2.0), out=z.real)
+    np.multiply(draws[1], 1 / np.sqrt(2.0), out=z.imag)
 
 
 def cluster_slices(cluster_sizes) -> list[slice]:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainmmse.central import (SingularMatrixError, mmse_centralized,
-                               sample_objective, zf_centralized)
+from chainmmse import model
+from chainmmse.central import (RCOND_FLOOR, SingularMatrixError, herm, herm_solve,
+                               mmse_centralized, rcond, sample_objective,
+                               zf_centralized)
+from chainmmse.daisy import RCOND_LOAD
 
 from conftest import make_instance
 
@@ -118,3 +123,83 @@ def test_zf_is_high_energy_white_noise_mmse_limit():
     W_mmse = mmse_centralized(H, np.eye(8), E_s=1e8)
     assert np.linalg.norm(W_mmse - W_zf) / np.linalg.norm(W_zf) < 1e-3
 
+
+
+def _guarded_stack(rng, kind, n, T, samples):
+    """T Hermitian n x n matrices of a kind the simulator guards, each built
+    from `samples` random vectors: the sample covariance of a noise pool, a
+    chain Gram block E_s H H^H + R_cc (H with two users), or the ZF Gram
+    matrix H^H H of `samples` antennas. Users get log-uniform gains, as in
+    model.build_channel."""
+    def users(rows, count):
+        gains = 10.0 ** (rng.uniform(-6.0, 0.0, count) / 10.0)
+        return model.crandn(rng, T, rows, count) * np.sqrt(gains)
+
+    if kind == "zf_gram":
+        H = users(samples, n)
+        return herm(H) @ H
+    R = model.sample_covariance(model.crandn(rng, T, n, samples))
+    if kind == "sample_covariance":
+        return R
+    H = users(n, 2)
+    return 10.0 ** rng.uniform(-2.0, 3.0) * (H @ herm(H)) + R
+
+
+KINDS = ["sample_covariance", "chain_gram", "zf_gram"]
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS),
+       n=st.integers(1, 32), T=st.integers(1, 8), extra=st.integers(0, 64))
+@settings(max_examples=60, deadline=None)
+def test_rcond_is_at_least_the_eigenvalue_ratio(seed, kind, n, T, extra):
+    A = _guarded_stack(np.random.default_rng(seed), kind, n, T, n + extra)
+    r = rcond(A)
+    w = np.linalg.eigvalsh(A)
+    ratio = w[:, 0] / w[:, -1]
+    assert r.shape == (T,) and np.all((r >= 0.0) & (r <= 1.0))
+    sure = ratio >= 1e-8
+    assert np.all(r[sure] > 0.0)
+    assert np.all(r[sure] >= ratio[sure] * (1.0 - 1e-9))
+    for t in range(T):  # one stacked factorization reads each matrix as alone
+        assert rcond(A[t]).shape == () and rcond(A[t]) == r[t]
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["sample_covariance", "zf_gram"]),
+       n=st.integers(3, 32), T=st.integers(1, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_deficient_and_indefinite_matrices_fall_below_both_thresholds(
+        seed, kind, n, T, data):
+    # at least two vectors short of full rank; see the rcond docstring for
+    # matrices one short
+    samples = data.draw(st.integers(1, n - 2), label="samples")
+    A = _guarded_stack(np.random.default_rng(seed), kind, n, T, samples)
+    assert np.all(rcond(A) < min(RCOND_FLOOR, RCOND_LOAD))
+    # shifting a positive definite matrix by its mean diagonal entry makes
+    # its smallest eigenvalue negative
+    pd = _guarded_stack(np.random.default_rng(seed), kind, n, T, n + 4)
+    shift = np.diagonal(pd, axis1=-2, axis2=-1).real.mean(axis=-1)
+    indefinite = pd - shift[:, None, None] * np.eye(n)
+    assert np.all(rcond(indefinite) < min(RCOND_FLOOR, RCOND_LOAD))
+
+
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_zero_and_collinear_gram_matrices_fall_below_both_thresholds(n):
+    assert rcond(np.zeros((n, n), dtype=complex)) < min(RCOND_FLOOR, RCOND_LOAD)
+    # Gram matrices of n + 1 users, two of them with collinear channels 60 dB
+    # apart, the weak one first: the strong one's pivot is rounding noise of
+    # its large diagonal entry, and about half of them factor
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        h = _rand_complex(rng, n + 1, 1)
+        H = np.hstack([_rand_complex(rng, n + 1, n - 1), h, 1e3 * h])
+        assert rcond(H.conj().T @ H) < min(RCOND_FLOOR, RCOND_LOAD)
+
+
+def test_failed_factorization_in_a_stack_names_its_trial():
+    rng = np.random.default_rng(7)
+    pd = _rand_pd(rng, 4)
+    A = np.stack([pd, np.zeros((4, 4), dtype=complex), pd])
+    r = rcond(A)
+    assert r[1] == 0.0 and r[0] == r[2] == rcond(pd) > 0.0
+    with pytest.raises(SingularMatrixError, match="trial 1 is numerically singular"):
+        herm_solve(A, np.ones((3, 4, 1), dtype=complex), what="Gram matrix")

@@ -261,3 +261,24 @@ def test_near_singular_trial_in_stack_loads_only_that_trial():
     for t in (0, 2):
         for c in range(sc.C):
             np.testing.assert_array_equal(chain.phi[c][t], alone.phi[c][0])
+
+
+def test_sweeps_descend_on_a_loaded_trial():
+    # the loaded block step uses (G_c + delta I)^-1, which moves W_c no
+    # further than the exact minimizer along a descent direction
+    sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
+                                    iot_db=None)
+    ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
+    channels, pools = model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool])
+    with pytest.warns(UserWarning, match="diagonal loading"):
+        chain = make_chain(channels, pools, sc.E_s)
+    assert chain.loaded[1, 0]
+    m = residual(chain)
+    values = [sample_objective(chain.W, channels.H, pools, sc.E_s)]
+    for sweep in range(10):
+        for c in range(sc.C):
+            m = bcd_block_update(chain, c, m)
+            values.append(sample_objective(chain.W, channels.H, pools, sc.E_s))
+    for prev, cur in zip(values, values[1:]):
+        assert np.all(cur <= prev * (1.0 + 1e-12))
+    assert values[1][1] < values[0][1]  # the loaded step itself descends

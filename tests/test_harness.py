@@ -257,6 +257,17 @@ class TestRunExperiment:
                                     r"singular"):
             run_experiment(cfg)
 
+    def test_desk_run_makes_no_eigendecomposition(self, monkeypatch):
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        cfg = ExperimentConfig(
+            scenario=profile_scenario("desk"), es_n0_db=(0.0, 16.0), iot_db=(10.0,),
+            algorithms=("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd:1", "bcd:4"),
+            trials=9, symbols_per_trial=50, seed=1)
+        assert len(run_experiment(cfg)) == 2 * 6
+
     def test_bcd_beats_initializer_on_grid(self):
         # paired comparison with common random numbers on the desk profile
         cfg = ExperimentConfig(

@@ -99,6 +99,34 @@ def test_crandn_is_the_reference_formula_byte_for_byte(seed, shape):
     assert rng.random() == ref.random()  # both streams advanced alike
 
 
+class _FixedNormals:
+    """Generator stand-in whose standard_normal writes the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, out):
+        out[...] = self.values
+
+
+def test_fill_crandn_scales_each_draw_and_keeps_the_sign_of_zero():
+    draws = np.array([[0.0, -0.0, 1.5, -2.25, 0.0, -0.0, 0.3],
+                      [-0.0, 0.0, 0.0, -0.0, 0.7, -3.1, -0.0]])
+    z = np.empty(draws.shape[1], dtype=complex)
+    model.fill_crandn(_FixedNormals(draws), z, np.empty_like(draws))
+    scaled = draws * (1 / np.sqrt(2.0))
+    assert z.real.tobytes() == scaled[0].tobytes()
+    assert z.imag.tobytes() == scaled[1].tobytes()
+    assert (np.signbit(z.real) == np.signbit(draws[0])).all()
+    assert (np.signbit(z.imag) == np.signbit(draws[1])).all()
+    # the complex formula gives the same values, and the same bits for every
+    # nonzero draw; only the sign of a zero may differ
+    ref = (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
+    assert (z == ref).all()
+    for got, want, d in ((z.real, ref.real, draws[0]), (z.imag, ref.imag, draws[1])):
+        assert got[d != 0].tobytes() == want[d != 0].tobytes()
+
+
 @pytest.mark.parametrize("K_int, iot_db", [(3, 10.0), (0, None)])
 def test_colored_noise_is_the_reference_formula_byte_for_byte(K_int, iot_db):
     sc = model.Scenario.uniform(6, 2, K=2, K_int=K_int, N=40, iot_db=iot_db,
