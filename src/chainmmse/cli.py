@@ -95,8 +95,7 @@ def cmd_run(args, config: harness.ExperimentConfig) -> int:
 
 
 def cmd_trace(args, config: harness.ExperimentConfig) -> int:
-    rows = harness.convergence_trace(config.scenario, L=args.sweeps,
-                                     variant=config.schedule_variant, seed=config.seed)
+    rows = harness.convergence_trace(config.scenario, L=args.sweeps, seed=config.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trace.csv")
     harness.emit_convergence_trace(rows, path)

@@ -81,21 +81,12 @@ def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Sweep plan: update order variant and sweep count L."""
-    variant: str = "gauss_seidel_loop"
+    """Sweep plan: L sweeps around the loop, clusters 0..C-1 in order."""
     L: int = 4
 
     def __post_init__(self):
-        if self.variant not in ("gauss_seidel_loop", "symmetric_gauss_seidel"):
-            raise ValueError(f"unknown schedule variant {self.variant!r}")
         if self.L < 0:
             raise ValueError("L must be >= 0")
-
-    def order(self, C: int) -> list[int]:
-        """Clusters in the update order of one sweep."""
-        if self.variant == "gauss_seidel_loop":
-            return list(range(C))
-        return list(range(C)) + list(range(C - 2, -1, -1))
 
 
 def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
@@ -164,8 +155,7 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
     """
     C = len(chain.slices)
     entries = chain.H.shape[-1] * chain.Hn.shape[-1]  # one K x (K+N) message
-    loop = schedule.variant == "gauss_seidel_loop"
-    topology = Topology("uni_loop" if loop else "bi_chain", C)
+    topology = Topology("uni_loop", C)
     ledger = TrafficLedger(topology)
 
     bdac_init(chain, ledger=ledger)
@@ -178,25 +168,21 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
     for link in topology.links:
         ledger.add(PHASE_DISTRIBUTE, link, entries)
 
-    order = schedule.order(C)
-    # the message crosses one link per consecutive pair of the order, then
-    # returns to the start: over the loop link, or from cluster 0 to cluster 1
-    # to restart the forward pass of the bi-directional chain
-    hops = list(zip(order, order[1:]))
-    hops.append((C - 1, 0) if loop else (0, 1))
     iterates: list[np.ndarray] | None = [] if keep_iterates else None
     kept = {0: chain.W.copy()} if 0 in depths else {}
-    traffic = [ledger.total()]
+    start = ledger.total()
     for d in range(1, schedule.L + 1):
-        for c in order:
+        for c in range(C):
             m = bcd_block_update(chain, c, m)
             if iterates is not None:
                 iterates.append(chain.W.copy())
-        if C > 1:
-            for link in hops:
-                ledger.add(PHASE_SWEEP, link, entries)
+        # the message crosses every loop link once: (c, c+1), then (C-1, 0)
+        for link in topology.links:
+            ledger.add(PHASE_SWEEP, link, entries)
         if d in depths:
             kept[d] = chain.W.copy()
-        traffic.append(ledger.total())
+    # every sweep sends the same counts, none when C = 1
+    per_sweep = len(topology.links) * entries
+    traffic = [start + d * per_sweep for d in range(schedule.L + 1)]
 
     return BcdResult(chain.W, ledger, kept, traffic, iterates)

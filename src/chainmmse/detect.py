@@ -68,16 +68,6 @@ def _symbol_indices(bits: np.ndarray, bps: int,
     return np.matmul(bits.reshape(bits.shape[:-1] + (-1, bps)), weights, out=out)
 
 
-def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Map a 0/1 stream to unit-average-energy symbols, MSB first; every row
-    of a 2-D bit block is a stream of its own."""
-    bits = np.asarray(bits, dtype=np.int64)
-    bps = constellation.bits_per_symbol
-    if bits.shape[-1] % bps != 0:
-        raise ValueError(f"bit count {bits.shape[-1]} not divisible by {bps}")
-    return constellation.points[_symbol_indices(bits, bps)]
-
-
 @dataclass(frozen=True)
 class Frame:
     """One batch of data REs: transmitted symbols and the received block.

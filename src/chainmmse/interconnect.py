@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 BYTES_PER_ENTRY = 16  # complex128: interleaved re/im float64
 
@@ -19,33 +20,22 @@ PHASE_SWEEP = "sweep"
 
 @dataclass(frozen=True)
 class Topology:
-    """Cluster interconnection graph: uni-directional loop or bi-directional chain."""
+    """Cluster interconnection graph: the uni-directional loop, in which
+    cluster c sends to cluster c+1 and the last cluster back to cluster 0."""
     variant: str
     C: int
 
     def __post_init__(self):
-        if self.variant not in ("uni_loop", "bi_chain"):
+        if self.variant != "uni_loop":
             raise ValueError(f"unknown topology variant {self.variant!r}")
         if self.C < 1:
             raise ValueError("C must be >= 1")
 
-    @property
+    @cached_property
     def links(self) -> tuple[tuple[int, int], ...]:
         if self.C == 1:
             return ()
-        if self.variant == "uni_loop":
-            return tuple((c, (c + 1) % self.C) for c in range(self.C))
-        return tuple((c, c + 1) for c in range(self.C - 1))
-
-    def canonical(self, link: tuple[int, int]) -> tuple[int, int]:
-        """Resolve a (possibly reversed) endpoint pair to the stored link."""
-        if link in self.links:
-            return link
-        if self.variant != "uni_loop":
-            rev = (link[1], link[0])
-            if rev in self.links:
-                return rev
-        raise KeyError(f"link {link} not in {self.variant} topology with C={self.C}")
+        return tuple((c, (c + 1) % self.C) for c in range(self.C))
 
 
 class TrafficLedger:
@@ -55,12 +45,17 @@ class TrafficLedger:
         self.topology = topology
         self.counts: dict[tuple[str, tuple[int, int]], int] = {}
 
+    def _known(self, link: tuple[int, int]) -> tuple[int, int]:
+        if link not in self.topology.links:
+            raise KeyError(f"link {link} not in the loop of C={self.topology.C} clusters")
+        return link
+
     def add(self, phase: str, link: tuple[int, int], entries: int) -> None:
-        key = (phase, self.topology.canonical(link))
+        key = (phase, self._known(link))
         self.counts[key] = self.counts.get(key, 0) + int(entries)
 
     def per_link(self, link: tuple[int, int], phase_prefix: str = "") -> int:
-        link = self.topology.canonical(link)
+        link = self._known(link)
         return sum(n for (p, l), n in self.counts.items()
                    if l == link and p.startswith(phase_prefix))
 

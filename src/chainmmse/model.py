@@ -16,7 +16,7 @@ import numpy as np
 
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Circularly symmetric complex Gaussian, unit variance per entry."""
+    """Circular complex Gaussian CN(0, 1): unit variance per entry."""
     z = np.empty(shape, dtype=complex)
     fill_crandn(rng, z, np.empty((2,) + shape))
     return z
@@ -121,10 +121,6 @@ class Scenario:
 
     def with_ratios(self, es_n0_db: float, iot_db: float | None) -> "Scenario":
         return replace(self, es_n0_db=es_n0_db, iot_db=iot_db)
-
-    @property
-    def slices(self) -> list[slice]:
-        return cluster_slices(self.cluster_sizes)
 
 
 def powers_from_ratios(scenario: Scenario) -> tuple[float, float, float]:

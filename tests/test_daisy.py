@@ -12,13 +12,17 @@ from chainmmse.interconnect import PHASE_SWEEP
 
 from conftest import make_instance
 
+# the loop is the one chain schedule; these cases keep its name as their id
+LOOP = pytest.mark.parametrize("variant", ["gauss_seidel_loop"])
+
 
 def _disjoint_pool(sc, rng, zero_cluster=None):
     """Noise pool in which each cluster has its own sample columns, so the
     sample covariance is exactly block diagonal; zero_cluster gets none."""
     samples = np.zeros((sc.M, sc.N), dtype=complex)
     columns = np.array_split(np.arange(sc.N), sc.C)
-    for c, (rows, cols) in enumerate(zip(sc.slices, columns)):
+    slices = model.cluster_slices(sc.cluster_sizes)
+    for c, (rows, cols) in enumerate(zip(slices, columns)):
         if c != zero_cluster:
             samples[rows, cols] = model.crandn(rng, sc.cluster_sizes[c], cols.size)
     return samples
@@ -37,7 +41,8 @@ class TestBdacInit:
                                      iot_db=None)
         pool = _disjoint_pool(sc, np.random.default_rng(5))
         R = model.sample_covariance(pool)
-        assert not R[sc.slices[0], sc.slices[1]].any()
+        s0, s1 = model.cluster_slices(sc.cluster_sizes)
+        assert not R[s0, s1].any()
         W0 = bdac_init(make_chain(ch, pool, sc.E_s))[0]
         W_ref = mmse_centralized(ch.H, R, sc.E_s)
         assert np.linalg.norm(W0 - W_ref) / np.linalg.norm(W_ref) < 1e-12
@@ -48,7 +53,7 @@ class TestBdacInit:
         # assemble the closed form centrally from the diagonal blocks
         S = np.eye(sc.K, dtype=complex) / sc.E_s
         rhs = []
-        for s in sc.slices:
+        for s in model.cluster_slices(sc.cluster_sizes):
             Hc = ch.H[s]
             Rcc = Rhat[s, s]
             X = np.linalg.solve(Rcc, Hc)
@@ -119,14 +124,14 @@ class TestRunBcd:
         np.testing.assert_array_equal(res.W, W0)
         assert res.iterates == []
 
-    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    @LOOP
     def test_converges_to_global_minimum(self, variant):
         # geometric convergence; sweep budget sized from the measured per-sweep
         # contraction of these instances (see "Convergence budget" in the
         # README: L=50 is far too few at this tolerance)
         sc, ch, pool, Rhat = make_instance(seed=9)
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s)
-        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(variant=variant, L=2000))
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=2000))
         rel = np.linalg.norm(res.W[0] - W_star) / np.linalg.norm(W_star)
         assert rel < 1e-8
 
@@ -142,12 +147,11 @@ class TestRunBcd:
         fit = np.polyval(np.polyfit(np.arange(logs.size), logs, 1), np.arange(logs.size))
         assert np.max(np.abs(logs - fit)) < 0.25 * (logs[0] - logs[-1])
 
-    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    @LOOP
     def test_monotone_descent_per_block_update(self, variant):
         sc, ch, pool, _ = make_instance(seed=11)
         W0 = bdac_init(make_chain(ch, pool, sc.E_s))
-        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(variant=variant, L=30),
-                      keep_iterates=True)
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=30), keep_iterates=True)
         values = [sample_objective(W[0], ch.H, pool, sc.E_s)
                   for W in [W0] + res.iterates]
         for prev, cur in zip(values, values[1:]):
@@ -170,7 +174,7 @@ class TestRunBcd:
                / np.linalg.norm(res_a.W))
         assert rel < 1e-8
 
-    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    @LOOP
     def test_each_depth_equals_a_run_of_that_depth(self, variant):
         # one L=4 run serves bdac and every bcd:L with L <= 4 in the harness
         instances = [make_instance(seed=s)[1:3] for s in (17, 18, 19)]
@@ -178,17 +182,16 @@ class TestRunBcd:
         stack = model.stack_trials(*zip(*instances))
         # W is kept only at the depths asked for; the final W always
         kept = (0, 1, 3)
-        deep = run_bcd(make_chain(*stack, sc.E_s), Schedule(variant=variant, L=4),
-                       depths=kept)
+        deep = run_bcd(make_chain(*stack, sc.E_s), Schedule(L=4), depths=kept)
         assert sorted(deep.depths) == list(kept) and len(deep.traffic) == 5
         # the reference sweeps: the same block updates, applied by hand
         chain = make_chain(*stack, sc.E_s)
         bdac_init(chain)
         m = residual(chain)
         for d in range(5):
-            for c in Schedule(variant=variant).order(sc.C) if d else ():
+            for c in range(sc.C) if d else ():
                 m = bcd_block_update(chain, c, m)
-            alone = run_bcd(make_chain(*stack, sc.E_s), Schedule(variant=variant, L=d))
+            alone = run_bcd(make_chain(*stack, sc.E_s), Schedule(L=d))
             assert alone.depths == {}
             np.testing.assert_array_equal(alone.W, chain.W)
             if d in kept:
@@ -196,6 +199,12 @@ class TestRunBcd:
             assert isinstance(deep.traffic[d], int)
             assert deep.traffic[d] == alone.ledger.total()
         np.testing.assert_array_equal(deep.W, chain.W)
+
+    def test_single_cluster_sends_nothing(self):
+        # one cluster has no links: no traffic at any depth
+        sc, ch, pool, _ = make_instance(seed=13, M=8, C=1, K=3, K_int=2, N=32)
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=3))
+        assert res.traffic == [0] * 4 and res.ledger.counts == {}
 
     def test_message_size_independent_of_m(self):
         # one sweep sends one K x (K+N) message over each link

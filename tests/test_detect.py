@@ -8,9 +8,20 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from chainmmse import central, detect, model
-from chainmmse.detect import Constellation, evaluate_equalizer, make_frame, modulate
+from chainmmse.detect import Constellation, evaluate_equalizer, make_frame
 
 from conftest import colored_noise_reference
+
+
+def modulate(bits, constellation):
+    """Symbol oracle: the point of every group of bits_per_symbol bits,
+    MSB first; every row of a 2-D bit block is a stream of its own."""
+    bits = np.asarray(bits, dtype=np.int64)
+    bps = constellation.bits_per_symbol
+    if bits.shape[-1] % bps != 0:
+        raise ValueError(f"bit count {bits.shape[-1]} not divisible by {bps}")
+    weights = 1 << np.arange(bps - 1, -1, -1)
+    return constellation.points[bits.reshape(bits.shape[:-1] + (-1, bps)) @ weights]
 
 
 def demodulate_hard(s_hat, constellation):

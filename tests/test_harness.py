@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from chainmmse import central, cli, daisy, detect, harness, model
-from chainmmse.interconnect import PHASE_GRAM, predicted_traffic
+from chainmmse.interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
+                                    PHASE_SWEEP, predicted_traffic)
 from chainmmse.harness import (ExperimentConfig, ResultRow, emit_csv,
                                emit_convergence_trace, load_config, parse_algorithm,
                                profile_scenario, run_experiment)
@@ -57,8 +58,6 @@ class TestConfig:
             _small_config(es_n0_db=())
         with pytest.raises(ValueError, match="algorithms"):
             _small_config(algorithms=("warp",))
-        with pytest.raises(ValueError, match="schedule_variant"):
-            _small_config(schedule_variant="red_black")
         path = tmp_path / "exp.yaml"
         for text, key in [("profile: desk\nscenario: {cluster_sizes: 4}", "cluster_sizes"),
                           ("scenario: {M: '8', C: 2, K: 2, N: 16}", "M"),
@@ -73,6 +72,11 @@ class TestConfig:
                 load_config(path)
         path.write_text("profile: desk\nscenario:\n")
         assert load_config(path).scenario == profile_scenario("desk")
+
+    @pytest.mark.parametrize("variant", ["red_black", "symmetric_gauss_seidel"])
+    def test_schedule_variant_other_than_the_loop_rejected(self, variant):
+        with pytest.raises(ValueError, match="schedule_variant: must be 'gauss_seidel_loop'"):
+            _small_config(schedule_variant=variant)
 
     def test_profiles(self):
         desk = profile_scenario("desk")
@@ -305,18 +309,18 @@ class TestRunExperiment:
         assert harness.chunk_trials(profile_scenario("desk")) == 8
         assert harness.chunk_trials(profile_scenario("paper")) == 1
 
-    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    @pytest.mark.parametrize("variant", ["gauss_seidel_loop"])  # the one schedule
     def test_bdac_traffic_is_the_schedule_gram_phase(self, variant):
         cfg = _small_config(algorithms=("bdac",), schedule_variant=variant)
         sc = cfg.scenario
         rng_ch, rng_pool, _ = harness.trial_rngs(0, 0, 0)
         ch = model.build_channel(sc, rng_ch)
         chain = daisy.make_chain(ch, model.draw_noise_pool(ch, sc, rng_pool), sc.E_s)
-        ledger = daisy.run_bcd(chain, daisy.Schedule(variant=variant, L=1)).ledger
+        ledger = daisy.run_bcd(chain, daisy.Schedule(L=1)).ledger
         [row] = run_experiment(cfg)
         assert row.traffic_entries == cfg.trials * ledger.total(PHASE_GRAM)
 
-    @pytest.mark.parametrize("variant", ["gauss_seidel_loop", "symmetric_gauss_seidel"])
+    @pytest.mark.parametrize("variant", ["gauss_seidel_loop"])  # the one schedule
     def test_chain_tokens_read_one_chain_run_per_stack(self, variant, monkeypatch):
         tokens = ("bdac", "bcd:0", "bcd:1", "bcd:4")
         # 5 trials in chunks of 2: three stacks at each of two grid points
@@ -433,6 +437,33 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"chainmmse {argv[0]}: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_config_schedule_variant_is_a_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "sym.yaml"
+        path.write_text("profile: desk\nschedule_variant: symmetric_gauss_seidel\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"chainmmse {command}: error: invalid experiment config: schedule_variant: "
+            "must be 'gauss_seidel_loop', got 'symmetric_gauss_seidel'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_traffic_meters_every_phase_on_every_loop_link(self, tmp_path, capsys):
+        assert cli.main(["traffic", "--K", "4", "--N", "96", "--L", "4",
+                         "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "traffic.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        links = ["0-1", "1-2", "2-3", "3-0"]
+        phases = [PHASE_GRAM, PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_SWEEP]
+        assert sorted((r["phase"], r["link"]) for r in rows) == sorted(
+            (phase, link) for phase in phases for link in links)
+        per_link = {link: sum(int(r["entries"]) for r in rows if r["link"] == link)
+                    for link in links}
+        assert per_link == dict.fromkeys(links, predicted_traffic(4, 96, 4))
+        assert f"predicted per-link entries (loop chain): {predicted_traffic(4, 96, 4)}" \
+            in capsys.readouterr().out
 
     def test_run_without_interference_prints_a_null_iot(self, tmp_path, capsys):
         path = tmp_path / "white.yaml"

@@ -13,7 +13,6 @@ from conftest import make_instance
 class TestTopology:
     def test_link_counts(self):
         assert len(Topology("uni_loop", 4).links) == 4
-        assert len(Topology("bi_chain", 4).links) == 3
         assert Topology("uni_loop", 1).links == ()
 
     def test_loop_closes(self):
@@ -21,14 +20,17 @@ class TestTopology:
         assert (2, 0) in links
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            Topology("mesh", 4)
+        for variant in ("mesh", "bi_chain"):
+            with pytest.raises(ValueError):
+                Topology(variant, 4)
 
     def test_unknown_link_rejected(self):
         topo = Topology("uni_loop", 4)
         ledger = TrafficLedger(topo)
         with pytest.raises(KeyError):
             ledger.add(PHASE_SWEEP, (0, 2), 10)
+        with pytest.raises(KeyError):  # a loop link runs one way only
+            ledger.per_link((1, 0))
 
 
 class TestPredictedTraffic:

@@ -151,7 +151,7 @@ def test_noise_pool_count_and_partition():
     assert pool.shape == (3, 1)
     sc2 = model.Scenario.uniform(6, 3, K=2, K_int=2, N=10)
     pool2 = model.draw_noise_pool(model.build_channel(sc2, rng), sc2, rng)
-    stacked = np.vstack([pool2[s] for s in sc2.slices])
+    stacked = np.vstack([pool2[s] for s in model.cluster_slices(sc2.cluster_sizes)])
     np.testing.assert_array_equal(stacked, pool2)
 
 
