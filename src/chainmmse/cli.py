@@ -2,10 +2,16 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 
 from . import daisy, harness, model
 from .interconnect import predicted_traffic
+
+# the config of run and trace without --config; its flags are put over it
+DEFAULT_CONFIG = {"profile": "desk", "es_n0_db": [0.0, 4.0, 8.0, 12.0, 16.0],
+                  "algorithms": ["zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd:1",
+                                 "bcd:4"]}
 
 
 def _add_run(sub):
@@ -38,46 +44,38 @@ def _add_traffic(sub):
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--C", type=int, default=4)
-    p.add_argument("--M", type=int, default=None, help="antennas (default 4*C)")
+    p.add_argument("--C", type=int, default=4, help="clusters, >= 2")
     p.add_argument("--out", default=".")
     return p
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
-    overrides = {}
-    for key, attr in [("seed", "seed"), ("trials", "trials"),
-                      ("symbols_per_trial", "symbols"), ("out_dir", "out")]:
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[key] = val
+    flags = {key: getattr(args, attr, None) for key, attr in [
+        ("profile", "profile"), ("seed", "seed"), ("trials", "trials"),
+        ("symbols_per_trial", "symbols"), ("out_dir", "out")]}
     if getattr(args, "algorithms", None):
-        overrides["algorithms"] = tuple(args.algorithms.split(","))
+        flags["algorithms"] = args.algorithms.split(",")
+    flags = {key: val for key, val in flags.items() if val is not None}
     if args.config:
-        config = harness.load_config(args.config, profile=args.profile, **overrides)
+        config = harness.load_config(args.config, **flags)
     else:
-        scenario = harness.profile_scenario(args.profile or "desk")
-        config = harness.ExperimentConfig(
-            scenario=scenario,
-            es_n0_db=(0.0, 4.0, 8.0, 12.0, 16.0),
-            iot_db=(10.0,),
-            algorithms=overrides.pop("algorithms",
-                                     ("zf", "mmse_exactR", "mmse_sampleR", "bdac",
-                                      "bcd:1", "bcd:4")),
-            **overrides)
-    if getattr(args, "sweeps", None) is not None:
+        config = harness.make_config({**DEFAULT_CONFIG, **flags})
+    if args.command == "run" and args.sweeps is not None:
         # every bcd token becomes the one bcd:L token, in the first one's place
         algs = tuple(dict.fromkeys(
             f"bcd:{args.sweeps}" if harness.parse_algorithm(a)[0] == "bcd" else a
             for a in config.algorithms))
-        config = harness.ExperimentConfig(**{**config.__dict__, "algorithms": algs})
+        config = dataclasses.replace(config, algorithms=algs)
     return config
 
 
 def _resolve_traffic(args) -> tuple[model.Scenario, daisy.Schedule]:
-    M = args.M if args.M is not None else 4 * args.C
-    scenario = model.Scenario.uniform(M, args.C, K=args.K, K_int=args.K,
-                                      N=args.N, iot_db=10.0)
+    if args.C < 2:
+        raise ValueError(f"argument --C: must be >= 2, got {args.C}; "
+                         "a single cluster has no link")
+    # traffic does not depend on M: meter the least M >= K of C equal clusters
+    scenario = model.Scenario(M=args.C * -(-args.K // args.C), C=args.C, K=args.K,
+                              K_int=args.K, N=args.N, iot_db=10.0)
     return scenario, daisy.Schedule(L=args.L)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
@@ -58,10 +58,11 @@ def parse_algorithm(token: str) -> tuple[str, int | None]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Built by make_config; a key its mapping leaves out takes the default."""
     scenario: model.Scenario
-    es_n0_db: tuple[float, ...]
-    iot_db: tuple[float, ...]
-    algorithms: tuple[str, ...]
+    es_n0_db: tuple[float, ...] = (10.0,)
+    iot_db: tuple[float | None, ...] = (10.0,)
+    algorithms: tuple[str, ...] = ("zf", "mmse_sampleR", "bdac", "bcd:4")
     trials: int = 10
     symbols_per_trial: int = 250
     seed: int = 1
@@ -77,22 +78,25 @@ class ExperimentConfig:
                 value = ()
             elif not value:
                 errors.append(f"{key}: list must be nonempty")
+            # plain floats, so emit_csv writes '0.0' and not 'np.float64(0.0)'
+            if key != "algorithms":
+                try:
+                    value = [None if v is None and key == "iot_db" else model.number(key, v)
+                             for v in value]
+                except ValueError as exc:
+                    errors.append(str(exc))
             object.__setattr__(self, key, tuple(value))
-        # plain floats, so emit_csv writes '0.0' and not 'np.float64(0.0)'
-        for key in ("es_n0_db", "iot_db"):
-            try:
-                object.__setattr__(self, key, tuple(
-                    None if v is None else float(v) for v in getattr(self, key)))
-            except (TypeError, ValueError):
-                errors.append(f"{key}: grid values must be numbers")
         for key, least in (("trials", 1), ("symbols_per_trial", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                errors.append(f"{key}: must be an integer, got {value!r}")
-            elif value < least:
+            try:
+                value = model.integer(key, getattr(self, key))
+            except ValueError as exc:
+                errors.append(str(exc))
+                continue
+            if value < least:
                 errors.append(f"{key}: must be >= {least}")
-            else:
-                object.__setattr__(self, key, int(value))
+            object.__setattr__(self, key, value)
+        if not isinstance(self.out_dir, str):
+            errors.append(f"out_dir: must be a string, got {self.out_dir!r}")
         if self.schedule_variant != "gauss_seidel_loop":
             errors.append("schedule_variant: must be 'gauss_seidel_loop', "
                           f"got {self.schedule_variant!r}")
@@ -139,28 +143,43 @@ PROFILES = {
 
 
 _SCENARIO_KEYS = frozenset(f.name for f in fields(model.Scenario))
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"profile"}
 
 
 def profile_scenario(name: str, **overrides) -> model.Scenario:
-    if name not in PROFILES:
-        raise ValueError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    return _make_scenario({**PROFILES[name], **overrides})
+    return _make_scenario(overrides, name)
 
 
-def _make_scenario(params: dict) -> model.Scenario:
-    """Scenario from its fields; M is split into C equal clusters unless
-    cluster_sizes is given."""
-    unknown = sorted(set(params) - _SCENARIO_KEYS)
+def _make_scenario(params: dict, profile: str | None = None) -> model.Scenario:
+    """Scenario of the profile, if one is named, with params put over its
+    fields; without one, every field without a default must be given."""
+    if profile is not None and not (isinstance(profile, str) and profile in PROFILES):
+        raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
+    params = {**PROFILES.get(profile, {}), **params}
+    unknown = sorted(set(params) - _SCENARIO_KEYS, key=str)
     if unknown:
         raise ValueError("unknown scenario keys: "
                          + ", ".join(f"scenario.{k}" for k in unknown))
-    missing = [f"scenario.{k}" for k in ("M", "C") if k not in params]
+    missing = [f"scenario.{f.name}" for f in fields(model.Scenario)
+               if f.default is MISSING and f.name not in params]
     if missing:
         raise ValueError(f"{' and '.join(missing)} required when no profile "
                          "is given")
-    if "cluster_sizes" in params:
-        return model.Scenario(**params)
-    return model.Scenario.uniform(**params)
+    return model.Scenario(**params)
+
+
+def make_config(raw: dict) -> ExperimentConfig:
+    """The one path from a config mapping (see README for the schema) to an
+    ExperimentConfig: the profile's scenario, if any, under the scenario keys."""
+    params = dict(raw)
+    unknown = sorted(set(params) - _CONFIG_KEYS, key=str)
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    profile = params.pop("profile", None)
+    sc_raw = params.pop("scenario", None) or {}
+    if not isinstance(sc_raw, dict):
+        raise ValueError(f"scenario: must be a mapping of scenario keys, got {sc_raw!r}")
+    return ExperimentConfig(scenario=_make_scenario(sc_raw, profile), **params)
 
 
 def trial_rngs(seed: int, point_index: int, trial_index: int):
@@ -316,27 +335,9 @@ def emit_convergence_trace(rows: list[TraceRow], path) -> None:
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
-    """Read a YAML experiment config (see README for the schema)."""
+    """The experiment of a YAML config file, with overrides put over its keys."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    file_profile = raw.pop("profile", None)
-    profile = overrides.pop("profile", None) or file_profile
-    sc_raw = raw.pop("scenario", None) or {}
-    if not isinstance(sc_raw, dict):
-        raise ValueError(f"scenario: must be a mapping of scenario keys, got {sc_raw!r}")
-    scenario = profile_scenario(profile, **sc_raw) if profile else _make_scenario(sc_raw)
-    params = dict(
-        scenario=scenario,
-        es_n0_db=raw.pop("es_n0_db", (10.0,)),
-        iot_db=raw.pop("iot_db", (10.0,)),
-        algorithms=raw.pop("algorithms", ("zf", "mmse_sampleR", "bdac", "bcd:4")),
-        trials=raw.pop("trials", 10),
-        symbols_per_trial=raw.pop("symbols_per_trial", 250),
-        seed=raw.pop("seed", 1),
-        out_dir=raw.pop("out_dir", "out"),
-        schedule_variant=raw.pop("schedule_variant", "gauss_seidel_loop"),
-    )
-    if raw:
-        raise ValueError(f"unknown config keys: {sorted(raw)}")
-    params.update(overrides)
-    return ExperimentConfig(**params)
+        raw = yaml.safe_load(fh)
+    if raw is not None and not isinstance(raw, dict):
+        raise ValueError(f"config: must be a mapping of config keys, got {raw!r}")
+    return make_config({**(raw or {}), **overrides})

@@ -44,18 +44,21 @@ def cluster_slices(cluster_sizes) -> list[slice]:
     return [slice(int(offsets[c]), int(offsets[c + 1])) for c in range(len(cluster_sizes))]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _integer(key: str, value) -> int:
-    """value as a plain int; a ValueError naming scenario.<key> otherwise."""
+def integer(key: str, value) -> int:
+    """value as a plain int (numpy integers too, not booleans), else a ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"scenario.{key}: must be an integer, got {value!r}")
+        raise ValueError(f"{key}: must be an integer, got {value!r}")
     return int(value)
 
 
-@dataclass(frozen=True)
+def number(key: str, value) -> float:
+    """value as a plain float (numpy numbers too; not booleans, NaN), else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ValueError(f"{key}: must be a number, got {value!r}")
+    return float(value)
+
+
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """All dimensions and power levels of one simulation setup.
 
@@ -66,7 +69,7 @@ class Scenario:
     M: int                              # BS antennas
     K: int                              # target users
     C: int                              # antenna clusters
-    cluster_sizes: tuple[int, ...]      # per-cluster antenna counts, sums to M
+    cluster_sizes: tuple[int, ...] | None = None  # sums to M; None: C equal ones
     N: int                              # noise samples (pilot REs)
     K_int: int = 0                      # interference users
     E_s: float = 1.0                    # per-user transmit energy (linear)
@@ -77,30 +80,34 @@ class Scenario:
 
     def __post_init__(self):
         for key in ("M", "K", "C", "N", "K_int", "constellation"):
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+            object.__setattr__(self, key, integer(f"scenario.{key}", getattr(self, key)))
+        for key in ("E_s", "es_n0_db", "iot_db"):
+            value = getattr(self, key)
+            if not (key == "iot_db" and value is None):
+                object.__setattr__(self, key, number(f"scenario.{key}", value))
+        gains = self.gain_range_db
+        if not isinstance(gains, (list, tuple)) or len(gains) != 2:
+            raise ValueError(f"scenario.gain_range_db: must be two numbers, got {gains!r}")
+        object.__setattr__(self, "gain_range_db",
+                           tuple(number("scenario.gain_range_db", g) for g in gains))
+        if not (self.M >= self.K >= 1):
+            raise ValueError(f"need M >= K >= 1, got M={self.M}, K={self.K}")
         sizes = self.cluster_sizes
+        if sizes is None:
+            if self.C < 1 or self.M % self.C != 0:
+                raise ValueError(f"M={self.M} not divisible by C={self.C}")
+            sizes = (self.M // self.C,) * self.C
         if not isinstance(sizes, (list, tuple)):
             raise ValueError(f"scenario.cluster_sizes: must be a list of integers, "
                              f"got {sizes!r}")
         object.__setattr__(self, "cluster_sizes",
-                           tuple(_integer("cluster_sizes", m) for m in sizes))
-        for key in ("E_s", "es_n0_db", "iot_db"):
-            value = getattr(self, key)
-            if not _is_number(value) and not (key == "iot_db" and value is None):
-                raise ValueError(f"scenario.{key}: must be a number, got {value!r}")
-        gains = self.gain_range_db
-        if (not isinstance(gains, (list, tuple)) or len(gains) != 2
-                or not all(_is_number(g) for g in gains)):
-            raise ValueError(f"scenario.gain_range_db: must be two numbers, got {gains!r}")
-        object.__setattr__(self, "gain_range_db", tuple(gains))
+                           tuple(integer("scenario.cluster_sizes", m) for m in sizes))
         if self.C < 1 or len(self.cluster_sizes) != self.C:
             raise ValueError(f"cluster_sizes must have C={self.C} entries")
         if any(m < 1 for m in self.cluster_sizes):
             raise ValueError("every cluster size must be >= 1")
         if sum(self.cluster_sizes) != self.M:
             raise ValueError(f"cluster_sizes sum {sum(self.cluster_sizes)} != M={self.M}")
-        if not (self.M >= self.K >= 1):
-            raise ValueError(f"need M >= K >= 1, got M={self.M}, K={self.K}")
         if self.K_int < 0:
             raise ValueError("K_int must be >= 0")
         # N >= max M_c keeps every local sample covariance invertible a.s.
@@ -110,14 +117,6 @@ class Scenario:
             raise ValueError("E_s must be > 0")
         if self.constellation not in (4, 16, 64):
             raise ValueError(f"unsupported constellation order {self.constellation}")
-
-    @classmethod
-    def uniform(cls, M: int, C: int, **kwargs) -> "Scenario":
-        """Scenario with M antennas split into C equal clusters."""
-        M, C = _integer("M", M), _integer("C", C)
-        if C < 1 or M % C != 0:
-            raise ValueError(f"M={M} not divisible by C={C}")
-        return cls(M=M, C=C, cluster_sizes=(M // C,) * C, **kwargs)
 
     def with_ratios(self, es_n0_db: float, iot_db: float | None) -> "Scenario":
         return replace(self, es_n0_db=es_n0_db, iot_db=iot_db)

@@ -230,8 +230,8 @@ def test_criterion_6_colored_noise_gap():
 
 
 def test_criterion_7_sample_covariance_consistency():
-    sc0 = model.Scenario.uniform(8, 2, K=2, K_int=4, N=8, es_n0_db=10.0,
-                                 iot_db=10.0)
+    sc0 = model.Scenario(M=8, C=2, K=2, K_int=4, N=8, es_n0_db=10.0,
+                         iot_db=10.0)
     ch = model.build_channel(sc0, np.random.default_rng(11))
     R = model.exact_covariance(ch, sc0)
     errs = []
@@ -269,8 +269,8 @@ def test_criterion_8_awgn_qpsk_sanity():
 
 def test_criterion_9_deterministic_results_csv(tmp_path):
     cfg = ExperimentConfig(
-        scenario=model.Scenario.uniform(8, 2, K=2, K_int=2, N=16,
-                                        constellation=4),
+        scenario=model.Scenario(M=8, C=2, K=2, K_int=2, N=16,
+                                constellation=4),
         es_n0_db=(4.0, 8.0), iot_db=(10.0,),
         algorithms=("zf", "mmse_sampleR", "bdac", "bcd:2"),
         trials=3, symbols_per_trial=100, seed=17)

@@ -138,8 +138,8 @@ def _equalizer_stack(ch, rng):
 class TestErrorCounts:
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_stack_counts_equal_each_equalizer_alone(self, order):
-        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16, es_n0_db=6.0,
-                                    constellation=order)
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=order)
         ch = model.build_channel(sc, np.random.default_rng(21))
         W = _equalizer_stack(ch, np.random.default_rng(22))
         frame = make_frame(ch, sc, 1500, np.random.default_rng(23))
@@ -156,8 +156,8 @@ class TestErrorCounts:
 
     @pytest.mark.parametrize("extra", ["below", "equal", "two_blocks_and_17"])
     def test_blocked_counts_equal_the_blocks_counted_by_hand(self, extra):
-        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16, es_n0_db=6.0,
-                                    constellation=16)
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(25))
         W = _equalizer_stack(ch, np.random.default_rng(26))
         block = detect.DETECT_BYTES // (16 * 4 * sc.K)
@@ -181,8 +181,8 @@ class TestErrorCounts:
 class TestFrame:
     @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None)])
     def test_refilled_frame_equals_a_new_frame(self, K_int, iot_db):
-        sc = model.Scenario.uniform(8, 2, K=3, K_int=K_int, N=16, iot_db=iot_db,
-                                    es_n0_db=7.0, constellation=64)
+        sc = model.Scenario(M=8, C=2, K=3, K_int=K_int, N=16, iot_db=iot_db,
+                            es_n0_db=7.0, constellation=64)
         old = make_frame(model.build_channel(sc, np.random.default_rng(30)), sc, 700,
                          np.random.default_rng(31))
         arrays = (old.sym, old.symbols, old.Y, old.work)
@@ -200,8 +200,8 @@ class TestFrame:
 
     @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None)])
     def test_frame_is_the_reference_formula_byte_for_byte(self, K_int, iot_db):
-        sc = model.Scenario.uniform(8, 2, K=3, K_int=K_int, N=16, iot_db=iot_db,
-                                    es_n0_db=7.0, constellation=16)
+        sc = model.Scenario(M=8, C=2, K=3, K_int=K_int, N=16, iot_db=iot_db,
+                            es_n0_db=7.0, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(36))
         const = Constellation(16)
         sigma2, p_int, scale = model.powers_from_ratios(sc)
@@ -215,7 +215,7 @@ class TestFrame:
         assert frame.Y.tobytes() == Y.tobytes()
 
     def test_refill_rejects_a_frame_of_another_shape(self):
-        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16)
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16)
         ch = model.build_channel(sc, np.random.default_rng(34))
         old = make_frame(ch, sc, 100, np.random.default_rng(35))
         with pytest.raises(ValueError, match="cannot hold K=3, M=8, 101 symbols"):
@@ -224,8 +224,8 @@ class TestFrame:
 
 class TestRunLink:
     def test_zero_noise_zf_is_error_free(self):
-        sc = model.Scenario.uniform(8, 2, K=3, K_int=0, N=16, iot_db=None,
-                                    es_n0_db=np.inf, constellation=16)
+        sc = model.Scenario(M=8, C=2, K=3, K_int=0, N=16, iot_db=None,
+                            es_n0_db=np.inf, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(4))
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 2000, np.random.default_rng(5))
@@ -234,8 +234,8 @@ class TestRunLink:
         assert frame.sym.size * Constellation(16).bits_per_symbol == 3 * 2000 * 4
 
     def test_zero_equalizer_is_coin_flipping(self):
-        sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None,
-                                    es_n0_db=10.0, constellation=16)
+        sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None,
+                            es_n0_db=10.0, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(6))
         W = np.zeros((2, 4), dtype=complex)
         frame = make_frame(ch, sc, 13_000, np.random.default_rng(7))
@@ -260,8 +260,8 @@ class TestRunLink:
     def test_global_phase_rotation_invariance(self):
         # rotate the received block and counter-rotate the equalizer: the
         # soft estimates, and hence the decisions, must be unchanged
-        sc = model.Scenario.uniform(8, 2, K=2, K_int=2, N=16, es_n0_db=8.0,
-                                    constellation=16)
+        sc = model.Scenario(M=8, C=2, K=2, K_int=2, N=16, es_n0_db=8.0,
+                            constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(9))
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 20_000, np.random.default_rng(10))
@@ -272,8 +272,8 @@ class TestRunLink:
         assert counts_a == counts_b
 
     def test_batch_accumulation_matches_single_run(self):
-        sc = model.Scenario.uniform(4, 2, K=2, K_int=2, N=8, es_n0_db=8.0,
-                                    constellation=4)
+        sc = model.Scenario(M=4, C=2, K=2, K_int=2, N=8, es_n0_db=8.0,
+                            constellation=4)
         ch = model.build_channel(sc, np.random.default_rng(11))
         W = _equalizer_stack(ch, np.random.default_rng(24))
         frame = make_frame(ch, sc, 600, np.random.default_rng(12))
@@ -290,8 +290,8 @@ class TestRunLink:
     def test_error_counts_match_per_user_bit_oracle(self, order):
         # all users are decided at once and counted on symbol indices; compare
         # with demapping every user's row to bits and counting bit by bit
-        sc = model.Scenario.uniform(8, 2, K=3, K_int=2, N=16, es_n0_db=12.0,
-                                    constellation=order)
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=12.0,
+                            constellation=order)
         ch = model.build_channel(sc, np.random.default_rng(13))
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 3000, np.random.default_rng(14))

@@ -28,7 +28,7 @@ def read_results_csv(path) -> list[ResultRow]:
 
 def _small_config(**overrides):
     params = dict(
-        scenario=model.Scenario.uniform(8, 2, K=2, K_int=2, N=16, constellation=4),
+        scenario=model.Scenario(M=8, C=2, K=2, K_int=2, N=16, constellation=4),
         es_n0_db=(8.0,),
         iot_db=(10.0,),
         algorithms=("zf", "mmse_sampleR", "bdac", "bcd:2"),
@@ -58,6 +58,10 @@ class TestConfig:
             _small_config(es_n0_db=())
         with pytest.raises(ValueError, match="algorithms"):
             _small_config(algorithms=("warp",))
+        with pytest.raises(ValueError, match=r"es_n0_db: must be a number, got nan$"):
+            _small_config(es_n0_db=(float("nan"),))
+        with pytest.raises(ValueError, match="out_dir: must be a string, got 5$"):
+            _small_config(out_dir=5)
         path = tmp_path / "exp.yaml"
         for text, key in [("profile: desk\nscenario: {cluster_sizes: 4}", "cluster_sizes"),
                           ("scenario: {M: '8', C: 2, K: 2, N: 16}", "M"),
@@ -66,6 +70,7 @@ class TestConfig:
                           ("profile: desk\nscenario: {constellation: 16.0}",
                            "constellation"),
                           ("profile: desk\nscenario: {E_s: one}", "E_s"),
+                          ("profile: desk\nscenario: {es_n0_db: .nan}", "es_n0_db"),
                           ("profile: desk\nscenario: {gain_range_db: 3}", "gain_range_db")]:
             path.write_text(text + "\n")
             with pytest.raises(ValueError, match=rf"scenario\.{key}\b"):
@@ -198,8 +203,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown scenario keys: scenario.{key}$"):
             load_config(path)
 
-    @pytest.mark.parametrize("scenario, missing", [("{K: 2}", "scenario.M and scenario.C"),
-                                                   ("{M: 8, K: 2}", "scenario.C")])
+    @pytest.mark.parametrize("scenario, missing", [
+        ("{K: 2}", "scenario.M and scenario.C and scenario.N"),
+        ("{M: 8, K: 2}", "scenario.C and scenario.N"),
+        ("{M: 8, C: 2}", "scenario.K and scenario.N")])
     def test_missing_dimensions_without_profile_named(self, tmp_path, scenario, missing):
         path = tmp_path / "exp.yaml"
         path.write_text(f"scenario: {scenario}\n")
@@ -231,8 +238,8 @@ class TestRunExperiment:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_zero_noise_zf_has_zero_ber(self):
-        sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None,
-                                    constellation=4)
+        sc = model.Scenario(M=8, C=2, K=2, K_int=0, N=16, iot_db=None,
+                            constellation=4)
         rows = run_experiment(ExperimentConfig(
             scenario=sc, es_n0_db=(np.inf,), iot_db=(None,),
             algorithms=("zf",), trials=2, symbols_per_trial=100, seed=3))
@@ -240,8 +247,8 @@ class TestRunExperiment:
 
     def test_singular_covariance_names_grid_point_and_trials(self):
         # no noise at all: the sample covariance of every trial is zero
-        sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None,
-                                    constellation=4)
+        sc = model.Scenario(M=8, C=2, K=2, K_int=0, N=16, iot_db=None,
+                            constellation=4)
         cfg = ExperimentConfig(scenario=sc, es_n0_db=(np.inf,), iot_db=(None,),
                                algorithms=("zf", "mmse_sampleR"), trials=3,
                                symbols_per_trial=10, seed=3)
@@ -390,8 +397,8 @@ class TestRunExperiment:
     def test_traffic_column_independent_of_m(self):
         entries = []
         for M in (16, 32):
-            sc = model.Scenario.uniform(M, 4, K=4, K_int=2, N=64,
-                                        constellation=4)
+            sc = model.Scenario(M=M, C=4, K=4, K_int=2, N=64,
+                                constellation=4)
             cfg = _small_config(scenario=sc, algorithms=("bcd:2",), trials=1)
             entries.append(run_experiment(cfg)[0].traffic_entries)
         assert entries[0] == entries[1] > 0
@@ -420,6 +427,11 @@ class TestCsv:
 
 
 class TestCli:
+    BAD_CONFIGS = {"list.yaml": "- profile: desk\n",
+                   "no_k_n.yaml": "scenario: {M: 8, C: 2}\n",
+                   "null_grid.yaml": "profile: desk\nes_n0_db: [null]\n",
+                   "bool_grid.yaml": "profile: desk\nes_n0_db: [true, '4']\n"}
+
     @pytest.mark.parametrize("argv, message", [
         (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
         (["run", "--config", "missing.yaml"],
@@ -427,11 +439,23 @@ class TestCli:
         (["trace", "--seed", "-1"], "invalid experiment config: seed: must be >= 0"),
         (["traffic", "--K", "2", "--N", "8", "--L", "-1"], "L must be >= 0"),
         (["traffic", "--K", "2", "--N", "8", "--L", "1", "--C", "0"],
-         "M=0 not divisible by C=0"),
-        (["traffic", "--K", "0", "--N", "8", "--L", "1"], "need M >= K >= 1, got M=16, K=0")])
+         "argument --C: must be >= 2, got 0; a single cluster has no link"),
+        (["traffic", "--K", "0", "--N", "8", "--L", "1"], "need M >= K >= 1, got M=0, K=0"),
+        (["traffic", "--K", "4", "--N", "96", "--L", "4", "--C", "1"],
+         "argument --C: must be >= 2, got 1; a single cluster has no link"),
+        (["run", "--config", "list.yaml"],
+         "config: must be a mapping of config keys, got [{'profile': 'desk'}]"),
+        (["run", "--config", "no_k_n.yaml"],
+         "scenario.K and scenario.N required when no profile is given"),
+        (["run", "--config", "null_grid.yaml"],
+         "invalid experiment config: es_n0_db: must be a number, got None"),
+        (["run", "--config", "bool_grid.yaml"],
+         "invalid experiment config: es_n0_db: must be a number, got True")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
+        for name, text in self.BAD_CONFIGS.items():
+            (tmp_path / name).write_text(text)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -464,6 +488,25 @@ class TestCli:
         assert per_link == dict.fromkeys(links, predicted_traffic(4, 96, 4))
         assert f"predicted per-link entries (loop chain): {predicted_traffic(4, 96, 4)}" \
             in capsys.readouterr().out
+
+    def test_traffic_meters_a_chain_of_c_equal_clusters_holding_k(self, tmp_path):
+        # M = C * ceil(K / C) = 20 antennas: K = 20 users in clusters of 5
+        assert cli.main(["traffic", "--K", "20", "--N", "96", "--L", "1", "--C", "4",
+                         "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "traffic.csv", newline="") as fh:
+            total = sum(int(r["entries"]) for r in csv.DictReader(fh))
+        assert total == 4 * predicted_traffic(20, 96, 1)
+
+    def test_run_without_config_is_run_of_the_default_config(self, tmp_path):
+        path = tmp_path / "default.yaml"
+        path.write_text(yaml.safe_dump(cli.DEFAULT_CONFIG))
+        flags = ["--trials", "2", "--symbols", "20"]
+        assert cli.main(["run", *flags, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["run", "--config", str(path), *flags,
+                         "--out", str(tmp_path / "b")]) == 0
+        blobs = [(tmp_path / d / "results.csv").read_bytes() for d in "ab"]
+        assert blobs[0] == blobs[1]
+        assert len(blobs[0].splitlines()) == 1 + 6 * 5  # six algorithms, five points
 
     def test_run_without_interference_prints_a_null_iot(self, tmp_path, capsys):
         path = tmp_path / "white.yaml"
@@ -512,14 +555,14 @@ class TestConvergenceTrace:
         assert not (tmp_path / "trace.csv").exists()
 
     def test_single_cluster_one_row_per_sweep(self):
-        sc = model.Scenario.uniform(8, 1, K=2, K_int=2, N=32)
+        sc = model.Scenario(M=8, C=1, K=2, K_int=2, N=32)
         rows = harness.convergence_trace(sc, seed=2, L=5)
         assert len(rows) == 5
         assert all(r.block == 0 for r in rows)
         assert rows[0].w_error < 1e-9  # exact after the first block solve
 
     def test_converges_and_monotone(self, tmp_path):
-        sc = model.Scenario.uniform(16, 4, K=4, K_int=4, N=64, es_n0_db=0.0)
+        sc = model.Scenario(M=16, C=4, K=4, K_int=4, N=64, es_n0_db=0.0)
         rows = harness.convergence_trace(sc, seed=3, L=400)
         assert len(rows) == 400 * 4
         assert rows[-1].w_error < 1e-8

@@ -19,6 +19,12 @@ def test_scenario_invariants_enforced():
         model.Scenario(M=8, K=4, C=2, cluster_sizes=(4, 4), N=2)  # N < max M_c
     with pytest.raises(ValueError):
         model.Scenario(M=8, K=4, C=2, cluster_sizes=(4, 4), N=16, E_s=0.0)
+    # without cluster_sizes, M is split into C equal clusters
+    assert model.Scenario(M=8, K=4, C=2, N=16).cluster_sizes == (4, 4)
+    with pytest.raises(ValueError, match="^M=8 not divisible by C=3$"):
+        model.Scenario(M=8, K=4, C=3, N=16)
+    with pytest.raises(TypeError):  # the fields are keyword-only
+        model.Scenario(8, 4, 2, (4, 4), 16)
 
 
 def test_channel_unit_variance_statistics():
@@ -32,14 +38,14 @@ def test_channel_unit_variance_statistics():
 
 
 def test_channel_deterministic_under_seed():
-    sc = model.Scenario.uniform(16, 4, K=4, K_int=3, N=32, gain_range_db=(-6.0, 0.0))
+    sc = model.Scenario(M=16, C=4, K=4, K_int=3, N=32, gain_range_db=(-6.0, 0.0))
     a = model.build_channel(sc, np.random.default_rng(42))
     b = model.build_channel(sc, np.random.default_rng(42))
     assert np.array_equal(a.H, b.H) and np.array_equal(a.H_int, b.H_int)
 
 
 def test_no_interference_gives_empty_channel_and_white_noise():
-    sc = model.Scenario.uniform(8, 2, K=2, K_int=0, N=16, iot_db=None)
+    sc = model.Scenario(M=8, C=2, K=2, K_int=0, N=16, iot_db=None)
     ch = model.build_channel(sc, np.random.default_rng(1))
     assert ch.H_int.shape == (8, 0)
     R = model.exact_covariance(ch, sc)
@@ -49,15 +55,15 @@ def test_no_interference_gives_empty_channel_and_white_noise():
 
 
 def test_exact_covariance_white_reduction():
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None,
-                                es_n0_db=0.0, E_s=1.0)
+    sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None,
+                        es_n0_db=0.0, E_s=1.0)
     ch = model.build_channel(sc, np.random.default_rng(0))
     R = model.exact_covariance(ch, sc)
     np.testing.assert_allclose(R, np.eye(4))
 
 
 def test_exact_covariance_rank_one_outer_product():
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=1, N=8, es_n0_db=10.0, iot_db=10.0)
+    sc = model.Scenario(M=4, C=2, K=2, K_int=1, N=8, es_n0_db=10.0, iot_db=10.0)
     ch = model.build_channel(sc, np.random.default_rng(0))
     e1 = np.zeros((4, 1), dtype=complex)
     e1[0, 0] = 1.0
@@ -72,8 +78,8 @@ def test_exact_covariance_rank_one_outer_product():
 
 def test_exact_covariance_monte_carlo_oracle():
     # empirical covariance of 1e6 independent colored draws, chunked
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=3, N=8, es_n0_db=6.0,
-                                iot_db=8.0)
+    sc = model.Scenario(M=4, C=2, K=2, K_int=3, N=8, es_n0_db=6.0,
+                        iot_db=8.0)
     ch = model.build_channel(sc, np.random.default_rng(5))
     R = model.exact_covariance(ch, sc)
     sigma2, p_int, _ = model.powers_from_ratios(sc)
@@ -129,8 +135,8 @@ def test_fill_crandn_scales_each_draw_and_keeps_the_sign_of_zero():
 
 @pytest.mark.parametrize("K_int, iot_db", [(3, 10.0), (0, None)])
 def test_colored_noise_is_the_reference_formula_byte_for_byte(K_int, iot_db):
-    sc = model.Scenario.uniform(6, 2, K=2, K_int=K_int, N=40, iot_db=iot_db,
-                                es_n0_db=3.0)
+    sc = model.Scenario(M=6, C=2, K=2, K_int=K_int, N=40, iot_db=iot_db,
+                        es_n0_db=3.0)
     ch = model.build_channel(sc, np.random.default_rng(5))
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     for seed in range(5):
@@ -146,10 +152,10 @@ def test_colored_noise_is_the_reference_formula_byte_for_byte(K_int, iot_db):
 
 def test_noise_pool_count_and_partition():
     rng = np.random.default_rng(0)
-    sc = model.Scenario.uniform(3, 3, K=2, K_int=2, N=1)
+    sc = model.Scenario(M=3, C=3, K=2, K_int=2, N=1)
     pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
     assert pool.shape == (3, 1)
-    sc2 = model.Scenario.uniform(6, 3, K=2, K_int=2, N=10)
+    sc2 = model.Scenario(M=6, C=3, K=2, K_int=2, N=10)
     pool2 = model.draw_noise_pool(model.build_channel(sc2, rng), sc2, rng)
     stacked = np.vstack([pool2[s] for s in model.cluster_slices(sc2.cluster_sizes)])
     np.testing.assert_array_equal(stacked, pool2)
@@ -157,15 +163,15 @@ def test_noise_pool_count_and_partition():
 
 def test_noise_pool_zero_sources():
     rng = np.random.default_rng(0)
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None)
+    sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None)
     sc = dataclasses.replace(sc, es_n0_db=np.inf)  # sigma2 = 0
     pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
     assert np.all(pool == 0)
 
 
 def test_sample_covariance_shrinks_like_sqrt_n():
-    sc0 = model.Scenario.uniform(8, 2, K=2, K_int=4, N=8, es_n0_db=10.0,
-                                 iot_db=10.0)
+    sc0 = model.Scenario(M=8, C=2, K=2, K_int=4, N=8, es_n0_db=10.0,
+                         iot_db=10.0)
     ch = model.build_channel(sc0, np.random.default_rng(11))
     R = model.exact_covariance(ch, sc0)
     errs = []
@@ -182,7 +188,7 @@ def test_sample_covariance_shrinks_like_sqrt_n():
 
 def test_sample_covariance_single_and_zero_samples():
     rng = np.random.default_rng(2)
-    sc = model.Scenario.uniform(2, 2, K=1, K_int=1, N=1)
+    sc = model.Scenario(M=2, C=2, K=1, K_int=1, N=1)
     pool = model.draw_noise_pool(model.build_channel(sc, rng), sc, rng)
     n = pool[:, 0]
     np.testing.assert_allclose(model.sample_covariance(pool),
@@ -207,24 +213,24 @@ def test_sample_covariance_two_loop_oracle():
 
 
 def test_powers_from_ratios_values():
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=None,
-                                E_s=1.0, es_n0_db=0.0)
+    sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None,
+                        E_s=1.0, es_n0_db=0.0)
     sigma2, p_int, scale = model.powers_from_ratios(sc)
     assert sigma2 == 1.0 and p_int == 0.0 and scale == 1.0
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=1, N=8, iot_db=10.0,
-                                E_s=1.0, es_n0_db=0.0)
+    sc = model.Scenario(M=4, C=2, K=2, K_int=1, N=8, iot_db=10.0,
+                        E_s=1.0, es_n0_db=0.0)
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     assert sigma2 == pytest.approx(1.0) and p_int == pytest.approx(10.0)
     # iot 10 dB, 8 interferers, sigma2 = 0.5: p_int = 0.5 * 10 / 8
-    sc = model.Scenario.uniform(16, 2, K=2, K_int=8, N=16, iot_db=10.0,
-                                E_s=1.0, es_n0_db=10.0 * np.log10(2.0))
+    sc = model.Scenario(M=16, C=2, K=2, K_int=8, N=16, iot_db=10.0,
+                        E_s=1.0, es_n0_db=10.0 * np.log10(2.0))
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     assert sigma2 == pytest.approx(0.5)
     assert p_int == pytest.approx(0.625)
 
 
 def test_powers_inconsistent_interference_config():
-    sc = model.Scenario.uniform(4, 2, K=2, K_int=0, N=8, iot_db=10.0)
+    sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=10.0)
     with pytest.raises(ValueError):
         model.powers_from_ratios(sc)
 
