@@ -9,9 +9,7 @@ from . import daisy, harness, model
 from .interconnect import predicted_traffic
 
 # the config of run and trace without --config; its flags are put over it
-DEFAULT_CONFIG = {"profile": "desk", "es_n0_db": [0.0, 4.0, 8.0, 12.0, 16.0],
-                  "algorithms": ["zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd:1",
-                                 "bcd:4"]}
+DEFAULT_CONFIG = {"profile": "desk"}
 
 
 def _add_run(sub):
@@ -93,13 +91,16 @@ def cmd_run(args, config: harness.ExperimentConfig) -> int:
 
 
 def cmd_trace(args, config: harness.ExperimentConfig) -> int:
-    rows = harness.convergence_trace(config.scenario, L=args.sweeps, seed=config.seed)
+    es, iot = config.es_n0_db[0], config.iot_db[0]  # trial 0 of grid point 0, the run's first
+    rows = harness.convergence_trace(config.scenario.with_ratios(es, iot),
+                                     L=args.sweeps, seed=config.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trace.csv")
     harness.emit_convergence_trace(rows, path)
     last = rows[-1]
-    print(f"wrote {len(rows)} block updates to {path}; "
-          f"final objective {last.objective:.6e}, ||W - W*||_F/||W*||_F = {last.w_error:.3e}")
+    print(f"traced trial 0 at Es/N0 {es} dB, IoT {iot} dB: wrote {len(rows)} block "
+          f"updates to {path}; final objective {last.objective:.6e}, "
+          f"||W - W*||_F/||W*||_F = {last.w_error:.3e}")
     return 0
 
 

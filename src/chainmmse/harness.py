@@ -60,9 +60,9 @@ def parse_algorithm(token: str) -> tuple[str, int | None]:
 class ExperimentConfig:
     """Built by make_config; a key its mapping leaves out takes the default."""
     scenario: model.Scenario
-    es_n0_db: tuple[float, ...] = (10.0,)
+    es_n0_db: tuple[float, ...] = (0.0, 4.0, 8.0, 12.0, 16.0)
     iot_db: tuple[float | None, ...] = (10.0,)
-    algorithms: tuple[str, ...] = ("zf", "mmse_sampleR", "bdac", "bcd:4")
+    algorithms: tuple[str, ...] = ("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd:1", "bcd:4")
     trials: int = 10
     symbols_per_trial: int = 250
     seed: int = 1
@@ -114,6 +114,12 @@ class ExperimentConfig:
                 seen[key] = token
         if errors:
             raise ValueError("invalid experiment config: " + "; ".join(errors))
+        for iot in self.iot_db:  # every grid point must be an operating point
+            for es in self.es_n0_db:
+                try:
+                    model.powers_from_ratios(self.scenario.with_ratios(es, iot))
+                except ValueError as exc:
+                    raise ValueError(f"invalid experiment config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,9 @@ def _make_scenario(params: dict, profile: str | None = None) -> model.Scenario:
     fields; without one, every field without a default must be given."""
     if profile is not None and not (isinstance(profile, str) and profile in PROFILES):
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
+    for key in ("es_n0_db", "iot_db"):  # the operating point: with_ratios sets it per grid point
+        if key in params:
+            raise ValueError(f"scenario.{key}: set by the grid key {key}")
     params = {**PROFILES.get(profile, {}), **params}
     unknown = sorted(set(params) - _SCENARIO_KEYS, key=str)
     if unknown:

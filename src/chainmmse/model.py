@@ -62,17 +62,17 @@ def number(key: str, value) -> float:
 class Scenario:
     """All dimensions and power levels of one simulation setup.
 
-    es_n0_db and iot_db are in dB. iot_db=None disables interference power
-    entirely (only valid together with K_int=0 semantics, see
+    es_n0_db and iot_db are in dB, the operating point that with_ratios sets
+    per grid point. iot_db=None disables interference power entirely (see
     powers_from_ratios).
     """
+    E_s = 1.0                           # per-user transmit energy (linear), not a field
     M: int                              # BS antennas
     K: int                              # target users
     C: int                              # antenna clusters
     cluster_sizes: tuple[int, ...] | None = None  # sums to M; None: C equal ones
     N: int                              # noise samples (pilot REs)
     K_int: int = 0                      # interference users
-    E_s: float = 1.0                    # per-user transmit energy (linear)
     es_n0_db: float = 10.0              # signal-to-thermal-noise ratio
     iot_db: float | None = 10.0         # interference-over-thermal ratio
     constellation: int = 16             # QAM order: 4 / 16 / 64
@@ -81,15 +81,17 @@ class Scenario:
     def __post_init__(self):
         for key in ("M", "K", "C", "N", "K_int", "constellation"):
             object.__setattr__(self, key, integer(f"scenario.{key}", getattr(self, key)))
-        for key in ("E_s", "es_n0_db", "iot_db"):
+        for key in ("es_n0_db", "iot_db"):
             value = getattr(self, key)
             if not (key == "iot_db" and value is None):
                 object.__setattr__(self, key, number(f"scenario.{key}", value))
         gains = self.gain_range_db
         if not isinstance(gains, (list, tuple)) or len(gains) != 2:
             raise ValueError(f"scenario.gain_range_db: must be two numbers, got {gains!r}")
-        object.__setattr__(self, "gain_range_db",
-                           tuple(number("scenario.gain_range_db", g) for g in gains))
+        gains = tuple(number("scenario.gain_range_db", g) for g in gains)
+        if not all(map(math.isfinite, gains)):
+            raise ValueError(f"scenario.gain_range_db: must be finite, got {list(gains)}")
+        object.__setattr__(self, "gain_range_db", gains)
         if not (self.M >= self.K >= 1):
             raise ValueError(f"need M >= K >= 1, got M={self.M}, K={self.K}")
         sizes = self.cluster_sizes
@@ -113,8 +115,6 @@ class Scenario:
         # N >= max M_c keeps every local sample covariance invertible a.s.
         if self.N < max(self.cluster_sizes):
             raise ValueError(f"N={self.N} must be >= max cluster size {max(self.cluster_sizes)}")
-        if self.E_s <= 0:
-            raise ValueError("E_s must be > 0")
         if self.constellation not in (4, 16, 64):
             raise ValueError(f"unsupported constellation order {self.constellation}")
 
@@ -127,13 +127,20 @@ def powers_from_ratios(scenario: Scenario) -> tuple[float, float, float]:
 
     Total interference power over total thermal power per antenna equals the
     IoT ratio, so per-user interference power carries a 1/K_int factor.
+    Es/N0 = inf dB is noise-free, IoT = -inf dB or None interference-free;
+    Es/N0 = -inf dB and IoT = inf dB ask for infinite noise and are errors.
     """
+    if scenario.es_n0_db == -math.inf:
+        raise ValueError("es_n0_db: must be > -inf, got -inf (infinite thermal noise)")
+    if scenario.iot_db == math.inf:
+        raise ValueError("iot_db: must be < inf, got inf (infinite interference)")
     es_n0 = 10.0 ** (scenario.es_n0_db / 10.0)
     iot = None if scenario.iot_db is None else 10.0 ** (scenario.iot_db / 10.0)
     sigma2 = scenario.E_s / es_n0
     if scenario.K_int == 0:
         if iot is not None and iot > 0.0:
-            raise ValueError("K_int=0 but iot_db requests nonzero interference power")
+            raise ValueError(f"iot_db: {scenario.iot_db} dB needs interference users, "
+                             "but scenario.K_int is 0; use null or -.inf")
         p_int = 0.0
     else:
         p_int = 0.0 if iot is None else sigma2 * iot / scenario.K_int

@@ -134,7 +134,7 @@ class TestConfig:
 
     def test_cli_profile_overrides_config_profile(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text("profile: desk\nalgorithms: [zf]\ntrials: 1\n"
+        path.write_text("profile: desk\nes_n0_db: [10.0]\nalgorithms: [zf]\ntrials: 1\n"
                         "symbols_per_trial: 10\n")
         assert load_config(path, profile="paper").scenario.M == 128
         assert cli.main(["run", "--config", str(path), "--profile", "paper",
@@ -430,7 +430,14 @@ class TestCli:
     BAD_CONFIGS = {"list.yaml": "- profile: desk\n",
                    "no_k_n.yaml": "scenario: {M: 8, C: 2}\n",
                    "null_grid.yaml": "profile: desk\nes_n0_db: [null]\n",
-                   "bool_grid.yaml": "profile: desk\nes_n0_db: [true, '4']\n"}
+                   "bool_grid.yaml": "profile: desk\nes_n0_db: [true, '4']\n",
+                   "scenario_es.yaml": "profile: desk\nscenario: {es_n0_db: 0.0}\n",
+                   "scenario_iot.yaml": "profile: desk\nscenario: {iot_db: null}\n",
+                   "scenario_e_s.yaml": "profile: desk\nscenario: {E_s: 2}\n",
+                   "no_signal.yaml": "profile: desk\nes_n0_db: [-.inf]\n",
+                   "inf_iot.yaml": "profile: desk\niot_db: [.inf]\n",
+                   "inf_gain.yaml": "profile: desk\nscenario: {gain_range_db: [0.0, .inf]}\n",
+                   "no_interferers.yaml": "profile: desk\nscenario: {K_int: 0}\n"}
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
@@ -450,7 +457,20 @@ class TestCli:
         (["run", "--config", "null_grid.yaml"],
          "invalid experiment config: es_n0_db: must be a number, got None"),
         (["run", "--config", "bool_grid.yaml"],
-         "invalid experiment config: es_n0_db: must be a number, got True")])
+         "invalid experiment config: es_n0_db: must be a number, got True"),
+        (["run", "--config", "scenario_es.yaml"],
+         "scenario.es_n0_db: set by the grid key es_n0_db"),
+        (["trace", "--config", "scenario_iot.yaml"],
+         "scenario.iot_db: set by the grid key iot_db"),
+        (["run", "--config", "scenario_e_s.yaml"], "unknown scenario keys: scenario.E_s"),
+        (["run", "--config", "no_signal.yaml"], "invalid experiment config: es_n0_db: must "
+         "be > -inf, got -inf (infinite thermal noise)"),
+        (["trace", "--config", "inf_iot.yaml"], "invalid experiment config: iot_db: must be "
+         "< inf, got inf (infinite interference)"),
+        (["run", "--config", "inf_gain.yaml"],
+         "scenario.gain_range_db: must be finite, got [0.0, inf]"),
+        (["run", "--config", "no_interferers.yaml"], "invalid experiment config: iot_db: "
+         "10.0 dB needs interference users, but scenario.K_int is 0; use null or -.inf")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
@@ -545,6 +565,24 @@ class TestConvergenceTrace:
             traces[name] = (tmp_path / name / "trace.csv").read_bytes()
         assert traces["config"] == traces["profile"]
         assert traces["override"] == traces["default"] != traces["config"]
+
+    @pytest.mark.parametrize("scenario", [
+        "profile: desk", "profile: paper",
+        "profile: desk\nscenario: {cluster_sizes: [4, 4, 8, 16]}"],
+        ids=["desk", "paper", "desk_uneven"])
+    def test_trace_is_the_first_instance_of_the_run(self, tmp_path, scenario):
+        # the trace's last objective is the run's bcd:7 objective of its only trial
+        path = tmp_path / "one.yaml"
+        path.write_text(f"{scenario}\nes_n0_db: [12.0]\ntrials: 1\nsymbols_per_trial: 10\n"
+                        "algorithms: ['bcd:7']\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert cli.main(["trace", "--config", str(path), "--sweeps", "7",
+                         "--out", str(tmp_path)]) == 0
+        [row] = read_results_csv(tmp_path / "results.csv")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            trace = list(csv.DictReader(fh))
+        assert (row.algorithm, row.L, row.es_n0_db) == ("bcd", 7, 12.0)
+        assert float(trace[-1]["objective"]) == pytest.approx(row.objective, rel=1e-12)
 
     @pytest.mark.parametrize("sweeps", ["0", "-3"])
     def test_cli_rejects_sweeps_below_one(self, tmp_path, capsys, sweeps):

@@ -17,8 +17,10 @@ def test_scenario_invariants_enforced():
         model.Scenario(M=4, K=8, C=1, cluster_sizes=(4,), N=16)
     with pytest.raises(ValueError):
         model.Scenario(M=8, K=4, C=2, cluster_sizes=(4, 4), N=2)  # N < max M_c
-    with pytest.raises(ValueError):
-        model.Scenario(M=8, K=4, C=2, cluster_sizes=(4, 4), N=16, E_s=0.0)
+    # E_s is the constant 1.0, not a field
+    assert model.Scenario(M=8, K=4, C=2, N=16).E_s == 1.0
+    with pytest.raises(TypeError):
+        model.Scenario(M=8, K=4, C=2, cluster_sizes=(4, 4), N=16, E_s=2.0)
     # without cluster_sizes, M is split into C equal clusters
     assert model.Scenario(M=8, K=4, C=2, N=16).cluster_sizes == (4, 4)
     with pytest.raises(ValueError, match="^M=8 not divisible by C=3$"):
@@ -56,7 +58,7 @@ def test_no_interference_gives_empty_channel_and_white_noise():
 
 def test_exact_covariance_white_reduction():
     sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None,
-                        es_n0_db=0.0, E_s=1.0)
+                        es_n0_db=0.0)
     ch = model.build_channel(sc, np.random.default_rng(0))
     R = model.exact_covariance(ch, sc)
     np.testing.assert_allclose(R, np.eye(4))
@@ -214,16 +216,16 @@ def test_sample_covariance_two_loop_oracle():
 
 def test_powers_from_ratios_values():
     sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None,
-                        E_s=1.0, es_n0_db=0.0)
+                        es_n0_db=0.0)
     sigma2, p_int, scale = model.powers_from_ratios(sc)
     assert sigma2 == 1.0 and p_int == 0.0 and scale == 1.0
     sc = model.Scenario(M=4, C=2, K=2, K_int=1, N=8, iot_db=10.0,
-                        E_s=1.0, es_n0_db=0.0)
+                        es_n0_db=0.0)
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     assert sigma2 == pytest.approx(1.0) and p_int == pytest.approx(10.0)
     # iot 10 dB, 8 interferers, sigma2 = 0.5: p_int = 0.5 * 10 / 8
     sc = model.Scenario(M=16, C=2, K=2, K_int=8, N=16, iot_db=10.0,
-                        E_s=1.0, es_n0_db=10.0 * np.log10(2.0))
+                        es_n0_db=10.0 * np.log10(2.0))
     sigma2, p_int, _ = model.powers_from_ratios(sc)
     assert sigma2 == pytest.approx(0.5)
     assert p_int == pytest.approx(0.625)
