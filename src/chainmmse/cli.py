@@ -1,11 +1,11 @@
-"""Command-line entry points: run, trace, traffic."""
+"""Command-line entry points: run, trace."""
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import os
 
-from . import daisy, harness, model
+from . import harness
 from .interconnect import predicted_traffic
 
 # the config of run and trace without --config; its flags are put over it
@@ -37,16 +37,6 @@ def _add_trace(sub):
     return p
 
 
-def _add_traffic(sub):
-    p = sub.add_parser("traffic", help="predicted vs metered interconnect traffic")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--C", type=int, default=4, help="clusters, >= 2")
-    p.add_argument("--out", default=".")
-    return p
-
-
 def _resolve_config(args) -> harness.ExperimentConfig:
     flags = {key: getattr(args, attr, None) for key, attr in [
         ("profile", "profile"), ("seed", "seed"), ("trials", "trials"),
@@ -67,16 +57,6 @@ def _resolve_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def _resolve_traffic(args) -> tuple[model.Scenario, daisy.Schedule]:
-    if args.C < 2:
-        raise ValueError(f"argument --C: must be >= 2, got {args.C}; "
-                         "a single cluster has no link")
-    # traffic does not depend on M: meter the least M >= K of C equal clusters
-    scenario = model.Scenario(M=args.C * -(-args.K // args.C), C=args.C, K=args.K,
-                              K_int=args.K, N=args.N, iot_db=10.0)
-    return scenario, daisy.Schedule(L=args.L)
-
-
 def cmd_run(args, config: harness.ExperimentConfig) -> int:
     rows = harness.run_experiment(config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -92,36 +72,24 @@ def cmd_run(args, config: harness.ExperimentConfig) -> int:
 
 def cmd_trace(args, config: harness.ExperimentConfig) -> int:
     es, iot = config.es_n0_db[0], config.iot_db[0]  # trial 0 of grid point 0, the run's first
-    rows = harness.convergence_trace(config.scenario.with_ratios(es, iot),
-                                     L=args.sweeps, seed=config.seed)
+    sc = config.scenario.with_ratios(es, iot)
+    rows, ledger = harness.convergence_trace(sc, L=args.sweeps, seed=config.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trace.csv")
     harness.emit_convergence_trace(rows, path)
+    ledger_path = os.path.join(args.out, "traffic.csv")
+    ledger.write_csv(ledger_path)
     last = rows[-1]
     print(f"traced trial 0 at Es/N0 {es} dB, IoT {iot} dB: wrote {len(rows)} block "
-          f"updates to {path}; final objective {last.objective:.6e}, "
-          f"||W - W*||_F/||W*||_F = {last.w_error:.3e}")
-    return 0
-
-
-def cmd_traffic(args, inputs: tuple[model.Scenario, daisy.Schedule]) -> int:
-    scenario, schedule = inputs
-    rng = harness.trial_rngs(0, 0, 0)
-    channels = model.build_channel(scenario, rng[0])
-    pool = model.draw_noise_pool(channels, scenario, rng[1])
-    chain = daisy.make_chain(channels, pool, scenario.E_s)
-    result = daisy.run_bcd(chain, schedule)
-    predicted = predicted_traffic(args.K, args.N, args.L)
-    ledger = result.ledger
-    print(f"predicted per-link entries (loop chain): {predicted}")
+          f"updates to {path} and their traffic to {ledger_path}; final objective "
+          f"{last.objective:.6e}, ||W - W*||_F/||W*||_F = {last.w_error:.3e}")
+    if ledger.topology.links:  # a loop of one cluster has no link
+        print(f"predicted per-link entries (loop chain): "
+              f"{predicted_traffic(sc.K, sc.N, args.sweeps)}")
     for link in ledger.topology.links:
         print(f"  link {link[0]}-{link[1]}: metered {ledger.per_link(link)} "
               f"(preprocessing {ledger.per_link(link, 'preprocess')}, "
               f"sweeps {ledger.per_link(link, 'sweep')})")
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "traffic.csv")
-    ledger.write_csv(path)
-    print(f"wrote {path}")
     return 0
 
 
@@ -130,22 +98,18 @@ def main(argv=None) -> int:
         prog="chainmmse",
         description="Decentralized chain MMSE equalization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {"run": _add_run(sub), "trace": _add_trace(sub),
-               "traffic": _add_traffic(sub)}
+    parsers = {"run": _add_run(sub), "trace": _add_trace(sub)}
     args = parser.parse_args(argv)
     if args.command == "trace" and args.sweeps < 1:
         parser.error(f"argument --sweeps: must be >= 1, got {args.sweeps}")
-    resolve, command = {"run": (_resolve_config, cmd_run),
-                        "trace": (_resolve_config, cmd_trace),
-                        "traffic": (_resolve_traffic, cmd_traffic)}[args.command]
     # a bad input value or config file is a usage error; errors raised while
     # the command runs, such as SingularMatrixError, propagate
     try:
-        inputs = resolve(args)
+        config = _resolve_config(args)
     except (OSError, ValueError) as exc:
         sub_parser = parsers[args.command]
         sub_parser.exit(2, f"{sub_parser.prog}: error: {exc}\n")
-    return command(args, inputs)
+    return {"run": cmd_run, "trace": cmd_trace}[args.command](args, config)
 
 
 if __name__ == "__main__":

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import herm, herm_solve, rcond
+from .central import RCOND_FLOOR, herm, herm_solve, rcond
 from .model import ChannelSet, cluster_slices
 from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
                            PHASE_SWEEP, Topology, TrafficLedger)
 
-RCOND_LOAD = 1e-12
 DIAG_LOAD = 1e-10
 
 
@@ -40,7 +39,6 @@ class Chain:
     columns slices[c] of W."""
     Hn: np.ndarray           # T x M x (K+N): channels and noise samples side by side
     H: np.ndarray            # T x M x K view of Hn
-    noise: np.ndarray        # T x M x N view of Hn
     slices: list[slice]
     E_s: float
     R: list[np.ndarray]      # T x M_c x M_c local sample covariance blocks R_cc
@@ -66,7 +64,7 @@ def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
     for c, s in enumerate(slices):
         R_cc = noise[:, s] @ herm(noise[:, s]) / N
         G = E_s * (H[:, s] @ herm(H[:, s])) + R_cc
-        loaded[:, c] = rcond(G) < RCOND_LOAD
+        loaded[:, c] = rcond(G) < RCOND_FLOOR
         for t in np.flatnonzero(loaded[:, c]):
             # keep long Monte Carlo runs alive on near-singular local blocks
             delta = DIAG_LOAD * np.trace(G[t]).real / G.shape[-1]
@@ -75,7 +73,7 @@ def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
                           f"diagonal loading {delta:.3e} applied")
         R.append(R_cc)
         phi.append(herm(Hn[:, s] * scale) @ np.linalg.inv(G))
-    return Chain(Hn=Hn, H=H, noise=noise, slices=slices, E_s=E_s, R=R, phi=phi,
+    return Chain(Hn=Hn, H=H, slices=slices, E_s=E_s, R=R, phi=phi,
                  loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
 
 

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 import yaml
 
-from . import central, daisy, detect, model
+from . import central, daisy, detect, interconnect, model
 
 KNOWN_ALGORITHMS = ("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd")
 
@@ -311,9 +311,10 @@ class TraceRow:
     w_error: float  # ||W - W*||_F / ||W*||_F against the centralized solve
 
 
-def convergence_trace(scenario: model.Scenario, seed: int, L: int = 50) -> list[TraceRow]:
-    """Run one chain instance, drawn as trial 0 of grid point 0 of the seed,
-    and report per-block-update distance to the optimum."""
+def convergence_trace(scenario: model.Scenario, seed: int,
+                      L: int = 50) -> tuple[list[TraceRow], interconnect.TrafficLedger]:
+    """Run one chain instance, drawn as trial 0 of grid point 0 of the seed;
+    report per-block-update distance to the optimum and the run's traffic ledger."""
     rng_ch, rng_pool, _ = trial_rngs(seed, 0, 0)
     channels = model.build_channel(scenario, rng_ch)
     pool = model.draw_noise_pool(channels, scenario, rng_pool)
@@ -330,7 +331,7 @@ def convergence_trace(scenario: model.Scenario, seed: int, L: int = 50) -> list[
         err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
         rows.append(TraceRow(sweep=sweep, block=block, objective=float(obj),
                              w_error=float(err)))
-    return rows
+    return rows, result.ledger
 
 
 def emit_convergence_trace(rows: list[TraceRow], path) -> None:

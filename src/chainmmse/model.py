@@ -58,6 +58,14 @@ def number(key: str, value) -> float:
     return float(value)
 
 
+def from_db(db: float) -> float:
+    """The linear ratio of db decibels; inf where it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
     """All dimensions and power levels of one simulation setup.
@@ -91,6 +99,9 @@ class Scenario:
         gains = tuple(number("scenario.gain_range_db", g) for g in gains)
         if not all(map(math.isfinite, gains)):
             raise ValueError(f"scenario.gain_range_db: must be finite, got {list(gains)}")
+        if not all(0.0 < from_db(g) < math.inf for g in gains):
+            raise ValueError("scenario.gain_range_db: must give linear gains that are "
+                             f"finite and above 0, got {list(gains)}")
         object.__setattr__(self, "gain_range_db", gains)
         if not (self.M >= self.K >= 1):
             raise ValueError(f"need M >= K >= 1, got M={self.M}, K={self.K}")
@@ -128,15 +139,19 @@ def powers_from_ratios(scenario: Scenario) -> tuple[float, float, float]:
     Total interference power over total thermal power per antenna equals the
     IoT ratio, so per-user interference power carries a 1/K_int factor.
     Es/N0 = inf dB is noise-free, IoT = -inf dB or None interference-free;
-    Es/N0 = -inf dB and IoT = inf dB ask for infinite noise and are errors.
+    Es/N0 = -inf dB and IoT = inf dB ask for infinite noise and are errors, as
+    is a finite ratio whose power is not a finite float, or is 0 for Es/N0.
     """
     if scenario.es_n0_db == -math.inf:
         raise ValueError("es_n0_db: must be > -inf, got -inf (infinite thermal noise)")
     if scenario.iot_db == math.inf:
         raise ValueError("iot_db: must be < inf, got inf (infinite interference)")
-    es_n0 = 10.0 ** (scenario.es_n0_db / 10.0)
-    iot = None if scenario.iot_db is None else 10.0 ** (scenario.iot_db / 10.0)
-    sigma2 = scenario.E_s / es_n0
+    es_n0 = from_db(scenario.es_n0_db)
+    iot = None if scenario.iot_db is None else from_db(scenario.iot_db)
+    sigma2 = scenario.E_s / es_n0 if es_n0 > 0.0 else math.inf
+    if math.isfinite(scenario.es_n0_db) and not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"es_n0_db: {scenario.es_n0_db} dB is out of range; it must "
+                         "give a thermal noise power that is finite and above 0")
     if scenario.K_int == 0:
         if iot is not None and iot > 0.0:
             raise ValueError(f"iot_db: {scenario.iot_db} dB needs interference users, "
@@ -144,6 +159,9 @@ def powers_from_ratios(scenario: Scenario) -> tuple[float, float, float]:
         p_int = 0.0
     else:
         p_int = 0.0 if iot is None else sigma2 * iot / scenario.K_int
+        if not math.isfinite(p_int):  # nan where a noise-free sigma2 meets an overflow
+            raise ValueError(f"iot_db: {scenario.iot_db} dB is out of range; it must "
+                             "give a finite interference power")
     return sigma2, p_int, math.sqrt(scenario.E_s)
 
 

@@ -437,19 +437,26 @@ class TestCli:
                    "no_signal.yaml": "profile: desk\nes_n0_db: [-.inf]\n",
                    "inf_iot.yaml": "profile: desk\niot_db: [.inf]\n",
                    "inf_gain.yaml": "profile: desk\nscenario: {gain_range_db: [0.0, .inf]}\n",
-                   "no_interferers.yaml": "profile: desk\nscenario: {K_int: 0}\n"}
+                   "no_interferers.yaml": "profile: desk\nscenario: {K_int: 0}\n",
+                   "huge_es.yaml": "profile: desk\nes_n0_db: [4000.0]\n",
+                   "huge_iot.yaml": "profile: desk\niot_db: [4000.0]\n",
+                   "tiny_es.yaml": "profile: desk\nes_n0_db: [-4000.0]\n",
+                   "huge_gain.yaml": "profile: desk\nscenario: {gain_range_db: [0.0, 1.0e+300]}\n",
+                   "tiny_gain.yaml": "profile: desk\nscenario: {gain_range_db: [-1.0e+300, 0.0]}\n"}
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
         (["run", "--config", "missing.yaml"],
          "[Errno 2] No such file or directory: 'missing.yaml'"),
         (["trace", "--seed", "-1"], "invalid experiment config: seed: must be >= 0"),
-        (["traffic", "--K", "2", "--N", "8", "--L", "-1"], "L must be >= 0"),
-        (["traffic", "--K", "2", "--N", "8", "--L", "1", "--C", "0"],
-         "argument --C: must be >= 2, got 0; a single cluster has no link"),
-        (["traffic", "--K", "0", "--N", "8", "--L", "1"], "need M >= K >= 1, got M=0, K=0"),
-        (["traffic", "--K", "4", "--N", "96", "--L", "4", "--C", "1"],
-         "argument --C: must be >= 2, got 1; a single cluster has no link"),
+        (["run", "--config", "huge_es.yaml"], "invalid experiment config: es_n0_db: 4000.0 "
+         "dB is out of range; it must give a thermal noise power that is finite and above 0"),
+        (["trace", "--config", "huge_iot.yaml"], "invalid experiment config: iot_db: 4000.0 "
+         "dB is out of range; it must give a finite interference power"),
+        (["run", "--config", "tiny_es.yaml"], "invalid experiment config: es_n0_db: -4000.0 "
+         "dB is out of range; it must give a thermal noise power that is finite and above 0"),
+        (["run", "--config", "huge_gain.yaml"], "scenario.gain_range_db: must give linear "
+         "gains that are finite and above 0, got [0.0, 1e+300]"),
         (["run", "--config", "list.yaml"],
          "config: must be a mapping of config keys, got [{'profile': 'desk'}]"),
         (["run", "--config", "no_k_n.yaml"],
@@ -470,7 +477,9 @@ class TestCli:
         (["run", "--config", "inf_gain.yaml"],
          "scenario.gain_range_db: must be finite, got [0.0, inf]"),
         (["run", "--config", "no_interferers.yaml"], "invalid experiment config: iot_db: "
-         "10.0 dB needs interference users, but scenario.K_int is 0; use null or -.inf")])
+         "10.0 dB needs interference users, but scenario.K_int is 0; use null or -.inf"),
+        (["trace", "--config", "tiny_gain.yaml"], "scenario.gain_range_db: must give linear "
+         "gains that are finite and above 0, got [-1e+300, 0.0]")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
@@ -495,7 +504,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_traffic_meters_every_phase_on_every_loop_link(self, tmp_path, capsys):
-        assert cli.main(["traffic", "--K", "4", "--N", "96", "--L", "4",
+        assert cli.main(["trace", "--profile", "desk", "--sweeps", "4",
                          "--out", str(tmp_path)]) == 0
         with open(tmp_path / "traffic.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -510,8 +519,10 @@ class TestCli:
             in capsys.readouterr().out
 
     def test_traffic_meters_a_chain_of_c_equal_clusters_holding_k(self, tmp_path):
-        # M = C * ceil(K / C) = 20 antennas: K = 20 users in clusters of 5
-        assert cli.main(["traffic", "--K", "20", "--N", "96", "--L", "1", "--C", "4",
+        # M = K = 20 antennas: K = 20 users in clusters of 5
+        path = tmp_path / "square.yaml"
+        path.write_text("scenario: {M: 20, C: 4, K: 20, K_int: 4, N: 96}\n")
+        assert cli.main(["trace", "--config", str(path), "--sweeps", "1",
                          "--out", str(tmp_path)]) == 0
         with open(tmp_path / "traffic.csv", newline="") as fh:
             total = sum(int(r["entries"]) for r in csv.DictReader(fh))
@@ -571,7 +582,8 @@ class TestConvergenceTrace:
         "profile: desk\nscenario: {cluster_sizes: [4, 4, 8, 16]}"],
         ids=["desk", "paper", "desk_uneven"])
     def test_trace_is_the_first_instance_of_the_run(self, tmp_path, scenario):
-        # the trace's last objective is the run's bcd:7 objective of its only trial
+        # the trace's last objective is the run's bcd:7 objective of its only
+        # trial, and its ledger the run's traffic
         path = tmp_path / "one.yaml"
         path.write_text(f"{scenario}\nes_n0_db: [12.0]\ntrials: 1\nsymbols_per_trial: 10\n"
                         "algorithms: ['bcd:7']\n")
@@ -583,6 +595,8 @@ class TestConvergenceTrace:
             trace = list(csv.DictReader(fh))
         assert (row.algorithm, row.L, row.es_n0_db) == ("bcd", 7, 12.0)
         assert float(trace[-1]["objective"]) == pytest.approx(row.objective, rel=1e-12)
+        with open(tmp_path / "traffic.csv", newline="") as fh:
+            assert sum(int(r["entries"]) for r in csv.DictReader(fh)) == row.traffic_entries
 
     @pytest.mark.parametrize("sweeps", ["0", "-3"])
     def test_cli_rejects_sweeps_below_one(self, tmp_path, capsys, sweeps):
@@ -594,14 +608,25 @@ class TestConvergenceTrace:
 
     def test_single_cluster_one_row_per_sweep(self):
         sc = model.Scenario(M=8, C=1, K=2, K_int=2, N=32)
-        rows = harness.convergence_trace(sc, seed=2, L=5)
+        rows, _ = harness.convergence_trace(sc, seed=2, L=5)
         assert len(rows) == 5
         assert all(r.block == 0 for r in rows)
         assert rows[0].w_error < 1e-9  # exact after the first block solve
 
+    def test_single_cluster_writes_a_ledger_without_links(self, tmp_path, capsys):
+        path = tmp_path / "one.yaml"
+        path.write_text("scenario: {M: 8, C: 1, K: 2, K_int: 2, N: 32}\n")
+        assert cli.main(["trace", "--config", str(path), "--sweeps", "3",
+                         "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "traffic.csv").read_text().splitlines() == [
+            "phase,link,entries,bytes"]
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + 3
+        # the traced line alone: no closed form and no link line
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     def test_converges_and_monotone(self, tmp_path):
         sc = model.Scenario(M=16, C=4, K=4, K_int=4, N=64, es_n0_db=0.0)
-        rows = harness.convergence_trace(sc, seed=3, L=400)
+        rows, _ = harness.convergence_trace(sc, seed=3, L=400)
         assert len(rows) == 400 * 4
         assert rows[-1].w_error < 1e-8
         objs = [r.objective for r in rows]

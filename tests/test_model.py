@@ -25,6 +25,8 @@ def test_scenario_invariants_enforced():
     assert model.Scenario(M=8, K=4, C=2, N=16).cluster_sizes == (4, 4)
     with pytest.raises(ValueError, match="^M=8 not divisible by C=3$"):
         model.Scenario(M=8, K=4, C=3, N=16)
+    with pytest.raises(ValueError, match="^M=8 not divisible by C=0$"):
+        model.Scenario(M=8, K=4, C=0, N=16)
     with pytest.raises(TypeError):  # the fields are keyword-only
         model.Scenario(8, 4, 2, (4, 4), 16)
 
