@@ -174,11 +174,12 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
             m = bcd_block_update(chain, c, m)
             if iterates is not None:
                 iterates.append(chain.W.copy())
-        # the message crosses every loop link once: (c, c+1), then (C-1, 0)
-        for link in topology.links:
-            ledger.add(PHASE_SWEEP, link, entries)
         if d in depths:
             kept[d] = chain.W.copy()
+    # each sweep's message crosses every loop link once: (c, c+1), then (C-1, 0)
+    if schedule.L > 0:
+        for link in topology.links:
+            ledger.add(PHASE_SWEEP, link, schedule.L * entries)
     # every sweep sends the same counts, none when C = 1
     per_sweep = len(topology.links) * entries
     traffic = [start + d * per_sweep for d in range(schedule.L + 1)]

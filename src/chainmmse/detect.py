@@ -7,11 +7,12 @@ amplitude, so QPSK bits 00 -> (+1+j)/sqrt(2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelSet, Scenario, draw_colored_noise, powers_from_ratios
+from .model import ChannelSet, Scenario, powers_from_ratios
 
 
 def _gray_to_binary(g: np.ndarray) -> np.ndarray:
@@ -55,10 +56,9 @@ class Constellation:
                         0, self.side - 1).astype(np.int64)
         return _binary_to_gray(level)
 
-    def decide(self, s_hat: np.ndarray) -> np.ndarray:
-        """Symbol index of the nearest point to every entry of s_hat."""
-        a_i, a_q = self._decide_axis(s_hat.real), self._decide_axis(s_hat.imag)
-        return (a_i << self._axis_bits) | a_q
+    def decide(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """Symbol index of the nearest point to every estimate re + 1j * im."""
+        return (self._decide_axis(re) << self._axis_bits) | self._decide_axis(im)
 
 
 def _symbol_indices(bits: np.ndarray, bps: int,
@@ -68,16 +68,22 @@ def _symbol_indices(bits: np.ndarray, bps: int,
     return np.matmul(bits.reshape(bits.shape[:-1] + (-1, bps)), weights, out=out)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Frame:
-    """One batch of data REs: transmitted symbols and the received block.
+    """One batch of data REs, held by its parts and never as the received block.
 
-    The transmitted bits are the MSB-first binary of the symbol indices.
+    The received block Y = scale H S + sqrt(p_int) H_int X + sqrt(sigma2) Z is
+    linear in its parts: the symbols S, the interference symbols
+    X = (c + 1j d) / sqrt(2) and the thermal noise Z = (a + 1j b) / sqrt(2),
+    with a, b, c, d blocks of standard normals. parts holds the real and the
+    imaginary rows of the stacked block [S; a + 1j b; c + 1j d]: the rows
+    [Re S; a; c] and [Im S; b; d]. X is zero where the scenario has no
+    interference power. The transmitted bits are the MSB-first binary of the
+    symbol indices.
     """
+    channels: ChannelSet  # H (M x K) and H_int (M x K_int) of the frame
     sym: np.ndarray       # (K, n_symbols) symbol indices into the constellation
-    symbols: np.ndarray   # (K, n_symbols), unit average energy
-    Y: np.ndarray         # (M, n_symbols)
-    work: np.ndarray = field(repr=False)  # (M, n_symbols) scratch of make_frame
+    parts: np.ndarray     # (2, K + M + K_int, n_symbols) real rows, as above
 
 
 def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
@@ -86,34 +92,42 @@ def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
                out: Frame | None = None) -> Frame:
     """Generate data REs with fresh colored noise over the same interference channel.
 
-    out, a frame that make_frame returned for the same K, M and n_symbols, is
-    refilled in place and returned; its values are those of a new frame.
+    The data stream gives the bits, then the thermal normals a and b, then,
+    with interference power, the normals c and d of the interference symbols.
+    out, a frame that make_frame returned for the same K, M, K_int and
+    n_symbols, is refilled in place and returned; its values are those of a
+    new frame.
     """
     const = constellation or Constellation(scenario.constellation)
-    M, K = channels.H.shape
+    (M, K), K_int = channels.H.shape, channels.H_int.shape[-1]
+    shape = (2, K + M + K_int, n_symbols)
     if out is None:
-        out = Frame(sym=np.empty((K, n_symbols), dtype=np.int64),
-                    symbols=np.empty((K, n_symbols), dtype=complex),
-                    Y=np.empty((M, n_symbols), dtype=complex),
-                    work=np.empty((M, n_symbols), dtype=complex))
-    elif ({out.sym.shape, out.symbols.shape} != {(K, n_symbols)}
-          or {out.Y.shape, out.work.shape} != {(M, n_symbols)}):
-        raise ValueError(f"out: frame of K={out.sym.shape[0]}, M={out.Y.shape[0]}, "
-                         f"{out.Y.shape[1]} symbols cannot hold K={K}, M={M}, "
-                         f"{n_symbols} symbols")
-    sigma2, p_int, scale = powers_from_ratios(scenario)
+        out = Frame(channels, sym=np.empty((K, n_symbols), dtype=np.int64),
+                    parts=np.empty(shape))
+    elif out.sym.shape != (K, n_symbols) or out.parts.shape != shape:
+        raise ValueError(f"out: frame of K={out.sym.shape[0]}, {out.parts.shape[1]} rows "
+                         f"of parts, {out.sym.shape[1]} symbols cannot hold K={K}, M={M}, "
+                         f"{n_symbols} symbols with K_int={K_int}")
+    out.channels = channels
+    _, p_int, _ = powers_from_ratios(scenario)
     bits = rng.integers(0, 2, size=(K, n_symbols * const.bits_per_symbol))
     _symbol_indices(bits, const.bits_per_symbol, out=out.sym)
-    np.take(const.points, out.sym, out=out.symbols, mode="clip")
-    Y, work = out.Y, out.work
-    draw_colored_noise(channels, sigma2, p_int, n_symbols, rng, out=Y, work=work)
-    np.matmul(channels.H, out.symbols, out=work)
-    work *= scale
-    Y += work
+    re, im = out.parts
+    np.take(const.points.real, out.sym, out=re[:K], mode="clip")
+    np.take(const.points.imag, out.sym, out=im[:K], mode="clip")
+    # a, then b: two calls draw the stream of one call over both blocks
+    rng.standard_normal(out=re[K:K + M])
+    rng.standard_normal(out=im[K:K + M])
+    if K_int > 0 and p_int > 0.0:
+        rng.standard_normal(out=re[K + M:])
+        rng.standard_normal(out=im[K + M:])
+    else:
+        out.parts[:, K + M:] = 0.0
     return out
 
 
-# bytes of equalized symbols, a (..., K, block) complex stack, decided at once
+# bytes of estimates decided at once: the real and imaginary parts of a
+# (..., K, block) stack of equalized symbols
 DETECT_BYTES = 1 << 18
 
 
@@ -122,22 +136,37 @@ def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize a frame with a K x M equalizer or a (..., K, M) stack of them,
     hard-decide all users at once, and count bit and symbol errors on the
-    symbol indices (the bits are the index's MSB-first binary). The frame is
-    equalized and decided in blocks of columns, DETECT_BYTES of W @ Y each.
+    symbol indices (the bits are the index's MSB-first binary). scenario is
+    the one the frame was made with.
+
+    The estimates W Y / scale are W's gain on each part of the frame, summed:
+    (W H) S + (sqrt(p_int) / scale) (W H_int) X + (sqrt(sigma2) / scale) W Z.
+    The gains form one complex matrix P over the frame's stacked block, and
+    its real form [[Re P, -Im P], [Im P, Re P]] maps the frame's real rows to
+    the real and imaginary estimates. The frame is equalized and decided in
+    blocks of columns, one real product of DETECT_BYTES of estimates each.
 
     Returns (bit_errors, symbol_errors), integers over W's leading axes.
     """
     const = constellation or Constellation(scenario.constellation)
-    _, _, scale = powers_from_ratios(scenario)
-    block = max(1, DETECT_BYTES // (16 * (W.size // W.shape[-1])))
-    bit_errors = np.zeros(W.shape[:-2], dtype=np.int64)
-    symbol_errors = np.zeros(W.shape[:-2], dtype=np.int64)
-    for first in range(0, frame.Y.shape[-1], block):
+    sigma2, p_int, scale = powers_from_ratios(scenario)
+    H, H_int = frame.channels.H, frame.channels.H_int
+    lead, K = W.shape[:-2], W.shape[-2]
+    P = np.concatenate([W @ H, W * (math.sqrt(sigma2 / 2) / scale),
+                        (W @ H_int) * (math.sqrt(p_int / 2) / scale)], axis=-1)
+    P = P.reshape(-1, P.shape[-1])
+    G = np.concatenate([np.concatenate([P.real, -P.imag], axis=-1),
+                        np.concatenate([P.imag, P.real], axis=-1)])
+    AK = P.shape[0]
+    rows = frame.parts.reshape(G.shape[-1], -1)
+    block = max(1, DETECT_BYTES // (16 * AK))
+    bit_errors = np.zeros(lead, dtype=np.int64)
+    symbol_errors = np.zeros(lead, dtype=np.int64)
+    for first in range(0, rows.shape[-1], block):
         cols = slice(first, first + block)
-        s_hat = W @ frame.Y[:, cols]
-        parts = s_hat.view(float)   # real and imaginary parts side by side
-        parts *= 1 / scale          # the bits of s_hat /= scale, in a real loop
-        wrong = const.decide(s_hat) ^ frame.sym[:, cols]
+        est = G @ rows[:, cols]
+        sym = const.decide(est[:AK], est[AK:]).reshape(lead + (K, -1))
+        wrong = sym ^ frame.sym[:, cols]
         bit_errors += const._popcount[wrong].sum(axis=(-2, -1))
         symbol_errors += np.count_nonzero(wrong, axis=(-2, -1))
     return bit_errors, symbol_errors

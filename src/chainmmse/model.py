@@ -193,24 +193,14 @@ def build_channel(scenario: Scenario, rng: np.random.Generator) -> ChannelSet:
 
 
 def draw_colored_noise(channels: ChannelSet, sigma2: float, p_int: float,
-                       n: int, rng: np.random.Generator,
-                       out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
-    """n columns of thermal-plus-interference noise, shape (M, n).
-
-    The noise is written into out; work is scratch space. Both are (M, n)
-    complex C-contiguous arrays, allocated when not given.
-    """
+                       n: int, rng: np.random.Generator) -> np.ndarray:
+    """n columns of thermal-plus-interference noise, shape (M, n)."""
     M, K_int = channels.H_int.shape
-    noise = np.empty((M, n), dtype=complex) if out is None else out
-    work = np.empty((M, n), dtype=complex) if work is None else work
-    fill_crandn(rng, noise, work.view(float).reshape((2, M, n)))
+    noise = crandn(rng, M, n)
     noise *= np.sqrt(sigma2)
     if K_int > 0 and p_int > 0.0:
         x = crandn(rng, K_int, n)  # unit-power interference symbols
-        np.matmul(channels.H_int, x, out=work)
-        work *= np.sqrt(p_int)
-        noise += work
+        noise += np.sqrt(p_int) * (channels.H_int @ x)
     return noise
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.stats import norm
 from chainmmse import central, detect, model
 from chainmmse.detect import Constellation, evaluate_equalizer, make_frame
 
-from conftest import colored_noise_reference
+from conftest import colored_noise_reference, crandn_reference
 
 
 def modulate(bits, constellation):
@@ -27,9 +28,33 @@ def modulate(bits, constellation):
 def demodulate_hard(s_hat, constellation):
     """Bit oracle: nearest-point decision per symbol, then the MSB-first
     bits of the symbol index."""
-    sym = constellation.decide(np.asarray(s_hat).ravel())
+    s_hat = np.asarray(s_hat).ravel()
+    sym = constellation.decide(s_hat.real, s_hat.imag)
     shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
     return ((sym[:, None] >> shifts) & 1).ravel()
+
+
+def reference_frame(ch, sc, n, seed):
+    """The reference formulas of a frame's data stream: the bits and the
+    received block Y = scale H S + colored noise."""
+    const = Constellation(sc.constellation)
+    sigma2, p_int, scale = model.powers_from_ratios(sc)
+    ref = np.random.default_rng(seed)
+    bits = ref.integers(0, 2, size=(sc.K, n * const.bits_per_symbol))
+    S = modulate(bits, const)
+    return bits, scale * (ch.H @ S) + colored_noise_reference(ch, sigma2, p_int, n, ref)
+
+
+def oracle_counts(W, Y, bits, sc):
+    """Bit and symbol errors of deciding W Y / scale, counted bit by bit."""
+    const = Constellation(sc.constellation)
+    _, _, scale = model.powers_from_ratios(sc)
+    s_hat = W @ Y / scale
+    got = const.decide(s_hat.real, s_hat.imag)
+    shifts = np.arange(const.bits_per_symbol - 1, -1, -1)
+    wrong = ((got[..., None] >> shifts) & 1).reshape(got.shape[:-1] + (-1,)) != bits
+    per_symbol = wrong.reshape(got.shape + (-1,)).any(axis=-1)
+    return wrong.sum(axis=(-2, -1)), per_symbol.sum(axis=(-2, -1))
 
 
 def _awgn_scenario(es_n0_db, order=4):
@@ -163,56 +188,91 @@ class TestErrorCounts:
         block = detect.DETECT_BYTES // (16 * 4 * sc.K)
         n = {"below": block // 3, "equal": block, "two_blocks_and_17": 2 * block + 17}[extra]
         frame = make_frame(ch, sc, n, np.random.default_rng(27))
-        const = Constellation(16)
-        _, _, scale = model.powers_from_ratios(sc)
+        bits, Y_ref = reference_frame(ch, sc, n, 27)
         bit_errors, symbol_errors = np.zeros(4, np.int64), np.zeros(4, np.int64)
         for first in range(0, n, block):
             cols = slice(first, min(first + block, n))
-            wrong = const.decide(W @ frame.Y[:, cols] / scale) ^ frame.sym[:, cols]
-            for a in range(4):
-                bit_errors[a] += sum(bin(int(v)).count("1") for v in wrong[a].ravel())
-                symbol_errors[a] += int(np.count_nonzero(wrong[a]))
+            counts = oracle_counts(W, Y_ref[:, cols], bits[:, 4 * first:4 * cols.stop], sc)
+            bit_errors += counts[0]
+            symbol_errors += counts[1]
         got = evaluate_equalizer(W, frame, sc)
         assert bit_errors.all()
         np.testing.assert_array_equal(got[0], bit_errors)
         np.testing.assert_array_equal(got[1], symbol_errors)
 
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 6), K=st.integers(1, 3),
+           K_int=st.integers(0, 3), iot_db=st.sampled_from([None, -math.inf, 3.0]),
+           es_n0_db=st.sampled_from([0.0, 12.0, math.inf]), order=st.sampled_from([4, 16, 64]),
+           lead=st.sampled_from([(), (2,), (2, 3)]), n=st.integers(1, 40),
+           block=st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_equal_the_oracle_on_the_received_block(
+            self, seed, M, K, K_int, iot_db, es_n0_db, order, lead, n, block):
+        K = min(K, M)
+        if K_int == 0 and iot_db == 3.0:
+            iot_db = None
+        sc = model.Scenario(M=M, C=1, K=K, K_int=K_int, N=M, iot_db=iot_db,
+                            es_n0_db=es_n0_db, constellation=order)
+        rng = np.random.default_rng(seed)
+        ch = model.build_channel(sc, rng)
+        W = central.zf_centralized(ch.H)
+        W = W + 0.3 * np.abs(W).mean() * model.crandn(rng, *lead, K, M)
+        bits, Y_ref = reference_frame(ch, sc, n, seed)
+        # blocks of `block` columns: the last one is short unless block divides n
+        AK = math.prod(lead) * K
+        with mock.patch.object(detect, "DETECT_BYTES", 16 * AK * block):
+            got = evaluate_equalizer(W, make_frame(ch, sc, n, np.random.default_rng(seed)), sc)
+        want = oracle_counts(W, Y_ref, bits, sc)
+        assert got[0].shape == got[1].shape == lead
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
 
 class TestFrame:
-    @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None)])
+    @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None), (2, None)])
     def test_refilled_frame_equals_a_new_frame(self, K_int, iot_db):
         sc = model.Scenario(M=8, C=2, K=3, K_int=K_int, N=16, iot_db=iot_db,
                             es_n0_db=7.0, constellation=64)
-        old = make_frame(model.build_channel(sc, np.random.default_rng(30)), sc, 700,
+        # the old frame carries interference whenever there are interferers
+        old_sc = sc.with_ratios(7.0, 10.0 if K_int else None)
+        old = make_frame(model.build_channel(sc, np.random.default_rng(30)), old_sc, 700,
                          np.random.default_rng(31))
-        arrays = (old.sym, old.symbols, old.Y, old.work)
+        arrays = (old.sym, old.parts)
         ch = model.build_channel(sc, np.random.default_rng(32))
         new = make_frame(ch, sc, 700, np.random.default_rng(33))
         refilled = make_frame(ch, sc, 700, np.random.default_rng(33), out=old)
-        assert refilled is old
-        for name in ("Y", "symbols", "sym"):
+        assert refilled is old and refilled.channels is ch
+        for name in ("parts", "sym"):
             got, want = getattr(refilled, name), getattr(new, name)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
-        for before, after in zip(arrays, (refilled.sym, refilled.symbols,
-                                          refilled.Y, refilled.work)):
+        for before, after in zip(arrays, (refilled.sym, refilled.parts)):
             assert np.shares_memory(before, after)
 
-    @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None)])
+    @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None), (2, None)])
     def test_frame_is_the_reference_formula_byte_for_byte(self, K_int, iot_db):
         sc = model.Scenario(M=8, C=2, K=3, K_int=K_int, N=16, iot_db=iot_db,
                             es_n0_db=7.0, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(36))
         const = Constellation(16)
-        sigma2, p_int, scale = model.powers_from_ratios(sc)
+        # the stream of the reference formulas: bits, thermal noise, then the
+        # interference symbols, drawn only with interference power
         ref = np.random.default_rng(37)
         bits = ref.integers(0, 2, size=(3, 500 * const.bits_per_symbol))
         S = modulate(bits, const)
-        Y = scale * (ch.H @ S) + colored_noise_reference(ch, sigma2, p_int, 500, ref)
-        frame = make_frame(ch, sc, 500, np.random.default_rng(37))
+        Z = crandn_reference(ref, 8, 500)
+        X = (crandn_reference(ref, K_int, 500) if iot_db is not None
+             else np.zeros((K_int, 500), complex))
+        rng = np.random.default_rng(37)
+        frame = make_frame(ch, sc, 500, rng)
+        assert rng.random() == ref.random()  # both streams advanced alike
         np.testing.assert_array_equal(const.points[frame.sym], S)
-        assert frame.symbols.tobytes() == S.tobytes()
-        assert frame.Y.tobytes() == Y.tobytes()
+        # the rows [Re S; a; c] and [Im S; b; d], with Z = (a + 1j b) / sqrt(2)
+        # and X = (c + 1j d) / sqrt(2), or 0 without interference power
+        (re_S, a, c), (im_S, b, d) = (np.split(p, [3, 11]) for p in frame.parts)
+        assert re_S.tobytes() == S.real.tobytes() and im_S.tobytes() == S.imag.tobytes()
+        assert ((a + 1j * b) / np.sqrt(2.0)).tobytes() == Z.tobytes()
+        assert ((c + 1j * d) / np.sqrt(2.0)).tobytes() == X.tobytes()
 
     def test_refill_rejects_a_frame_of_another_shape(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16)
@@ -258,17 +318,23 @@ class TestRunLink:
         assert abs(bit_errors / bits - theory) < 3.0 * se
 
     def test_global_phase_rotation_invariance(self):
-        # rotate the received block and counter-rotate the equalizer: the
-        # soft estimates, and hence the decisions, must be unchanged
+        # turn the received block a quarter, j Y = scale (j H) S + sqrt(p_int)
+        # (j H_int) X + sqrt(sigma2) (-b + 1j a) / sqrt(2), and counter-rotate
+        # the equalizer: the soft estimates, and hence the decisions, must be
+        # unchanged
         sc = model.Scenario(M=8, C=2, K=2, K_int=2, N=16, es_n0_db=8.0,
                             constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(9))
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 20_000, np.random.default_rng(10))
-        phase = np.exp(1j * 0.7)
-        frame_rot = dataclasses.replace(frame, Y=phase * frame.Y)
+        parts = frame.parts.copy()
+        a, b = frame.parts[:, 2:10]
+        parts[0, 2:10], parts[1, 2:10] = -b, a
+        frame_rot = dataclasses.replace(
+            frame, channels=dataclasses.replace(ch, H=1j * ch.H, H_int=1j * ch.H_int),
+            parts=parts)
         counts_a = evaluate_equalizer(W, frame, sc)
-        counts_b = evaluate_equalizer(W / phase, frame_rot, sc)
+        counts_b = evaluate_equalizer(W / 1j, frame_rot, sc)
         assert counts_a == counts_b
 
     def test_batch_accumulation_matches_single_run(self):
@@ -279,8 +345,7 @@ class TestRunLink:
         frame = make_frame(ch, sc, 600, np.random.default_rng(12))
         combined = np.array(evaluate_equalizer(W, frame, sc))
         part = [np.array(evaluate_equalizer(
-            W, dataclasses.replace(frame, sym=frame.sym[:, sl],
-                                   symbols=frame.symbols[:, sl], Y=frame.Y[:, sl]), sc))
+            W, dataclasses.replace(frame, sym=frame.sym[:, sl], parts=frame.parts[..., sl]), sc))
             for sl in [slice(0, 250), slice(250, 600)]]
         # (bit errors, symbol errors) x equalizer counts of the two parts add up
         assert combined.shape == (2, 4) and combined[0].any()
@@ -297,13 +362,13 @@ class TestRunLink:
         frame = make_frame(ch, sc, 3000, np.random.default_rng(14))
         const = Constellation(order)
         # the bit block is the first draw of the frame's data stream
-        bits = np.random.default_rng(14).integers(
-            0, 2, size=(sc.K, 3000 * const.bits_per_symbol))
+        bits, Y_ref = reference_frame(ch, sc, 3000, 14)
+        symbols = frame.parts[0, :sc.K] + 1j * frame.parts[1, :sc.K]
         for k in range(sc.K):
-            np.testing.assert_array_equal(frame.symbols[k], modulate(bits[k], const))
-        np.testing.assert_array_equal(const.points[frame.sym], frame.symbols)
+            np.testing.assert_array_equal(symbols[k], modulate(bits[k], const))
+        np.testing.assert_array_equal(const.points[frame.sym], symbols)
         _, _, scale = model.powers_from_ratios(sc)
-        rx_bits = np.stack([demodulate_hard(s, const) for s in W @ frame.Y / scale])
+        rx_bits = np.stack([demodulate_hard(s, const) for s in W @ Y_ref / scale])
         wrong = rx_bits != bits
         per_symbol = wrong.reshape(sc.K, 3000, -1)
         bit_errors, symbol_errors = evaluate_equalizer(W, frame, sc)
