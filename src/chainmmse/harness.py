@@ -112,6 +112,11 @@ class ExperimentConfig:
                 errors.append(f"algorithms: {token!r} repeats {seen[key]!r}")
             else:
                 seen[key] = token
+        sc = self.scenario
+        if ("mmse_sampleR", None) in seen and sc.N < sc.M:
+            # the sample covariance of N < M pool samples has rank N: singular
+            errors.append(f"algorithms: 'mmse_sampleR' needs N >= M, got N={sc.N} "
+                          f"and M={sc.M}")
         if errors:
             raise ValueError("invalid experiment config: " + "; ".join(errors))
         for iot in self.iot_db:  # every grid point must be an operating point
@@ -203,12 +208,14 @@ def chunk_trials(scenario: model.Scenario) -> int:
     return max(1, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
 
 
-def _build_equalizer(token: str, channels, R_hat, R_exact, E_s: float) -> np.ndarray:
+def _build_equalizer(token: str, channels, R_hat, sc: model.Scenario) -> np.ndarray:
     """T x K x M equalizers of a centralized solver for a stack of trials."""
     if token == "zf":
         return central.zf_centralized(channels.H)
-    return central.mmse_centralized(
-        channels.H, R_exact if token == "mmse_exactR" else R_hat, E_s)
+    if token == "mmse_exactR":
+        sigma2, p_int, _ = model.powers_from_ratios(sc)
+        return central.mmse_exact(channels.H, channels.H_int, sigma2, p_int, sc.E_s)
+    return central.mmse_centralized(channels.H, R_hat, sc.E_s)
 
 
 def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
@@ -250,8 +257,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 channel_sets, [model.draw_noise_pool(ch, sc, rng_pool)
                                for ch, (_, rng_pool, _) in zip(channel_sets, rngs)])
             R_hat = model.sample_covariance(pool)
-            R_exact = (model.exact_covariance(channels, sc)
-                       if "mmse_exactR" in config.algorithms else None)
             W = np.empty((A, len(rngs), sc.K, sc.M), dtype=complex)
             for tokens in builds:
                 t0 = time.perf_counter()
@@ -262,8 +267,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                             W[axis[t]] = W_t
                             traffic[axis[t]] += len(rngs) * tr
                     else:
-                        W[axis[tokens[0]]] = _build_equalizer(tokens[0], channels, R_hat,
-                                                              R_exact, sc.E_s)
+                        W[axis[tokens[0]]] = _build_equalizer(tokens[0], channels,
+                                                              R_hat, sc)
                 except central.SingularMatrixError as exc:
                     raise central.SingularMatrixError(
                         f"{', '.join(tokens)} at Es/N0 {es} dB, IoT {iot} dB, in the "

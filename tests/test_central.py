@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chainmmse import model
 from chainmmse.central import (RCOND_FLOOR, SingularMatrixError, herm, herm_solve,
-                               mmse_centralized, rcond, sample_objective,
+                               mmse_centralized, mmse_exact, rcond, sample_objective,
                                zf_centralized)
 
 from conftest import make_instance
@@ -64,6 +64,56 @@ def test_mmse_rejects_singular_covariance():
     R = np.zeros((2, 2), dtype=complex)
     with pytest.raises(SingularMatrixError):
         mmse_centralized(H, R, 1.0)
+
+
+def _exact_instance(seed, M, K, K_int, T, es_n0_db, iot_db):
+    """A stack of T trials of one scenario with C = 1, and its noise powers."""
+    sc = model.Scenario(M=M, K=K, C=1, N=M, K_int=K_int, es_n0_db=es_n0_db,
+                        iot_db=iot_db, gain_range_db=(-6.0, 0.0))
+    rng = np.random.default_rng(seed)
+    channels, _ = model.stack_trials([model.build_channel(sc, rng) for _ in range(T)],
+                                     [np.zeros((M, 1))] * T)
+    return sc, channels, model.powers_from_ratios(sc)[:2]
+
+
+@given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 12), data=st.data(),
+       T=st.integers(1, 3), es_n0_db=st.floats(-10.0, 30.0))
+@settings(max_examples=80, deadline=None)
+def test_mmse_exact_equals_the_solve_against_the_full_covariance(seed, M, data, T,
+                                                                 es_n0_db):
+    K = data.draw(st.integers(1, M), label="K")
+    K_int = data.draw(st.integers(0, M + 2), label="K_int")
+    no_power = st.sampled_from([None, -np.inf])
+    iot_db = data.draw(no_power if K_int == 0 else no_power | st.floats(-20.0, 40.0),
+                       label="iot_db")
+    sc, ch, (sigma2, p_int) = _exact_instance(seed, M, K, K_int, T, es_n0_db, iot_db)
+    W = mmse_exact(ch.H, ch.H_int, sigma2, p_int, sc.E_s)
+    ref = mmse_centralized(ch.H, model.exact_covariance(ch, sc), sc.E_s)
+    assert W.shape == ref.shape == (T, K, M)
+    for t in range(T):
+        assert np.linalg.norm(W[t] - ref[t]) <= 1e-10 * np.linalg.norm(ref[t])
+
+
+@pytest.mark.parametrize("T, where", [(None, ""), (2, " in trial 0")])
+@pytest.mark.parametrize("K_int, iot_db", [(0, None), (3, 10.0)])
+def test_mmse_exact_rejects_a_noise_free_covariance(T, where, K_int, iot_db):
+    sc, ch, (sigma2, p_int) = _exact_instance(5, 6, 2, K_int, T or 1, np.inf, iot_db)
+    H, H_int = (ch.H, ch.H_int) if T else (ch.H[0], ch.H_int[0])
+    with pytest.raises(SingularMatrixError,
+                       match=f"^noise covariance{where} is numerically singular"):
+        mmse_exact(H, H_int, sigma2, p_int, sc.E_s)
+
+
+def test_mmse_exact_solves_where_the_full_covariance_reads_singular():
+    # at IoT 120 dB, R = sigma2 I + p_int H_int H_int^H is sigma2 I on the
+    # M - K_int directions outside the interference: its rcond is below the
+    # floor, while the interference Gram matrix stays well conditioned
+    sc, ch, (sigma2, p_int) = _exact_instance(1, 32, 4, 4, 2, 8.0, 120.0)
+    with pytest.raises(SingularMatrixError, match="noise covariance"):
+        mmse_centralized(ch.H, model.exact_covariance(ch, sc), sc.E_s)
+    W = mmse_exact(ch.H, ch.H_int, sigma2, p_int, sc.E_s)
+    # W nulls the interference and passes the users
+    assert np.abs(W @ ch.H_int).max() < 1e-4 * np.abs(W @ ch.H).max()
 
 
 def test_zf_identities():
@@ -192,6 +242,20 @@ def test_zero_and_collinear_gram_matrices_fall_below_both_thresholds(n):
         h = _rand_complex(rng, n + 1, 1)
         H = np.hstack([_rand_complex(rng, n + 1, n - 1), h, 1e3 * h])
         assert rcond(H.conj().T @ H) < RCOND_FLOOR
+
+
+@pytest.mark.parametrize("seed", [696, 3143, 4499, 8072, 13475])
+def test_gram_matrix_one_rank_short_is_rejected(seed):
+    # V V^H of 31 vectors in 32 dimensions: the Cholesky estimate of these
+    # reads 1.2e-12 to 1.5e-11, above the floor, and the eigenvalue ratio ~1e-16
+    rng = np.random.default_rng(seed)
+    V = (rng.standard_normal((32, 31)) + 1j * rng.standard_normal((32, 31))) / np.sqrt(2)
+    A = V @ herm(V)
+    with pytest.raises(SingularMatrixError, match="is numerically singular"):
+        herm_solve(A, np.ones((32, 1), dtype=complex))
+    stack = np.stack([_rand_pd(rng, 32), A])
+    with pytest.raises(SingularMatrixError, match="in trial 1 is numerically singular"):
+        herm_solve(stack, np.ones((2, 32, 1), dtype=complex))
 
 
 def test_failed_factorization_in_a_stack_names_its_trial():

@@ -78,6 +78,17 @@ class TestConfig:
         path.write_text("profile: desk\nscenario:\n")
         assert load_config(path).scenario == profile_scenario("desk")
 
+    def test_sample_mmse_needs_as_many_pool_samples_as_antennas(self):
+        # N < M pool samples give a sample covariance of rank N: singular
+        raw = {"profile": "desk", "algorithms": ["zf", "mmse_sampleR", "bdac"]}
+        with pytest.raises(ValueError, match=r"^invalid experiment config: algorithms: "
+                                             r"'mmse_sampleR' needs N >= M, got N=16 "
+                                             r"and M=32$"):
+            harness.make_config({**raw, "scenario": {"N": 16}})
+        assert harness.make_config({**raw, "scenario": {"N": 32}}).scenario.N == 32
+        cfg = harness.make_config({**raw, "scenario": {"N": 16}, "algorithms": ["zf", "bdac"]})
+        assert cfg.scenario.N == 16
+
     @pytest.mark.parametrize("variant", ["red_black", "symmetric_gauss_seidel"])
     def test_schedule_variant_other_than_the_loop_rejected(self, variant):
         with pytest.raises(ValueError, match="schedule_variant: must be 'gauss_seidel_loop'"):
@@ -442,7 +453,9 @@ class TestCli:
                    "huge_iot.yaml": "profile: desk\niot_db: [4000.0]\n",
                    "tiny_es.yaml": "profile: desk\nes_n0_db: [-4000.0]\n",
                    "huge_gain.yaml": "profile: desk\nscenario: {gain_range_db: [0.0, 1.0e+300]}\n",
-                   "tiny_gain.yaml": "profile: desk\nscenario: {gain_range_db: [-1.0e+300, 0.0]}\n"}
+                   "tiny_gain.yaml": "profile: desk\nscenario: {gain_range_db: [-1.0e+300, 0.0]}\n",
+                   "few_samples.yaml": "profile: desk\nscenario: {N: 16}\n"
+                                       "algorithms: [zf, mmse_sampleR, bdac]\n"}
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
@@ -479,7 +492,9 @@ class TestCli:
         (["run", "--config", "no_interferers.yaml"], "invalid experiment config: iot_db: "
          "10.0 dB needs interference users, but scenario.K_int is 0; use null or -.inf"),
         (["trace", "--config", "tiny_gain.yaml"], "scenario.gain_range_db: must give linear "
-         "gains that are finite and above 0, got [-1e+300, 0.0]")])
+         "gains that are finite and above 0, got [-1e+300, 0.0]"),
+        (["run", "--config", "few_samples.yaml"], "invalid experiment config: algorithms: "
+         "'mmse_sampleR' needs N >= M, got N=16 and M=32")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)

@@ -15,6 +15,8 @@ def _build(channels, pool, sc, L):
         f"bcd:{L}": chain_W,
         "mmse": central.mmse_centralized(channels.H, model.exact_covariance(channels, sc),
                                          sc.E_s),
+        "mmse_exact": central.mmse_exact(channels.H, channels.H_int,
+                                         *model.powers_from_ratios(sc)[:2], sc.E_s),
         "zf": central.zf_centralized(channels.H),
         "sample_objective": central.sample_objective(chain_W, channels.H, pool, sc.E_s),
     }
