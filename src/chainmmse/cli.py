@@ -48,6 +48,11 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         config = harness.load_config(args.config, **flags)
     else:
         config = harness.make_config({**DEFAULT_CONFIG, **flags})
+    sc = config.scenario
+    if args.command == "trace" and sc.N < sc.M:
+        # the trace's reference W* is the sample-MMSE solve, singular below M samples
+        raise ValueError(f"trace needs N >= M for its sample-MMSE reference, got "
+                         f"N={sc.N} and M={sc.M}")
     if args.command == "run" and args.sweeps is not None:
         # every bcd token becomes the one bcd:L token, in the first one's place
         algs = tuple(dict.fromkeys(

@@ -7,11 +7,16 @@ covariance blocks; the coordinate-descent sweeps then recover them implicitly
 by passing one K x (K+N) residual message m = [W H - I | W n] from cluster to
 cluster, so the payload never depends on the antenna count.
 
-Each cluster caches Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1, with G_c the
-Gram matrix E_s H_c H_c^H + R_cc of its block. The exact block minimizer is
-then W_c + D with D = -m Phi_c, and the message leaves the cluster as
-m + D [H_c | n_c]. The centralized sample-MMSE solution is the fixed point,
-where m Phi_c = 0 for every cluster.
+The sweeps are block Gauss-Seidel on the normal equations W Gamma = E_s H^H
+of the sample objective, with Gamma = E_s H H^H + R_hat. Cluster c computes
+its exact block minimizer from the message as W_c - m Phi_c, with
+Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1 and G_c = E_s H_c H_c^H + R_cc the
+Gram matrix of its block. Since [H | n] Phi_c = Gamma[:, s_c] G_c^-1, the
+same step is W_c + F_c - W Q_c with Q_c = Gamma[:, s_c] G_c^-1 and F_c the
+first K rows of Phi_c, and that is how it runs here: this module computes the
+protocol's iterates and meters its messages in closed form, but does not form
+the messages. The centralized sample-MMSE solution is the fixed point, where
+W Q_c = F_c for every cluster.
 
 A Chain holds T trials stacked along a leading axis, and every step runs on
 all of them at once as stacked matmuls and solves; a traffic ledger meters
@@ -34,15 +39,17 @@ DIAG_LOAD = 1e-10
 
 @dataclass
 class Chain:
-    """T chain instances stacked along a leading trial axis. Cluster c holds
-    rows slices[c] of Hn, entry c of R and phi, column c of loaded, and
-    columns slices[c] of W."""
-    Hn: np.ndarray           # T x M x (K+N): channels and noise samples side by side
-    H: np.ndarray            # T x M x K view of Hn
+    """T chain instances stacked along a leading trial axis. Rows slices[c] of
+    H, entry c of R, Q and F, column c of loaded and columns slices[c] of W
+    belong to cluster c; Q_c spans all M antennas, so it stands for what
+    cluster c reads off the message, not for data the cluster holds."""
+    H: np.ndarray            # T x M x K channels
+    N: int                   # noise samples in the pool: a message is K x (K+N)
     slices: list[slice]
     E_s: float
     R: list[np.ndarray]      # T x M_c x M_c local sample covariance blocks R_cc
-    phi: list[np.ndarray]    # T x (K+N) x M_c: [E_s H_c^H ; n_c^H / N] G_c^-1
+    Q: list[np.ndarray]      # T x M x M_c: Gamma[:, s_c] G_c^-1
+    F: list[np.ndarray]      # T x K x M_c: E_s H_c^H G_c^-1
     loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
     W: np.ndarray            # T x K x M equalizers
 
@@ -59,7 +66,7 @@ def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
     # column scaling of [H_c | n_c] to [E_s H_c | n_c / N]
     scale = np.concatenate([np.full(K, E_s), np.full(N, 1.0 / N)])
     slices = cluster_slices(channels.cluster_sizes)
-    R, phi = [], []
+    R, Q, F = [], [], []
     loaded = np.zeros((T, len(slices)), dtype=bool)
     for c, s in enumerate(slices):
         R_cc = noise[:, s] @ herm(noise[:, s]) / N
@@ -71,10 +78,13 @@ def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
             G[t] += delta * np.eye(G.shape[-1])
             warnings.warn(f"cluster {c}, trial {t}: ill-conditioned update matrix, "
                           f"diagonal loading {delta:.3e} applied")
+        # phi = [E_s H_c^H ; n_c^H / N] G_c^-1, so [H | n] phi = Gamma[:, s_c] G_c^-1
+        phi = herm(Hn[:, s] * scale) @ np.linalg.inv(G)
         R.append(R_cc)
-        phi.append(herm(Hn[:, s] * scale) @ np.linalg.inv(G))
-    return Chain(Hn=Hn, H=H, slices=slices, E_s=E_s, R=R, phi=phi,
-                 loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
+        Q.append(Hn @ phi)
+        F.append(phi[:, :K].copy())
+    return Chain(H=np.ascontiguousarray(H), N=N, slices=slices, E_s=E_s, R=R, Q=Q,
+                 F=F, loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -110,26 +120,10 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
     return chain.W.copy()
 
 
-def bcd_block_update(chain: Chain, c: int, m: np.ndarray) -> np.ndarray:
-    """One coordinate-descent block solve at cluster c, in every trial.
-
-    Given the incoming message m = [W H - I | W n] of the current W
-    (T x K x (K+N)), moves W_c to the block minimizer and returns the
-    outgoing message.
-    """
-    s = chain.slices[c]
-    D = -(m @ chain.phi[c])
-    chain.W[:, :, s] += D
-    return m + D @ chain.Hn[:, s]
-
-
-def residual(chain: Chain) -> np.ndarray:
-    """The message [W H - I | W n], computed afresh from the current W;
-    its distance to a carried message is the carried-message drift."""
-    m = chain.W @ chain.Hn
-    K = m.shape[-2]
-    m[..., :K] -= np.eye(K)
-    return m
+def bcd_block_update(chain: Chain, c: int) -> None:
+    """One coordinate-descent block solve at cluster c, in every trial:
+    W_c += F_c - W Q_c moves W_c to the block minimizer."""
+    chain.W[:, :, chain.slices[c]] += chain.F[c] - chain.W @ chain.Q[c]
 
 
 @dataclass
@@ -152,7 +146,8 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
     keep_iterates, also a copy of W after every block update.
     """
     C = len(chain.slices)
-    entries = chain.H.shape[-1] * chain.Hn.shape[-1]  # one K x (K+N) message
+    K = chain.H.shape[-1]
+    entries = K * (K + chain.N)  # one K x (K+N) message
     topology = Topology("uni_loop", C)
     ledger = TrafficLedger(topology)
 
@@ -160,7 +155,6 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
 
     # accumulation circuit of the initial message (sequential around the
     # chain), then the distribution circuit handing it to the other clusters
-    m = residual(chain)
     for link in topology.links:
         ledger.add(PHASE_ACCUMULATE, link, entries)
     for link in topology.links:
@@ -171,7 +165,7 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
     start = ledger.total()
     for d in range(1, schedule.L + 1):
         for c in range(C):
-            m = bcd_block_update(chain, c, m)
+            bcd_block_update(chain, c)
             if iterates is not None:
                 iterates.append(chain.W.copy())
         if d in depths:

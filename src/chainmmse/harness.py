@@ -117,6 +117,13 @@ class ExperimentConfig:
             # the sample covariance of N < M pool samples has rank N: singular
             errors.append(f"algorithms: 'mmse_sampleR' needs N >= M, got N={sc.N} "
                           f"and M={sc.M}")
+        if sc.K + sc.N <= sc.M:
+            # [H | n] has full column rank: W H = I and W n = 0 fit the pool
+            # exactly, so the sample objective the sweeps descend on is 0
+            for (name, L), token in seen.items():
+                if name == "bcd" and L >= 1:
+                    errors.append(f"algorithms: {token!r} needs K + N > M, got K={sc.K}, "
+                                  f"N={sc.N} and M={sc.M}")
         if errors:
             raise ValueError("invalid experiment config: " + "; ".join(errors))
         for iot in self.iot_db:  # every grid point must be an operating point

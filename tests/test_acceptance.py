@@ -80,9 +80,8 @@ def _chain_sweep_from(ch, pool, E_s, W):
     """One chain sweep of bcd_block_update, started from the blocks of W."""
     chain = daisy.make_chain(ch, pool, E_s)
     chain.W = W[None].copy()
-    m = daisy.residual(chain)
     for c in range(len(chain.slices)):
-        m = daisy.bcd_block_update(chain, c, m)
+        daisy.bcd_block_update(chain, c)
     return chain.W[0]
 
 

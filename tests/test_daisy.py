@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from chainmmse import central, model
-from chainmmse.central import mmse_centralized, sample_objective
-from chainmmse.daisy import (Schedule, bcd_block_update, bdac_init, make_chain,
-                             residual, run_bcd)
+from chainmmse.central import herm, mmse_centralized, sample_objective
+from chainmmse.daisy import (DIAG_LOAD, Schedule, bcd_block_update, bdac_init,
+                             make_chain, run_bcd)
 from chainmmse.interconnect import PHASE_SWEEP
 
 from conftest import make_instance
@@ -82,7 +82,7 @@ class TestBlockUpdate:
     def test_single_cluster_one_shot(self):
         sc, ch, pool, Rhat = make_instance(seed=5, M=8, C=1, K=3, K_int=2, N=32)
         chain = make_chain(ch, pool, sc.E_s)  # W starts at zero
-        bcd_block_update(chain, 0, residual(chain))
+        bcd_block_update(chain, 0)
         W_ref = mmse_centralized(ch.H, Rhat, sc.E_s)
         assert np.linalg.norm(chain.W[0] - W_ref) / np.linalg.norm(W_ref) < 1e-10
 
@@ -91,9 +91,8 @@ class TestBlockUpdate:
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s)
         chain = make_chain(ch, pool, sc.E_s)
         chain.W = W_star[None].copy()
-        m = residual(chain)
         for c, s in enumerate(chain.slices):
-            m = bcd_block_update(chain, c, m)
+            bcd_block_update(chain, c)
             rel = np.linalg.norm(chain.W[0][:, s] - W_star[:, s]) / np.linalg.norm(W_star[:, s])
             assert rel < 1e-10
 
@@ -103,7 +102,6 @@ class TestBlockUpdate:
         rng = np.random.default_rng(17)
         chain.W = 0.1 * (rng.standard_normal((1, sc.K, sc.M))
                          + 1j * rng.standard_normal((1, sc.K, sc.M)))
-        m = residual(chain)
         H, n, W = ch.H, pool, chain.W[0]
         for c, s in enumerate(chain.slices):
             others = [chain.slices[j] for j in range(sc.C) if j != c]
@@ -112,7 +110,7 @@ class TestBlockUpdate:
             G = sc.E_s * H[s] @ H[s].conj().T + Rhat[s, s]
             W_ref = (sc.E_s * (np.eye(sc.K) - sum_WH) @ H[s].conj().T
                      - sum_WR) @ np.linalg.inv(G)
-            m = bcd_block_update(chain, c, m)
+            bcd_block_update(chain, c)
             assert np.linalg.norm(W[:, s] - W_ref) / np.linalg.norm(W_ref) < 1e-11
 
 
@@ -187,10 +185,9 @@ class TestRunBcd:
         # the reference sweeps: the same block updates, applied by hand
         chain = make_chain(*stack, sc.E_s)
         bdac_init(chain)
-        m = residual(chain)
         for d in range(5):
             for c in range(sc.C) if d else ():
-                m = bcd_block_update(chain, c, m)
+                bcd_block_update(chain, c)
             alone = run_bcd(make_chain(*stack, sc.E_s), Schedule(L=d))
             assert alone.depths == {}
             np.testing.assert_array_equal(alone.W, chain.W)
@@ -213,29 +210,6 @@ class TestRunBcd:
             ledger = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=1)).ledger
             for link in ledger.topology.links:
                 assert ledger.per_link(link, PHASE_SWEEP) == sc.K ** 2 + sc.N * sc.K
-
-
-class TestConsistencyAudit:
-    def test_zero_after_preprocessing(self):
-        # the message run_bcd starts from is the residual of the BDAC start
-        sc, ch, pool, _ = make_instance(seed=15)
-        chain = make_chain(ch, pool, sc.E_s)
-        W0 = bdac_init(chain)[0]
-        m = residual(chain)
-        np.testing.assert_array_equal(m, residual(chain))
-        oracle = np.hstack([W0 @ ch.H - np.eye(sc.K), W0 @ pool])
-        assert np.max(np.abs(m[0] - oracle)) < 1e-13
-
-    def test_small_after_many_updates(self):
-        # drift between the carried message and one computed afresh from W
-        sc, ch, pool, _ = make_instance(seed=16)
-        chain = make_chain(ch, pool, sc.E_s)
-        bdac_init(chain)
-        m = residual(chain)
-        for sweep in range(4):
-            for c in range(sc.C):
-                m = bcd_block_update(chain, c, m)
-                assert np.max(np.abs(m - residual(chain))) < 1e-10
 
 
 def _ill_conditioned_trial(sc, ch, pool):
@@ -269,7 +243,8 @@ def test_near_singular_trial_in_stack_loads_only_that_trial():
     alone = make_chain(ch, pool, sc.E_s)
     for t in (0, 2):
         for c in range(sc.C):
-            np.testing.assert_array_equal(chain.phi[c][t], alone.phi[c][0])
+            np.testing.assert_array_equal(chain.Q[c][t], alone.Q[c][0])
+            np.testing.assert_array_equal(chain.F[c][t], alone.F[c][0])
 
 
 def test_sweeps_descend_on_a_loaded_trial():
@@ -282,12 +257,64 @@ def test_sweeps_descend_on_a_loaded_trial():
     with pytest.warns(UserWarning, match="diagonal loading"):
         chain = make_chain(channels, pools, sc.E_s)
     assert chain.loaded[1, 0]
-    m = residual(chain)
     values = [sample_objective(chain.W, channels.H, pools, sc.E_s)]
     for sweep in range(10):
         for c in range(sc.C):
-            m = bcd_block_update(chain, c, m)
+            bcd_block_update(chain, c)
             values.append(sample_objective(chain.W, channels.H, pools, sc.E_s))
     for prev, cur in zip(values, values[1:]):
         assert np.all(cur <= prev * (1.0 + 1e-12))
     assert values[1][1] < values[0][1]  # the loaded step itself descends
+
+
+def _message_form_sweep(channels, pool, E_s, loaded, W, m):
+    """The message-form chain step, as an oracle: one sweep from W (T x K x M)
+    and its message m = [W H - I | W n], updated in place. Cluster c caches
+    Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1, with G_c loaded where `loaded`
+    (T x C) says; the step is D = -m Phi_c, W_c += D, and the message leaves
+    the cluster as m + D [H_c | n_c]."""
+    K, N = channels.H.shape[-1], pool.shape[-1]
+    Hn = np.concatenate([channels.H, pool], axis=-1)
+    scale = np.concatenate([np.full(K, E_s), np.full(N, 1.0 / N)])
+    for c, s in enumerate(model.cluster_slices(channels.cluster_sizes)):
+        G = E_s * Hn[:, s, :K] @ herm(Hn[:, s, :K]) + Hn[:, s, K:] @ herm(Hn[:, s, K:]) / N
+        for t in np.flatnonzero(loaded[:, c]):
+            G[t] += DIAG_LOAD * np.trace(G[t]).real / G.shape[-1] * np.eye(G.shape[-1])
+        D = -(m @ herm(Hn[:, s] * scale) @ np.linalg.inv(G))
+        W[:, :, s] += D
+        m += D @ Hn[:, s]
+
+
+def _oracle_case(case):
+    if case == "desk":
+        sc, ch, pool, _ = make_instance(seed=16, M=32, C=4, K=4, K_int=4, N=96)
+        return sc, *model.stack_trials([ch], [pool])
+    if case == "uneven":
+        sc, ch, pool, _ = make_instance(seed=16, M=12, C=3, cluster_sizes=(2, 7, 3),
+                                        K=3, K_int=2, N=24)
+        return sc, *model.stack_trials([ch], [pool])
+    sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16, iot_db=None)
+    ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
+    return sc, *model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool])
+
+
+@pytest.mark.parametrize("case", ["desk", "uneven", "loaded_stack"])
+def test_iterates_equal_the_message_form(case):
+    # the chain steps W through Q_c and F_c and forms no message; the
+    # message-form step it stands for gives the same iterates
+    sc, channels, pool = _oracle_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = make_chain(channels, pool, sc.E_s)
+    assert chain.loaded.any() == (case == "loaded_stack")
+    # the run's BDAC start; the loaded trial's R_cc is singular, so that stack
+    # starts at W = 0
+    W = chain.W.copy() if chain.loaded.any() else bdac_init(chain)
+    m = np.concatenate([W @ channels.H - np.eye(sc.K), W @ pool], axis=-1)
+    for sweep in range(4):
+        _message_form_sweep(channels, pool, sc.E_s, chain.loaded, W, m)
+        for c in range(sc.C):
+            bcd_block_update(chain, c)
+        rel = (np.linalg.norm(chain.W - W, axis=(-2, -1))
+               / np.linalg.norm(W, axis=(-2, -1)))
+        assert rel.max() < 1e-12, f"sweep {sweep}: {rel}"

@@ -89,6 +89,21 @@ class TestConfig:
         cfg = harness.make_config({**raw, "scenario": {"N": 16}, "algorithms": ["zf", "bdac"]})
         assert cfg.scenario.N == 16
 
+    def test_chain_sweeps_need_more_users_and_samples_than_antennas(self):
+        # K + N <= M: [H | n] has full column rank, so the sample objective
+        # fits the pool exactly and the sweeps head for no equalizer
+        raw = {"profile": "desk", "scenario": {"N": 28}}
+        with pytest.raises(ValueError, match=r"^invalid experiment config: algorithms: "
+                                             r"'bcd:1' needs K \+ N > M, got K=4, N=28 and "
+                                             r"M=32; algorithms: 'bcd:4' needs K \+ N > M, "
+                                             r"got K=4, N=28 and M=32$"):
+            harness.make_config({**raw, "algorithms": ["bdac", "bcd:1", "bcd:4"]})
+        # the initializer alone, bcd:0 included, needs only N >= max M_c
+        cfg = harness.make_config({**raw, "algorithms": ["zf", "bdac", "bcd:0"]})
+        assert cfg.algorithms == ("zf", "bdac", "bcd:0")
+        cfg = harness.make_config({**raw, "scenario": {"N": 29}, "algorithms": ["bcd:4"]})
+        assert cfg.scenario.N == 29
+
     @pytest.mark.parametrize("variant", ["red_black", "symmetric_gauss_seidel"])
     def test_schedule_variant_other_than_the_loop_rejected(self, variant):
         with pytest.raises(ValueError, match="schedule_variant: must be 'gauss_seidel_loop'"):
@@ -455,7 +470,13 @@ class TestCli:
                    "huge_gain.yaml": "profile: desk\nscenario: {gain_range_db: [0.0, 1.0e+300]}\n",
                    "tiny_gain.yaml": "profile: desk\nscenario: {gain_range_db: [-1.0e+300, 0.0]}\n",
                    "few_samples.yaml": "profile: desk\nscenario: {N: 16}\n"
-                                       "algorithms: [zf, mmse_sampleR, bdac]\n"}
+                                       "algorithms: [zf, mmse_sampleR, bdac]\n",
+                   "pool_fit.yaml": "profile: desk\nscenario: {N: 28}\n"
+                                    "algorithms: [bdac, 'bcd:4']\n",
+                   "pool_fit_start.yaml": "profile: desk\nscenario: {N: 28}\n"
+                                          "algorithms: [bdac, 'bcd:0']\n",
+                   "short_pool.yaml": "profile: desk\nscenario: {N: 30}\n"
+                                      "algorithms: [bdac, 'bcd:4']\n"}
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
@@ -494,7 +515,14 @@ class TestCli:
         (["trace", "--config", "tiny_gain.yaml"], "scenario.gain_range_db: must give linear "
          "gains that are finite and above 0, got [-1e+300, 0.0]"),
         (["run", "--config", "few_samples.yaml"], "invalid experiment config: algorithms: "
-         "'mmse_sampleR' needs N >= M, got N=16 and M=32")])
+         "'mmse_sampleR' needs N >= M, got N=16 and M=32"),
+        (["run", "--config", "pool_fit.yaml"], "invalid experiment config: algorithms: "
+         "'bcd:4' needs K + N > M, got K=4, N=28 and M=32"),
+        (["run", "--config", "pool_fit_start.yaml", "--sweeps", "2"], "invalid experiment "
+         "config: algorithms: 'bcd:2' needs K + N > M, got K=4, N=28 and M=32"),
+        # a config the run accepts; the trace's reference is the sample-MMSE solve
+        (["trace", "--config", "short_pool.yaml"],
+         "trace needs N >= M for its sample-MMSE reference, got N=30 and M=32")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
