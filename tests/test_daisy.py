@@ -267,22 +267,66 @@ def test_sweeps_descend_on_a_loaded_trial():
     assert values[1][1] < values[0][1]  # the loaded step itself descends
 
 
-def _message_form_sweep(channels, pool, E_s, loaded, W, m):
-    """The message-form chain step, as an oracle: one sweep from W (T x K x M)
-    and its message m = [W H - I | W n], updated in place. Cluster c caches
-    Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1, with G_c loaded where `loaded`
-    (T x C) says; the step is D = -m Phi_c, W_c += D, and the message leaves
-    the cluster as m + D [H_c | n_c]."""
+def _message_form_step(channels, pool, E_s, loaded, W, m, c):
+    """The message-form chain step, as an oracle: one block update of cluster
+    c from W (T x K x M) and its message m = [W H - I | W n], both updated in
+    place. Cluster c caches Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1, with G_c
+    loaded where `loaded` (T x C) says; the step is D = -m Phi_c, W_c += D,
+    and the message leaves the cluster as m + D [H_c | n_c]."""
     K, N = channels.H.shape[-1], pool.shape[-1]
     Hn = np.concatenate([channels.H, pool], axis=-1)
     scale = np.concatenate([np.full(K, E_s), np.full(N, 1.0 / N)])
-    for c, s in enumerate(model.cluster_slices(channels.cluster_sizes)):
-        G = E_s * Hn[:, s, :K] @ herm(Hn[:, s, :K]) + Hn[:, s, K:] @ herm(Hn[:, s, K:]) / N
-        for t in np.flatnonzero(loaded[:, c]):
-            G[t] += DIAG_LOAD * np.trace(G[t]).real / G.shape[-1] * np.eye(G.shape[-1])
-        D = -(m @ herm(Hn[:, s] * scale) @ np.linalg.inv(G))
-        W[:, :, s] += D
-        m += D @ Hn[:, s]
+    s = model.cluster_slices(channels.cluster_sizes)[c]
+    G = E_s * Hn[..., s, :K] @ herm(Hn[..., s, :K]) + Hn[..., s, K:] @ herm(Hn[..., s, K:]) / N
+    for t in np.flatnonzero(loaded[:, c]):
+        G[t] += DIAG_LOAD * np.trace(G[t]).real / G.shape[-1] * np.eye(G.shape[-1])
+    D = -(m @ herm(Hn[..., s, :] * scale) @ np.linalg.inv(G))
+    W[:, :, s] += D
+    m += D @ Hn[..., s, :]
+
+
+def _message_form_sweep(channels, pool, E_s, loaded, W, m):
+    """One sweep of the message-form step over every cluster in chain order."""
+    for c in range(len(channels.cluster_sizes)):
+        _message_form_step(channels, pool, E_s, loaded, W, m, c)
+
+
+def _message(W, channels, pool):
+    """[W H - I | W n], the message the protocol carries from W."""
+    K = channels.H.shape[-1]
+    return np.concatenate([W @ channels.H - np.eye(K), W @ pool], axis=-1)
+
+
+class TestConsistencyAudit:
+    # the chain carries no message; these check that what it steps on stays
+    # the message-form step computed afresh from its own W
+    def test_zero_after_preprocessing(self):
+        # from the BDAC start, each cluster's step F_c - W0 Q_c is the
+        # message-form step -m0 Phi_c on the start message m0
+        sc, ch, pool, _ = make_instance(seed=15)
+        chain = make_chain(ch, pool, sc.E_s)
+        W0 = bdac_init(chain)
+        np.testing.assert_array_equal(chain.W, W0)
+        m0 = _message(W0, ch, pool)
+        for c, s in enumerate(chain.slices):
+            W, m = W0.copy(), m0.copy()
+            _message_form_step(ch, pool, sc.E_s, chain.loaded, W, m, c)
+            step = chain.F[c] - W0 @ chain.Q[c]
+            assert np.max(np.abs(step - (W - W0)[:, :, s])) < 1e-13
+
+    def test_small_after_many_updates(self):
+        # each block update equals the message-form update from the message
+        # computed afresh from the chain's W, over many updates
+        sc, ch, pool, _ = make_instance(seed=16)
+        chain = make_chain(ch, pool, sc.E_s)
+        bdac_init(chain)
+        for sweep in range(4):
+            for c in range(sc.C):
+                W = chain.W.copy()
+                _message_form_step(ch, pool, sc.E_s, chain.loaded, W,
+                                   _message(W, ch, pool), c)
+                bcd_block_update(chain, c)
+                assert np.max(np.abs(chain.W - W)) < 1e-10
 
 
 def _oracle_case(case):
@@ -310,7 +354,7 @@ def test_iterates_equal_the_message_form(case):
     # the run's BDAC start; the loaded trial's R_cc is singular, so that stack
     # starts at W = 0
     W = chain.W.copy() if chain.loaded.any() else bdac_init(chain)
-    m = np.concatenate([W @ channels.H - np.eye(sc.K), W @ pool], axis=-1)
+    m = _message(W, channels, pool)
     for sweep in range(4):
         _message_form_sweep(channels, pool, sc.E_s, chain.loaded, W, m)
         for c in range(sc.C):
