@@ -81,34 +81,41 @@ def mmse_centralized(H: np.ndarray, R: np.ndarray, E_s: float) -> np.ndarray:
 
     Computed through two Hermitian solves; R is never explicitly inverted.
     """
-    return _mmse_from(H, herm_solve(R, H, what="noise covariance"), E_s)
+    return mmse_from(H, herm_solve(R, H, what="noise covariance"), E_s)
 
 
 def mmse_exact(H: np.ndarray, H_int: np.ndarray, sigma2: float, p_int: float,
                E_s: float) -> np.ndarray:
     """mmse_centralized(H, R, E_s) for the exact noise covariance
-    R = sigma2 I + p_int H_int H_int^H, without forming R.
+    R = sigma2 I + p_int H_int H_int^H, forming R only when it is no larger
+    than the interference Gram matrix.
 
-    The matrix inversion lemma (Hager, SIAM Review 1989) gives
+    With fewer interferers than antennas (K_int < M), the matrix inversion
+    lemma (Hager, SIAM Review 1989) gives
     R^-1 H = (H - H_int S^-1 H_int^H H) / sigma2 with the K_int x K_int
     interference Gram matrix S = H_int^H H_int + (sigma2 / p_int) I, so the
     cost is one K_int x K_int solve instead of two M x M factorizations.
-    Without interference (K_int = 0 or p_int = 0), R^-1 H = H / sigma2.
-    R is singular when sigma2 = 0 (noise-free), which raises.
+    When H_int spans all M antennas (K_int >= M), the lemma cancels H in
+    full and loses accuracy as the IoT grows, so R itself is solved, an
+    M x M system no larger than S. Without interference (K_int = 0 or
+    p_int = 0), R^-1 H = H / sigma2. R is singular when sigma2 = 0
+    (noise-free), which raises.
     """
     if sigma2 == 0.0:
         where = " in trial 0" if H.ndim > 2 else ""
         raise SingularMatrixError(f"noise covariance{where} is numerically singular "
                                   "(thermal noise power 0)")
-    K_int = H_int.shape[-1]
+    M, K_int = H_int.shape[-2:]
     if K_int == 0 or p_int == 0.0:
-        return _mmse_from(H, H / sigma2, E_s)
+        return mmse_from(H, H / sigma2, E_s)
+    if K_int >= M:
+        return mmse_centralized(H, sigma2 * np.eye(M) + p_int * (H_int @ herm(H_int)), E_s)
     S = herm(H_int) @ H_int + (sigma2 / p_int) * np.eye(K_int)
     B = herm_solve(S, herm(H_int) @ H, what="interference Gram matrix")
-    return _mmse_from(H, (H - H_int @ B) / sigma2, E_s)
+    return mmse_from(H, (H - H_int @ B) / sigma2, E_s)
 
 
-def _mmse_from(H: np.ndarray, X: np.ndarray, E_s: float) -> np.ndarray:
+def mmse_from(H: np.ndarray, X: np.ndarray, E_s: float) -> np.ndarray:
     """The MMSE equalizer (H^H X + I/E_s)^-1 X^H from X = R^-1 H."""
     G = herm(H) @ X + np.eye(H.shape[-1]) / E_s
     return herm_solve(G, herm(X), what="MMSE normal matrix")

@@ -54,10 +54,13 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         raise ValueError(f"trace needs N >= M for its sample-MMSE reference, got "
                          f"N={sc.N} and M={sc.M}")
     if args.command == "run" and args.sweeps is not None:
+        bcd = [harness.parse_algorithm(a)[0] == "bcd" for a in config.algorithms]
+        if not any(bcd):
+            raise ValueError(f"--sweeps {args.sweeps}: needs a bcd token in the "
+                             f"algorithms, got {', '.join(config.algorithms)}")
         # every bcd token becomes the one bcd:L token, in the first one's place
-        algs = tuple(dict.fromkeys(
-            f"bcd:{args.sweeps}" if harness.parse_algorithm(a)[0] == "bcd" else a
-            for a in config.algorithms))
+        algs = tuple(dict.fromkeys(f"bcd:{args.sweeps}" if is_bcd else a
+                                   for a, is_bcd in zip(config.algorithms, bcd)))
         config = dataclasses.replace(config, algorithms=algs)
     return config
 

@@ -8,12 +8,12 @@ by passing one K x (K+N) residual message m = [W H - I | W n] from cluster to
 cluster, so the payload never depends on the antenna count.
 
 The sweeps are block Gauss-Seidel on the normal equations W Gamma = E_s H^H
-of the sample objective, with Gamma = E_s H H^H + R_hat. Cluster c computes
-its exact block minimizer from the message as W_c - m Phi_c, with
-Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1 and G_c = E_s H_c H_c^H + R_cc the
-Gram matrix of its block. Since [H | n] Phi_c = Gamma[:, s_c] G_c^-1, the
-same step is W_c + F_c - W Q_c with Q_c = Gamma[:, s_c] G_c^-1 and F_c the
-first K rows of Phi_c, and that is how it runs here: this module computes the
+of the sample objective, with Gamma = E_s H H^H + R_hat. Cluster c's exact
+block minimizer is W_c + F_c - W Q_c, with G_c = E_s H_c H_c^H + R_cc the Gram
+matrix of its block, F_c = E_s H_c^H G_c^-1 and Q_c = Gamma[:, s_c] G_c^-1;
+all three come from H and R_hat. On the chain, cluster c reads W Q_c - F_c
+off the message as m Phi_c, with Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1,
+since [H | n] Phi_c = Gamma[:, s_c] G_c^-1. This module computes the
 protocol's iterates and meters its messages in closed form, but does not form
 the messages. The centralized sample-MMSE solution is the fixed point, where
 W Q_c = F_c for every cluster.
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import RCOND_FLOOR, herm, herm_solve, rcond
-from .model import ChannelSet, cluster_slices
+from . import model
+from .central import RCOND_FLOOR, herm, herm_solve, mmse_from, rcond
 from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
                            PHASE_SWEEP, Topology, TrafficLedger)
 
@@ -47,30 +47,26 @@ class Chain:
     N: int                   # noise samples in the pool: a message is K x (K+N)
     slices: list[slice]
     E_s: float
-    R: list[np.ndarray]      # T x M_c x M_c local sample covariance blocks R_cc
+    R: list[np.ndarray]      # T x M_c x M_c views of the diagonal blocks R_cc of R_hat
     Q: list[np.ndarray]      # T x M x M_c: Gamma[:, s_c] G_c^-1
     F: list[np.ndarray]      # T x K x M_c: E_s H_c^H G_c^-1
     loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
     W: np.ndarray            # T x K x M equalizers
 
 
-def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
+def make_chain(channels: model.ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
     """Build the chains of a stack of trials (see model.stack_trials), with
-    W = 0; a single trial builds a stack of one."""
-    Hn = np.concatenate([channels.H, pool], axis=-1)
-    if Hn.ndim == 2:
-        Hn = Hn[None]
-    T, M = Hn.shape[:2]
-    K, N = channels.H.shape[-1], pool.shape[-1]
-    H, noise = Hn[..., :K], Hn[..., K:]
-    # column scaling of [H_c | n_c] to [E_s H_c | n_c / N]
-    scale = np.concatenate([np.full(K, E_s), np.full(N, 1.0 / N)])
-    slices = cluster_slices(channels.cluster_sizes)
+    W = 0, from H and the pool's sample covariance R_hat; a single trial
+    builds a stack of one."""
+    H = channels.H if channels.H.ndim == 3 else channels.H[None]
+    R_hat = model.sample_covariance(pool if pool.ndim == 3 else pool[None])
+    T, M, K = H.shape
+    slices = model.cluster_slices(channels.cluster_sizes)
     R, Q, F = [], [], []
     loaded = np.zeros((T, len(slices)), dtype=bool)
     for c, s in enumerate(slices):
-        R_cc = noise[:, s] @ herm(noise[:, s]) / N
-        G = E_s * (H[:, s] @ herm(H[:, s])) + R_cc
+        R.append(R_hat[:, s, s])
+        G = E_s * (H[:, s] @ herm(H[:, s])) + R[c]
         loaded[:, c] = rcond(G) < RCOND_FLOOR
         for t in np.flatnonzero(loaded[:, c]):
             # keep long Monte Carlo runs alive on near-singular local blocks
@@ -78,13 +74,13 @@ def make_chain(channels: ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
             G[t] += delta * np.eye(G.shape[-1])
             warnings.warn(f"cluster {c}, trial {t}: ill-conditioned update matrix, "
                           f"diagonal loading {delta:.3e} applied")
-        # phi = [E_s H_c^H ; n_c^H / N] G_c^-1, so [H | n] phi = Gamma[:, s_c] G_c^-1
-        phi = herm(Hn[:, s] * scale) @ np.linalg.inv(G)
-        R.append(R_cc)
-        Q.append(Hn @ phi)
-        F.append(phi[:, :K].copy())
-    return Chain(H=np.ascontiguousarray(H), N=N, slices=slices, E_s=E_s, R=R, Q=Q,
-                 F=F, loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
+        G_inv = np.linalg.inv(G)
+        F.append(E_s * herm(H[:, s]) @ G_inv)
+        # Gamma[:, s_c] G_c^-1 in parts: one product, or a solve for G_c^-1,
+        # rounds worse on a loaded block, where the sweeps then read as ascent
+        Q.append(H @ F[c] + R_hat[:, :, s] @ G_inv)
+    return Chain(H=H, N=pool.shape[-1], slices=slices, E_s=E_s, R=R, Q=Q, F=F,
+                 loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -101,22 +97,18 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
     """Block-diagonal-covariance initializer.
 
     W0 = (sum_c H_c^H R_cc^-1 H_c + I/E_s)^-1 [H_1^H R_11^-1, ..., H_C^H R_CC^-1],
-    realized as one K x K Gram accumulation circuit followed by local solves.
+    the MMSE equalizer for the block-diagonal covariance diag(R_11, ..., R_CC):
+    local solves, then one K x K Gram accumulation circuit.
     Sets chain.W and returns a copy of it; the ledger meters one chain instance.
     """
     K = chain.H.shape[-1]
-    S = np.eye(K, dtype=complex) / chain.E_s
-    X = []  # per-cluster R_cc^-1 H_c
-    for c, s in enumerate(chain.slices):
-        H_c = chain.H[:, s]
-        X_c = herm_solve(chain.R[c], H_c,
-                         what=f"cluster {c}: local covariance block R_cc")
-        X.append(X_c)
-        S = S + herm(H_c) @ X_c
+    X = np.concatenate([herm_solve(chain.R[c], chain.H[:, s],
+                                   what=f"cluster {c}: local covariance block R_cc")
+                        for c, s in enumerate(chain.slices)], axis=1)  # R_cc^-1 H_c
     if ledger is not None:
         for link in ledger.topology.links:
             ledger.add(PHASE_GRAM, link, K * K)
-    chain.W = herm_solve(S, herm(np.concatenate(X, axis=1)), what="BDAC Gram sum")
+    chain.W = mmse_from(chain.H, X, chain.E_s)
     return chain.W.copy()
 
 

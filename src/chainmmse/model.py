@@ -16,27 +16,22 @@ import numpy as np
 
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Circular complex Gaussian CN(0, 1): unit variance per entry."""
-    z = np.empty(shape, dtype=complex)
-    fill_crandn(rng, z, np.empty((2,) + shape))
-    return z
+    """Circular complex Gaussian CN(0, 1): unit variance per entry.
 
-
-def fill_crandn(rng: np.random.Generator, z: np.ndarray, draws: np.ndarray) -> None:
-    """Fill the complex array z with crandn draws, in place.
-
-    draws is a float buffer of shape (2,) + z.shape that receives the normals:
-    the real block, then the imaginary block, the stream of two consecutive
-    standard_normal(z.shape) calls. Each block is written already scaled,
-    a * (1/sqrt(2)) into z.real and b * (1/sqrt(2)) into z.imag: a real
-    multiply by the reciprocal, which is how numpy's complex division by
-    sqrt(2) + 0j scales too. So z equals (a + 1j * b) / sqrt(2) bit for bit,
-    except for the sign of an exactly zero draw, which z keeps and the
-    complex formula may flip.
+    The normals fill a (2,) + shape buffer: the real block, then the
+    imaginary block, the stream of two consecutive standard_normal(shape)
+    calls. Each block is written already scaled, a * (1/sqrt(2)) into z.real
+    and b * (1/sqrt(2)) into z.imag: a real multiply by the reciprocal, which
+    is how numpy's complex division by sqrt(2) + 0j scales too. So z equals
+    (a + 1j * b) / sqrt(2) bit for bit, except for the sign of an exactly zero
+    draw, which z keeps and the complex formula may flip.
     """
+    draws = np.empty((2,) + shape)
     rng.standard_normal(out=draws)
+    z = np.empty(shape, dtype=complex)
     np.multiply(draws[0], 1 / np.sqrt(2.0), out=z.real)
     np.multiply(draws[1], 1 / np.sqrt(2.0), out=z.imag)
+    return z
 
 
 def cluster_slices(cluster_sizes) -> list[slice]:

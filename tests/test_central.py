@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainmmse import model
@@ -76,16 +76,26 @@ def _exact_instance(seed, M, K, K_int, T, es_n0_db, iot_db):
     return sc, channels, model.powers_from_ratios(sc)[:2]
 
 
-@given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 12), data=st.data(),
-       T=st.integers(1, 3), es_n0_db=st.floats(-10.0, 30.0))
-@settings(max_examples=80, deadline=None)
-def test_mmse_exact_equals_the_solve_against_the_full_covariance(seed, M, data, T,
-                                                                 es_n0_db):
-    K = data.draw(st.integers(1, M), label="K")
-    K_int = data.draw(st.integers(0, M + 2), label="K_int")
+@st.composite
+def _exact_cases(draw):
+    """(seed, M, K, K_int, T, es_n0_db, iot_db) of a mmse_exact instance; with
+    K_int >= M the interference spans every antenna, and the IoT reaches 200 dB."""
+    M = draw(st.integers(1, 12), label="M")
+    K = draw(st.integers(1, M), label="K")
+    K_int = draw(st.integers(0, M + 2), label="K_int")
     no_power = st.sampled_from([None, -np.inf])
-    iot_db = data.draw(no_power if K_int == 0 else no_power | st.floats(-20.0, 40.0),
-                       label="iot_db")
+    iot = st.floats(-20.0, 200.0 if K_int >= M else 40.0)
+    return (draw(st.integers(0, 2**32 - 1), label="seed"), M, K, K_int,
+            draw(st.integers(1, 3), label="T"), draw(st.floats(-10.0, 30.0), label="es_n0_db"),
+            draw(no_power if K_int == 0 else no_power | iot, label="iot_db"))
+
+
+@given(case=_exact_cases())
+@example(case=(0, 8, 2, 16, 2, 10.0, 120.0))  # more interferers than antennas
+@example(case=(0, 8, 2, 8, 2, 10.0, 200.0))   # as many: the lemma cancels H in full
+@settings(max_examples=80, deadline=None)
+def test_mmse_exact_equals_the_solve_against_the_full_covariance(case):
+    seed, M, K, K_int, T, es_n0_db, iot_db = case
     sc, ch, (sigma2, p_int) = _exact_instance(seed, M, K, K_int, T, es_n0_db, iot_db)
     W = mmse_exact(ch.H, ch.H_int, sigma2, p_int, sc.E_s)
     ref = mmse_centralized(ch.H, model.exact_covariance(ch, sc), sc.E_s)

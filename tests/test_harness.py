@@ -522,7 +522,10 @@ class TestCli:
          "config: algorithms: 'bcd:2' needs K + N > M, got K=4, N=28 and M=32"),
         # a config the run accepts; the trace's reference is the sample-MMSE solve
         (["trace", "--config", "short_pool.yaml"],
-         "trace needs N >= M for its sample-MMSE reference, got N=30 and M=32")])
+         "trace needs N >= M for its sample-MMSE reference, got N=30 and M=32"),
+        # no chain row would take the sweeps
+        (["run", "--algorithms", "zf,mmse_sampleR", "--sweeps", "7"],
+         "--sweeps 7: needs a bcd token in the algorithms, got zf, mmse_sampleR")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
