@@ -8,6 +8,8 @@ amplitude, so QPSK bits 00 -> (+1+j)/sqrt(2).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,112 +63,191 @@ class Constellation:
         return (self._decide_axis(re) << self._axis_bits) | self._decide_axis(im)
 
 
-def _symbol_indices(bits: np.ndarray, bps: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Symbol index of every group of bps bits along the last axis, MSB first."""
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    return np.matmul(bits.reshape(bits.shape[:-1] + (-1, bps)), weights, out=out)
+# bytes of estimates decided at once: the real and imaginary parts of a
+# (..., K, block) stack of equalized symbols
+DETECT_BYTES = 1 << 18
+# bytes of a trial's data stream drawn at once, in whole rows: int64 bits in
+# make_frame, normals (with the symbol rows) in evaluate_equalizer
+DRAW_BYTES = 1 << 21
+# bytes of a trial's normals from which a chunk's trials are split between
+# LANES threads; never more lanes than the CPUs the process may run on
+LANE_BYTES = 1 << 22
+LANES = 2
+# each thread's lane buffers and replay generator, kept between calls: the
+# calling thread runs a lane in every call, and buffers freed after each
+# chunk would fault their pages in again in the next
+_kept = threading.local()
 
 
 @dataclass
 class Frame:
-    """One batch of data REs, held by its parts and never as the received block.
+    """One trial's batch of data REs: its symbols, and the point of its data
+    stream where the noise starts. Neither the received block nor its noise
+    is held.
 
     The received block Y = scale H S + sqrt(p_int) H_int X + sqrt(sigma2) Z is
-    linear in its parts: the symbols S, the interference symbols
-    X = (c + 1j d) / sqrt(2) and the thermal noise Z = (a + 1j b) / sqrt(2),
-    with a, b, c, d blocks of standard normals. parts holds the real and the
-    imaginary rows of the stacked block [S; a + 1j b; c + 1j d]: the rows
-    [Re S; a; c] and [Im S; b; d]. X is zero where the scenario has no
-    interference power. The transmitted bits are the MSB-first binary of the
-    symbol indices.
+    linear in the symbols S, the interference symbols X = (c + 1j d) / sqrt(2)
+    and the thermal noise Z = (a + 1j b) / sqrt(2). The standard normals a and
+    b (M x n_symbols), then c and d (K_int x n_symbols), follow the bits in the
+    data stream, each row by row; c and d are drawn only with interference
+    power, and X is zero without it. noise_state is the bit generator's state
+    at the first of them, from which evaluate_equalizer replays them. The
+    transmitted bits are the MSB-first binary of the symbol indices.
     """
-    channels: ChannelSet  # H (M x K) and H_int (M x K_int) of the frame
-    sym: np.ndarray       # (K, n_symbols) symbol indices into the constellation
-    parts: np.ndarray     # (2, K + M + K_int, n_symbols) real rows, as above
+    channels: ChannelSet  # H (M x K) and H_int (M x K_int) of the trial
+    sym: np.ndarray       # (K, n_symbols) uint8 symbol indices into the constellation
+    noise_state: dict     # rng.bit_generator.state at the first normal of a
 
 
 def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
                rng: np.random.Generator,
-               constellation: Constellation | None = None,
-               out: Frame | None = None) -> Frame:
-    """Generate data REs with fresh colored noise over the same interference channel.
+               constellation: Constellation | None = None) -> Frame:
+    """Draw a trial's bits from its data stream rng and keep the state of the
+    stream after them, where the frame's normals start (see Frame). rng is
+    left at that point.
 
-    The data stream gives the bits, then the thermal normals a and b, then,
-    with interference power, the normals c and d of the interference symbols.
-    out, a frame that make_frame returned for the same K, M, K_int and
-    n_symbols, is refilled in place and returned; its values are those of a
-    new frame.
+    The bits are drawn DRAW_BYTES of whole user rows at a time. numpy draws
+    them from the 32-bit halves of 64-bit words, so calls of an even count of
+    bits (bits_per_symbol is even) draw the stream of one call over all K rows.
     """
     const = constellation or Constellation(scenario.constellation)
-    (M, K), K_int = channels.H.shape, channels.H_int.shape[-1]
-    shape = (2, K + M + K_int, n_symbols)
-    if out is None:
-        out = Frame(channels, sym=np.empty((K, n_symbols), dtype=np.int64),
-                    parts=np.empty(shape))
-    elif out.sym.shape != (K, n_symbols) or out.parts.shape != shape:
-        raise ValueError(f"out: frame of K={out.sym.shape[0]}, {out.parts.shape[1]} rows "
-                         f"of parts, {out.sym.shape[1]} symbols cannot hold K={K}, M={M}, "
-                         f"{n_symbols} symbols with K_int={K_int}")
-    out.channels = channels
-    _, p_int, _ = powers_from_ratios(scenario)
-    bits = rng.integers(0, 2, size=(K, n_symbols * const.bits_per_symbol))
-    _symbol_indices(bits, const.bits_per_symbol, out=out.sym)
-    re, im = out.parts
-    np.take(const.points.real, out.sym, out=re[:K], mode="clip")
-    np.take(const.points.imag, out.sym, out=im[:K], mode="clip")
-    # a, then b: two calls draw the stream of one call over both blocks
-    rng.standard_normal(out=re[K:K + M])
-    rng.standard_normal(out=im[K:K + M])
-    if K_int > 0 and p_int > 0.0:
-        rng.standard_normal(out=re[K + M:])
-        rng.standard_normal(out=im[K + M:])
-    else:
-        out.parts[:, K + M:] = 0.0
-    return out
+    bps = const.bits_per_symbol
+    weights = 1 << np.arange(bps - 1, -1, -1)
+    K = channels.H.shape[1]
+    sym = np.empty((K, n_symbols), dtype=np.uint8)
+    per = max(1, DRAW_BYTES // (8 * bps * max(n_symbols, 1)))
+    for k in range(0, K, per):
+        sym[k:k + per] = rng.integers(0, 2, size=(min(per, K - k), n_symbols, bps)) @ weights
+    return Frame(channels, sym, rng.bit_generator.state)
 
 
-# bytes of estimates decided at once: the real and imaginary parts of a
-# (..., K, block) stack of equalized symbols
-DETECT_BYTES = 1 << 18
+def _real_form(Q: np.ndarray) -> np.ndarray:
+    """The real matrices [[Re Q, -Im Q], [Im Q, Re Q]] of a (..., r, m) stack:
+    each maps the rows [x; y] to the real and imaginary parts of Q (x + 1j y)."""
+    return np.concatenate([np.concatenate([Q.real, -Q.imag], axis=-1),
+                           np.concatenate([Q.imag, Q.real], axis=-1)], axis=-2)
 
 
-def evaluate_equalizer(W: np.ndarray, frame: Frame, scenario: Scenario,
+def lanes(n_trials: int, trial_bytes: int) -> int:
+    """Threads that evaluate a chunk of n_trials trials, each of trial_bytes of
+    normals: LANES when a trial reaches LANE_BYTES, capped by the trials and
+    by the CPUs of os.sched_getaffinity (so `taskset -c 0` gives one)."""
+    if trial_bytes < LANE_BYTES or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(LANES, n_trials, len(os.sched_getaffinity(0)))
+
+
+def _in_lanes(work, n_lanes: int) -> None:
+    """work(lane) for every lane, lane 0 on the calling thread and the others
+    on threads of their own, all joined before returning; the first error of
+    a lane is raised."""
+    errors = []
+
+    def run(lane):
+        try:
+            work(lane)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(lane,)) for lane in range(1, n_lanes)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def evaluate_equalizer(W: np.ndarray, frames, scenario: Scenario,
                        constellation: Constellation | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Equalize a frame with a K x M equalizer or a (..., K, M) stack of them,
-    hard-decide all users at once, and count bit and symbol errors on the
-    symbol indices (the bits are the index's MSB-first binary). scenario is
-    the one the frame was made with.
+    """Equalize a chunk of T frames with a (..., T, K, M) stack of equalizers,
+    W[..., t, :, :] on frames[t], hard-decide all users at once, and count bit
+    and symbol errors on the symbol indices (the bits are the index's MSB-first
+    binary). scenario is the one the frames were made with.
 
     The estimates W Y / scale are W's gain on each part of the frame, summed:
     (W H) S + (sqrt(p_int) / scale) (W H_int) X + (sqrt(sigma2) / scale) W Z.
-    The gains form one complex matrix P over the frame's stacked block, and
-    its real form [[Re P, -Im P], [Im P, Re P]] maps the frame's real rows to
-    the real and imaginary estimates. The frame is equalized and decided in
-    blocks of columns, one real product of DETECT_BYTES of estimates each.
+    The real form of each gain (_real_form) maps the real rows of its part to
+    the real and imaginary estimates: [Re S; Im S], then the normals [a; b]
+    and [c; d] of the frame's stream. A trial's estimates start from its
+    symbols. Its normals are then replayed from the frame's noise_state in
+    stream order, DRAW_BYTES of whole rows at a time into a buffer that each
+    lane keeps (see _kept), and each block is folded into the estimates as
+    soon as it is drawn. Both products and the decisions run in blocks of
+    columns, DETECT_BYTES of estimates each. The trials are split between
+    lanes (see lanes), each a thread that draws and equalizes its own trials,
+    so the counts do not depend on the lanes.
 
-    Returns (bit_errors, symbol_errors), integers over W's leading axes.
+    Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2].
     """
     const = constellation or Constellation(scenario.constellation)
+    if W.shape[-3] != len(frames):
+        raise ValueError(f"W: equalizers of {W.shape[-3]} trials for {len(frames)} frames")
     sigma2, p_int, scale = powers_from_ratios(scenario)
-    H, H_int = frame.channels.H, frame.channels.H_int
-    lead, K = W.shape[:-2], W.shape[-2]
-    P = np.concatenate([W @ H, W * (math.sqrt(sigma2 / 2) / scale),
-                        (W @ H_int) * (math.sqrt(p_int / 2) / scale)], axis=-1)
-    P = P.reshape(-1, P.shape[-1])
-    G = np.concatenate([np.concatenate([P.real, -P.imag], axis=-1),
-                        np.concatenate([P.imag, P.real], axis=-1)])
-    AK = P.shape[0]
-    rows = frame.parts.reshape(G.shape[-1], -1)
+    lead, (T, K, M) = W.shape[:-3], W.shape[-3:]
+    W = W.reshape((-1, T, K, M))
+    AK = W.shape[0] * K
+    # real rows per symbol: Re S, Im S, the normals a and b, then c and d with
+    # interference power
+    rows = 2 * (K + M + (scenario.K_int if p_int > 0.0 else 0))
     block = max(1, DETECT_BYTES // (16 * AK))
-    bit_errors = np.zeros(lead, dtype=np.int64)
-    symbol_errors = np.zeros(lead, dtype=np.int64)
-    for first in range(0, rows.shape[-1], block):
-        cols = slice(first, first + block)
-        est = G @ rows[:, cols]
-        sym = const.decide(est[:AK], est[AK:]).reshape(lead + (K, -1))
-        wrong = sym ^ frame.sym[:, cols]
-        bit_errors += const._popcount[wrong].sum(axis=(-2, -1))
-        symbol_errors += np.count_nonzero(wrong, axis=(-2, -1))
-    return bit_errors, symbol_errors
+    counts = np.zeros((2, W.shape[0], T), dtype=np.int64)
+    n_lanes = lanes(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
+
+    # T x 2AK x rows: each trial's real form of its gains on [S, Z, X], the
+    # columns put in stream order: [Re S; Im S], then [a; b] and [c; d]
+    half = rows // 2
+    order = np.concatenate([np.r_[lo:hi, half + lo:half + hi]
+                            for lo, hi in ((0, K), (K, K + M), (K + M, half))])
+    gains = [W @ np.stack([f.channels.H for f in frames]), W * (math.sqrt(sigma2 / 2) / scale)]
+    if half > K + M:
+        gains.append((W @ np.stack([f.channels.H_int for f in frames]))
+                     * (math.sqrt(p_int / 2) / scale))
+    P = np.moveaxis(np.concatenate(gains, axis=-1), 1, 0).reshape(T, AK, half)
+    G = _real_form(P)[..., order]
+    del gains, P  # freed before the lanes run
+
+    def lane(first):
+        est, replay, rng = getattr(_kept, "buffers", (np.empty(0), np.empty(0), None))
+        for t in range(first, T, n_lanes):
+            frame = frames[t]
+            n = frame.sym.shape[1]
+            per = max(2 * K, min(rows, DRAW_BYTES // (8 * max(n, 1))))  # symbols in block one
+            if replay.size < per * n:
+                replay = np.empty(per * n)
+            # the estimates by blocks of columns: over several blocks of rows
+            # each is a contiguous part of est, which holds them all; from one
+            # block of rows each is made, decided and freed in turn
+            if per < rows and est.size < 2 * AK * n:
+                est = np.empty(2 * AK * n)
+            blocks = [(slice(c, c + block), None if per >= rows else
+                       est[2 * AK * c:2 * AK * min(c + block, n)].reshape(2 * AK, -1))
+                      for c in range(0, n, block)]
+            kind = frame.noise_state["bit_generator"]
+            if rng is None or type(rng.bit_generator).__name__ != kind:
+                rng = np.random.Generator(getattr(np.random, kind)())
+            rng.bit_generator.state = frame.noise_state
+            for r in range(0, rows, per):
+                h = min(per, rows - r)
+                x = replay[:h * n].reshape(h, n)
+                if r == 0:
+                    np.take(const.points.real, frame.sym, out=x[:K], mode="clip")
+                    np.take(const.points.imag, frame.sym, out=x[K:2 * K], mode="clip")
+                rng.standard_normal(out=x[2 * K:] if r == 0 else x)
+                for cols, e in blocks:
+                    if r == 0:
+                        e = np.matmul(G[t, :, :h], x[:, cols], out=e)
+                    else:
+                        e += G[t, :, r:r + h] @ x[:, cols]
+                    if r + h < rows:
+                        continue
+                    wrong = const.decide(e[:AK], e[AK:]).reshape(-1, K, e.shape[-1])
+                    wrong ^= frame.sym[:, cols]
+                    counts[0, :, t] += const._popcount[wrong].sum(axis=(-2, -1))
+                    counts[1, :, t] += np.count_nonzero(wrong, axis=(-2, -1))
+        _kept.buffers = est, replay, rng
+
+    _in_lanes(lane, n_lanes)
+    return counts[0].reshape(lead + (T,)), counts[1].reshape(lead + (T,))

@@ -11,9 +11,10 @@ Trials are drawn one by one and built in chunks stacked along a leading
 trial axis: each centralized algorithm builds a chunk in one call, and all
 chain algorithms read theirs from one chain run (bdac at depth 0, bcd:L at
 depth L). The chunk's equalizers form one algorithm x trial stack, scored by
-one objective call; a trial's equalizers do not depend on its chunk. The run
-keeps one frame and refills it for every trial, in trial order; each frame is
-equalized and decided once for all algorithms, in blocks of symbols.
+one objective call; a trial's equalizers do not depend on its chunk. Each
+trial draws one frame, in trial order, and the chunk's frames are equalized
+and decided for all algorithms in one detection call, whose per-trial counts
+do not depend on how it splits the trials between threads.
 """
 from __future__ import annotations
 
@@ -247,7 +248,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     A = len(config.algorithms)
     axis = {t: a for a, t in enumerate(config.algorithms)}  # the algorithm axis
     rows = []
-    frame = None  # one frame of the run's shape, refilled for every trial
     grid = [(es, iot) for iot in config.iot_db for es in config.es_n0_db]
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
@@ -284,10 +284,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 wall[axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
                     time.perf_counter() - t0)
             obj = central.sample_objective(W, channels.H, pool, sc.E_s)
-            for i, (ch, (_, _, rng_data)) in enumerate(zip(channel_sets, rngs)):
-                frame = detect.make_frame(ch, sc, config.symbols_per_trial,
-                                          rng_data, const, out=frame)
-                errors += detect.evaluate_equalizer(W[:, i], frame, sc, const)
+            frames = [detect.make_frame(ch, sc, config.symbols_per_trial, rng_data, const)
+                      for ch, (_, _, rng_data) in zip(channel_sets, rngs)]
+            errors += np.sum(detect.evaluate_equalizer(W, frames, sc, const), axis=-1)
+            for i in range(len(rngs)):
                 objective += obj[:, i]  # trial by trial, in trial order
         symbols = config.trials * sc.K * config.symbols_per_trial
         for a, (name, L) in enumerate(parsed):

@@ -254,9 +254,9 @@ def test_criterion_8_awgn_qpsk_sanity():
                           H_int=np.zeros((1, 0), complex), cluster_sizes=(1,))
     W = central.zf_centralized(ch.H)
     frame = detect.make_frame(ch, sc, 500_000, np.random.default_rng(8))
-    bit_errors, _ = detect.evaluate_equalizer(W, frame, sc)
+    bit_errors, _ = detect.evaluate_equalizer(W[None], [frame], sc)  # a chunk of one trial
     bits = frame.sym.size * detect.Constellation(4).bits_per_symbol
-    ber = int(bit_errors) / bits
+    ber = int(bit_errors[0]) / bits
     # the ratio is per-bit SNR: Q(sqrt(2*Eb/N0)) with Eb/N0 = E_s/(2 sigma2)
     theory = float(norm.sf(math.sqrt(10.0 ** (es_n0_db / 10.0))))
     se = math.sqrt(theory * (1.0 - theory) / bits)

@@ -160,24 +160,43 @@ def _equalizer_stack(ch, rng):
                      W + 0.5 * size * model.crandn(rng, K, M), model.crandn(rng, K, M)])
 
 
+def evaluate_one(W, frame, sc):
+    """The counts of one frame: W, K x M or (..., K, M), as a chunk of one trial."""
+    bit_errors, symbol_errors = evaluate_equalizer(W[..., None, :, :], [frame], sc)
+    return bit_errors[..., 0], symbol_errors[..., 0]
+
+
+def _chunk(sc, seeds, n):
+    """A chunk of trials, one per seed: the 4 x T x K x M equalizer stacks and
+    the T frames, each trial from its own channel, equalizer and data seeds."""
+    chs = [model.build_channel(sc, np.random.default_rng(s)) for s in seeds]
+    W = np.stack([_equalizer_stack(ch, np.random.default_rng(s + 1))
+                  for ch, s in zip(chs, seeds)], axis=1)
+    return W, [make_frame(ch, sc, n, np.random.default_rng(s + 2)) for ch, s in zip(chs, seeds)]
+
+
+def _two_cpus(pid):
+    return {0, 1}
+
+
 class TestErrorCounts:
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_stack_counts_equal_each_equalizer_alone(self, order):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=order)
-        ch = model.build_channel(sc, np.random.default_rng(21))
-        W = _equalizer_stack(ch, np.random.default_rng(22))
-        frame = make_frame(ch, sc, 1500, np.random.default_rng(23))
-        bit_errors, symbol_errors = evaluate_equalizer(W, frame, sc)
-        assert bit_errors.shape == symbol_errors.shape == (4,)
+        W, frames = _chunk(sc, (21, 31), 1500)
+        bit_errors, symbol_errors = evaluate_equalizer(W, frames, sc)
+        assert bit_errors.shape == symbol_errors.shape == (4, 2)
         assert bit_errors.dtype.kind == symbol_errors.dtype.kind == "i"
-        assert len(set(bit_errors.tolist())) == 4  # the counts differ
-        for a in range(4):
-            assert evaluate_equalizer(W[a], frame, sc) == (bit_errors[a], symbol_errors[a])
+        for t in range(2):
+            assert len(set(bit_errors[:, t].tolist())) == 4  # the counts differ
+            for a in range(4):
+                assert evaluate_one(W[a, t], frames[t], sc) == (bit_errors[a, t],
+                                                                symbol_errors[a, t])
         # any leading axes: a 2 x 2 stack of the same equalizers
-        grid = evaluate_equalizer(W.reshape(2, 2, *W.shape[1:]), frame, sc)
-        np.testing.assert_array_equal(grid[0].ravel(), bit_errors)
-        np.testing.assert_array_equal(grid[1].ravel(), symbol_errors)
+        grid = evaluate_equalizer(W.reshape(2, 2, *W.shape[1:]), frames, sc)
+        np.testing.assert_array_equal(grid[0].reshape(4, 2), bit_errors)
+        np.testing.assert_array_equal(grid[1].reshape(4, 2), symbol_errors)
 
     @pytest.mark.parametrize("extra", ["below", "equal", "two_blocks_and_17"])
     def test_blocked_counts_equal_the_blocks_counted_by_hand(self, extra):
@@ -195,7 +214,7 @@ class TestErrorCounts:
             counts = oracle_counts(W, Y_ref[:, cols], bits[:, 4 * first:4 * cols.stop], sc)
             bit_errors += counts[0]
             symbol_errors += counts[1]
-        got = evaluate_equalizer(W, frame, sc)
+        got = evaluate_one(W, frame, sc)
         assert bit_errors.all()
         np.testing.assert_array_equal(got[0], bit_errors)
         np.testing.assert_array_equal(got[1], symbol_errors)
@@ -204,51 +223,100 @@ class TestErrorCounts:
            K_int=st.integers(0, 3), iot_db=st.sampled_from([None, -math.inf, 3.0]),
            es_n0_db=st.sampled_from([0.0, 12.0, math.inf]), order=st.sampled_from([4, 16, 64]),
            lead=st.sampled_from([(), (2,), (2, 3)]), n=st.integers(1, 40),
-           block=st.integers(1, 9))
+           T=st.integers(2, 3), block=st.integers(1, 9), rows=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_counts_equal_the_oracle_on_the_received_block(
-            self, seed, M, K, K_int, iot_db, es_n0_db, order, lead, n, block):
+            self, seed, M, K, K_int, iot_db, es_n0_db, order, lead, n, T, block, rows):
         K = min(K, M)
         if K_int == 0 and iot_db == 3.0:
             iot_db = None
         sc = model.Scenario(M=M, C=1, K=K, K_int=K_int, N=M, iot_db=iot_db,
                             es_n0_db=es_n0_db, constellation=order)
         rng = np.random.default_rng(seed)
-        ch = model.build_channel(sc, rng)
-        W = central.zf_centralized(ch.H)
-        W = W + 0.3 * np.abs(W).mean() * model.crandn(rng, *lead, K, M)
-        bits, Y_ref = reference_frame(ch, sc, n, seed)
-        # blocks of `block` columns: the last one is short unless block divides n
+        chs = [model.build_channel(sc, rng) for _ in range(T)]
+        W = np.stack([central.zf_centralized(ch.H) for ch in chs])
+        W = W + 0.3 * np.abs(W).mean() * model.crandn(rng, *lead, T, K, M)
+        # blocks of `block` columns, the last one short unless block divides n;
+        # the stream in blocks of `rows` rows, the first one with the symbols;
+        # the trials in two lanes however small their frames
         AK = math.prod(lead) * K
-        with mock.patch.object(detect, "DETECT_BYTES", 16 * AK * block):
-            got = evaluate_equalizer(W, make_frame(ch, sc, n, np.random.default_rng(seed)), sc)
-        want = oracle_counts(W, Y_ref, bits, sc)
-        assert got[0].shape == got[1].shape == lead
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        with mock.patch.multiple(detect, DETECT_BYTES=16 * AK * block,
+                                 DRAW_BYTES=8 * n * rows, LANE_BYTES=0):
+            frames = [make_frame(ch, sc, n, np.random.default_rng(seed + t))
+                      for t, ch in enumerate(chs)]
+            got = evaluate_equalizer(W, frames, sc)
+        want = [oracle_counts(W[..., t, :, :], Y_ref, bits, sc)
+                for t, (bits, Y_ref) in enumerate(reference_frame(ch, sc, n, seed + t)
+                                                  for t, ch in enumerate(chs))]
+        assert got[0].shape == got[1].shape == lead + (T,)
+        np.testing.assert_array_equal(got[0], np.stack([w[0] for w in want], axis=-1))
+        np.testing.assert_array_equal(got[1], np.stack([w[1] for w in want], axis=-1))
+
+    def test_one_lane_and_two_lanes_give_the_same_counts(self):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=16)
+        W, frames = _chunk(sc, (40, 44, 48, 52, 56), 700)
+        counts = {}
+        for n_lanes in (1, 2):
+            with mock.patch.multiple(detect, LANE_BYTES=0, LANES=n_lanes), \
+                    mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
+                assert detect.lanes(5, 0) == n_lanes
+                counts[n_lanes] = evaluate_equalizer(W, frames, sc)
+        assert counts[1][0].all()
+        for got, want in zip(counts[2], counts[1]):
+            assert got.shape == (4, 5)
+            np.testing.assert_array_equal(got, want)
+
+    def test_chunk_counts_equal_its_trials_one_by_one(self):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=64)
+        W, frames = _chunk(sc, (62, 66, 70), 900)
+        with mock.patch.object(detect, "LANE_BYTES", 0):
+            bit_errors, symbol_errors = evaluate_equalizer(W, frames, sc)
+        assert bit_errors.all()
+        for t, frame in enumerate(frames):
+            one = evaluate_one(W[:, t], frame, sc)
+            np.testing.assert_array_equal(one[0], bit_errors[:, t])
+            np.testing.assert_array_equal(one[1], symbol_errors[:, t])
+
+    def test_a_frame_evaluated_twice_gives_the_same_counts(self):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=16)
+        W, frames = _chunk(sc, (72, 76), 800)
+        state = dict(frames[0].noise_state)
+        first = evaluate_equalizer(W, frames, sc)
+        second = evaluate_equalizer(W, frames, sc)
+        assert first[0].all() and frames[0].noise_state == state
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    def test_lanes_are_capped_by_the_gate_the_trials_and_the_cpus(self):
+        with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
+            assert detect.lanes(8, detect.LANE_BYTES) == detect.LANES == 2
+            assert detect.lanes(8, detect.LANE_BYTES - 1) == 1
+            assert detect.lanes(1, detect.LANE_BYTES) == 1
+        with mock.patch.object(detect.os, "sched_getaffinity", lambda pid: {0}, create=True):
+            assert detect.lanes(8, detect.LANE_BYTES) == 1
+
+    def test_an_error_in_a_lane_is_raised_to_the_caller(self):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=16)
+        W, frames = _chunk(sc, (80, 84), 100)
+        # the second trial runs on the second lane's thread
+        frames[1] = dataclasses.replace(frames[1], sym=frames[1].sym[:2])
+        with mock.patch.multiple(detect, LANE_BYTES=0), \
+                mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
+                pytest.raises(ValueError):
+            evaluate_equalizer(W, frames, sc)
+
+    def test_equalizers_of_another_trial_count_are_rejected(self):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16)
+        W, frames = _chunk(sc, (90, 94), 10)
+        with pytest.raises(ValueError, match="equalizers of 2 trials for 1 frames"):
+            evaluate_equalizer(W, frames[:1], sc)
 
 
 class TestFrame:
-    @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None), (2, None)])
-    def test_refilled_frame_equals_a_new_frame(self, K_int, iot_db):
-        sc = model.Scenario(M=8, C=2, K=3, K_int=K_int, N=16, iot_db=iot_db,
-                            es_n0_db=7.0, constellation=64)
-        # the old frame carries interference whenever there are interferers
-        old_sc = sc.with_ratios(7.0, 10.0 if K_int else None)
-        old = make_frame(model.build_channel(sc, np.random.default_rng(30)), old_sc, 700,
-                         np.random.default_rng(31))
-        arrays = (old.sym, old.parts)
-        ch = model.build_channel(sc, np.random.default_rng(32))
-        new = make_frame(ch, sc, 700, np.random.default_rng(33))
-        refilled = make_frame(ch, sc, 700, np.random.default_rng(33), out=old)
-        assert refilled is old and refilled.channels is ch
-        for name in ("parts", "sym"):
-            got, want = getattr(refilled, name), getattr(new, name)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes(), name
-        for before, after in zip(arrays, (refilled.sym, refilled.parts)):
-            assert np.shares_memory(before, after)
-
     @pytest.mark.parametrize("K_int, iot_db", [(2, 10.0), (0, None), (2, None)])
     def test_frame_is_the_reference_formula_byte_for_byte(self, K_int, iot_db):
         sc = model.Scenario(M=8, C=2, K=3, K_int=K_int, N=16, iot_db=iot_db,
@@ -261,25 +329,34 @@ class TestFrame:
         bits = ref.integers(0, 2, size=(3, 500 * const.bits_per_symbol))
         S = modulate(bits, const)
         Z = crandn_reference(ref, 8, 500)
-        X = (crandn_reference(ref, K_int, 500) if iot_db is not None
-             else np.zeros((K_int, 500), complex))
+        X = crandn_reference(ref, K_int, 500) if iot_db is not None else None
         rng = np.random.default_rng(37)
         frame = make_frame(ch, sc, 500, rng)
-        assert rng.random() == ref.random()  # both streams advanced alike
-        np.testing.assert_array_equal(const.points[frame.sym], S)
-        # the rows [Re S; a; c] and [Im S; b; d], with Z = (a + 1j b) / sqrt(2)
-        # and X = (c + 1j d) / sqrt(2), or 0 without interference power
-        (re_S, a, c), (im_S, b, d) = (np.split(p, [3, 11]) for p in frame.parts)
-        assert re_S.tobytes() == S.real.tobytes() and im_S.tobytes() == S.imag.tobytes()
+        assert frame.channels is ch and frame.sym.dtype == np.uint8
+        assert const.points[frame.sym].tobytes() == S.tobytes()
+        # rng is left after the bits, where the frame's normals start
+        assert rng.bit_generator.state == frame.noise_state
+        # the replayed normals: a and b, then c and d with interference power,
+        # with Z = (a + 1j b) / sqrt(2) and X = (c + 1j d) / sqrt(2)
+        replay = np.random.Generator(np.random.PCG64())
+        replay.bit_generator.state = frame.noise_state
+        a, b = replay.standard_normal((2, 8, 500))
         assert ((a + 1j * b) / np.sqrt(2.0)).tobytes() == Z.tobytes()
-        assert ((c + 1j * d) / np.sqrt(2.0)).tobytes() == X.tobytes()
+        if X is not None:
+            c, d = replay.standard_normal((2, K_int, 500))
+            assert ((c + 1j * d) / np.sqrt(2.0)).tobytes() == X.tobytes()
+        assert replay.random() == ref.random()  # both streams advanced alike
 
-    def test_refill_rejects_a_frame_of_another_shape(self):
-        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16)
-        ch = model.build_channel(sc, np.random.default_rng(34))
-        old = make_frame(ch, sc, 100, np.random.default_rng(35))
-        with pytest.raises(ValueError, match="cannot hold K=3, M=8, 101 symbols"):
-            make_frame(ch, sc, 101, np.random.default_rng(35), out=old)
+    @pytest.mark.parametrize("n", [1, 37, 500])
+    def test_bits_drawn_in_row_blocks_are_the_stream_of_one_call(self, n):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, constellation=64)
+        ch = model.build_channel(sc, np.random.default_rng(38))
+        whole = make_frame(ch, sc, n, np.random.default_rng(39))
+        # one user row per call: 6 n bits
+        with mock.patch.object(detect, "DRAW_BYTES", 1):
+            rows = make_frame(ch, sc, n, np.random.default_rng(39))
+        assert rows.sym.tobytes() == whole.sym.tobytes()
+        assert rows.noise_state == whole.noise_state
 
 
 class TestRunLink:
@@ -289,7 +366,7 @@ class TestRunLink:
         ch = model.build_channel(sc, np.random.default_rng(4))
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 2000, np.random.default_rng(5))
-        assert evaluate_equalizer(W, frame, sc) == (0, 0)
+        assert evaluate_one(W, frame, sc) == (0, 0)
         assert frame.sym.shape == (3, 2000)
         assert frame.sym.size * Constellation(16).bits_per_symbol == 3 * 2000 * 4
 
@@ -299,7 +376,7 @@ class TestRunLink:
         ch = model.build_channel(sc, np.random.default_rng(6))
         W = np.zeros((2, 4), dtype=complex)
         frame = make_frame(ch, sc, 13_000, np.random.default_rng(7))
-        bit_errors, _ = evaluate_equalizer(W, frame, sc)
+        bit_errors, _ = evaluate_one(W, frame, sc)
         bits = frame.sym.size * Constellation(16).bits_per_symbol
         assert bits >= 100_000
         assert abs(bit_errors / bits - 0.5) < 0.01
@@ -311,7 +388,7 @@ class TestRunLink:
         sc, ch = _awgn_scenario(es_n0_db)
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 500_000, np.random.default_rng(8))
-        bit_errors, _ = evaluate_equalizer(W, frame, sc)
+        bit_errors, _ = evaluate_one(W, frame, sc)
         bits = frame.sym.size * Constellation(4).bits_per_symbol
         theory = norm.sf(math.sqrt(10.0 ** (es_n0_db / 10.0)))
         se = math.sqrt(theory * (1.0 - theory) / bits)
@@ -319,37 +396,32 @@ class TestRunLink:
 
     def test_global_phase_rotation_invariance(self):
         # turn the received block a quarter, j Y = scale (j H) S + sqrt(p_int)
-        # (j H_int) X + sqrt(sigma2) (-b + 1j a) / sqrt(2), and counter-rotate
-        # the equalizer: the soft estimates, and hence the decisions, must be
-        # unchanged
+        # (j H_int) X + sqrt(sigma2) j Z, and counter-rotate the equalizer:
+        # the soft estimates, and hence the decisions, must be those of W Y
         sc = model.Scenario(M=8, C=2, K=2, K_int=2, N=16, es_n0_db=8.0,
                             constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(9))
         W = central.zf_centralized(ch.H)
         frame = make_frame(ch, sc, 20_000, np.random.default_rng(10))
-        parts = frame.parts.copy()
-        a, b = frame.parts[:, 2:10]
-        parts[0, 2:10], parts[1, 2:10] = -b, a
-        frame_rot = dataclasses.replace(
-            frame, channels=dataclasses.replace(ch, H=1j * ch.H, H_int=1j * ch.H_int),
-            parts=parts)
-        counts_a = evaluate_equalizer(W, frame, sc)
-        counts_b = evaluate_equalizer(W / 1j, frame_rot, sc)
+        bits, Y_ref = reference_frame(ch, sc, 20_000, 10)
+        counts_a = evaluate_one(W, frame, sc)
+        counts_b = oracle_counts(W / 1j, 1j * Y_ref, bits, sc)
+        assert counts_a[0] > 0
         assert counts_a == counts_b
 
     def test_batch_accumulation_matches_single_run(self):
+        # the estimates accumulated over blocks of stream rows and decided in
+        # blocks of columns count as one product over the whole frame
         sc = model.Scenario(M=4, C=2, K=2, K_int=2, N=8, es_n0_db=8.0,
                             constellation=4)
-        ch = model.build_channel(sc, np.random.default_rng(11))
-        W = _equalizer_stack(ch, np.random.default_rng(24))
-        frame = make_frame(ch, sc, 600, np.random.default_rng(12))
-        combined = np.array(evaluate_equalizer(W, frame, sc))
-        part = [np.array(evaluate_equalizer(
-            W, dataclasses.replace(frame, sym=frame.sym[:, sl], parts=frame.parts[..., sl]), sc))
-            for sl in [slice(0, 250), slice(250, 600)]]
-        # (bit errors, symbol errors) x equalizer counts of the two parts add up
-        assert combined.shape == (2, 4) and combined[0].any()
-        np.testing.assert_array_equal(part[0] + part[1], combined)
+        W, frames = _chunk(sc, (11, 24), 600)
+        combined = np.array(evaluate_equalizer(W, frames, sc))
+        with mock.patch.multiple(detect, DETECT_BYTES=16 * 4 * sc.K * 250,
+                                 DRAW_BYTES=8 * 600 * 5):
+            blocked = np.array(evaluate_equalizer(W, frames, sc))
+        # (bit errors, symbol errors) x equalizers x trials
+        assert combined.shape == (2, 4, 2) and combined[0].all()
+        np.testing.assert_array_equal(blocked, combined)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_error_counts_match_per_user_bit_oracle(self, order):
@@ -363,14 +435,13 @@ class TestRunLink:
         const = Constellation(order)
         # the bit block is the first draw of the frame's data stream
         bits, Y_ref = reference_frame(ch, sc, 3000, 14)
-        symbols = frame.parts[0, :sc.K] + 1j * frame.parts[1, :sc.K]
+        symbols = const.points[frame.sym]
         for k in range(sc.K):
             np.testing.assert_array_equal(symbols[k], modulate(bits[k], const))
-        np.testing.assert_array_equal(const.points[frame.sym], symbols)
         _, _, scale = model.powers_from_ratios(sc)
         rx_bits = np.stack([demodulate_hard(s, const) for s in W @ Y_ref / scale])
         wrong = rx_bits != bits
         per_symbol = wrong.reshape(sc.K, 3000, -1)
-        bit_errors, symbol_errors = evaluate_equalizer(W, frame, sc)
+        bit_errors, symbol_errors = evaluate_one(W, frame, sc)
         assert bit_errors == int(wrong.sum()) > 0
         assert symbol_errors == int(per_symbol.any(axis=-1).sum())

@@ -378,8 +378,7 @@ class TestRunExperiment:
         assert rows_of(cfg) == alone
         assert len(calls) == 2 * 3
 
-    def test_one_detection_call_per_trial_and_one_objective_call_per_chunk(
-            self, monkeypatch):
+    def test_one_detection_call_and_one_objective_call_per_chunk(self, monkeypatch):
         # 5 trials in chunks of 2: three stacks at each of two grid points
         monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
         cfg = _small_config(algorithms=("zf", "mmse_exactR", "mmse_sampleR", "bdac",
@@ -400,9 +399,8 @@ class TestRunExperiment:
         monkeypatch.setattr(central, "sample_objective", lambda W, *a, **kw:
                             scored.append(W.shape) or objective(W, *a, **kw))
         assert rows_of(cfg) == alone
-        # the A x K x M equalizers of one trial, the A x T x K x M ones of a chunk
-        assert detected == [(5, 2, 8)] * (2 * 5)
-        assert scored == [(5, T, 2, 8) for T in (2, 2, 1)] * 2
+        # the A x T x K x M equalizers of a chunk, in both calls
+        assert detected == scored == [(5, T, 2, 8) for T in (2, 2, 1)] * 2
 
     def test_rates_are_error_counts_over_config_totals(self, monkeypatch):
         cfg = _small_config(trials=3)
@@ -411,7 +409,8 @@ class TestRunExperiment:
         monkeypatch.setattr(detect, "evaluate_equalizer",
                             lambda *a, **kw: counts.append(evaluate(*a, **kw)) or counts[-1])
         rows = run_experiment(cfg)
-        bit_errors, symbol_errors = np.sum(counts, axis=0)
+        # each call counts an A x T chunk: sum over the trials, then the calls
+        bit_errors, symbol_errors = np.sum([np.sum(c, axis=-1) for c in counts], axis=0)
         symbols = cfg.trials * cfg.scenario.K * cfg.symbols_per_trial
         assert bit_errors.any()
         for a, row in enumerate(rows):
