@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 
 from . import harness
@@ -53,6 +54,9 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         # the trace's reference W* is the sample-MMSE solve, singular below M samples
         raise ValueError(f"trace needs N >= M for its sample-MMSE reference, got "
                          f"N={sc.N} and M={sc.M}")
+    if args.command == "trace" and config.es_n0_db[0] == math.inf:
+        raise ValueError(f"trace needs noise for its chain 'bcd:{args.sweeps}', but the "
+                         f"grid point Es/N0 inf dB, IoT {config.iot_db[0]} dB is noise-free")
     if args.command == "run" and args.sweeps is not None:
         bcd = [harness.parse_algorithm(a)[0] == "bcd" for a in config.algorithms]
         if not any(bcd):

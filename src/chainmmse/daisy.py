@@ -40,14 +40,14 @@ DIAG_LOAD = 1e-10
 @dataclass
 class Chain:
     """T chain instances stacked along a leading trial axis. Rows slices[c] of
-    H, entry c of R, Q and F, column c of loaded and columns slices[c] of W
-    belong to cluster c; Q_c spans all M antennas, so it stands for what
-    cluster c reads off the message, not for data the cluster holds."""
+    H, block R_hat[:, s_c, s_c], entry c of Q and F, column c of loaded and
+    columns slices[c] of W belong to cluster c; Q_c spans all M antennas, so it
+    stands for what cluster c reads off the message, not for data it holds."""
     H: np.ndarray            # T x M x K channels
     N: int                   # noise samples in the pool: a message is K x (K+N)
     slices: list[slice]
     E_s: float
-    R: list[np.ndarray]      # T x M_c x M_c views of the diagonal blocks R_cc of R_hat
+    R_hat: np.ndarray        # T x M x M sample covariances of the pools
     Q: list[np.ndarray]      # T x M x M_c: Gamma[:, s_c] G_c^-1
     F: list[np.ndarray]      # T x K x M_c: E_s H_c^H G_c^-1
     loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
@@ -62,11 +62,10 @@ def make_chain(channels: model.ChannelSet, pool: np.ndarray, E_s: float) -> Chai
     R_hat = model.sample_covariance(pool if pool.ndim == 3 else pool[None])
     T, M, K = H.shape
     slices = model.cluster_slices(channels.cluster_sizes)
-    R, Q, F = [], [], []
+    Q, F = [], []
     loaded = np.zeros((T, len(slices)), dtype=bool)
     for c, s in enumerate(slices):
-        R.append(R_hat[:, s, s])
-        G = E_s * (H[:, s] @ herm(H[:, s])) + R[c]
+        G = E_s * (H[:, s] @ herm(H[:, s])) + R_hat[:, s, s]
         loaded[:, c] = rcond(G) < RCOND_FLOOR
         for t in np.flatnonzero(loaded[:, c]):
             # keep long Monte Carlo runs alive on near-singular local blocks
@@ -79,7 +78,7 @@ def make_chain(channels: model.ChannelSet, pool: np.ndarray, E_s: float) -> Chai
         # Gamma[:, s_c] G_c^-1 in parts: one product, or a solve for G_c^-1,
         # rounds worse on a loaded block, where the sweeps then read as ascent
         Q.append(H @ F[c] + R_hat[:, :, s] @ G_inv)
-    return Chain(H=H, N=pool.shape[-1], slices=slices, E_s=E_s, R=R, Q=Q, F=F,
+    return Chain(H=H, N=pool.shape[-1], slices=slices, E_s=E_s, R_hat=R_hat, Q=Q, F=F,
                  loaded=loaded, W=np.zeros((T, K, M), dtype=complex))
 
 
@@ -102,7 +101,7 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
     Sets chain.W and returns a copy of it; the ledger meters one chain instance.
     """
     K = chain.H.shape[-1]
-    X = np.concatenate([herm_solve(chain.R[c], chain.H[:, s],
+    X = np.concatenate([herm_solve(chain.R_hat[:, s, s], chain.H[:, s],
                                    what=f"cluster {c}: local covariance block R_cc")
                         for c, s in enumerate(chain.slices)], axis=1)  # R_cc^-1 H_c
     if ledger is not None:

@@ -94,13 +94,11 @@ class Frame:
     at the first of them, from which evaluate_equalizer replays them. The
     transmitted bits are the MSB-first binary of the symbol indices.
     """
-    channels: ChannelSet  # H (M x K) and H_int (M x K_int) of the trial
     sym: np.ndarray       # (K, n_symbols) uint8 symbol indices into the constellation
     noise_state: dict     # rng.bit_generator.state at the first normal of a
 
 
-def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
-               rng: np.random.Generator,
+def make_frame(scenario: Scenario, n_symbols: int, rng: np.random.Generator,
                constellation: Constellation | None = None) -> Frame:
     """Draw a trial's bits from its data stream rng and keep the state of the
     stream after them, where the frame's normals start (see Frame). rng is
@@ -111,14 +109,13 @@ def make_frame(channels: ChannelSet, scenario: Scenario, n_symbols: int,
     bits (bits_per_symbol is even) draw the stream of one call over all K rows.
     """
     const = constellation or Constellation(scenario.constellation)
-    bps = const.bits_per_symbol
+    K, bps = scenario.K, const.bits_per_symbol
     weights = 1 << np.arange(bps - 1, -1, -1)
-    K = channels.H.shape[1]
     sym = np.empty((K, n_symbols), dtype=np.uint8)
     per = max(1, DRAW_BYTES // (8 * bps * max(n_symbols, 1)))
     for k in range(0, K, per):
         sym[k:k + per] = rng.integers(0, 2, size=(min(per, K - k), n_symbols, bps)) @ weights
-    return Frame(channels, sym, rng.bit_generator.state)
+    return Frame(sym, rng.bit_generator.state)
 
 
 def _real_form(Q: np.ndarray) -> np.ndarray:
@@ -159,13 +156,14 @@ def _in_lanes(work, n_lanes: int) -> None:
         raise errors[0]
 
 
-def evaluate_equalizer(W: np.ndarray, frames, scenario: Scenario,
+def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Scenario,
                        constellation: Constellation | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize a chunk of T frames with a (..., T, K, M) stack of equalizers,
     W[..., t, :, :] on frames[t], hard-decide all users at once, and count bit
     and symbol errors on the symbol indices (the bits are the index's MSB-first
-    binary). scenario is the one the frames were made with.
+    binary). channels is the chunk's stack of T trials (model.stack_trials),
+    and scenario the one the frames were made with.
 
     The estimates W Y / scale are W's gain on each part of the frame, summed:
     (W H) S + (sqrt(p_int) / scale) (W H_int) X + (sqrt(sigma2) / scale) W Z.
@@ -187,27 +185,23 @@ def evaluate_equalizer(W: np.ndarray, frames, scenario: Scenario,
         raise ValueError(f"W: equalizers of {W.shape[-3]} trials for {len(frames)} frames")
     sigma2, p_int, scale = powers_from_ratios(scenario)
     lead, (T, K, M) = W.shape[:-3], W.shape[-3:]
+    if channels.H.shape[0] != T:  # a stack of one would broadcast over the trials
+        raise ValueError(f"channels: {channels.H.shape[0]} trials for {T} frames")
     W = W.reshape((-1, T, K, M))
     AK = W.shape[0] * K
-    # real rows per symbol: Re S, Im S, the normals a and b, then c and d with
-    # interference power
-    rows = 2 * (K + M + (scenario.K_int if p_int > 0.0 else 0))
+    # T x 2AK x rows: each trial's real form of its gains on S, Z, then X with
+    # interference power, so its columns, the real rows per symbol, are in
+    # stream order: [Re S; Im S], then the normals [a; b] and [c; d]
+    gains = [W @ channels.H, W * (math.sqrt(sigma2 / 2) / scale)]
+    if p_int > 0.0:
+        gains.append((W @ channels.H_int) * (math.sqrt(p_int / 2) / scale))
+    G = np.concatenate([_real_form(np.moveaxis(P, 1, 0).reshape(T, AK, -1)) for P in gains],
+                       axis=-1)
+    del gains  # freed before the lanes run
+    rows = G.shape[-1]
     block = max(1, DETECT_BYTES // (16 * AK))
     counts = np.zeros((2, W.shape[0], T), dtype=np.int64)
     n_lanes = lanes(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
-
-    # T x 2AK x rows: each trial's real form of its gains on [S, Z, X], the
-    # columns put in stream order: [Re S; Im S], then [a; b] and [c; d]
-    half = rows // 2
-    order = np.concatenate([np.r_[lo:hi, half + lo:half + hi]
-                            for lo, hi in ((0, K), (K, K + M), (K + M, half))])
-    gains = [W @ np.stack([f.channels.H for f in frames]), W * (math.sqrt(sigma2 / 2) / scale)]
-    if half > K + M:
-        gains.append((W @ np.stack([f.channels.H_int for f in frames]))
-                     * (math.sqrt(p_int / 2) / scale))
-    P = np.moveaxis(np.concatenate(gains, axis=-1), 1, 0).reshape(T, AK, half)
-    G = _real_form(P)[..., order]
-    del gains, P  # freed before the lanes run
 
     def lane(first):
         est, replay, rng = getattr(_kept, "buffers", (np.empty(0), np.empty(0), None))

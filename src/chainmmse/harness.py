@@ -7,18 +7,19 @@ identical channels, pools, bits, and data noise, and BER comparisons are
 paired. Total RNG consumption is therefore independent of the algorithm
 subset, and trials may run in any order.
 
-Trials are drawn one by one and built in chunks stacked along a leading
-trial axis: each centralized algorithm builds a chunk in one call, and all
-chain algorithms read theirs from one chain run (bdac at depth 0, bcd:L at
-depth L). The chunk's equalizers form one algorithm x trial stack, scored by
-one objective call; a trial's equalizers do not depend on its chunk. Each
-trial draws one frame, in trial order, and the chunk's frames are equalized
-and decided for all algorithms in one detection call, whose per-trial counts
-do not depend on how it splits the trials between threads.
+Trials are drawn one by one and built in chunks stacked along a leading trial
+axis: all chain algorithms read theirs from one chain run (bdac at depth 0,
+bcd:L at depth L), then each centralized one builds a chunk in one call,
+mmse_sampleR from the chain's R_hat. The chunk's equalizers form one algorithm
+x trial stack, scored by one objective call; a trial's equalizers do not depend
+on its chunk. Each trial draws one frame, in trial order, and the chunk's
+frames are equalized and decided for all algorithms in one detection call,
+whose per-trial counts do not depend on how it splits the trials into threads.
 """
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import MISSING, dataclass, fields
 
@@ -125,6 +126,11 @@ class ExperimentConfig:
                 if name == "bcd" and L >= 1:
                     errors.append(f"algorithms: {token!r} needs K + N > M, got K={sc.K}, "
                                   f"N={sc.N} and M={sc.M}")
+        if math.inf in self.es_n0_db and self.iot_db:
+            # the pool is zero at Es/N0 = inf: every equalizer but zf is singular
+            errors += [f"algorithms: {token!r} needs noise, but the grid point Es/N0 inf "
+                       f"dB, IoT {self.iot_db[0]} dB is noise-free"
+                       for token in seen.values() if token != "zf"]
         if errors:
             raise ValueError("invalid experiment config: " + "; ".join(errors))
         for iot in self.iot_db:  # every grid point must be an operating point
@@ -228,13 +234,14 @@ def _build_equalizer(token: str, channels, R_hat, sc: model.Scenario) -> np.ndar
 
 def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
     """One chain run over a stack of trials to the deepest of depths (chain token
-    -> sweeps, bdac 0): {token: (T x K x M equalizers, traffic of one trial)}."""
-    result = daisy.run_bcd(daisy.make_chain(channels, pool, E_s),
-                           daisy.Schedule(L=max(depths.values())),
+    -> sweeps, bdac 0): its R_hat, {token: (T x K x M equalizers, one trial's traffic)}."""
+    chain = daisy.make_chain(channels, pool, E_s)
+    result = daisy.run_bcd(chain, daisy.Schedule(L=max(depths.values())),
                            depths=tuple(depths.values()))
     # bdac, the initializer alone, sends only its Gram accumulation
-    return {t: (result.depths[L], result.ledger.total(daisy.PHASE_GRAM) if t == "bdac"
-                else result.traffic[L]) for t, L in depths.items()}
+    return chain.R_hat, {t: (result.depths[L], result.ledger.total(daisy.PHASE_GRAM)
+                             if t == "bdac" else result.traffic[L])
+                         for t, L in depths.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -242,9 +249,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     parsed = [parse_algorithm(token) for token in config.algorithms]
     depths = {t: L or 0 for t, (name, L) in zip(config.algorithms, parsed)
               if name in ("bdac", "bcd")}
-    # one build per centralized token; the chain tokens share one, timed as the deepest
-    builds = [(t,) for t in config.algorithms if t not in depths]
-    builds += [tuple(depths)] if depths else []
+    # the chain tokens share one build, timed as the deepest; it runs first
+    builds = [tuple(depths)] if depths else []
+    builds += [(t,) for t in config.algorithms if t not in depths]
     A = len(config.algorithms)
     axis = {t: a for a, t in enumerate(config.algorithms)}  # the algorithm axis
     rows = []
@@ -263,14 +270,16 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             channels, pool = model.stack_trials(
                 channel_sets, [model.draw_noise_pool(ch, sc, rng_pool)
                                for ch, (_, rng_pool, _) in zip(channel_sets, rngs)])
-            R_hat = model.sample_covariance(pool)
+            # mmse_sampleR reads the chain's R_hat when a chain token runs
+            R_hat = (model.sample_covariance(pool)
+                     if "mmse_sampleR" in axis and not depths else None)
             W = np.empty((A, len(rngs), sc.K, sc.M), dtype=complex)
             for tokens in builds:
                 t0 = time.perf_counter()
                 try:
                     if tokens[0] in depths:
-                        for t, (W_t, tr) in _run_chain(depths, channels, pool,
-                                                       sc.E_s).items():
+                        R_hat, built = _run_chain(depths, channels, pool, sc.E_s)
+                        for t, (W_t, tr) in built.items():
                             W[axis[t]] = W_t
                             traffic[axis[t]] += len(rngs) * tr
                     else:
@@ -284,9 +293,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 wall[axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
                     time.perf_counter() - t0)
             obj = central.sample_objective(W, channels.H, pool, sc.E_s)
-            frames = [detect.make_frame(ch, sc, config.symbols_per_trial, rng_data, const)
-                      for ch, (_, _, rng_data) in zip(channel_sets, rngs)]
-            errors += np.sum(detect.evaluate_equalizer(W, frames, sc, const), axis=-1)
+            frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
+                      for _, _, rng_data in rngs]
+            errors += np.sum(detect.evaluate_equalizer(W, channels, frames, sc, const),
+                             axis=-1)
             for i in range(len(rngs)):
                 objective += obj[:, i]  # trial by trial, in trial order
         symbols = config.trials * sc.K * config.symbols_per_trial
@@ -330,11 +340,10 @@ def convergence_trace(scenario: model.Scenario, seed: int,
     rng_ch, rng_pool, _ = trial_rngs(seed, 0, 0)
     channels = model.build_channel(scenario, rng_ch)
     pool = model.draw_noise_pool(channels, scenario, rng_pool)
-    R_hat = model.sample_covariance(pool)
-    W_star = central.mmse_centralized(channels.H, R_hat, scenario.E_s)
+    chain = daisy.make_chain(channels, pool, scenario.E_s)
+    W_star = central.mmse_centralized(channels.H, chain.R_hat[0], scenario.E_s)
     norm_star = np.linalg.norm(W_star, "fro")
-    result = daisy.run_bcd(daisy.make_chain(channels, pool, scenario.E_s),
-                           daisy.Schedule(L=L), keep_iterates=True)
+    result = daisy.run_bcd(chain, daisy.Schedule(L=L), keep_iterates=True)
     updates = [(sweep, block) for sweep in range(1, L + 1)
                for block in range(scenario.C)]
     rows = []

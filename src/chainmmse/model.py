@@ -187,24 +187,18 @@ def build_channel(scenario: Scenario, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(H=H, H_int=H_int, cluster_sizes=scenario.cluster_sizes)
 
 
-def draw_colored_noise(channels: ChannelSet, sigma2: float, p_int: float,
-                       n: int, rng: np.random.Generator) -> np.ndarray:
-    """n columns of thermal-plus-interference noise, shape (M, n)."""
-    M, K_int = channels.H_int.shape
-    noise = crandn(rng, M, n)
-    noise *= np.sqrt(sigma2)
-    if K_int > 0 and p_int > 0.0:
-        x = crandn(rng, K_int, n)  # unit-power interference symbols
-        noise += np.sqrt(p_int) * (channels.H_int @ x)
-    return noise
-
-
 def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
                     rng: np.random.Generator) -> np.ndarray:
-    """Draw the N independent pilot-RE noise samples: the noise pool, one
-    sample per column of an (M, N) array."""
+    """Draw the N independent pilot-RE samples of thermal-plus-interference
+    noise: the noise pool, one sample per column of an (M, N) array."""
     sigma2, p_int, _ = powers_from_ratios(scenario)
-    return draw_colored_noise(channels, sigma2, p_int, scenario.N, rng)
+    M, K_int = channels.H_int.shape
+    pool = crandn(rng, M, scenario.N)
+    pool *= np.sqrt(sigma2)
+    if K_int > 0 and p_int > 0.0:
+        x = crandn(rng, K_int, scenario.N)  # unit-power interference symbols
+        pool += np.sqrt(p_int) * (channels.H_int @ x)
+    return pool
 
 
 def stack_trials(channel_sets: list[ChannelSet],

@@ -21,7 +21,7 @@ def crandn_reference(rng, *shape):
 
 
 def colored_noise_reference(channels, sigma2, p_int, n, rng):
-    """The reference formula of model.draw_colored_noise."""
+    """The reference formula of model.draw_noise_pool, with n samples."""
     M, K_int = channels.H_int.shape
     noise = np.sqrt(sigma2) * crandn_reference(rng, M, n)
     if K_int > 0 and p_int > 0.0:

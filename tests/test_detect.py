@@ -160,19 +160,28 @@ def _equalizer_stack(ch, rng):
                      W + 0.5 * size * model.crandn(rng, K, M), model.crandn(rng, K, M)])
 
 
-def evaluate_one(W, frame, sc):
+def stack(chs):
+    """The channels of a chunk of trials, stacked as model.stack_trials does."""
+    return model.ChannelSet(H=np.stack([ch.H for ch in chs]),
+                            H_int=np.stack([ch.H_int for ch in chs]),
+                            cluster_sizes=chs[0].cluster_sizes)
+
+
+def evaluate_one(W, ch, frame, sc):
     """The counts of one frame: W, K x M or (..., K, M), as a chunk of one trial."""
-    bit_errors, symbol_errors = evaluate_equalizer(W[..., None, :, :], [frame], sc)
+    bit_errors, symbol_errors = evaluate_equalizer(W[..., None, :, :], stack([ch]),
+                                                   [frame], sc)
     return bit_errors[..., 0], symbol_errors[..., 0]
 
 
 def _chunk(sc, seeds, n):
-    """A chunk of trials, one per seed: the 4 x T x K x M equalizer stacks and
-    the T frames, each trial from its own channel, equalizer and data seeds."""
+    """A chunk of trials, one per seed: the 4 x T x K x M equalizer stacks, the
+    T channel sets and the T frames, each trial from its own channel,
+    equalizer and data seeds."""
     chs = [model.build_channel(sc, np.random.default_rng(s)) for s in seeds]
     W = np.stack([_equalizer_stack(ch, np.random.default_rng(s + 1))
                   for ch, s in zip(chs, seeds)], axis=1)
-    return W, [make_frame(ch, sc, n, np.random.default_rng(s + 2)) for ch, s in zip(chs, seeds)]
+    return W, chs, [make_frame(sc, n, np.random.default_rng(s + 2)) for s in seeds]
 
 
 def _two_cpus(pid):
@@ -184,17 +193,17 @@ class TestErrorCounts:
     def test_stack_counts_equal_each_equalizer_alone(self, order):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=order)
-        W, frames = _chunk(sc, (21, 31), 1500)
-        bit_errors, symbol_errors = evaluate_equalizer(W, frames, sc)
+        W, chs, frames = _chunk(sc, (21, 31), 1500)
+        bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc)
         assert bit_errors.shape == symbol_errors.shape == (4, 2)
         assert bit_errors.dtype.kind == symbol_errors.dtype.kind == "i"
         for t in range(2):
             assert len(set(bit_errors[:, t].tolist())) == 4  # the counts differ
             for a in range(4):
-                assert evaluate_one(W[a, t], frames[t], sc) == (bit_errors[a, t],
-                                                                symbol_errors[a, t])
+                one = evaluate_one(W[a, t], chs[t], frames[t], sc)
+                assert one == (bit_errors[a, t], symbol_errors[a, t])
         # any leading axes: a 2 x 2 stack of the same equalizers
-        grid = evaluate_equalizer(W.reshape(2, 2, *W.shape[1:]), frames, sc)
+        grid = evaluate_equalizer(W.reshape(2, 2, *W.shape[1:]), stack(chs), frames, sc)
         np.testing.assert_array_equal(grid[0].reshape(4, 2), bit_errors)
         np.testing.assert_array_equal(grid[1].reshape(4, 2), symbol_errors)
 
@@ -206,7 +215,7 @@ class TestErrorCounts:
         W = _equalizer_stack(ch, np.random.default_rng(26))
         block = detect.DETECT_BYTES // (16 * 4 * sc.K)
         n = {"below": block // 3, "equal": block, "two_blocks_and_17": 2 * block + 17}[extra]
-        frame = make_frame(ch, sc, n, np.random.default_rng(27))
+        frame = make_frame(sc, n, np.random.default_rng(27))
         bits, Y_ref = reference_frame(ch, sc, n, 27)
         bit_errors, symbol_errors = np.zeros(4, np.int64), np.zeros(4, np.int64)
         for first in range(0, n, block):
@@ -214,7 +223,7 @@ class TestErrorCounts:
             counts = oracle_counts(W, Y_ref[:, cols], bits[:, 4 * first:4 * cols.stop], sc)
             bit_errors += counts[0]
             symbol_errors += counts[1]
-        got = evaluate_one(W, frame, sc)
+        got = evaluate_one(W, ch, frame, sc)
         assert bit_errors.all()
         np.testing.assert_array_equal(got[0], bit_errors)
         np.testing.assert_array_equal(got[1], symbol_errors)
@@ -242,9 +251,8 @@ class TestErrorCounts:
         AK = math.prod(lead) * K
         with mock.patch.multiple(detect, DETECT_BYTES=16 * AK * block,
                                  DRAW_BYTES=8 * n * rows, LANE_BYTES=0):
-            frames = [make_frame(ch, sc, n, np.random.default_rng(seed + t))
-                      for t, ch in enumerate(chs)]
-            got = evaluate_equalizer(W, frames, sc)
+            frames = [make_frame(sc, n, np.random.default_rng(seed + t)) for t in range(T)]
+            got = evaluate_equalizer(W, stack(chs), frames, sc)
         want = [oracle_counts(W[..., t, :, :], Y_ref, bits, sc)
                 for t, (bits, Y_ref) in enumerate(reference_frame(ch, sc, n, seed + t)
                                                   for t, ch in enumerate(chs))]
@@ -255,13 +263,13 @@ class TestErrorCounts:
     def test_one_lane_and_two_lanes_give_the_same_counts(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
-        W, frames = _chunk(sc, (40, 44, 48, 52, 56), 700)
+        W, chs, frames = _chunk(sc, (40, 44, 48, 52, 56), 700)
         counts = {}
         for n_lanes in (1, 2):
             with mock.patch.multiple(detect, LANE_BYTES=0, LANES=n_lanes), \
                     mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
                 assert detect.lanes(5, 0) == n_lanes
-                counts[n_lanes] = evaluate_equalizer(W, frames, sc)
+                counts[n_lanes] = evaluate_equalizer(W, stack(chs), frames, sc)
         assert counts[1][0].all()
         for got, want in zip(counts[2], counts[1]):
             assert got.shape == (4, 5)
@@ -270,22 +278,22 @@ class TestErrorCounts:
     def test_chunk_counts_equal_its_trials_one_by_one(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=64)
-        W, frames = _chunk(sc, (62, 66, 70), 900)
+        W, chs, frames = _chunk(sc, (62, 66, 70), 900)
         with mock.patch.object(detect, "LANE_BYTES", 0):
-            bit_errors, symbol_errors = evaluate_equalizer(W, frames, sc)
+            bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc)
         assert bit_errors.all()
         for t, frame in enumerate(frames):
-            one = evaluate_one(W[:, t], frame, sc)
+            one = evaluate_one(W[:, t], chs[t], frame, sc)
             np.testing.assert_array_equal(one[0], bit_errors[:, t])
             np.testing.assert_array_equal(one[1], symbol_errors[:, t])
 
     def test_a_frame_evaluated_twice_gives_the_same_counts(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
-        W, frames = _chunk(sc, (72, 76), 800)
+        W, chs, frames = _chunk(sc, (72, 76), 800)
         state = dict(frames[0].noise_state)
-        first = evaluate_equalizer(W, frames, sc)
-        second = evaluate_equalizer(W, frames, sc)
+        first = evaluate_equalizer(W, stack(chs), frames, sc)
+        second = evaluate_equalizer(W, stack(chs), frames, sc)
         assert first[0].all() and frames[0].noise_state == state
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
@@ -301,19 +309,21 @@ class TestErrorCounts:
     def test_an_error_in_a_lane_is_raised_to_the_caller(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
-        W, frames = _chunk(sc, (80, 84), 100)
+        W, chs, frames = _chunk(sc, (80, 84), 100)
         # the second trial runs on the second lane's thread
         frames[1] = dataclasses.replace(frames[1], sym=frames[1].sym[:2])
         with mock.patch.multiple(detect, LANE_BYTES=0), \
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
                 pytest.raises(ValueError):
-            evaluate_equalizer(W, frames, sc)
+            evaluate_equalizer(W, stack(chs), frames, sc)
 
     def test_equalizers_of_another_trial_count_are_rejected(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16)
-        W, frames = _chunk(sc, (90, 94), 10)
+        W, chs, frames = _chunk(sc, (90, 94), 10)
         with pytest.raises(ValueError, match="equalizers of 2 trials for 1 frames"):
-            evaluate_equalizer(W, frames[:1], sc)
+            evaluate_equalizer(W, stack(chs), frames[:1], sc)
+        with pytest.raises(ValueError, match="channels: 1 trials for 2 frames"):
+            evaluate_equalizer(W, stack(chs[:1]), frames, sc)
 
 
 class TestFrame:
@@ -331,8 +341,8 @@ class TestFrame:
         Z = crandn_reference(ref, 8, 500)
         X = crandn_reference(ref, K_int, 500) if iot_db is not None else None
         rng = np.random.default_rng(37)
-        frame = make_frame(ch, sc, 500, rng)
-        assert frame.channels is ch and frame.sym.dtype == np.uint8
+        frame = make_frame(sc, 500, rng)
+        assert frame.sym.dtype == np.uint8
         assert const.points[frame.sym].tobytes() == S.tobytes()
         # rng is left after the bits, where the frame's normals start
         assert rng.bit_generator.state == frame.noise_state
@@ -351,10 +361,10 @@ class TestFrame:
     def test_bits_drawn_in_row_blocks_are_the_stream_of_one_call(self, n):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, constellation=64)
         ch = model.build_channel(sc, np.random.default_rng(38))
-        whole = make_frame(ch, sc, n, np.random.default_rng(39))
+        whole = make_frame(sc, n, np.random.default_rng(39))
         # one user row per call: 6 n bits
         with mock.patch.object(detect, "DRAW_BYTES", 1):
-            rows = make_frame(ch, sc, n, np.random.default_rng(39))
+            rows = make_frame(sc, n, np.random.default_rng(39))
         assert rows.sym.tobytes() == whole.sym.tobytes()
         assert rows.noise_state == whole.noise_state
 
@@ -365,8 +375,8 @@ class TestRunLink:
                             es_n0_db=np.inf, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(4))
         W = central.zf_centralized(ch.H)
-        frame = make_frame(ch, sc, 2000, np.random.default_rng(5))
-        assert evaluate_one(W, frame, sc) == (0, 0)
+        frame = make_frame(sc, 2000, np.random.default_rng(5))
+        assert evaluate_one(W, ch, frame, sc) == (0, 0)
         assert frame.sym.shape == (3, 2000)
         assert frame.sym.size * Constellation(16).bits_per_symbol == 3 * 2000 * 4
 
@@ -375,8 +385,8 @@ class TestRunLink:
                             es_n0_db=10.0, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(6))
         W = np.zeros((2, 4), dtype=complex)
-        frame = make_frame(ch, sc, 13_000, np.random.default_rng(7))
-        bit_errors, _ = evaluate_one(W, frame, sc)
+        frame = make_frame(sc, 13_000, np.random.default_rng(7))
+        bit_errors, _ = evaluate_one(W, ch, frame, sc)
         bits = frame.sym.size * Constellation(16).bits_per_symbol
         assert bits >= 100_000
         assert abs(bit_errors / bits - 0.5) < 0.01
@@ -387,8 +397,8 @@ class TestRunLink:
         es_n0_db = 6.0
         sc, ch = _awgn_scenario(es_n0_db)
         W = central.zf_centralized(ch.H)
-        frame = make_frame(ch, sc, 500_000, np.random.default_rng(8))
-        bit_errors, _ = evaluate_one(W, frame, sc)
+        frame = make_frame(sc, 500_000, np.random.default_rng(8))
+        bit_errors, _ = evaluate_one(W, ch, frame, sc)
         bits = frame.sym.size * Constellation(4).bits_per_symbol
         theory = norm.sf(math.sqrt(10.0 ** (es_n0_db / 10.0)))
         se = math.sqrt(theory * (1.0 - theory) / bits)
@@ -402,9 +412,9 @@ class TestRunLink:
                             constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(9))
         W = central.zf_centralized(ch.H)
-        frame = make_frame(ch, sc, 20_000, np.random.default_rng(10))
+        frame = make_frame(sc, 20_000, np.random.default_rng(10))
         bits, Y_ref = reference_frame(ch, sc, 20_000, 10)
-        counts_a = evaluate_one(W, frame, sc)
+        counts_a = evaluate_one(W, ch, frame, sc)
         counts_b = oracle_counts(W / 1j, 1j * Y_ref, bits, sc)
         assert counts_a[0] > 0
         assert counts_a == counts_b
@@ -414,11 +424,11 @@ class TestRunLink:
         # blocks of columns count as one product over the whole frame
         sc = model.Scenario(M=4, C=2, K=2, K_int=2, N=8, es_n0_db=8.0,
                             constellation=4)
-        W, frames = _chunk(sc, (11, 24), 600)
-        combined = np.array(evaluate_equalizer(W, frames, sc))
+        W, chs, frames = _chunk(sc, (11, 24), 600)
+        combined = np.array(evaluate_equalizer(W, stack(chs), frames, sc))
         with mock.patch.multiple(detect, DETECT_BYTES=16 * 4 * sc.K * 250,
                                  DRAW_BYTES=8 * 600 * 5):
-            blocked = np.array(evaluate_equalizer(W, frames, sc))
+            blocked = np.array(evaluate_equalizer(W, stack(chs), frames, sc))
         # (bit errors, symbol errors) x equalizers x trials
         assert combined.shape == (2, 4, 2) and combined[0].all()
         np.testing.assert_array_equal(blocked, combined)
@@ -431,7 +441,7 @@ class TestRunLink:
                             constellation=order)
         ch = model.build_channel(sc, np.random.default_rng(13))
         W = central.zf_centralized(ch.H)
-        frame = make_frame(ch, sc, 3000, np.random.default_rng(14))
+        frame = make_frame(sc, 3000, np.random.default_rng(14))
         const = Constellation(order)
         # the bit block is the first draw of the frame's data stream
         bits, Y_ref = reference_frame(ch, sc, 3000, 14)
@@ -442,6 +452,6 @@ class TestRunLink:
         rx_bits = np.stack([demodulate_hard(s, const) for s in W @ Y_ref / scale])
         wrong = rx_bits != bits
         per_symbol = wrong.reshape(sc.K, 3000, -1)
-        bit_errors, symbol_errors = evaluate_one(W, frame, sc)
+        bit_errors, symbol_errors = evaluate_one(W, ch, frame, sc)
         assert bit_errors == int(wrong.sum()) > 0
         assert symbol_errors == int(per_symbol.any(axis=-1).sum())

@@ -104,6 +104,22 @@ class TestConfig:
         cfg = harness.make_config({**raw, "scenario": {"N": 29}, "algorithms": ["bcd:4"]})
         assert cfg.scenario.N == 29
 
+    def test_noise_free_grid_point_rejected_for_every_token_but_zf(self):
+        # at Es/N0 = inf the pool is zero: zf alone has an equalizer there
+        with pytest.raises(ValueError, match=r"^invalid experiment config: algorithms: "
+                                             r"'mmse_sampleR' needs noise, but the grid "
+                                             r"point Es/N0 inf dB, IoT 10\.0 dB is "
+                                             r"noise-free; algorithms: 'bdac' needs noise, "
+                                             r".*; algorithms: 'bcd:2' needs noise, .*$"):
+            _small_config(es_n0_db=(8.0, np.inf))
+        with pytest.raises(ValueError, match=r"^invalid experiment config: algorithms: "
+                                             r"'mmse_exactR' needs noise, but the grid "
+                                             r"point Es/N0 inf dB, IoT None dB is noise-free$"):
+            _small_config(es_n0_db=(np.inf,), iot_db=(None, -np.inf),
+                          algorithms=("zf", "mmse_exactR"))
+        cfg = _small_config(es_n0_db=(8.0, np.inf), algorithms=("zf",))
+        assert cfg.es_n0_db == (8.0, np.inf)
+
     @pytest.mark.parametrize("variant", ["red_black", "symmetric_gauss_seidel"])
     def test_schedule_variant_other_than_the_loop_rejected(self, variant):
         with pytest.raises(ValueError, match="schedule_variant: must be 'gauss_seidel_loop'"):
@@ -272,14 +288,14 @@ class TestRunExperiment:
         assert all(r.ber == 0.0 for r in rows)
 
     def test_singular_covariance_names_grid_point_and_trials(self):
-        # no noise at all: the sample covariance of every trial is zero
-        sc = model.Scenario(M=8, C=2, K=2, K_int=0, N=16, iot_db=None,
-                            constellation=4)
-        cfg = ExperimentConfig(scenario=sc, es_n0_db=(np.inf,), iot_db=(None,),
+        # one interferer 300 dB over the thermal noise: to working precision
+        # the sample covariance of every trial has rank one
+        sc = model.Scenario(M=8, C=2, K=2, K_int=1, N=16, constellation=4)
+        cfg = ExperimentConfig(scenario=sc, es_n0_db=(0.0,), iot_db=(300.0,),
                                algorithms=("zf", "mmse_sampleR"), trials=3,
                                symbols_per_trial=10, seed=3)
         with pytest.raises(central.SingularMatrixError,
-                           match=r"^mmse_sampleR at Es/N0 inf dB, IoT None dB, in the "
+                           match=r"^mmse_sampleR at Es/N0 0\.0 dB, IoT 300\.0 dB, in the "
                                  r"stack of trials 0\.\.2 .*: noise covariance in "
                                  r"trial 0 is numerically singular"):
             run_experiment(cfg)
@@ -288,7 +304,7 @@ class TestRunExperiment:
         cfg = dataclasses.replace(cfg, algorithms=("zf", "bdac", "bcd:1"))
         with pytest.warns(UserWarning, match="diagonal loading"), \
                 pytest.raises(central.SingularMatrixError,
-                              match=r"^bdac, bcd:1 at Es/N0 inf dB, IoT None dB, in "
+                              match=r"^bdac, bcd:1 at Es/N0 0\.0 dB, IoT 300\.0 dB, in "
                                     r"the stack of trials 0\.\.2 .*: cluster 0: local "
                                     r"covariance block R_cc in trial 0 is numerically "
                                     r"singular"):
@@ -377,6 +393,21 @@ class TestRunExperiment:
                             lambda *a, **kw: calls.append(1) or make_chain(*a, **kw))
         assert rows_of(cfg) == alone
         assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("algorithms, per_chunk", [
+        (("zf", "mmse_exactR"), 0), (("mmse_sampleR",), 1), (("bdac",), 1),
+        (("zf", "mmse_sampleR", "bdac", "bcd:2"), 1)])
+    def test_one_sample_covariance_per_chunk(self, monkeypatch, algorithms, per_chunk):
+        # 5 trials in chunks of 2: three stacks at each of two grid points;
+        # mmse_sampleR reads the chain's R_hat when a chain token runs
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
+        cfg = _small_config(algorithms=algorithms, es_n0_db=(0.0, 8.0), trials=5)
+        calls = []
+        sample_covariance = model.sample_covariance
+        monkeypatch.setattr(model, "sample_covariance",
+                            lambda pool: calls.append(pool.shape) or sample_covariance(pool))
+        run_experiment(cfg)
+        assert calls == [(T, 8, 16) for T in (2, 2, 1)] * 2 * per_chunk
 
     def test_one_detection_call_and_one_objective_call_per_chunk(self, monkeypatch):
         # 5 trials in chunks of 2: three stacks at each of two grid points
@@ -475,7 +506,14 @@ class TestCli:
                    "pool_fit_start.yaml": "profile: desk\nscenario: {N: 28}\n"
                                           "algorithms: [bdac, 'bcd:0']\n",
                    "short_pool.yaml": "profile: desk\nscenario: {N: 30}\n"
-                                      "algorithms: [bdac, 'bcd:4']\n"}
+                                      "algorithms: [bdac, 'bcd:4']\n",
+                   "noise_free.yaml": "profile: desk\nes_n0_db: [8.0, .inf]\n"
+                                      "algorithms: [zf, mmse_sampleR]\n",
+                   "noise_free_chain.yaml": "profile: desk\nes_n0_db: [.inf]\n"
+                                            "iot_db: [null]\n"
+                                            "algorithms: [bdac, 'bcd:2', mmse_exactR]\n",
+                   "noise_free_zf.yaml": "profile: desk\nes_n0_db: [.inf, 8.0]\n"
+                                         "algorithms: [zf]\n"}
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
@@ -524,7 +562,19 @@ class TestCli:
          "trace needs N >= M for its sample-MMSE reference, got N=30 and M=32"),
         # no chain row would take the sweeps
         (["run", "--algorithms", "zf,mmse_sampleR", "--sweeps", "7"],
-         "--sweeps 7: needs a bcd token in the algorithms, got zf, mmse_sampleR")])
+         "--sweeps 7: needs a bcd token in the algorithms, got zf, mmse_sampleR"),
+        # the pool is zero at Es/N0 = inf: every equalizer but zf is singular
+        (["run", "--config", "noise_free.yaml"], "invalid experiment config: algorithms: "
+         "'mmse_sampleR' needs noise, but the grid point Es/N0 inf dB, IoT 10.0 dB is "
+         "noise-free"),
+        (["run", "--config", "noise_free_chain.yaml"], "invalid experiment config: "
+         "algorithms: 'bdac' needs noise, but the grid point Es/N0 inf dB, IoT None dB is "
+         "noise-free; algorithms: 'bcd:2' needs noise, but the grid point Es/N0 inf dB, "
+         "IoT None dB is noise-free; algorithms: 'mmse_exactR' needs noise, but the grid "
+         "point Es/N0 inf dB, IoT None dB is noise-free"),
+        # a config the run accepts; the trace's chain runs at the first grid point
+        (["trace", "--config", "noise_free_zf.yaml"], "trace needs noise for its chain "
+         "'bcd:50', but the grid point Es/N0 inf dB, IoT 10.0 dB is noise-free")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
@@ -598,10 +648,11 @@ class TestCli:
         assert out.count("Es/N0=  4.0 dB IoT=none  BER=") == 2
 
     def test_errors_of_the_run_itself_propagate(self, tmp_path):
-        # no noise at all: a valid config whose sample covariance is singular
-        path = tmp_path / "silent.yaml"
-        path.write_text("scenario: {M: 8, C: 2, K: 2, K_int: 0, N: 16}\n"
-                        "es_n0_db: [.inf]\niot_db: [null]\nalgorithms: [mmse_sampleR]\n")
+        # one interferer 300 dB over the thermal noise: a valid config whose
+        # sample covariance is singular to working precision
+        path = tmp_path / "loud.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, K_int: 1, N: 16}\n"
+                        "es_n0_db: [0.0]\niot_db: [300.0]\nalgorithms: [mmse_sampleR]\n")
         with pytest.raises(central.SingularMatrixError, match="noise covariance"):
             cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
 

@@ -86,13 +86,12 @@ def test_exact_covariance_monte_carlo_oracle():
                         iot_db=8.0)
     ch = model.build_channel(sc, np.random.default_rng(5))
     R = model.exact_covariance(ch, sc)
-    sigma2, p_int, _ = model.powers_from_ratios(sc)
     rng = np.random.default_rng(99)
     acc = np.zeros((4, 4), dtype=complex)
     total = 1_000_000
     chunk = 100_000
     for _ in range(total // chunk):
-        n = model.draw_colored_noise(ch, sigma2, p_int, chunk, rng)
+        n = model.draw_noise_pool(ch, dataclasses.replace(sc, N=chunk), rng)
         acc += n @ n.conj().T
     emp = acc / total
     assert np.linalg.norm(emp - R) / np.linalg.norm(R) < 0.01
