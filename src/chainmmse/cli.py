@@ -3,69 +3,55 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 
-from . import harness
+from . import central, harness
 from .interconnect import predicted_traffic
 
 # the config of run and trace without --config; its flags are put over it
 DEFAULT_CONFIG = {"profile": "desk"}
 
 
-def _add_run(sub):
-    p = sub.add_parser("run", help="Monte Carlo BER sweep; writes results.csv")
-    p.add_argument("--config", help="YAML experiment config")
-    p.add_argument("--profile", choices=sorted(harness.PROFILES),
-                   help="scenario profile used when no config scenario is given")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory (overrides config out_dir)")
-    p.add_argument("--algorithms", help="comma list, e.g. zf,mmse_sampleR,bdac,bcd:4")
-    p.add_argument("--sweeps", type=int, help="replace bcd sweep counts with this L")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--symbols", type=int)
-    return p
-
-
-def _add_trace(sub):
-    p = sub.add_parser("trace", help="per-block convergence trace; writes trace.csv")
-    p.add_argument("--config", help="YAML experiment config")
-    p.add_argument("--profile", choices=sorted(harness.PROFILES),
-                   help="scenario profile (default desk); replaces the config's")
-    p.add_argument("--sweeps", type=int, default=50)
-    p.add_argument("--seed", type=int, help="default: the config's seed, else 1")
-    p.add_argument("--out", default=".")
-    return p
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The chainmmse parser and its run and trace parsers; the flags both
+    commands take are declared once."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML experiment config")
+    common.add_argument("--profile", choices=sorted(harness.PROFILES),
+                        help="replaces the config's profile; its scenario keys go over it")
+    common.add_argument("--seed", type=int, help="replaces the config's seed")
+    common.add_argument("--out", help="output directory; replaces the config's out_dir")
+    parser = argparse.ArgumentParser(
+        prog="chainmmse", description="Decentralized chain MMSE equalization simulator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run", parents=[common],
+                         help="Monte Carlo BER sweep; writes results.csv")
+    run.add_argument("--algorithms", type=lambda text: text.split(","),
+                     help="comma list, e.g. zf,mmse_sampleR,bdac,bcd:4")
+    run.add_argument("--trials", type=int)
+    run.add_argument("--symbols", type=int)
+    trace = sub.add_parser("trace", parents=[common],
+                           help="per-block convergence trace; writes trace.csv and traffic.csv")
+    trace.add_argument("--sweeps", type=int, default=50,
+                       help="chain sweeps L >= 1: the trace is the run's bcd:L row")
+    return parser, {"run": run, "trace": trace}
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
-    flags = {key: getattr(args, attr, None) for key, attr in [
+    flags = {key: val for key, attr in [
         ("profile", "profile"), ("seed", "seed"), ("trials", "trials"),
-        ("symbols_per_trial", "symbols"), ("out_dir", "out")]}
-    if getattr(args, "algorithms", None):
-        flags["algorithms"] = args.algorithms.split(",")
-    flags = {key: val for key, val in flags.items() if val is not None}
+        ("symbols_per_trial", "symbols"), ("out_dir", "out"), ("algorithms", "algorithms")]
+        if (val := getattr(args, attr, None)) is not None}
     if args.config:
         config = harness.load_config(args.config, **flags)
     else:
         config = harness.make_config({**DEFAULT_CONFIG, **flags})
-    sc = config.scenario
-    if args.command == "trace" and sc.N < sc.M:
-        # the trace's reference W* is the sample-MMSE solve, singular below M samples
-        raise ValueError(f"trace needs N >= M for its sample-MMSE reference, got "
-                         f"N={sc.N} and M={sc.M}")
-    if args.command == "trace" and config.es_n0_db[0] == math.inf:
-        raise ValueError(f"trace needs noise for its chain 'bcd:{args.sweeps}', but the "
-                         f"grid point Es/N0 inf dB, IoT {config.iot_db[0]} dB is noise-free")
-    if args.command == "run" and args.sweeps is not None:
-        bcd = [harness.parse_algorithm(a)[0] == "bcd" for a in config.algorithms]
-        if not any(bcd):
-            raise ValueError(f"--sweeps {args.sweeps}: needs a bcd token in the "
-                             f"algorithms, got {', '.join(config.algorithms)}")
-        # every bcd token becomes the one bcd:L token, in the first one's place
-        algs = tuple(dict.fromkeys(f"bcd:{args.sweeps}" if is_bcd else a
-                                   for a, is_bcd in zip(config.algorithms, bcd)))
-        config = dataclasses.replace(config, algorithms=algs)
+    if args.command == "trace":
+        # the traced instance, trial 0 of the run's first grid point: its chain
+        # and its reference W*, the sample-MMSE solve, under the config's rules
+        config = dataclasses.replace(
+            config, es_n0_db=config.es_n0_db[:1], iot_db=config.iot_db[:1],
+            algorithms=("mmse_sampleR", f"bcd:{args.sweeps}"))
     return config
 
 
@@ -83,13 +69,17 @@ def cmd_run(args, config: harness.ExperimentConfig) -> int:
 
 
 def cmd_trace(args, config: harness.ExperimentConfig) -> int:
-    es, iot = config.es_n0_db[0], config.iot_db[0]  # trial 0 of grid point 0, the run's first
+    [es], [iot] = config.es_n0_db, config.iot_db
     sc = config.scenario.with_ratios(es, iot)
-    rows, ledger = harness.convergence_trace(sc, L=args.sweeps, seed=config.seed)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "trace.csv")
+    try:
+        rows, ledger = harness.convergence_trace(sc, L=args.sweeps, seed=config.seed)
+    except central.SingularMatrixError as exc:  # named as the run names it
+        raise central.SingularMatrixError(
+            f"trace of trial 0 at Es/N0 {es} dB, IoT {iot} dB: {exc}") from exc
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, "trace.csv")
     harness.emit_convergence_trace(rows, path)
-    ledger_path = os.path.join(args.out, "traffic.csv")
+    ledger_path = os.path.join(config.out_dir, "traffic.csv")
     ledger.write_csv(ledger_path)
     last = rows[-1]
     print(f"traced trial 0 at Es/N0 {es} dB, IoT {iot} dB: wrote {len(rows)} block "
@@ -106,11 +96,7 @@ def cmd_trace(args, config: harness.ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="chainmmse",
-        description="Decentralized chain MMSE equalization simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {"run": _add_run(sub), "trace": _add_trace(sub)}
+    parser, parsers = _parsers()
     args = parser.parse_args(argv)
     if args.command == "trace" and args.sweeps < 1:
         parser.error(f"argument --sweeps: must be >= 1, got {args.sweeps}")

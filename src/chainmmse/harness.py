@@ -216,6 +216,17 @@ def trial_rngs(seed: int, point_index: int, trial_index: int):
     return [np.random.default_rng(child) for child in ss.spawn(3)]
 
 
+def draw_trials(scenario: model.Scenario, seed: int, point_index: int, trials: range):
+    """The channels and noise pools of trials at a grid point, drawn trial by
+    trial and stacked along a leading trial axis, and each trial's data stream."""
+    rngs = [trial_rngs(seed, point_index, t) for t in trials]
+    channel_sets = [model.build_channel(scenario, rng_ch) for rng_ch, _, _ in rngs]
+    channels, pool = model.stack_trials(
+        channel_sets, [model.draw_noise_pool(ch, scenario, rng_pool)
+                       for ch, (_, rng_pool, _) in zip(channel_sets, rngs)])
+    return channels, pool, [rng_data for _, _, rng_data in rngs]
+
+
 def chunk_trials(scenario: model.Scenario) -> int:
     """Trials built as one stack: CHUNK_BYTES over a trial's complex noise
     samples and covariance matrix, 16 M (N + M) bytes."""
@@ -264,16 +275,13 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         objective, wall = np.zeros(A), np.zeros(A)
         chunk = chunk_trials(sc)
         for first in range(0, config.trials, chunk):
-            rngs = [trial_rngs(config.seed, p, t)
-                    for t in range(first, min(first + chunk, config.trials))]
-            channel_sets = [model.build_channel(sc, rng_ch) for rng_ch, _, _ in rngs]
-            channels, pool = model.stack_trials(
-                channel_sets, [model.draw_noise_pool(ch, sc, rng_pool)
-                               for ch, (_, rng_pool, _) in zip(channel_sets, rngs)])
+            channels, pool, data_rngs = draw_trials(
+                sc, config.seed, p, range(first, min(first + chunk, config.trials)))
+            T = len(data_rngs)
             # mmse_sampleR reads the chain's R_hat when a chain token runs
             R_hat = (model.sample_covariance(pool)
                      if "mmse_sampleR" in axis and not depths else None)
-            W = np.empty((A, len(rngs), sc.K, sc.M), dtype=complex)
+            W = np.empty((A, T, sc.K, sc.M), dtype=complex)
             for tokens in builds:
                 t0 = time.perf_counter()
                 try:
@@ -281,23 +289,23 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                         R_hat, built = _run_chain(depths, channels, pool, sc.E_s)
                         for t, (W_t, tr) in built.items():
                             W[axis[t]] = W_t
-                            traffic[axis[t]] += len(rngs) * tr
+                            traffic[axis[t]] += T * tr
                     else:
                         W[axis[tokens[0]]] = _build_equalizer(tokens[0], channels,
                                                               R_hat, sc)
                 except central.SingularMatrixError as exc:
                     raise central.SingularMatrixError(
                         f"{', '.join(tokens)} at Es/N0 {es} dB, IoT {iot} dB, in the "
-                        f"stack of trials {first}..{first + len(rngs) - 1} (stack "
+                        f"stack of trials {first}..{first + T - 1} (stack "
                         f"trial t is trial {first} + t): {exc}") from exc
                 wall[axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
                     time.perf_counter() - t0)
             obj = central.sample_objective(W, channels.H, pool, sc.E_s)
             frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
-                      for _, _, rng_data in rngs]
+                      for rng_data in data_rngs]
             errors += np.sum(detect.evaluate_equalizer(W, channels, frames, sc, const),
                              axis=-1)
-            for i in range(len(rngs)):
+            for i in range(T):
                 objective += obj[:, i]  # trial by trial, in trial order
         symbols = config.trials * sc.K * config.symbols_per_trial
         for a, (name, L) in enumerate(parsed):
@@ -320,9 +328,8 @@ def emit_csv(rows: list[ResultRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in rows:
-            writer.writerow([r.algorithm, r.L, repr(r.es_n0_db), repr(r.iot_db),
-                             r.M, r.C, r.K, r.N, repr(r.ber), repr(r.ser),
-                             r.symbols, r.traffic_entries, repr(r.objective)])
+            writer.writerow([repr(v) if v is None or isinstance(v, float) else v
+                             for v in (getattr(r, c) for c in RESULT_COLUMNS)])
 
 
 @dataclass(frozen=True)
@@ -337,18 +344,16 @@ def convergence_trace(scenario: model.Scenario, seed: int,
                       L: int = 50) -> tuple[list[TraceRow], interconnect.TrafficLedger]:
     """Run one chain instance, drawn as trial 0 of grid point 0 of the seed;
     report per-block-update distance to the optimum and the run's traffic ledger."""
-    rng_ch, rng_pool, _ = trial_rngs(seed, 0, 0)
-    channels = model.build_channel(scenario, rng_ch)
-    pool = model.draw_noise_pool(channels, scenario, rng_pool)
+    channels, pool, _ = draw_trials(scenario, seed, 0, range(1))  # a stack of one
     chain = daisy.make_chain(channels, pool, scenario.E_s)
-    W_star = central.mmse_centralized(channels.H, chain.R_hat[0], scenario.E_s)
+    W_star = central.mmse_centralized(channels.H, chain.R_hat, scenario.E_s)[0]
     norm_star = np.linalg.norm(W_star, "fro")
     result = daisy.run_bcd(chain, daisy.Schedule(L=L), keep_iterates=True)
     updates = [(sweep, block) for sweep in range(1, L + 1)
                for block in range(scenario.C)]
     rows = []
     for (sweep, block), W in zip(updates, result.iterates):  # stacks of one trial
-        obj = central.sample_objective(W[0], channels.H, pool, scenario.E_s)
+        obj = central.sample_objective(W[0], channels.H[0], pool[0], scenario.E_s)
         err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
         rows.append(TraceRow(sweep=sweep, block=block, objective=float(obj),
                              w_error=float(err)))

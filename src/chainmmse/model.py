@@ -97,6 +97,8 @@ class Scenario:
         if not all(0.0 < from_db(g) < math.inf for g in gains):
             raise ValueError("scenario.gain_range_db: must give linear gains that are "
                              f"finite and above 0, got {list(gains)}")
+        if gains[0] > gains[1]:
+            raise ValueError(f"scenario.gain_range_db: must be [low, high], got {list(gains)}")
         object.__setattr__(self, "gain_range_db", gains)
         if not (self.M >= self.K >= 1):
             raise ValueError(f"need M >= K >= 1, got M={self.M}, K={self.K}")

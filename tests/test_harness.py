@@ -218,16 +218,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"algorithms: '{algorithms[-1]}' repeats"):
             _small_config(algorithms=algorithms)
 
-    def test_cli_sweeps_collapses_bcd_tokens(self, tmp_path):
-        assert cli.main(["run", "--algorithms", "bdac,bcd:1,zf,bcd:4", "--sweeps", "7",
-                         "--trials", "1", "--symbols", "10", "--out", str(tmp_path)]) == 0
-        rows = read_results_csv(tmp_path / "results.csv")
-        assert ([(r.algorithm, r.L) for r in rows[:3]]
-                == [("bdac", 0), ("bcd", 7), ("zf", 0)])
-        assert len(rows) == 3 * 5  # five Es/N0 points
-        sc = profile_scenario("desk")
-        assert rows[1].traffic_entries == sc.C * predicted_traffic(sc.K, sc.N, 7)
-
     def test_profile_with_uneven_cluster_sizes(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text("profile: desk\nscenario: {cluster_sizes: [4, 4, 8, 16]}\n")
@@ -254,12 +244,6 @@ class TestConfig:
         path.write_text(f"scenario: {scenario}\n")
         with pytest.raises(ValueError, match=f"^{missing} required when no profile"):
             load_config(path)
-
-    def test_cli_zero_sweeps_override(self, tmp_path):
-        assert cli.main(["run", "--algorithms", "bdac,bcd:4", "--sweeps", "0",
-                         "--trials", "1", "--symbols", "10", "--out", str(tmp_path)]) == 0
-        rows = read_results_csv(tmp_path / "results.csv")
-        assert {(r.algorithm, r.L) for r in rows} == {("bdac", 0), ("bcd", 0)}
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -513,7 +497,8 @@ class TestCli:
                                             "iot_db: [null]\n"
                                             "algorithms: [bdac, 'bcd:2', mmse_exactR]\n",
                    "noise_free_zf.yaml": "profile: desk\nes_n0_db: [.inf, 8.0]\n"
-                                         "algorithms: [zf]\n"}
+                                         "algorithms: [zf]\n",
+                   "reversed_gain.yaml": "profile: desk\nscenario: {gain_range_db: [0.0, -6.0]}\n"}
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--trials", "0"], "invalid experiment config: trials: must be >= 1"),
@@ -555,14 +540,17 @@ class TestCli:
          "'mmse_sampleR' needs N >= M, got N=16 and M=32"),
         (["run", "--config", "pool_fit.yaml"], "invalid experiment config: algorithms: "
          "'bcd:4' needs K + N > M, got K=4, N=28 and M=32"),
-        (["run", "--config", "pool_fit_start.yaml", "--sweeps", "2"], "invalid experiment "
-         "config: algorithms: 'bcd:2' needs K + N > M, got K=4, N=28 and M=32"),
-        # a config the run accepts; the trace's reference is the sample-MMSE solve
-        (["trace", "--config", "short_pool.yaml"],
-         "trace needs N >= M for its sample-MMSE reference, got N=30 and M=32"),
-        # no chain row would take the sweeps
-        (["run", "--algorithms", "zf,mmse_sampleR", "--sweeps", "7"],
-         "--sweeps 7: needs a bcd token in the algorithms, got zf, mmse_sampleR"),
+        # a flag's token is judged by the config's rules
+        (["run", "--config", "pool_fit_start.yaml", "--algorithms", "bdac,bcd:2"],
+         "invalid experiment config: algorithms: 'bcd:2' needs K + N > M, got K=4, N=28 "
+         "and M=32"),
+        # configs the run accepts: the trace is judged as a run of its reference
+        # W*, the sample-MMSE solve, and its chain bcd:L at the first grid point
+        (["trace", "--config", "short_pool.yaml"], "invalid experiment config: algorithms: "
+         "'mmse_sampleR' needs N >= M, got N=30 and M=32"),
+        (["trace", "--config", "pool_fit_start.yaml", "--sweeps", "2"], "invalid experiment "
+         "config: algorithms: 'mmse_sampleR' needs N >= M, got N=28 and M=32; algorithms: "
+         "'bcd:2' needs K + N > M, got K=4, N=28 and M=32"),
         # the pool is zero at Es/N0 = inf: every equalizer but zf is singular
         (["run", "--config", "noise_free.yaml"], "invalid experiment config: algorithms: "
          "'mmse_sampleR' needs noise, but the grid point Es/N0 inf dB, IoT 10.0 dB is "
@@ -572,9 +560,15 @@ class TestCli:
          "noise-free; algorithms: 'bcd:2' needs noise, but the grid point Es/N0 inf dB, "
          "IoT None dB is noise-free; algorithms: 'mmse_exactR' needs noise, but the grid "
          "point Es/N0 inf dB, IoT None dB is noise-free"),
-        # a config the run accepts; the trace's chain runs at the first grid point
-        (["trace", "--config", "noise_free_zf.yaml"], "trace needs noise for its chain "
-         "'bcd:50', but the grid point Es/N0 inf dB, IoT 10.0 dB is noise-free")])
+        (["trace", "--config", "noise_free_zf.yaml"], "invalid experiment config: "
+         "algorithms: 'mmse_sampleR' needs noise, but the grid point Es/N0 inf dB, IoT 10.0 "
+         "dB is noise-free; algorithms: 'bcd:50' needs noise, but the grid point Es/N0 inf "
+         "dB, IoT 10.0 dB is noise-free"),
+        (["run", "--config", "reversed_gain.yaml"],
+         "scenario.gain_range_db: must be [low, high], got [0.0, -6.0]"),
+        # an empty list of tokens is a token list, not a missing flag
+        (["run", "--algorithms", ""],
+         "invalid experiment config: algorithms: unknown algorithm ''")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
@@ -693,6 +687,14 @@ class TestConvergenceTrace:
         assert float(trace[-1]["objective"]) == pytest.approx(row.objective, rel=1e-12)
         with open(tmp_path / "traffic.csv", newline="") as fh:
             assert sum(int(r["entries"]) for r in csv.DictReader(fh)) == row.traffic_entries
+
+    def test_trace_writes_to_the_config_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text("profile: desk\nout_dir: cfgout\n")
+        assert cli.main(["trace", "--config", "cfg.yaml", "--sweeps", "1"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "cfgout"]
+        assert sorted(p.name for p in (tmp_path / "cfgout").iterdir()) == [
+            "trace.csv", "traffic.csv"]
 
     @pytest.mark.parametrize("sweeps", ["0", "-3"])
     def test_cli_rejects_sweeps_below_one(self, tmp_path, capsys, sweeps):
