@@ -57,7 +57,6 @@ def _resolve_config(args) -> harness.ExperimentConfig:
 
 def cmd_run(args, config: harness.ExperimentConfig) -> int:
     rows = harness.run_experiment(config)
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "results.csv")
     harness.emit_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
@@ -76,11 +75,10 @@ def cmd_trace(args, config: harness.ExperimentConfig) -> int:
     except central.SingularMatrixError as exc:  # named as the run names it
         raise central.SingularMatrixError(
             f"trace of trial 0 at Es/N0 {es} dB, IoT {iot} dB: {exc}") from exc
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "trace.csv")
     harness.emit_convergence_trace(rows, path)
     ledger_path = os.path.join(config.out_dir, "traffic.csv")
-    ledger.write_csv(ledger_path)
+    harness.write_table(ledger_path, ledger.CSV_COLUMNS, ledger.csv_rows())
     last = rows[-1]
     print(f"traced trial 0 at Es/N0 {es} dB, IoT {iot} dB: wrote {len(rows)} block "
           f"updates to {path} and their traffic to {ledger_path}; final objective "
@@ -100,10 +98,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "trace" and args.sweeps < 1:
         parser.error(f"argument --sweeps: must be >= 1, got {args.sweeps}")
-    # a bad input value or config file is a usage error; errors raised while
-    # the command runs, such as SingularMatrixError, propagate
+    # a bad input value, config file or output directory is a usage error;
+    # errors raised while the command runs, such as SingularMatrixError, propagate
     try:
         config = _resolve_config(args)
+        os.makedirs(config.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         sub_parser = parsers[args.command]
         sub_parser.exit(2, f"{sub_parser.prog}: error: {exc}\n")

@@ -17,13 +17,6 @@ import numpy as np
 from .model import ChannelSet, Scenario, powers_from_ratios
 
 
-def _gray_to_binary(g: np.ndarray) -> np.ndarray:
-    b = g.copy()
-    for shift in (1, 2, 4):  # prefix XOR of up to 8 bits
-        b ^= b >> shift
-    return b
-
-
 def _binary_to_gray(b: np.ndarray) -> np.ndarray:
     return b ^ (b >> 1)
 
@@ -38,13 +31,12 @@ class Constellation:
         self.bits_per_symbol = int(np.log2(order))
         self.side = int(np.sqrt(order))
         self._axis_bits = self.bits_per_symbol // 2
-        # axis amplitude for each axis bit pattern: Gray-decode to a level
-        # index, levels descend from +(side-1) so pattern 0 is most positive
-        patterns = np.arange(self.side, dtype=np.int64)
-        level = _gray_to_binary(patterns)
-        amp = (self.side - 1) - 2 * level
+        # axis amplitude for each axis bit pattern: level i, the i-th from
+        # +(side-1) down, has the Gray pattern of i, so pattern 0 is most positive
+        level = np.arange(self.side, dtype=np.int64)
         self.scale = float(np.sqrt(3.0 / (2.0 * (order - 1))))
-        self._amp = amp.astype(float) * self.scale
+        self._amp = np.empty(self.side)
+        self._amp[_binary_to_gray(level)] = ((self.side - 1) - 2 * level) * self.scale
         sym = np.arange(order, dtype=np.int64)
         a_i = sym >> self._axis_bits
         a_q = sym & (self.side - 1)
@@ -91,7 +83,8 @@ class Frame:
     b (M x n_symbols), then c and d (K_int x n_symbols), follow the bits in the
     data stream, each row by row; c and d are drawn only with interference
     power, and X is zero without it. noise_state is the bit generator's state
-    at the first of them, from which evaluate_equalizer replays them. The
+    at the first of them, from which evaluate_equalizer replays them; the
+    stream must be a PCG64 one, as every stream of harness.trial_rngs is. The
     transmitted bits are the MSB-first binary of the symbol indices.
     """
     sym: np.ndarray       # (K, n_symbols) uint8 symbol indices into the constellation
@@ -172,11 +165,11 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     and [c; d] of the frame's stream. A trial's estimates start from its
     symbols. Its normals are then replayed from the frame's noise_state in
     stream order, DRAW_BYTES of whole rows at a time into a buffer that each
-    lane keeps (see _kept), and each block is folded into the estimates as
-    soon as it is drawn. Both products and the decisions run in blocks of
-    columns, DETECT_BYTES of estimates each. The trials are split between
-    lanes (see lanes), each a thread that draws and equalizes its own trials,
-    so the counts do not depend on the lanes.
+    lane keeps (see _kept), and each block is folded into the estimates, held
+    whole in a second such buffer, as soon as it is drawn. Both products and
+    the decisions run in blocks of columns, DETECT_BYTES of estimates each.
+    The trials are split between lanes (see lanes), each a thread that draws
+    and equalizes its own trials, so the counts do not depend on the lanes.
 
     Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2].
     """
@@ -204,25 +197,22 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     n_lanes = lanes(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
 
     def lane(first):
-        est, replay, rng = getattr(_kept, "buffers", (np.empty(0), np.empty(0), None))
+        kept = getattr(_kept, "buffers", None)
+        est, replay, rng = kept or (np.empty(0), np.empty(0),
+                                    np.random.Generator(np.random.PCG64()))
         for t in range(first, T, n_lanes):
             frame = frames[t]
             n = frame.sym.shape[1]
             per = max(2 * K, min(rows, DRAW_BYTES // (8 * max(n, 1))))  # symbols in block one
             if replay.size < per * n:
                 replay = np.empty(per * n)
-            # the estimates by blocks of columns: over several blocks of rows
-            # each is a contiguous part of est, which holds them all; from one
-            # block of rows each is made, decided and freed in turn
-            if per < rows and est.size < 2 * AK * n:
+            if est.size < 2 * AK * n:
                 est = np.empty(2 * AK * n)
-            blocks = [(slice(c, c + block), None if per >= rows else
+            # the estimates by blocks of columns, each a contiguous part of est
+            blocks = [(slice(c, c + block),
                        est[2 * AK * c:2 * AK * min(c + block, n)].reshape(2 * AK, -1))
                       for c in range(0, n, block)]
-            kind = frame.noise_state["bit_generator"]
-            if rng is None or type(rng.bit_generator).__name__ != kind:
-                rng = np.random.Generator(getattr(np.random, kind)())
-            rng.bit_generator.state = frame.noise_state
+            rng.bit_generator.state = frame.noise_state  # refuses a non-PCG64 state
             for r in range(0, rows, per):
                 h = min(per, rows - r)
                 x = replay[:h * n].reshape(h, n)
@@ -232,7 +222,7 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
                 rng.standard_normal(out=x[2 * K:] if r == 0 else x)
                 for cols, e in blocks:
                     if r == 0:
-                        e = np.matmul(G[t, :, :h], x[:, cols], out=e)
+                        np.matmul(G[t, :, :h], x[:, cols], out=e)
                     else:
                         e += G[t, :, r:r + h] @ x[:, cols]
                     if r + h < rows:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 import yaml
@@ -320,16 +320,21 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def emit_csv(rows: list[ResultRow], path) -> None:
-    """Write the result table; floats use repr so a parse-back is exact."""
-    if not rows:
-        raise ValueError(f"empty result table; refusing to write {path}")
+def write_table(path, columns, rows) -> None:
+    """Write a CSV table of a header and rows; floats and None use repr, so a
+    parse-back is exact."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in rows:
-            writer.writerow([repr(v) if v is None or isinstance(v, float) else v
-                             for v in (getattr(r, c) for c in RESULT_COLUMNS)])
+        writer.writerow(columns)
+        writer.writerows([repr(v) if v is None or isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def emit_csv(rows: list[ResultRow], path) -> None:
+    """Write the result table (see write_table)."""
+    if not rows:
+        raise ValueError(f"empty result table; refusing to write {path}")
+    write_table(path, RESULT_COLUMNS, [[getattr(r, c) for c in RESULT_COLUMNS] for r in rows])
 
 
 @dataclass(frozen=True)
@@ -363,11 +368,7 @@ def convergence_trace(scenario: model.Scenario, seed: int,
 def emit_convergence_trace(rows: list[TraceRow], path) -> None:
     if not rows:
         raise ValueError(f"empty trace; refusing to write {path}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "block", "objective", "w_error"])
-        for r in rows:
-            writer.writerow([r.sweep, r.block, repr(r.objective), repr(r.w_error)])
+    write_table(path, [f.name for f in fields(TraceRow)], map(astuple, rows))
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

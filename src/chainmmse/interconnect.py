@@ -6,7 +6,6 @@ preprocessing plus L sweeps, independent of the antenna count M.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,22 +39,17 @@ class Topology:
 
 class TrafficLedger:
     """Exact integer complex-entry counts per (phase, link)."""
+    CSV_COLUMNS = ("phase", "link", "entries", "bytes")  # of csv_rows
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self.counts: dict[tuple[str, tuple[int, int]], int] = {}
 
-    def _known(self, link: tuple[int, int]) -> tuple[int, int]:
-        if link not in self.topology.links:
-            raise KeyError(f"link {link} not in the loop of C={self.topology.C} clusters")
-        return link
-
     def add(self, phase: str, link: tuple[int, int], entries: int) -> None:
-        key = (phase, self._known(link))
+        key = (phase, link)
         self.counts[key] = self.counts.get(key, 0) + int(entries)
 
     def per_link(self, link: tuple[int, int], phase_prefix: str = "") -> int:
-        link = self._known(link)
         return sum(n for (p, l), n in self.counts.items()
                    if l == link and p.startswith(phase_prefix))
 
@@ -67,12 +61,6 @@ class TrafficLedger:
         for (phase, link), n in sorted(self.counts.items()):
             rows.append((phase, f"{link[0]}-{link[1]}", n, n * BYTES_PER_ENTRY))
         return rows
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phase", "link", "entries", "bytes"])
-            writer.writerows(self.csv_rows())
 
 
 def predicted_traffic(K: int, N: int, L: int) -> int:

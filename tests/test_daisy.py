@@ -12,10 +12,6 @@ from chainmmse.interconnect import PHASE_SWEEP
 
 from conftest import make_instance
 
-# the loop is the one chain schedule; these cases keep its name as their id
-LOOP = pytest.mark.parametrize("variant", ["gauss_seidel_loop"])
-
-
 def _disjoint_pool(sc, rng, zero_cluster=None):
     """Noise pool in which each cluster has its own sample columns, so the
     sample covariance is exactly block diagonal; zero_cluster gets none."""
@@ -122,8 +118,7 @@ class TestRunBcd:
         np.testing.assert_array_equal(res.W, W0)
         assert res.iterates == []
 
-    @LOOP
-    def test_converges_to_global_minimum(self, variant):
+    def test_converges_to_global_minimum(self):
         # geometric convergence; sweep budget sized from the measured per-sweep
         # contraction of these instances (see "Convergence budget" in the
         # README: L=50 is far too few at this tolerance)
@@ -145,8 +140,7 @@ class TestRunBcd:
         fit = np.polyval(np.polyfit(np.arange(logs.size), logs, 1), np.arange(logs.size))
         assert np.max(np.abs(logs - fit)) < 0.25 * (logs[0] - logs[-1])
 
-    @LOOP
-    def test_monotone_descent_per_block_update(self, variant):
+    def test_monotone_descent_per_block_update(self):
         sc, ch, pool, _ = make_instance(seed=11)
         W0 = bdac_init(make_chain(ch, pool, sc.E_s))
         res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=30), keep_iterates=True)
@@ -172,8 +166,7 @@ class TestRunBcd:
                / np.linalg.norm(res_a.W))
         assert rel < 1e-8
 
-    @LOOP
-    def test_each_depth_equals_a_run_of_that_depth(self, variant):
+    def test_each_depth_equals_a_run_of_that_depth(self):
         # one L=4 run serves bdac and every bcd:L with L <= 4 in the harness
         instances = [make_instance(seed=s)[1:3] for s in (17, 18, 19)]
         sc = make_instance(seed=17)[0]

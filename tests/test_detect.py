@@ -207,6 +207,14 @@ class TestErrorCounts:
         np.testing.assert_array_equal(grid[0].reshape(4, 2), bit_errors)
         np.testing.assert_array_equal(grid[1].reshape(4, 2), symbol_errors)
 
+    def test_frame_of_another_bit_generator_is_refused(self):
+        # the replay generator is a PCG64, the bit generator of every trial stream
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0, constellation=16)
+        W, chs, _ = _chunk(sc, (21,), 50)
+        frame = make_frame(sc, 50, np.random.Generator(np.random.MT19937(23)))
+        with pytest.raises(ValueError, match="PCG64"):
+            evaluate_equalizer(W, stack(chs), [frame], sc)
+
     @pytest.mark.parametrize("extra", ["below", "equal", "two_blocks_and_17"])
     def test_blocked_counts_equal_the_blocks_counted_by_hand(self, extra):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,

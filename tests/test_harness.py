@@ -342,9 +342,8 @@ class TestRunExperiment:
         assert harness.chunk_trials(profile_scenario("desk")) == 8
         assert harness.chunk_trials(profile_scenario("paper")) == 1
 
-    @pytest.mark.parametrize("variant", ["gauss_seidel_loop"])  # the one schedule
-    def test_bdac_traffic_is_the_schedule_gram_phase(self, variant):
-        cfg = _small_config(algorithms=("bdac",), schedule_variant=variant)
+    def test_bdac_traffic_is_the_schedule_gram_phase(self):
+        cfg = _small_config(algorithms=("bdac",))
         sc = cfg.scenario
         rng_ch, rng_pool, _ = harness.trial_rngs(0, 0, 0)
         ch = model.build_channel(sc, rng_ch)
@@ -353,13 +352,11 @@ class TestRunExperiment:
         [row] = run_experiment(cfg)
         assert row.traffic_entries == cfg.trials * ledger.total(PHASE_GRAM)
 
-    @pytest.mark.parametrize("variant", ["gauss_seidel_loop"])  # the one schedule
-    def test_chain_tokens_read_one_chain_run_per_stack(self, variant, monkeypatch):
+    def test_chain_tokens_read_one_chain_run_per_stack(self, monkeypatch):
         tokens = ("bdac", "bcd:0", "bcd:1", "bcd:4")
         # 5 trials in chunks of 2: three stacks at each of two grid points
         monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
-        cfg = _small_config(algorithms=("zf",) + tokens, schedule_variant=variant,
-                            es_n0_db=(0.0, 8.0), trials=5)
+        cfg = _small_config(algorithms=("zf",) + tokens, es_n0_db=(0.0, 8.0), trials=5)
 
         def key(r):
             return r.es_n0_db, r.algorithm, r.L
@@ -568,14 +565,21 @@ class TestCli:
          "scenario.gain_range_db: must be [low, high], got [0.0, -6.0]"),
         # an empty list of tokens is a token list, not a missing flag
         (["run", "--algorithms", ""],
-         "invalid experiment config: algorithms: unknown algorithm ''")])
+         "invalid experiment config: algorithms: unknown algorithm ''"),
+        # an --out that names a file fails before any row is computed
+        (["run", "--trials", "1", "--symbols", "10", "--out", "list.yaml"],
+         "[Errno 17] File exists: 'list.yaml'")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
         for name, text in self.BAD_CONFIGS.items():
             (tmp_path / name).write_text(text)
+        for name in ("run_experiment", "convergence_trace"):
+            monkeypatch.setattr(harness, name, lambda *a, name=name, **kw: pytest.fail(
+                f"{name} ran before the usage error"))
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--out", str(tmp_path / "out")])
+            # an --out of the case's own goes over this one
+            cli.main(argv[:1] + ["--out", str(tmp_path / "out")] + argv[1:])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"chainmmse {argv[0]}: error: {message}\n"
         assert not (tmp_path / "out").exists()

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainmmse import daisy
-from chainmmse.interconnect import (PHASE_SWEEP, Topology, TrafficLedger,
-                                    predicted_traffic)
+from chainmmse.harness import write_table
+from chainmmse.interconnect import PHASE_SWEEP, Topology, predicted_traffic
 
 from conftest import make_instance
 
@@ -23,14 +23,6 @@ class TestTopology:
         for variant in ("mesh", "bi_chain"):
             with pytest.raises(ValueError):
                 Topology(variant, 4)
-
-    def test_unknown_link_rejected(self):
-        topo = Topology("uni_loop", 4)
-        ledger = TrafficLedger(topo)
-        with pytest.raises(KeyError):
-            ledger.add(PHASE_SWEEP, (0, 2), 10)
-        with pytest.raises(KeyError):  # a loop link runs one way only
-            ledger.per_link((1, 0))
 
 
 class TestPredictedTraffic:
@@ -85,7 +77,7 @@ class TestMeteredTraffic:
     def test_csv_roundtrip(self, tmp_path):
         ledger = self._run(M=16, L=1)
         path = tmp_path / "traffic.csv"
-        ledger.write_csv(path)
+        write_table(path, ledger.CSV_COLUMNS, ledger.csv_rows())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "phase,link,entries,bytes"
         assert len(lines) == len(ledger.csv_rows()) + 1
