@@ -25,6 +25,7 @@ one chain instance.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,20 +122,16 @@ def bcd_block_update(chain: Chain, c: int) -> None:
 class BcdResult:
     W: np.ndarray            # T x K x M final equalizers
     ledger: TrafficLedger
-    depths: dict[int, np.ndarray]  # depth -> T x K x M W, for the depths asked for
-    traffic: list[int]       # ledger.total() after the BDAC start and each sweep
-    iterates: list[np.ndarray] | None = None  # T x K x M W after every block update
+    kept: dict[int, np.ndarray]  # block-update count u -> T x K x M W after u updates
 
 
-def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
-            depths: tuple[int, ...] = ()) -> BcdResult:
+def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = ()) -> BcdResult:
     """Full chain run: block-diagonal init, message preprocessing circuits,
-    L sweeps.
+    L sweeps of C block updates.
 
     Returns the final equalizers, the per-link traffic ledger of one chain
-    instance, the traffic so far at every depth 0..L (0 is the BDAC start,
-    d the end of sweep d), and a copy of W at each of the given depths; with
-    keep_iterates, also a copy of W after every block update.
+    instance, and a copy of W after each block-update count u in keep: u = 0
+    is the BDAC start, u = d C the end of sweep d.
     """
     C = len(chain.slices)
     K = chain.H.shape[-1]
@@ -144,29 +141,18 @@ def run_bcd(chain: Chain, schedule: Schedule, keep_iterates: bool = False,
 
     bdac_init(chain, ledger=ledger)
 
-    # accumulation circuit of the initial message (sequential around the
-    # chain), then the distribution circuit handing it to the other clusters
+    # the accumulation circuit of the initial message (sequential around the
+    # chain), the distribution circuit handing it to the other clusters, and
+    # the L sweeps, each crossing every loop link once: (c, c+1), then (C-1, 0)
     for link in topology.links:
         ledger.add(PHASE_ACCUMULATE, link, entries)
-    for link in topology.links:
         ledger.add(PHASE_DISTRIBUTE, link, entries)
-
-    iterates: list[np.ndarray] | None = [] if keep_iterates else None
-    kept = {0: chain.W.copy()} if 0 in depths else {}
-    start = ledger.total()
-    for d in range(1, schedule.L + 1):
-        for c in range(C):
-            bcd_block_update(chain, c)
-            if iterates is not None:
-                iterates.append(chain.W.copy())
-        if d in depths:
-            kept[d] = chain.W.copy()
-    # each sweep's message crosses every loop link once: (c, c+1), then (C-1, 0)
-    if schedule.L > 0:
-        for link in topology.links:
+        if schedule.L > 0:
             ledger.add(PHASE_SWEEP, link, schedule.L * entries)
-    # every sweep sends the same counts, none when C = 1
-    per_sweep = len(topology.links) * entries
-    traffic = [start + d * per_sweep for d in range(schedule.L + 1)]
 
-    return BcdResult(chain.W, ledger, kept, traffic, iterates)
+    kept = {0: chain.W.copy()} if 0 in keep else {}
+    for u in range(1, schedule.L * C + 1):
+        bcd_block_update(chain, (u - 1) % C)
+        if u in keep:
+            kept[u] = chain.W.copy()
+    return BcdResult(chain.W, ledger, kept)

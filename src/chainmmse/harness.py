@@ -8,13 +8,15 @@ paired. Total RNG consumption is therefore independent of the algorithm
 subset, and trials may run in any order.
 
 Trials are drawn one by one and built in chunks stacked along a leading trial
-axis: all chain algorithms read theirs from one chain run (bdac at depth 0,
-bcd:L at depth L), then each centralized one builds a chunk in one call,
+axis: all chain algorithms read theirs from one chain run (bdac at its start,
+bcd:L after L sweeps), then each centralized one builds a chunk in one call,
 mmse_sampleR from the chain's R_hat. The chunk's equalizers form one algorithm
 x trial stack, scored by one objective call; a trial's equalizers do not depend
 on its chunk. Each trial draws one frame, in trial order, and the chunk's
 frames are equalized and decided for all algorithms in one detection call,
 whose per-trial counts do not depend on how it splits the trials into threads.
+A row's traffic is the closed form of interconnect.predicted_traffic; the
+metered ledger of a chain run is what convergence_trace returns.
 """
 from __future__ import annotations
 
@@ -33,11 +35,6 @@ KNOWN_ALGORITHMS = ("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd")
 # bytes of stacked trial data per chunk; a chunk of the desk profile holds
 # 8 trials, one of the paper profile a single trial
 CHUNK_BYTES = 1 << 19
-
-# wall_time_s is a ResultRow field but deliberately not a CSV column: the
-# results file must be byte-identical across reruns of the same seed
-RESULT_COLUMNS = ["algorithm", "L", "es_n0_db", "iot_db", "M", "C", "K", "N",
-                  "ber", "ser", "symbols", "traffic_entries", "objective"]
 
 
 def parse_algorithm(token: str) -> tuple[str, int | None]:
@@ -159,6 +156,11 @@ class ResultRow:
     wall_time_s: float
 
 
+# wall_time_s is a ResultRow field but deliberately not a CSV column: the
+# results file must be byte-identical across reruns of the same seed
+RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.name != "wall_time_s"]
+
+
 PROFILES = {
     "desk": dict(M=32, C=4, K=4, K_int=4, N=96, constellation=16,
                  gain_range_db=(-6.0, 0.0)),
@@ -245,14 +247,12 @@ def _build_equalizer(token: str, channels, R_hat, sc: model.Scenario) -> np.ndar
 
 def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
     """One chain run over a stack of trials to the deepest of depths (chain token
-    -> sweeps, bdac 0): its R_hat, {token: (T x K x M equalizers, one trial's traffic)}."""
+    -> sweeps, bdac 0): its R_hat and {token: T x K x M equalizers}."""
     chain = daisy.make_chain(channels, pool, E_s)
+    C = len(chain.slices)
     result = daisy.run_bcd(chain, daisy.Schedule(L=max(depths.values())),
-                           depths=tuple(depths.values()))
-    # bdac, the initializer alone, sends only its Gram accumulation
-    return chain.R_hat, {t: (result.depths[L], result.ledger.total(daisy.PHASE_GRAM)
-                             if t == "bdac" else result.traffic[L])
-                         for t, L in depths.items()}
+                           keep={L * C for L in depths.values()})
+    return chain.R_hat, {t: result.kept[L * C] for t, L in depths.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -271,7 +271,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
         const = detect.Constellation(sc.constellation)
         errors = np.zeros((2, A), dtype=np.int64)  # bit errors, symbol errors
-        traffic = np.zeros(A, dtype=np.int64)
         objective, wall = np.zeros(A), np.zeros(A)
         chunk = chunk_trials(sc)
         for first in range(0, config.trials, chunk):
@@ -287,9 +286,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 try:
                     if tokens[0] in depths:
                         R_hat, built = _run_chain(depths, channels, pool, sc.E_s)
-                        for t, (W_t, tr) in built.items():
+                        for t, W_t in built.items():
                             W[axis[t]] = W_t
-                            traffic[axis[t]] += T * tr
                     else:
                         W[axis[tokens[0]]] = _build_equalizer(tokens[0], channels,
                                                               R_hat, sc)
@@ -308,13 +306,19 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             for i in range(T):
                 objective += obj[:, i]  # trial by trial, in trial order
         symbols = config.trials * sc.K * config.symbols_per_trial
+        links = sc.C if sc.C > 1 else 0  # the loop's links: one cluster sends nothing
         for a, (name, L) in enumerate(parsed):
+            # one trial's entries per link, in closed form: bdac, the initializer
+            # alone, sends only its Gram accumulation
+            per_link = (sc.K * sc.K if name == "bdac" else
+                        interconnect.predicted_traffic(sc.K, sc.N, L) if name == "bcd"
+                        else 0)
             rows.append(ResultRow(
                 algorithm=name, L=L or 0, es_n0_db=es, iot_db=iot,
                 M=sc.M, C=sc.C, K=sc.K, N=sc.N,
                 ber=int(errors[0, a]) / (symbols * const.bits_per_symbol),
                 ser=int(errors[1, a]) / symbols, symbols=symbols,
-                traffic_entries=int(traffic[a]),
+                traffic_entries=config.trials * links * per_link,
                 objective=float(objective[a]) / config.trials,
                 wall_time_s=float(wall[a])))
     return rows
@@ -353,14 +357,14 @@ def convergence_trace(scenario: model.Scenario, seed: int,
     chain = daisy.make_chain(channels, pool, scenario.E_s)
     W_star = central.mmse_centralized(channels.H, chain.R_hat, scenario.E_s)[0]
     norm_star = np.linalg.norm(W_star, "fro")
-    result = daisy.run_bcd(chain, daisy.Schedule(L=L), keep_iterates=True)
-    updates = [(sweep, block) for sweep in range(1, L + 1)
-               for block in range(scenario.C)]
+    C = len(chain.slices)
+    result = daisy.run_bcd(chain, daisy.Schedule(L=L), keep=range(1, L * C + 1))
     rows = []
-    for (sweep, block), W in zip(updates, result.iterates):  # stacks of one trial
+    for u, W in result.kept.items():  # stacks of one trial
+        sweep, block = divmod(u - 1, C)
         obj = central.sample_objective(W[0], channels.H[0], pool[0], scenario.E_s)
         err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
-        rows.append(TraceRow(sweep=sweep, block=block, objective=float(obj),
+        rows.append(TraceRow(sweep=sweep + 1, block=block, objective=float(obj),
                              w_error=float(err)))
     return rows, result.ledger
 

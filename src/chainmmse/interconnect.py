@@ -53,9 +53,6 @@ class TrafficLedger:
         return sum(n for (p, l), n in self.counts.items()
                    if l == link and p.startswith(phase_prefix))
 
-    def total(self, phase_prefix: str = "") -> int:
-        return sum(n for (p, _), n in self.counts.items() if p.startswith(phase_prefix))
-
     def csv_rows(self) -> list[tuple[str, str, int, int]]:
         rows = []
         for (phase, link), n in sorted(self.counts.items()):

@@ -51,9 +51,10 @@ def desk_instances():
         W_star = central.mmse_centralized(ch.H, R_hat, sc.E_s)
         t0 = time.perf_counter()
         res_gs = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
-                               daisy.Schedule(L=50), keep_iterates=True)
+                               daisy.Schedule(L=50), keep=range(1, 50 * sc.C + 1))
         gs_elapsed += time.perf_counter() - t0
-        objs = [central.sample_objective(W[0], ch.H, pool, sc.E_s) for W in res_gs.iterates]
+        objs = [central.sample_objective(W[0], ch.H, pool, sc.E_s)
+                for W in res_gs.kept.values()]
         runs.append(_DeskRun((sc, ch, pool, R_hat), W_star, res_gs.W[0], objs))
     return runs, gs_elapsed
 
@@ -168,7 +169,7 @@ def test_criterion_4_traffic_formula():
             ok &= all(ledger.per_link(link, PHASE_SWEEP) == L * K * (N + K)
                       for link in ledger.topology.links)
             if L == 4:
-                totals.add(ledger.total())
+                totals.add(sum(ledger.per_link(link) for link in ledger.topology.links))
     ok &= len(totals) == 1
     details.append(f"totals across M in {{16,32,64}}: {sorted(totals)}")
     _verdict(4, "metered sweep traffic = L*K*(N+K), invariant to M",

@@ -113,10 +113,11 @@ class TestBlockUpdate:
 class TestRunBcd:
     def test_zero_sweeps_returns_initializer(self):
         sc, ch, pool, _ = make_instance(seed=8)
-        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=0), keep_iterates=True)
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=0), keep=range(5))
         W0 = bdac_init(make_chain(ch, pool, sc.E_s))
         np.testing.assert_array_equal(res.W, W0)
-        assert res.iterates == []
+        assert list(res.kept) == [0]
+        np.testing.assert_array_equal(res.kept[0], W0)
 
     def test_converges_to_global_minimum(self):
         # geometric convergence; sweep budget sized from the measured per-sweep
@@ -131,8 +132,9 @@ class TestRunBcd:
     def test_convergence_is_eventually_geometric(self):
         sc, ch, pool, Rhat = make_instance(seed=10)
         W_star = mmse_centralized(ch.H, Rhat, sc.E_s)
-        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=120), keep_iterates=True)
-        errs = np.array([np.linalg.norm(W[0] - W_star) for W in res.iterates[sc.C - 1::sc.C]])
+        sweep_ends = range(sc.C, 120 * sc.C + 1, sc.C)
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=120), keep=sweep_ends)
+        errs = np.array([np.linalg.norm(res.kept[u][0] - W_star) for u in sweep_ends])
         logs = np.log(errs[20:])
         slope = np.polyfit(np.arange(logs.size), logs, 1)[0]
         assert slope < -1e-3  # linear decay of log error
@@ -143,9 +145,11 @@ class TestRunBcd:
     def test_monotone_descent_per_block_update(self):
         sc, ch, pool, _ = make_instance(seed=11)
         W0 = bdac_init(make_chain(ch, pool, sc.E_s))
-        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=30), keep_iterates=True)
-        values = [sample_objective(W[0], ch.H, pool, sc.E_s)
-                  for W in [W0] + res.iterates]
+        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=30),
+                      keep=range(30 * sc.C + 1))
+        assert list(res.kept) == list(range(30 * sc.C + 1))
+        np.testing.assert_array_equal(res.kept[0], W0)
+        values = [sample_objective(W[0], ch.H, pool, sc.E_s) for W in res.kept.values()]
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev * (1.0 + 1e-12)
 
@@ -171,30 +175,32 @@ class TestRunBcd:
         instances = [make_instance(seed=s)[1:3] for s in (17, 18, 19)]
         sc = make_instance(seed=17)[0]
         stack = model.stack_trials(*zip(*instances))
-        # W is kept only at the depths asked for; the final W always
-        kept = (0, 1, 3)
-        deep = run_bcd(make_chain(*stack, sc.E_s), Schedule(L=4), depths=kept)
-        assert sorted(deep.depths) == list(kept) and len(deep.traffic) == 5
+        # W is kept only after the block-update counts asked for, one of them
+        # inside a sweep; the final W always
+        keep = {0, sc.C, sc.C + 1, 3 * sc.C}
+        deep = run_bcd(make_chain(*stack, sc.E_s), Schedule(L=4), keep=keep)
+        assert sorted(deep.kept) == sorted(keep)
         # the reference sweeps: the same block updates, applied by hand
         chain = make_chain(*stack, sc.E_s)
         bdac_init(chain)
-        for d in range(5):
-            for c in range(sc.C) if d else ():
+        np.testing.assert_array_equal(deep.kept[0], chain.W)
+        for d in range(1, 5):
+            for c in range(sc.C):
                 bcd_block_update(chain, c)
+                u = (d - 1) * sc.C + c + 1
+                if u in keep:
+                    np.testing.assert_array_equal(deep.kept[u], chain.W)
             alone = run_bcd(make_chain(*stack, sc.E_s), Schedule(L=d))
-            assert alone.depths == {}
+            assert alone.kept == {}
             np.testing.assert_array_equal(alone.W, chain.W)
-            if d in kept:
-                np.testing.assert_array_equal(deep.depths[d], chain.W)
-            assert isinstance(deep.traffic[d], int)
-            assert deep.traffic[d] == alone.ledger.total()
         np.testing.assert_array_equal(deep.W, chain.W)
 
     def test_single_cluster_sends_nothing(self):
         # one cluster has no links: no traffic at any depth
         sc, ch, pool, _ = make_instance(seed=13, M=8, C=1, K=3, K_int=2, N=32)
-        res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=3))
-        assert res.traffic == [0] * 4 and res.ledger.counts == {}
+        for L in range(4):
+            res = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=L))
+            assert res.ledger.counts == {}
 
     def test_message_size_independent_of_m(self):
         # one sweep sends one K x (K+N) message over each link

@@ -23,8 +23,8 @@ TOKENS = ["zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd:0", "bcd:1", "bcd:3"
 
 
 def now_and_then(common, rare):
-    """common, and one draw in eight rare."""
-    return st.integers(0, 7).flatmap(lambda i: rare if i == 0 else common)
+    """common, and one draw in eight rare (an integer draw would lean to 0)."""
+    return st.sampled_from([True] + [False] * 7).flatmap(lambda r: rare if r else common)
 
 
 ES_N0_DB = now_and_then(st.floats(-40.0, 150.0), st.sampled_from([math.inf, -math.inf]))

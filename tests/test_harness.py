@@ -350,7 +350,8 @@ class TestRunExperiment:
         chain = daisy.make_chain(ch, model.draw_noise_pool(ch, sc, rng_pool), sc.E_s)
         ledger = daisy.run_bcd(chain, daisy.Schedule(L=1)).ledger
         [row] = run_experiment(cfg)
-        assert row.traffic_entries == cfg.trials * ledger.total(PHASE_GRAM)
+        assert row.traffic_entries == cfg.trials * sum(
+            ledger.per_link(link, PHASE_GRAM) for link in ledger.topology.links)
 
     def test_chain_tokens_read_one_chain_run_per_stack(self, monkeypatch):
         tokens = ("bdac", "bcd:0", "bcd:1", "bcd:4")
@@ -673,8 +674,9 @@ class TestConvergenceTrace:
 
     @pytest.mark.parametrize("scenario", [
         "profile: desk", "profile: paper",
-        "profile: desk\nscenario: {cluster_sizes: [4, 4, 8, 16]}"],
-        ids=["desk", "paper", "desk_uneven"])
+        "profile: desk\nscenario: {cluster_sizes: [4, 4, 8, 16]}",
+        "scenario: {M: 8, C: 1, K: 2, K_int: 2, N: 32}"],
+        ids=["desk", "paper", "desk_uneven", "one_cluster"])
     def test_trace_is_the_first_instance_of_the_run(self, tmp_path, scenario):
         # the trace's last objective is the run's bcd:7 objective of its only
         # trial, and its ledger the run's traffic
@@ -729,7 +731,8 @@ class TestConvergenceTrace:
     def test_converges_and_monotone(self, tmp_path):
         sc = model.Scenario(M=16, C=4, K=4, K_int=4, N=64, es_n0_db=0.0)
         rows, _ = harness.convergence_trace(sc, seed=3, L=400)
-        assert len(rows) == 400 * 4
+        assert [(r.sweep, r.block) for r in rows] == [
+            (sweep, block) for sweep in range(1, 401) for block in range(4)]
         assert rows[-1].w_error < 1e-8
         objs = [r.objective for r in rows]
         for prev, cur in zip(objs, objs[1:]):

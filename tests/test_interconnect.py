@@ -71,8 +71,10 @@ class TestMeteredTraffic:
                 assert ledger.per_link(link) == predicted_traffic(4, 64, L)
 
     def test_independent_of_antenna_count(self):
-        totals = {M: self._run(M=M, L=4).total() for M in (16, 32, 64)}
-        assert len(set(totals.values())) == 1
+        ledgers = [self._run(M=M, L=4) for M in (16, 32, 64)]
+        totals = {sum(ledger.per_link(link) for link in ledger.topology.links)
+                  for ledger in ledgers}
+        assert len(totals) == 1
 
     def test_csv_roundtrip(self, tmp_path):
         ledger = self._run(M=16, L=1)
@@ -82,7 +84,8 @@ class TestMeteredTraffic:
         assert lines[0] == "phase,link,entries,bytes"
         assert len(lines) == len(ledger.csv_rows()) + 1
         assert lines[1:] == [",".join(map(str, row)) for row in ledger.csv_rows()]
-        assert sum(row[2] for row in ledger.csv_rows()) == ledger.total()
+        assert sum(row[2] for row in ledger.csv_rows()) == sum(
+            ledger.per_link(link) for link in ledger.topology.links)
         for row in ledger.csv_rows():
             assert row[3] == 16 * row[2]
 
