@@ -30,29 +30,39 @@ class Constellation:
         self.order = order
         self.bits_per_symbol = int(np.log2(order))
         self.side = int(np.sqrt(order))
-        self._axis_bits = self.bits_per_symbol // 2
+        axis_bits = self.bits_per_symbol // 2
         # axis amplitude for each axis bit pattern: level i, the i-th from
         # +(side-1) down, has the Gray pattern of i, so pattern 0 is most positive
         level = np.arange(self.side, dtype=np.int64)
+        gray = _binary_to_gray(level)
         self.scale = float(np.sqrt(3.0 / (2.0 * (order - 1))))
-        self._amp = np.empty(self.side)
-        self._amp[_binary_to_gray(level)] = ((self.side - 1) - 2 * level) * self.scale
+        amp = np.empty(self.side)
+        amp[gray] = ((self.side - 1) - 2 * level) * self.scale
         sym = np.arange(order, dtype=np.int64)
-        a_i = sym >> self._axis_bits
-        a_q = sym & (self.side - 1)
-        self.points = self._amp[a_i] + 1j * self._amp[a_q]
+        self.points = amp[sym >> axis_bits] + 1j * amp[sym & (self.side - 1)]
+        # the symbol index of the level pair (i, q), at i * side + q
+        self._symbol = ((gray[:, None] << axis_bits) | gray).astype(np.uint8).ravel()
         # bit errors between two symbol indices: popcount of their XOR
-        self._popcount = np.array([bin(i).count("1") for i in range(order)])
-
-    def _decide_axis(self, x: np.ndarray) -> np.ndarray:
-        """Nearest amplitude level -> axis bit pattern."""
-        level = np.clip(np.round(((self.side - 1) - x / self.scale) / 2.0),
-                        0, self.side - 1).astype(np.int64)
-        return _binary_to_gray(level)
+        self._popcount = np.array([bin(i).count("1") for i in range(order)], dtype=np.uint8)
 
     def decide(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
         """Symbol index of the nearest point to every estimate re + 1j * im."""
-        return (self._decide_axis(re) << self._axis_bits) | self._decide_axis(im)
+        return self.decide_in_place(np.stack([re, im]))
+
+    def decide_in_place(self, est: np.ndarray) -> np.ndarray:
+        """uint8 symbol index of the nearest point to every estimate
+        est[0] + 1j * est[1]. est, a float64 array, is overwritten: each axis
+        by its nearest amplitude level, the real one then by the pair's index
+        into a table of symbol indices."""
+        np.divide(est, self.scale, out=est)
+        np.subtract(self.side - 1, est, out=est)
+        est /= 2.0
+        np.rint(est, out=est)
+        np.clip(est, 0, self.side - 1, out=est)
+        li, lq = est
+        li *= self.side
+        li += lq  # exact in float64
+        return np.take(self._symbol, li.astype(np.uint8), mode="clip")
 
 
 # bytes of estimates decided at once: the real and imaginary parts of a
@@ -62,13 +72,13 @@ DETECT_BYTES = 1 << 18
 # make_frame, normals (with the symbol rows) in evaluate_equalizer
 DRAW_BYTES = 1 << 21
 # bytes of a trial's normals from which a chunk's trials are split between
-# LANES threads; never more lanes than the CPUs the process may run on
-LANE_BYTES = 1 << 22
+# LANES lanes; never more lanes than the CPUs the process may run on. The desk
+# profile's 500-symbol trials (288 000 B) run in two lanes, the 64-symbol
+# trials of the chain_deep benchmark (36 864 B) in one: there two lanes read
+# 0.061 -> 0.069 s in-process with a thread per call and 0.077 s with a kept
+# thread, the GIL handed back and forth on each trial's Python work
+LANE_BYTES = 1 << 17
 LANES = 2
-# each thread's lane buffers and replay generator, kept between calls: the
-# calling thread runs a lane in every call, and buffers freed after each
-# chunk would fault their pages in again in the next
-_kept = threading.local()
 
 
 @dataclass
@@ -127,31 +137,88 @@ def lanes(n_trials: int, trial_bytes: int) -> int:
     return min(LANES, n_trials, len(os.sched_getaffinity(0)))
 
 
-def _in_lanes(work, n_lanes: int) -> None:
-    """work(lane) for every lane, lane 0 on the calling thread and the others
-    on threads of their own, all joined before returning; the first error of
-    a lane is raised."""
-    errors = []
+class _Lane:
+    """A lane's buffers, each grown to the largest trial the lane has run (the
+    trial's estimates, and a block of its replayed rows), and its replay
+    generator, whose state every trial sets."""
 
-    def run(lane):
-        try:
-            work(lane)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+    def __init__(self, index: int):
+        self.index = index
+        self.est = self.replay = np.empty(0)
+        self.rng = np.random.Generator(np.random.PCG64(0))
 
-    threads = [threading.Thread(target=run, args=(lane,)) for lane in range(1, n_lanes)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+
+def _attempt(work, lane: _Lane, n_lanes: int) -> BaseException | None:
+    try:
+        work(lane, n_lanes)
+    except BaseException as exc:  # re-raised on the calling thread
+        return exc
+    return None
+
+
+class Lanes:
+    """The detection lanes of a run and their buffers.
+
+    Lane 0 runs on the calling thread, and each of lanes 1 .. LANES - 1 on a
+    thread of its own, started by the first call that needs it and fed
+    through a queue.SimpleQueue. The buffers are kept between calls, so a
+    chunk does not fault in again the pages of the chunk before. close(), or
+    the end of a with block, joins the threads and drops the buffers. A Lanes
+    serves one caller at a time.
+    """
+
+    def __init__(self):
+        self._lanes = [_Lane(i) for i in range(LANES)]
+        self._threads = []  # (thread, its queue of work) of lanes 1, 2, ...
+
+    def __enter__(self) -> Lanes:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run(self, work, n_trials: int, trial_bytes: int) -> None:
+        """work(lane, n_lanes) on each of the first n_lanes = lanes(n_trials,
+        trial_bytes) lanes, all done before returning. The error of the lowest
+        lane that failed is raised, and every lane stays usable."""
+        n_lanes = lanes(n_trials, trial_bytes)
+        for lane in self._lanes[1:n_lanes]:
+            self._queue(lane).put((work, n_lanes))
+        errors = {0: _attempt(work, self._lanes[0], n_lanes)}
+        errors.update(self._done.get() for _ in range(1, n_lanes))
+        for index in sorted(errors):
+            if errors[index] is not None:
+                raise errors[index]
+
+    def _queue(self, lane: _Lane):
+        """The work queue of lane's thread, which is started with it."""
+        if len(self._threads) < lane.index:
+            import queue
+            if not self._threads:
+                self._done = queue.SimpleQueue()  # (lane index, its error or None)
+            todo = queue.SimpleQueue()
+            thread = threading.Thread(target=self._serve, args=(lane, todo),
+                                      name=f"chainmmse-lane-{lane.index}", daemon=True)
+            thread.start()
+            self._threads.append((thread, todo))
+        return self._threads[lane.index - 1][1]
+
+    def _serve(self, lane: _Lane, todo) -> None:
+        while (item := todo.get()) is not None:
+            self._done.put((lane.index, _attempt(item[0], lane, item[1])))
+
+    def close(self) -> None:
+        for _, todo in self._threads:
+            todo.put(None)
+        for thread, _ in self._threads:
+            thread.join()
+        self._threads = []
+        self._lanes = [_Lane(i) for i in range(LANES)]
 
 
 def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Scenario,
-                       constellation: Constellation | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       constellation: Constellation | None = None,
+                       lanes: Lanes | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Equalize a chunk of T frames with a (..., T, K, M) stack of equalizers,
     W[..., t, :, :] on frames[t], hard-decide all users at once, and count bit
     and symbol errors on the symbol indices (the bits are the index's MSB-first
@@ -164,12 +231,14 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     the real and imaginary estimates: [Re S; Im S], then the normals [a; b]
     and [c; d] of the frame's stream. A trial's estimates start from its
     symbols. Its normals are then replayed from the frame's noise_state in
-    stream order, DRAW_BYTES of whole rows at a time into a buffer that each
-    lane keeps (see _kept), and each block is folded into the estimates, held
-    whole in a second such buffer, as soon as it is drawn. Both products and
-    the decisions run in blocks of columns, DETECT_BYTES of estimates each.
-    The trials are split between lanes (see lanes), each a thread that draws
-    and equalizes its own trials, so the counts do not depend on the lanes.
+    stream order, DRAW_BYTES of whole rows at a time into a buffer of its
+    lane, and each block is folded into the estimates, held whole in a second
+    buffer of the lane, as soon as it is drawn. Both products and the
+    decisions, made in place on the estimates, run in blocks of columns,
+    DETECT_BYTES of estimates each. The trials are split between the lanes of
+    lanes, a Lanes (see lanes for how many; one opened and closed for this
+    call if None), each of which draws and equalizes its own trials, so the
+    counts do not depend on the lanes.
 
     Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2].
     """
@@ -194,28 +263,25 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     rows = G.shape[-1]
     block = max(1, DETECT_BYTES // (16 * AK))
     counts = np.zeros((2, W.shape[0], T), dtype=np.int64)
-    n_lanes = lanes(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
 
-    def lane(first):
-        kept = getattr(_kept, "buffers", None)
-        est, replay, rng = kept or (np.empty(0), np.empty(0),
-                                    np.random.Generator(np.random.PCG64()))
-        for t in range(first, T, n_lanes):
+    def work(lane, n_lanes):
+        for t in range(lane.index, T, n_lanes):
             frame = frames[t]
             n = frame.sym.shape[1]
             per = max(2 * K, min(rows, DRAW_BYTES // (8 * max(n, 1))))  # symbols in block one
-            if replay.size < per * n:
-                replay = np.empty(per * n)
-            if est.size < 2 * AK * n:
-                est = np.empty(2 * AK * n)
+            if lane.replay.size < per * n:
+                lane.replay = np.empty(per * n)
+            if lane.est.size < 2 * AK * n:
+                lane.est = np.empty(2 * AK * n)
             # the estimates by blocks of columns, each a contiguous part of est
             blocks = [(slice(c, c + block),
-                       est[2 * AK * c:2 * AK * min(c + block, n)].reshape(2 * AK, -1))
+                       lane.est[2 * AK * c:2 * AK * min(c + block, n)].reshape(2 * AK, -1))
                       for c in range(0, n, block)]
+            rng = lane.rng
             rng.bit_generator.state = frame.noise_state  # refuses a non-PCG64 state
             for r in range(0, rows, per):
                 h = min(per, rows - r)
-                x = replay[:h * n].reshape(h, n)
+                x = lane.replay[:h * n].reshape(h, n)
                 if r == 0:
                     np.take(const.points.real, frame.sym, out=x[:K], mode="clip")
                     np.take(const.points.imag, frame.sym, out=x[K:2 * K], mode="clip")
@@ -227,11 +293,17 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
                         e += G[t, :, r:r + h] @ x[:, cols]
                     if r + h < rows:
                         continue
-                    wrong = const.decide(e[:AK], e[AK:]).reshape(-1, K, e.shape[-1])
+                    # the block's last use: decided in place
+                    wrong = const.decide_in_place(e.reshape(2, AK, -1)).reshape(-1, K, e.shape[-1])
                     wrong ^= frame.sym[:, cols]
-                    counts[0, :, t] += const._popcount[wrong].sum(axis=(-2, -1))
+                    counts[0, :, t] += const._popcount[wrong].sum(axis=(-2, -1),
+                                                                  dtype=np.int64)
                     counts[1, :, t] += np.count_nonzero(wrong, axis=(-2, -1))
-        _kept.buffers = est, replay, rng
 
-    _in_lanes(lane, n_lanes)
+    trial_bytes = 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames)
+    if lanes is not None:
+        lanes.run(work, T, trial_bytes)
+    else:
+        with Lanes() as own:
+            own.run(work, T, trial_bytes)
     return counts[0].reshape(lead + (T,)), counts[1].reshape(lead + (T,))

@@ -256,7 +256,14 @@ def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Evaluate every algorithm at every (Es/N0, IoT) grid point."""
+    """Evaluate every algorithm at every (Es/N0, IoT) grid point. The run's
+    detection lanes serve every chunk; their threads are joined, and their
+    buffers dropped, when it returns or raises."""
+    with detect.Lanes() as lanes:
+        return _run_grid(config, lanes)
+
+
+def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
     parsed = [parse_algorithm(token) for token in config.algorithms]
     depths = {t: L or 0 for t, (name, L) in zip(config.algorithms, parsed)
               if name in ("bdac", "bcd")}
@@ -301,8 +308,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             obj = central.sample_objective(W, channels.H, pool, sc.E_s)
             frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
                       for rng_data in data_rngs]
-            errors += np.sum(detect.evaluate_equalizer(W, channels, frames, sc, const),
-                             axis=-1)
+            errors += np.sum(detect.evaluate_equalizer(W, channels, frames, sc, const,
+                                                       lanes=lanes), axis=-1)
             for i in range(T):
                 objective += obj[:, i]  # trial by trial, in trial order
         symbols = config.trials * sc.K * config.symbols_per_trial

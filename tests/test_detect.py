@@ -314,6 +314,14 @@ class TestErrorCounts:
         with mock.patch.object(detect.os, "sched_getaffinity", lambda pid: {0}, create=True):
             assert detect.lanes(8, detect.LANE_BYTES) == 1
 
+    def test_desk_trials_run_in_two_lanes_and_chain_deep_trials_in_one(self):
+        # a trial's normals: 8 bytes x (2 M + 2 K_int) rows x its symbols. In
+        # the desk profile (M = 32, K_int = 4) 500 symbols run in two lanes
+        # and the 64 of the chain_deep benchmark in one
+        with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
+            assert detect.lanes(8, 8 * 72 * 500) == 2
+            assert detect.lanes(8, 8 * 72 * 64) == 1
+
     def test_an_error_in_a_lane_is_raised_to_the_caller(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
@@ -324,6 +332,23 @@ class TestErrorCounts:
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
                 pytest.raises(ValueError):
             evaluate_equalizer(W, stack(chs), frames, sc)
+
+    def test_a_lane_that_failed_serves_the_next_call(self):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=16)
+        W, chs, frames = _chunk(sc, (80, 84), 100)
+        want = evaluate_equalizer(W, stack(chs), frames, sc)  # in one lane
+        # the second trial runs on the second lane's thread
+        bad = [frames[0], dataclasses.replace(frames[1], sym=frames[1].sym[:2])]
+        with mock.patch.multiple(detect, LANE_BYTES=0), \
+                mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
+                detect.Lanes() as lanes:
+            with pytest.raises(ValueError):
+                evaluate_equalizer(W, stack(chs), bad, sc, lanes=lanes)
+            got = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
+        assert want[0].all()
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     def test_equalizers_of_another_trial_count_are_rejected(self):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16)

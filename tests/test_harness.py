@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,33 @@ class TestRunExperiment:
                                     r"covariance block R_cc in trial 0 is numerically "
                                     r"singular"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("iot_db, raises", [((10.0,), False), ((10.0, 300.0), True)])
+    def test_no_lane_thread_outlives_the_run(self, monkeypatch, iot_db, raises):
+        # two lanes on every chunk; at IoT 300 dB the sample covariance is
+        # singular, after the first grid point has started the lane thread
+        monkeypatch.setattr(detect, "LANE_BYTES", 0)
+        monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = _small_config(scenario=model.Scenario(M=8, C=2, K=2, K_int=1, N=16,
+                                                    constellation=4),
+                            es_n0_db=(0.0,), iot_db=iot_db, algorithms=("zf", "mmse_sampleR"))
+        seen = []  # the threads alive after each detection call
+        evaluate = detect.evaluate_equalizer
+
+        def evaluate_and_look(*args, **kwargs):
+            counts = evaluate(*args, **kwargs)
+            seen.extend(threading.enumerate())
+            return counts
+
+        monkeypatch.setattr(detect, "evaluate_equalizer", evaluate_and_look)
+        before = threading.enumerate()
+        if raises:
+            with pytest.raises(central.SingularMatrixError, match="IoT 300.0 dB"):
+                run_experiment(cfg)
+        else:
+            run_experiment(cfg)
+        assert any(t.name.startswith("chainmmse-lane") for t in seen)
+        assert threading.enumerate() == before
 
     def test_desk_run_makes_no_eigendecomposition(self, monkeypatch):
         def eigvalsh(*args, **kwargs):
