@@ -45,19 +45,16 @@ class Constellation:
         # bit errors between two symbol indices: popcount of their XOR
         self._popcount = np.array([bin(i).count("1") for i in range(order)], dtype=np.uint8)
 
-    def decide(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        """Symbol index of the nearest point to every estimate re + 1j * im."""
-        return self.decide_in_place(np.stack([re, im]))
-
     def decide_in_place(self, est: np.ndarray) -> np.ndarray:
         """uint8 symbol index of the nearest point to every estimate
         est[0] + 1j * est[1]. est, a float64 array, is overwritten: each axis
         by its nearest amplitude level, the real one then by the pair's index
-        into a table of symbol indices."""
-        np.divide(est, self.scale, out=est)
-        np.subtract(self.side - 1, est, out=est)
-        est /= 2.0
-        np.rint(est, out=est)
+        into a table of symbol indices. An axis at x times the scale is
+        nearest the odd amplitude 2 floor(x / 2) + 1, so an estimate a few
+        ulps off a boundary, 0 among them, is decided to its own side."""
+        np.divide(est, 2.0 * self.scale, out=est)
+        np.floor(est, out=est)
+        np.subtract(self.side // 2 - 1, est, out=est)
         np.clip(est, 0, self.side - 1, out=est)
         li, lq = est
         li *= self.side
@@ -72,13 +69,12 @@ DETECT_BYTES = 1 << 18
 # make_frame, normals (with the symbol rows) in evaluate_equalizer
 DRAW_BYTES = 1 << 21
 # bytes of a trial's normals from which a chunk's trials are split between
-# LANES lanes; never more lanes than the CPUs the process may run on. The desk
+# two lanes; never more lanes than the CPUs the process may run on. The desk
 # profile's 500-symbol trials (288 000 B) run in two lanes, the 64-symbol
 # trials of the chain_deep benchmark (36 864 B) in one: there two lanes read
 # 0.061 -> 0.069 s in-process with a thread per call and 0.077 s with a kept
 # thread, the GIL handed back and forth on each trial's Python work
 LANE_BYTES = 1 << 17
-LANES = 2
 
 
 @dataclass
@@ -129,12 +125,13 @@ def _real_form(Q: np.ndarray) -> np.ndarray:
 
 
 def lanes(n_trials: int, trial_bytes: int) -> int:
-    """Threads that evaluate a chunk of n_trials trials, each of trial_bytes of
-    normals: LANES when a trial reaches LANE_BYTES, capped by the trials and
-    by the CPUs of os.sched_getaffinity (so `taskset -c 0` gives one)."""
+    """Lanes, 1 or 2, that evaluate a chunk of n_trials trials, each of
+    trial_bytes of normals: 2 when a trial reaches LANE_BYTES, capped by the
+    trials and by the CPUs of os.sched_getaffinity (so `taskset -c 0` gives
+    one)."""
     if trial_bytes < LANE_BYTES or not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(LANES, n_trials, len(os.sched_getaffinity(0)))
+    return min(2, n_trials, len(os.sched_getaffinity(0)))
 
 
 class _Lane:
@@ -157,19 +154,19 @@ def _attempt(work, lane: _Lane, n_lanes: int) -> BaseException | None:
 
 
 class Lanes:
-    """The detection lanes of a run and their buffers.
+    """The two detection lanes of a run and their buffers.
 
-    Lane 0 runs on the calling thread, and each of lanes 1 .. LANES - 1 on a
-    thread of its own, started by the first call that needs it and fed
-    through a queue.SimpleQueue. The buffers are kept between calls, so a
-    chunk does not fault in again the pages of the chunk before. close(), or
-    the end of a with block, joins the threads and drops the buffers. A Lanes
-    serves one caller at a time.
+    Lane 0 runs on the calling thread, and lane 1 on one thread,
+    chainmmse-lane-1, started by the first two-lane call and fed through a
+    pair of queue.SimpleQueue (work in, its error or None out). The buffers
+    are kept between calls, so a chunk does not fault in again the pages of
+    the chunk before. close(), or the end of a with block, joins the thread
+    and drops both lanes' buffers. A Lanes serves one caller at a time.
     """
 
     def __init__(self):
-        self._lanes = [_Lane(i) for i in range(LANES)]
-        self._threads = []  # (thread, its queue of work) of lanes 1, 2, ...
+        self._lanes = (_Lane(0), _Lane(1))
+        self._thread = None
 
     def __enter__(self) -> Lanes:
         return self
@@ -178,47 +175,40 @@ class Lanes:
         self.close()
 
     def run(self, work, n_trials: int, trial_bytes: int) -> None:
-        """work(lane, n_lanes) on each of the first n_lanes = lanes(n_trials,
-        trial_bytes) lanes, all done before returning. The error of the lowest
-        lane that failed is raised, and every lane stays usable."""
+        """work(lane, n_lanes) on each of the n_lanes = lanes(n_trials,
+        trial_bytes) lanes, all done before returning. Lane 0's error, else
+        lane 1's, is raised, and both lanes stay usable."""
         n_lanes = lanes(n_trials, trial_bytes)
-        for lane in self._lanes[1:n_lanes]:
-            self._queue(lane).put((work, n_lanes))
-        errors = {0: _attempt(work, self._lanes[0], n_lanes)}
-        errors.update(self._done.get() for _ in range(1, n_lanes))
-        for index in sorted(errors):
-            if errors[index] is not None:
-                raise errors[index]
+        if n_lanes == 2:
+            if self._thread is None:
+                import queue
+                self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+                self._thread = threading.Thread(target=self._serve, name="chainmmse-lane-1",
+                                                daemon=True)
+                self._thread.start()
+            self._todo.put(work)
+        errors = [_attempt(work, self._lanes[0], n_lanes)]
+        if n_lanes == 2:
+            errors.append(self._done.get())
+        for error in errors:
+            if error is not None:
+                raise error
 
-    def _queue(self, lane: _Lane):
-        """The work queue of lane's thread, which is started with it."""
-        if len(self._threads) < lane.index:
-            import queue
-            if not self._threads:
-                self._done = queue.SimpleQueue()  # (lane index, its error or None)
-            todo = queue.SimpleQueue()
-            thread = threading.Thread(target=self._serve, args=(lane, todo),
-                                      name=f"chainmmse-lane-{lane.index}", daemon=True)
-            thread.start()
-            self._threads.append((thread, todo))
-        return self._threads[lane.index - 1][1]
-
-    def _serve(self, lane: _Lane, todo) -> None:
-        while (item := todo.get()) is not None:
-            self._done.put((lane.index, _attempt(item[0], lane, item[1])))
+    def _serve(self) -> None:
+        while (work := self._todo.get()) is not None:
+            self._done.put(_attempt(work, self._lanes[1], 2))
 
     def close(self) -> None:
-        for _, todo in self._threads:
-            todo.put(None)
-        for thread, _ in self._threads:
-            thread.join()
-        self._threads = []
-        self._lanes = [_Lane(i) for i in range(LANES)]
+        if self._thread is not None:
+            self._todo.put(None)
+            self._thread.join()
+            self._thread = None
+        self._lanes = (_Lane(0), _Lane(1))
 
 
 def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Scenario,
-                       constellation: Constellation | None = None,
-                       lanes: Lanes | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       constellation: Constellation | None = None, *,
+                       lanes: Lanes) -> tuple[np.ndarray, np.ndarray]:
     """Equalize a chunk of T frames with a (..., T, K, M) stack of equalizers,
     W[..., t, :, :] on frames[t], hard-decide all users at once, and count bit
     and symbol errors on the symbol indices (the bits are the index's MSB-first
@@ -236,9 +226,8 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     buffer of the lane, as soon as it is drawn. Both products and the
     decisions, made in place on the estimates, run in blocks of columns,
     DETECT_BYTES of estimates each. The trials are split between the lanes of
-    lanes, a Lanes (see lanes for how many; one opened and closed for this
-    call if None), each of which draws and equalizes its own trials, so the
-    counts do not depend on the lanes.
+    lanes, the run's Lanes (one or two, see lanes), each of which draws and
+    equalizes its own trials, so the counts do not depend on the lanes.
 
     Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2].
     """
@@ -300,10 +289,5 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
                                                                   dtype=np.int64)
                     counts[1, :, t] += np.count_nonzero(wrong, axis=(-2, -1))
 
-    trial_bytes = 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames)
-    if lanes is not None:
-        lanes.run(work, T, trial_bytes)
-    else:
-        with Lanes() as own:
-            own.run(work, T, trial_bytes)
+    lanes.run(work, T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
     return counts[0].reshape(lead + (T,)), counts[1].reshape(lead + (T,))

@@ -46,7 +46,7 @@ def parse_algorithm(token: str) -> tuple[str, int | None]:
     if name not in KNOWN_ALGORITHMS:
         raise ValueError(f"algorithms: unknown algorithm {token!r}")
     if name == "bcd":
-        if not arg.isdigit():
+        if not (arg.isascii() and arg.isdigit()):  # [0-9]+, not '²' or '٣'
             raise ValueError(f"algorithms: {token!r} needs a sweep count >= 0, "
                              "e.g. 'bcd:4'")
         return name, int(arg)
@@ -257,7 +257,7 @@ def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every algorithm at every (Es/N0, IoT) grid point. The run's
-    detection lanes serve every chunk; their threads are joined, and their
+    two detection lanes serve every chunk; the lane thread is joined, and the
     buffers dropped, when it returns or raises."""
     with detect.Lanes() as lanes:
         return _run_grid(config, lanes)

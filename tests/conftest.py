@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainmmse import model
+from chainmmse import detect, model
 
 
 def make_instance(seed=0, M=16, C=4, K=4, K_int=4, N=64, es_n0_db=10.0,
@@ -32,3 +32,10 @@ def colored_noise_reference(channels, sigma2, p_int, n, rng):
 @pytest.fixture
 def instance():
     return make_instance(seed=3)
+
+
+@pytest.fixture(scope="module")
+def lanes():
+    """The detection lanes a module's tests share, closed after them."""
+    with detect.Lanes() as shared:
+        yield shared

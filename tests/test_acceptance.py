@@ -247,7 +247,7 @@ def test_criterion_7_sample_covariance_consistency():
              -0.6 < slope < -0.4, f"slope {slope:.3f}")
 
 
-def test_criterion_8_awgn_qpsk_sanity():
+def test_criterion_8_awgn_qpsk_sanity(lanes):
     es_n0_db = 6.0
     sc = model.Scenario(M=1, K=1, C=1, cluster_sizes=(1,), N=4, K_int=0,
                         iot_db=None, es_n0_db=es_n0_db, constellation=4)
@@ -255,7 +255,7 @@ def test_criterion_8_awgn_qpsk_sanity():
                              H_int=np.zeros((1, 1, 0), complex), cluster_sizes=(1,))
     W = central.zf_centralized(chunk.H)
     frame = detect.make_frame(sc, 500_000, np.random.default_rng(8))
-    bit_errors, _ = detect.evaluate_equalizer(W, chunk, [frame], sc)
+    bit_errors, _ = detect.evaluate_equalizer(W, chunk, [frame], sc, lanes=lanes)
     bits = frame.sym.size * detect.Constellation(4).bits_per_symbol
     ber = int(bit_errors[0]) / bits
     # the ratio is per-bit SNR: Q(sqrt(2*Eb/N0)) with Eb/N0 = E_s/(2 sigma2)

@@ -25,13 +25,43 @@ def modulate(bits, constellation):
     return constellation.points[bits.reshape(bits.shape[:-1] + (-1, bps)) @ weights]
 
 
-def demodulate_hard(s_hat, constellation):
-    """Bit oracle: nearest-point decision per symbol, then the MSB-first
-    bits of the symbol index."""
-    s_hat = np.asarray(s_hat).ravel()
-    sym = constellation.decide(s_hat.real, s_hat.imag)
+def nearest_symbol(s_hat, constellation):
+    """Symbol oracle: the index of the point nearest to every estimate, by a
+    search over all the constellation's points."""
+    s_hat = np.asarray(s_hat)
+    return np.argmin(np.abs(s_hat[..., None] - constellation.points), axis=-1)
+
+
+def symbol_bits(sym, constellation):
+    """The MSB-first bits of every symbol index, one stream."""
     shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
-    return ((sym[:, None] >> shifts) & 1).ravel()
+    return ((np.ravel(sym)[:, None] >> shifts) & 1).ravel()
+
+
+def demodulate_hard(s_hat, constellation):
+    """Bit oracle: the nearest point to every symbol, then the MSB-first
+    bits of its symbol index."""
+    return symbol_bits(nearest_symbol(np.ravel(s_hat), constellation), constellation)
+
+
+def decide(s_hat, constellation):
+    """Constellation.decide_in_place on a copy of the estimates."""
+    s_hat = np.asarray(s_hat)
+    return constellation.decide_in_place(np.stack([s_hat.real, s_hat.imag]))
+
+
+def exact_nearest(re, im, constellation):
+    """Brute-force oracle in exact arithmetic: for every estimate re + 1j im,
+    a mask of the points at the least squared distance from it. The floats
+    are taken as integers in units of the least subnormal, 2**-1074."""
+    def exact(x):
+        return np.array([n * (2 ** 1074 // d) for n, d in
+                         (float(v).as_integer_ratio() for v in np.ravel(x))], dtype=object)
+
+    p = constellation.points
+    d = ((exact(re)[:, None] - exact(p.real)) ** 2
+         + (exact(im)[:, None] - exact(p.imag)) ** 2)
+    return d == d.min(axis=1)[:, None]
 
 
 def reference_frame(ch, sc, n, seed):
@@ -49,8 +79,7 @@ def oracle_counts(W, Y, bits, sc):
     """Bit and symbol errors of deciding W Y / scale, counted bit by bit."""
     const = Constellation(sc.constellation)
     _, _, scale = model.powers_from_ratios(sc)
-    s_hat = W @ Y / scale
-    got = const.decide(s_hat.real, s_hat.imag)
+    got = nearest_symbol(W @ Y / scale, const)
     shifts = np.arange(const.bits_per_symbol - 1, -1, -1)
     wrong = ((got[..., None] >> shifts) & 1).reshape(got.shape[:-1] + (-1,)) != bits
     per_symbol = wrong.reshape(got.shape + (-1,)).any(axis=-1)
@@ -114,32 +143,74 @@ class TestModulate:
         assert abs(np.mean(np.abs(sym) ** 2) - 1.0) < 0.01
 
 
+def _axis(constellation):
+    """The amplitudes of an axis, ascending, and the decision boundaries
+    between neighbours, their midpoints."""
+    amp = np.unique(constellation.points.real)
+    return amp, (amp[:-1] + amp[1:]) / 2
+
+
 class TestDemodulate:
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_round_trip_exact_points(self, order):
         c = Constellation(order)
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=c.bits_per_symbol * 256)
+        np.testing.assert_array_equal(symbol_bits(decide(modulate(bits, c), c), c), bits)
         np.testing.assert_array_equal(demodulate_hard(modulate(bits, c), c), bits)
 
     def test_small_perturbation_same_decision(self):
         c = Constellation(16)
         bits = np.array([1, 0, 1, 1])
         sym = modulate(bits, c)
-        np.testing.assert_array_equal(
-            demodulate_hard(sym + 1e-6 * (1 + 1j), c), bits)
+        np.testing.assert_array_equal(symbol_bits(decide(sym + 1e-6 * (1 + 1j), c), c), bits)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_brute_force_nearest_point_oracle(self, order):
         c = Constellation(order)
         rng = np.random.default_rng(2)
         soft = 2.0 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-        got = demodulate_hard(soft, c).reshape(500, -1)
+        got = symbol_bits(decide(soft, c), c).reshape(500, -1)
         nearest = np.argmin(np.abs(soft[:, None] - c.points[None, :]), axis=1)
         bps = c.bits_per_symbol
         oracle = np.array([[(s >> (bps - 1 - j)) & 1 for j in range(bps)]
                            for s in nearest])
         np.testing.assert_array_equal(got, oracle)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_decisions_beside_every_boundary_are_the_nearest_point(self, order):
+        # each axis at a level, or 2 to 4 ulps or 1e-9 relative to either side
+        # of a boundary (one ulp off, the quotient by 2 scale of decide_in_place
+        # may round onto it); every pair, so beside a boundary on one axis or
+        # at the corner of four points
+        c = Constellation(order)
+        amp, bounds = _axis(c)
+        values = list(amp)
+        for b in bounds:
+            step = 1e-9 * max(abs(b), c.scale)
+            values += [b - step, b + step]
+            for direction in (-np.inf, np.inf):
+                x = np.nextafter(b, direction)
+                for _ in range(3):  # 2, 3 and 4 ulps off
+                    x = np.nextafter(x, direction)
+                    values.append(x)
+        re, im = (v.ravel() for v in np.meshgrid(values, values))
+        nearest = exact_nearest(re, im, c)
+        assert (nearest.sum(axis=1) == 1).all()  # no tie
+        np.testing.assert_array_equal(decide(re + 1j * im, c), nearest.argmax(axis=1))
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_decisions_on_a_boundary_are_one_of_the_two_nearest_points(self, order):
+        # each axis at a level or exactly on a boundary, which may be decided
+        # to either level beside it
+        c = Constellation(order)
+        amp, bounds = _axis(c)
+        values = np.concatenate([amp, bounds])
+        nearest = [{a} for a in amp] + [{amp[j], amp[j + 1]} for j in range(len(bounds))]
+        i, q = (v.ravel() for v in np.meshgrid(range(len(values)), range(len(values))))
+        got = c.points[decide(values[i] + 1j * values[q], c)]
+        for n in range(len(got)):
+            assert got[n].real in nearest[i[n]] and got[n].imag in nearest[q[n]]
 
     @given(order=st.sampled_from([4, 16, 64]), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
@@ -147,7 +218,7 @@ class TestDemodulate:
         c = Constellation(order)
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=c.bits_per_symbol * 32)
-        np.testing.assert_array_equal(demodulate_hard(modulate(bits, c), c), bits)
+        np.testing.assert_array_equal(symbol_bits(decide(modulate(bits, c), c), c), bits)
 
 
 def _equalizer_stack(ch, rng):
@@ -167,10 +238,10 @@ def stack(chs):
                             cluster_sizes=chs[0].cluster_sizes)
 
 
-def evaluate_one(W, ch, frame, sc):
+def evaluate_one(W, ch, frame, sc, lanes):
     """The counts of one frame: W, K x M or (..., K, M), as a chunk of one trial."""
     bit_errors, symbol_errors = evaluate_equalizer(W[..., None, :, :], stack([ch]),
-                                                   [frame], sc)
+                                                   [frame], sc, lanes=lanes)
     return bit_errors[..., 0], symbol_errors[..., 0]
 
 
@@ -190,33 +261,34 @@ def _two_cpus(pid):
 
 class TestErrorCounts:
     @pytest.mark.parametrize("order", [4, 16, 64])
-    def test_stack_counts_equal_each_equalizer_alone(self, order):
+    def test_stack_counts_equal_each_equalizer_alone(self, order, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=order)
         W, chs, frames = _chunk(sc, (21, 31), 1500)
-        bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc)
+        bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
         assert bit_errors.shape == symbol_errors.shape == (4, 2)
         assert bit_errors.dtype.kind == symbol_errors.dtype.kind == "i"
         for t in range(2):
             assert len(set(bit_errors[:, t].tolist())) == 4  # the counts differ
             for a in range(4):
-                one = evaluate_one(W[a, t], chs[t], frames[t], sc)
+                one = evaluate_one(W[a, t], chs[t], frames[t], sc, lanes)
                 assert one == (bit_errors[a, t], symbol_errors[a, t])
         # any leading axes: a 2 x 2 stack of the same equalizers
-        grid = evaluate_equalizer(W.reshape(2, 2, *W.shape[1:]), stack(chs), frames, sc)
+        grid = evaluate_equalizer(W.reshape(2, 2, *W.shape[1:]), stack(chs), frames, sc,
+                                  lanes=lanes)
         np.testing.assert_array_equal(grid[0].reshape(4, 2), bit_errors)
         np.testing.assert_array_equal(grid[1].reshape(4, 2), symbol_errors)
 
-    def test_frame_of_another_bit_generator_is_refused(self):
+    def test_frame_of_another_bit_generator_is_refused(self, lanes):
         # the replay generator is a PCG64, the bit generator of every trial stream
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0, constellation=16)
         W, chs, _ = _chunk(sc, (21,), 50)
         frame = make_frame(sc, 50, np.random.Generator(np.random.MT19937(23)))
         with pytest.raises(ValueError, match="PCG64"):
-            evaluate_equalizer(W, stack(chs), [frame], sc)
+            evaluate_equalizer(W, stack(chs), [frame], sc, lanes=lanes)
 
     @pytest.mark.parametrize("extra", ["below", "equal", "two_blocks_and_17"])
-    def test_blocked_counts_equal_the_blocks_counted_by_hand(self, extra):
+    def test_blocked_counts_equal_the_blocks_counted_by_hand(self, extra, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(25))
@@ -231,7 +303,7 @@ class TestErrorCounts:
             counts = oracle_counts(W, Y_ref[:, cols], bits[:, 4 * first:4 * cols.stop], sc)
             bit_errors += counts[0]
             symbol_errors += counts[1]
-        got = evaluate_one(W, ch, frame, sc)
+        got = evaluate_one(W, ch, frame, sc, lanes)
         assert bit_errors.all()
         np.testing.assert_array_equal(got[0], bit_errors)
         np.testing.assert_array_equal(got[1], symbol_errors)
@@ -243,7 +315,7 @@ class TestErrorCounts:
            T=st.integers(2, 3), block=st.integers(1, 9), rows=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_counts_equal_the_oracle_on_the_received_block(
-            self, seed, M, K, K_int, iot_db, es_n0_db, order, lead, n, T, block, rows):
+            self, lanes, seed, M, K, K_int, iot_db, es_n0_db, order, lead, n, T, block, rows):
         K = min(K, M)
         if K_int == 0 and iot_db == 3.0:
             iot_db = None
@@ -260,7 +332,7 @@ class TestErrorCounts:
         with mock.patch.multiple(detect, DETECT_BYTES=16 * AK * block,
                                  DRAW_BYTES=8 * n * rows, LANE_BYTES=0):
             frames = [make_frame(sc, n, np.random.default_rng(seed + t)) for t in range(T)]
-            got = evaluate_equalizer(W, stack(chs), frames, sc)
+            got = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
         want = [oracle_counts(W[..., t, :, :], Y_ref, bits, sc)
                 for t, (bits, Y_ref) in enumerate(reference_frame(ch, sc, n, seed + t)
                                                   for t, ch in enumerate(chs))]
@@ -268,51 +340,55 @@ class TestErrorCounts:
         np.testing.assert_array_equal(got[0], np.stack([w[0] for w in want], axis=-1))
         np.testing.assert_array_equal(got[1], np.stack([w[1] for w in want], axis=-1))
 
-    def test_one_lane_and_two_lanes_give_the_same_counts(self):
+    def test_one_lane_and_two_lanes_give_the_same_counts(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
         W, chs, frames = _chunk(sc, (40, 44, 48, 52, 56), 700)
         counts = {}
-        for n_lanes in (1, 2):
-            with mock.patch.multiple(detect, LANE_BYTES=0, LANES=n_lanes), \
-                    mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
-                assert detect.lanes(5, 0) == n_lanes
-                counts[n_lanes] = evaluate_equalizer(W, stack(chs), frames, sc)
+        for cpus in ({0}, {0, 1}):
+            with mock.patch.object(detect, "LANE_BYTES", 0), \
+                    mock.patch.object(detect.os, "sched_getaffinity", return_value=cpus,
+                                      create=True):
+                assert detect.lanes(5, 0) == len(cpus)
+                counts[len(cpus)] = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
         assert counts[1][0].all()
         for got, want in zip(counts[2], counts[1]):
             assert got.shape == (4, 5)
             np.testing.assert_array_equal(got, want)
 
-    def test_chunk_counts_equal_its_trials_one_by_one(self):
+    def test_chunk_counts_equal_its_trials_one_by_one(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=64)
         W, chs, frames = _chunk(sc, (62, 66, 70), 900)
         with mock.patch.object(detect, "LANE_BYTES", 0):
-            bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc)
+            bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
         assert bit_errors.all()
         for t, frame in enumerate(frames):
-            one = evaluate_one(W[:, t], chs[t], frame, sc)
+            one = evaluate_one(W[:, t], chs[t], frame, sc, lanes)
             np.testing.assert_array_equal(one[0], bit_errors[:, t])
             np.testing.assert_array_equal(one[1], symbol_errors[:, t])
 
-    def test_a_frame_evaluated_twice_gives_the_same_counts(self):
+    def test_a_frame_evaluated_twice_gives_the_same_counts(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
         W, chs, frames = _chunk(sc, (72, 76), 800)
         state = dict(frames[0].noise_state)
-        first = evaluate_equalizer(W, stack(chs), frames, sc)
-        second = evaluate_equalizer(W, stack(chs), frames, sc)
+        first = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
+        second = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
         assert first[0].all() and frames[0].noise_state == state
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_lanes_are_capped_by_the_gate_the_trials_and_the_cpus(self):
         with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
-            assert detect.lanes(8, detect.LANE_BYTES) == detect.LANES == 2
+            assert detect.lanes(8, detect.LANE_BYTES) == 2
             assert detect.lanes(8, detect.LANE_BYTES - 1) == 1
             assert detect.lanes(1, detect.LANE_BYTES) == 1
         with mock.patch.object(detect.os, "sched_getaffinity", lambda pid: {0}, create=True):
             assert detect.lanes(8, detect.LANE_BYTES) == 1
+        with mock.patch.object(detect.os, "sched_getaffinity", lambda pid: set(range(8)),
+                               create=True):
+            assert detect.lanes(8, detect.LANE_BYTES) == 2
 
     def test_desk_trials_run_in_two_lanes_and_chain_deep_trials_in_one(self):
         # a trial's normals: 8 bytes x (2 M + 2 K_int) rows x its symbols. In
@@ -322,7 +398,7 @@ class TestErrorCounts:
             assert detect.lanes(8, 8 * 72 * 500) == 2
             assert detect.lanes(8, 8 * 72 * 64) == 1
 
-    def test_an_error_in_a_lane_is_raised_to_the_caller(self):
+    def test_an_error_in_a_lane_is_raised_to_the_caller(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
         W, chs, frames = _chunk(sc, (80, 84), 100)
@@ -331,18 +407,17 @@ class TestErrorCounts:
         with mock.patch.multiple(detect, LANE_BYTES=0), \
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
                 pytest.raises(ValueError):
-            evaluate_equalizer(W, stack(chs), frames, sc)
+            evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
 
-    def test_a_lane_that_failed_serves_the_next_call(self):
+    def test_a_lane_that_failed_serves_the_next_call(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
         W, chs, frames = _chunk(sc, (80, 84), 100)
-        want = evaluate_equalizer(W, stack(chs), frames, sc)  # in one lane
+        want = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)  # in one lane
         # the second trial runs on the second lane's thread
         bad = [frames[0], dataclasses.replace(frames[1], sym=frames[1].sym[:2])]
         with mock.patch.multiple(detect, LANE_BYTES=0), \
-                mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
-                detect.Lanes() as lanes:
+                mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
             with pytest.raises(ValueError):
                 evaluate_equalizer(W, stack(chs), bad, sc, lanes=lanes)
             got = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
@@ -350,13 +425,13 @@ class TestErrorCounts:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
-    def test_equalizers_of_another_trial_count_are_rejected(self):
+    def test_equalizers_of_another_trial_count_are_rejected(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16)
         W, chs, frames = _chunk(sc, (90, 94), 10)
         with pytest.raises(ValueError, match="equalizers of 2 trials for 1 frames"):
-            evaluate_equalizer(W, stack(chs), frames[:1], sc)
+            evaluate_equalizer(W, stack(chs), frames[:1], sc, lanes=lanes)
         with pytest.raises(ValueError, match="channels: 1 trials for 2 frames"):
-            evaluate_equalizer(W, stack(chs[:1]), frames, sc)
+            evaluate_equalizer(W, stack(chs[:1]), frames, sc, lanes=lanes)
 
 
 class TestFrame:
@@ -403,41 +478,41 @@ class TestFrame:
 
 
 class TestRunLink:
-    def test_zero_noise_zf_is_error_free(self):
+    def test_zero_noise_zf_is_error_free(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=0, N=16, iot_db=None,
                             es_n0_db=np.inf, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(4))
         W = central.zf_centralized(ch.H)
         frame = make_frame(sc, 2000, np.random.default_rng(5))
-        assert evaluate_one(W, ch, frame, sc) == (0, 0)
+        assert evaluate_one(W, ch, frame, sc, lanes) == (0, 0)
         assert frame.sym.shape == (3, 2000)
         assert frame.sym.size * Constellation(16).bits_per_symbol == 3 * 2000 * 4
 
-    def test_zero_equalizer_is_coin_flipping(self):
+    def test_zero_equalizer_is_coin_flipping(self, lanes):
         sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None,
                             es_n0_db=10.0, constellation=16)
         ch = model.build_channel(sc, np.random.default_rng(6))
         W = np.zeros((2, 4), dtype=complex)
         frame = make_frame(sc, 13_000, np.random.default_rng(7))
-        bit_errors, _ = evaluate_one(W, ch, frame, sc)
+        bit_errors, _ = evaluate_one(W, ch, frame, sc, lanes)
         bits = frame.sym.size * Constellation(16).bits_per_symbol
         assert bits >= 100_000
         assert abs(bit_errors / bits - 0.5) < 0.01
 
-    def test_awgn_qpsk_matches_q_function(self):
+    def test_awgn_qpsk_matches_q_function(self, lanes):
         # single antenna, unit channel: BER = Q(sqrt(2*Eb/N0)) with
         # Eb/N0 = E_s / (2 sigma2), i.e. Q(sqrt(E_s/sigma2))
         es_n0_db = 6.0
         sc, ch = _awgn_scenario(es_n0_db)
         W = central.zf_centralized(ch.H)
         frame = make_frame(sc, 500_000, np.random.default_rng(8))
-        bit_errors, _ = evaluate_one(W, ch, frame, sc)
+        bit_errors, _ = evaluate_one(W, ch, frame, sc, lanes)
         bits = frame.sym.size * Constellation(4).bits_per_symbol
         theory = norm.sf(math.sqrt(10.0 ** (es_n0_db / 10.0)))
         se = math.sqrt(theory * (1.0 - theory) / bits)
         assert abs(bit_errors / bits - theory) < 3.0 * se
 
-    def test_global_phase_rotation_invariance(self):
+    def test_global_phase_rotation_invariance(self, lanes):
         # turn the received block a quarter, j Y = scale (j H) S + sqrt(p_int)
         # (j H_int) X + sqrt(sigma2) j Z, and counter-rotate the equalizer:
         # the soft estimates, and hence the decisions, must be those of W Y
@@ -447,27 +522,27 @@ class TestRunLink:
         W = central.zf_centralized(ch.H)
         frame = make_frame(sc, 20_000, np.random.default_rng(10))
         bits, Y_ref = reference_frame(ch, sc, 20_000, 10)
-        counts_a = evaluate_one(W, ch, frame, sc)
+        counts_a = evaluate_one(W, ch, frame, sc, lanes)
         counts_b = oracle_counts(W / 1j, 1j * Y_ref, bits, sc)
         assert counts_a[0] > 0
         assert counts_a == counts_b
 
-    def test_batch_accumulation_matches_single_run(self):
+    def test_batch_accumulation_matches_single_run(self, lanes):
         # the estimates accumulated over blocks of stream rows and decided in
         # blocks of columns count as one product over the whole frame
         sc = model.Scenario(M=4, C=2, K=2, K_int=2, N=8, es_n0_db=8.0,
                             constellation=4)
         W, chs, frames = _chunk(sc, (11, 24), 600)
-        combined = np.array(evaluate_equalizer(W, stack(chs), frames, sc))
+        combined = np.array(evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes))
         with mock.patch.multiple(detect, DETECT_BYTES=16 * 4 * sc.K * 250,
                                  DRAW_BYTES=8 * 600 * 5):
-            blocked = np.array(evaluate_equalizer(W, stack(chs), frames, sc))
+            blocked = np.array(evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes))
         # (bit errors, symbol errors) x equalizers x trials
         assert combined.shape == (2, 4, 2) and combined[0].all()
         np.testing.assert_array_equal(blocked, combined)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
-    def test_error_counts_match_per_user_bit_oracle(self, order):
+    def test_error_counts_match_per_user_bit_oracle(self, order, lanes):
         # all users are decided at once and counted on symbol indices; compare
         # with demapping every user's row to bits and counting bit by bit
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=12.0,
@@ -485,6 +560,6 @@ class TestRunLink:
         rx_bits = np.stack([demodulate_hard(s, const) for s in W @ Y_ref / scale])
         wrong = rx_bits != bits
         per_symbol = wrong.reshape(sc.K, 3000, -1)
-        bit_errors, symbol_errors = evaluate_one(W, ch, frame, sc)
+        bit_errors, symbol_errors = evaluate_one(W, ch, frame, sc, lanes)
         assert bit_errors == int(wrong.sum()) > 0
         assert symbol_errors == int(per_symbol.any(axis=-1).sum())

@@ -51,6 +51,10 @@ class TestConfig:
             parse_algorithm("zf:3")
         with pytest.raises(ValueError):
             parse_algorithm("genie")
+        # only ASCII digits count sweeps: int() would read '٣' as 3 and fail on '²'
+        for token in ("bcd:²", "bcd:٣"):
+            with pytest.raises(ValueError, match=f"^algorithms: '{token}' needs a sweep count"):
+                parse_algorithm(token)
 
     def test_validation_names_fields(self, tmp_path):
         with pytest.raises(ValueError, match="trials"):
@@ -597,7 +601,12 @@ class TestCli:
          "invalid experiment config: algorithms: unknown algorithm ''"),
         # an --out that names a file fails before any row is computed
         (["run", "--trials", "1", "--symbols", "10", "--out", "list.yaml"],
-         "[Errno 17] File exists: 'list.yaml'")])
+         "[Errno 17] File exists: 'list.yaml'"),
+        # sweep counts are ASCII digits
+        (["run", "--algorithms", "bcd:²"], "invalid experiment config: algorithms: "
+         "'bcd:²' needs a sweep count >= 0, e.g. 'bcd:4'"),
+        (["run", "--algorithms", "bcd:٣"], "invalid experiment config: algorithms: "
+         "'bcd:٣' needs a sweep count >= 0, e.g. 'bcd:4'")])
     def test_input_errors_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv,
                                            message):
         monkeypatch.chdir(tmp_path)
