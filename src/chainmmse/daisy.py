@@ -14,13 +14,13 @@ matrix of its block, F_c = E_s H_c^H G_c^-1 and Q_c = Gamma[:, s_c] G_c^-1;
 all three come from H and R_hat. On the chain, cluster c reads W Q_c - F_c
 off the message as m Phi_c, with Phi_c = [E_s H_c^H ; n_c^H / N] G_c^-1,
 since [H | n] Phi_c = Gamma[:, s_c] G_c^-1. This module computes the
-protocol's iterates and meters its messages in closed form, but does not form
-the messages. The centralized sample-MMSE solution is the fixed point, where
-W Q_c = F_c for every cluster.
+protocol's iterates but does not form the messages, so nothing is metered:
+a run's ledger books interconnect.chain_traffic for one chain instance. The
+centralized sample-MMSE solution is the fixed point, where W Q_c = F_c for
+every cluster.
 
 A Chain holds T trials stacked along a leading axis, and every step runs on
-all of them at once as stacked matmuls and solves; a traffic ledger meters
-one chain instance.
+all of them at once as stacked matmuls and solves.
 """
 from __future__ import annotations
 
@@ -32,8 +32,7 @@ import numpy as np
 
 from . import model
 from .central import RCOND_FLOOR, herm, herm_solve, mmse_from, rcond
-from .interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
-                           PHASE_SWEEP, Topology, TrafficLedger)
+from .interconnect import Topology, TrafficLedger, chain_traffic
 
 DIAG_LOAD = 1e-10
 
@@ -99,15 +98,13 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
     W0 = (sum_c H_c^H R_cc^-1 H_c + I/E_s)^-1 [H_1^H R_11^-1, ..., H_C^H R_CC^-1],
     the MMSE equalizer for the block-diagonal covariance diag(R_11, ..., R_CC):
     local solves, then one K x K Gram accumulation circuit.
-    Sets chain.W and returns a copy of it; the ledger meters one chain instance.
+    Sets chain.W and returns a copy of it; a ledger books one instance's Gram phase.
     """
-    K = chain.H.shape[-1]
     X = np.concatenate([herm_solve(chain.R_hat[:, s, s], chain.H[:, s],
                                    what=f"cluster {c}: local covariance block R_cc")
                         for c, s in enumerate(chain.slices)], axis=1)  # R_cc^-1 H_c
     if ledger is not None:
-        for link in ledger.topology.links:
-            ledger.add(PHASE_GRAM, link, K * K)
+        ledger.book(chain_traffic(chain.H.shape[-1], chain.N, None))
     chain.W = mmse_from(chain.H, X, chain.E_s)
     return chain.W.copy()
 
@@ -129,27 +126,14 @@ def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = ()) -> Bcd
     """Full chain run: block-diagonal init, message preprocessing circuits,
     L sweeps of C block updates.
 
-    Returns the final equalizers, the per-link traffic ledger of one chain
-    instance, and a copy of W after each block-update count u in keep: u = 0
-    is the BDAC start, u = d C the end of sweep d.
+    Returns the final equalizers, the ledger of one chain instance's traffic
+    (chain_traffic on every loop link), and a copy of W after each block-update
+    count u in keep: u = 0 is the BDAC start, u = d C the end of sweep d.
     """
     C = len(chain.slices)
-    K = chain.H.shape[-1]
-    entries = K * (K + chain.N)  # one K x (K+N) message
-    topology = Topology("uni_loop", C)
-    ledger = TrafficLedger(topology)
-
-    bdac_init(chain, ledger=ledger)
-
-    # the accumulation circuit of the initial message (sequential around the
-    # chain), the distribution circuit handing it to the other clusters, and
-    # the L sweeps, each crossing every loop link once: (c, c+1), then (C-1, 0)
-    for link in topology.links:
-        ledger.add(PHASE_ACCUMULATE, link, entries)
-        ledger.add(PHASE_DISTRIBUTE, link, entries)
-        if schedule.L > 0:
-            ledger.add(PHASE_SWEEP, link, schedule.L * entries)
-
+    ledger = TrafficLedger(Topology("uni_loop", C))
+    ledger.book(chain_traffic(chain.H.shape[-1], chain.N, schedule.L))
+    bdac_init(chain)
     kept = {0: chain.W.copy()} if 0 in keep else {}
     for u in range(1, schedule.L * C + 1):
         bcd_block_update(chain, (u - 1) % C)

@@ -27,7 +27,6 @@ class Constellation:
     def __init__(self, order: int):
         if order not in (4, 16, 64):
             raise ValueError(f"unsupported order {order}")
-        self.order = order
         self.bits_per_symbol = int(np.log2(order))
         self.side = int(np.sqrt(order))
         axis_bits = self.bits_per_symbol // 2

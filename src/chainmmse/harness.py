@@ -15,8 +15,9 @@ x trial stack, scored by one objective call; a trial's equalizers do not depend
 on its chunk. Each trial draws one frame, in trial order, and the chunk's
 frames are equalized and decided for all algorithms in one detection call,
 whose per-trial counts do not depend on how it splits the trials into threads.
-A row's traffic is the closed form of interconnect.predicted_traffic; the
-metered ledger of a chain run is what convergence_trace returns.
+A grid point keeps its trials' counts and objectives; its rows reduce them,
+the objective summed in trial order. A row's traffic sums the table
+interconnect.chain_traffic, which convergence_trace's ledger books.
 """
 from __future__ import annotations
 
@@ -277,8 +278,9 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
         const = detect.Constellation(sc.constellation)
-        errors = np.zeros((2, A), dtype=np.int64)  # bit errors, symbol errors
-        objective, wall = np.zeros(A), np.zeros(A)
+        # the point's per-trial record: bit and symbol errors, and objectives
+        errors = np.zeros((2, A, config.trials), dtype=np.int64)
+        objective, wall = np.zeros((A, config.trials)), np.zeros(A)
         chunk = chunk_trials(sc)
         for first in range(0, config.trials, chunk):
             channels, pool, data_rngs = draw_trials(
@@ -305,28 +307,26 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
                         f"trial t is trial {first} + t): {exc}") from exc
                 wall[axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
                     time.perf_counter() - t0)
-            obj = central.sample_objective(W, channels.H, pool, sc.E_s)
+            objective[:, first:first + T] = central.sample_objective(W, channels.H, pool,
+                                                                     sc.E_s)
             frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
                       for rng_data in data_rngs]
-            errors += np.sum(detect.evaluate_equalizer(W, channels, frames, sc, const,
-                                                       lanes=lanes), axis=-1)
-            for i in range(T):
-                objective += obj[:, i]  # trial by trial, in trial order
+            errors[..., first:first + T] = detect.evaluate_equalizer(
+                W, channels, frames, sc, const, lanes=lanes)
         symbols = config.trials * sc.K * config.symbols_per_trial
-        links = sc.C if sc.C > 1 else 0  # the loop's links: one cluster sends nothing
+        links = len(interconnect.Topology("uni_loop", sc.C).links)
         for a, (name, L) in enumerate(parsed):
-            # one trial's entries per link, in closed form: bdac, the initializer
-            # alone, sends only its Gram accumulation
-            per_link = (sc.K * sc.K if name == "bdac" else
-                        interconnect.predicted_traffic(sc.K, sc.N, L) if name == "bcd"
-                        else 0)
+            # one trial's closed-form entries per link; L is None for bdac
+            per_link = (interconnect.predicted_traffic(sc.K, sc.N, L)
+                        if name in ("bdac", "bcd") else 0)
             rows.append(ResultRow(
                 algorithm=name, L=L or 0, es_n0_db=es, iot_db=iot,
                 M=sc.M, C=sc.C, K=sc.K, N=sc.N,
-                ber=int(errors[0, a]) / (symbols * const.bits_per_symbol),
-                ser=int(errors[1, a]) / symbols, symbols=symbols,
+                ber=int(errors[0, a].sum()) / (symbols * const.bits_per_symbol),
+                ser=int(errors[1, a].sum()) / symbols, symbols=symbols,
                 traffic_entries=config.trials * links * per_link,
-                objective=float(objective[a]) / config.trials,
+                # summed trial by trial, in trial order: np.sum adds pairwise
+                objective=sum(objective[a].tolist()) / config.trials,
                 wall_time_s=float(wall[a])))
     return rows
 

@@ -1,8 +1,8 @@
-"""Chain topologies and exact per-link traffic metering.
+"""Chain topologies and the closed-form per-link traffic that ledgers book.
 
-Traffic is counted in complex-valued entries (16 bytes each). The closed-form
-per-link prediction for the uni-directional loop is (3K^2 + 2NK) + L*K*(N+K):
-preprocessing plus L sweeps, independent of the antenna count M.
+Traffic is counted in complex-valued entries (16 bytes each). chain_traffic is
+the one table of the uni-directional loop's per-link traffic, by phase, which
+sums to (3K^2 + 2NK) + L*K*(N+K), independent of the antenna count M.
 """
 from __future__ import annotations
 
@@ -45,9 +45,11 @@ class TrafficLedger:
         self.topology = topology
         self.counts: dict[tuple[str, tuple[int, int]], int] = {}
 
-    def add(self, phase: str, link: tuple[int, int], entries: int) -> None:
-        key = (phase, link)
-        self.counts[key] = self.counts.get(key, 0) + int(entries)
+    def book(self, phases: dict[str, int]) -> None:
+        """Add each phase's entries on every link of the topology."""
+        for link in self.topology.links:
+            for phase, entries in phases.items():
+                self.counts[phase, link] = self.counts.get((phase, link), 0) + entries
 
     def per_link(self, link: tuple[int, int], phase_prefix: str = "") -> int:
         return sum(n for (p, l), n in self.counts.items()
@@ -60,8 +62,22 @@ class TrafficLedger:
         return rows
 
 
-def predicted_traffic(K: int, N: int, L: int) -> int:
-    """Per-link complex entries for the loop chain: (3K^2 + 2NK) + L*K*(N+K)."""
-    if min(K, N, L) < 0:
+def chain_traffic(K: int, N: int, L: int | None) -> dict[str, int]:
+    """Entries one chain instance sends over each loop link, by phase: the K x K
+    Gram accumulation, alone for L = None (BDAC); for L >= 0 sweeps also the
+    accumulation and distribution of the K x (K+N) message, and L sends of it."""
+    if min(K, N, L or 0) < 0:
         raise ValueError("K, N, L must be >= 0")
-    return 3 * K * K + 2 * N * K + L * K * (N + K)
+    phases = {PHASE_GRAM: K * K}
+    if L is not None:
+        message = K * (K + N)
+        phases |= {PHASE_ACCUMULATE: message, PHASE_DISTRIBUTE: message}
+        if L > 0:
+            phases[PHASE_SWEEP] = L * message
+    return phases
+
+
+def predicted_traffic(K: int, N: int, L: int | None) -> int:
+    """Per-link complex entries of one chain instance, the sum of chain_traffic:
+    (3K^2 + 2NK) + L*K*(N+K) for L sweeps, K^2 for L = None (BDAC alone)."""
+    return sum(chain_traffic(K, N, L).values())

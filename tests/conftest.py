@@ -29,6 +29,14 @@ def colored_noise_reference(channels, sigma2, p_int, n, rng):
     return noise
 
 
+def paper_traffic(K, N, L):
+    """The paper's per-link entries of one chain instance, written out apart
+    from interconnect: 3K^2 + 2NK + L*K*(N+K) for bcd:L, K^2 for bdac (L None)."""
+    if L is None:
+        return K * K
+    return 3 * K * K + 2 * N * K + L * K * (N + K)
+
+
 @pytest.fixture
 def instance():
     return make_instance(seed=3)

@@ -5,8 +5,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainmmse import central, daisy, model
-from chainmmse.interconnect import predicted_traffic
+from chainmmse import central, daisy, harness, model
+from chainmmse.interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
+                                    PHASE_SWEEP, Topology, TrafficLedger)
+
+from conftest import paper_traffic
 
 
 def _instance(sizes, K, extra_N, seed):
@@ -57,8 +60,28 @@ def test_no_block_update_raises_the_sample_objective(sizes, K, extra_N, seed, L)
 @chain_property
 def test_metered_traffic_is_the_closed_form(sizes, K, extra_N, seed, L):
     sc, channels, pool = _instance(sizes, K, extra_N, seed)
-    ledger = daisy.run_bcd(daisy.make_chain(channels, pool, sc.E_s),
-                           daisy.Schedule(L=L)).ledger
-    assert len(ledger.topology.links) == (sc.C if sc.C > 1 else 0)
-    for link in ledger.topology.links:
-        assert ledger.per_link(link) == predicted_traffic(sc.K, sc.N, L)
+    links = sc.C if sc.C > 1 else 0  # a loop of one cluster has no link
+    message = sc.K * (sc.K + sc.N)  # one K x (K+N) message
+    for depth in (0, L):
+        ledger = daisy.run_bcd(daisy.make_chain(channels, pool, sc.E_s),
+                               daisy.Schedule(L=depth)).ledger
+        assert len(ledger.topology.links) == links
+        phases = {PHASE_GRAM: sc.K ** 2, PHASE_ACCUMULATE: message,
+                  PHASE_DISTRIBUTE: message}
+        if depth > 0:  # no sweep row at L = 0
+            phases[PHASE_SWEEP] = depth * message
+        assert sum(phases.values()) == paper_traffic(sc.K, sc.N, depth)
+        # no row at all at C = 1
+        assert ledger.counts == {(phase, link): n for link in ledger.topology.links
+                                 for phase, n in phases.items()}
+        for link in ledger.topology.links:
+            assert ledger.per_link(link) == paper_traffic(sc.K, sc.N, depth)
+    ledger = TrafficLedger(Topology("uni_loop", sc.C))
+    daisy.bdac_init(daisy.make_chain(channels, pool, sc.E_s), ledger=ledger)
+    assert ledger.counts == {(PHASE_GRAM, link): paper_traffic(sc.K, sc.N, None)
+                             for link in ledger.topology.links}
+    config = harness.ExperimentConfig(scenario=sc, es_n0_db=(10.0,), iot_db=(10.0,),
+                                      algorithms=("bdac", "bcd:0", f"bcd:{L}"),
+                                      trials=2, symbols_per_trial=1, seed=seed)
+    for row, depth in zip(harness.run_experiment(config), (None, 0, L)):
+        assert row.traffic_entries == config.trials * links * paper_traffic(sc.K, sc.N, depth)

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainmmse import central, cli, harness
-from chainmmse.interconnect import predicted_traffic
+
+from conftest import paper_traffic
 
 TOKENS = ["zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd:0", "bcd:1", "bcd:3"]
 
@@ -91,9 +92,7 @@ def _closed_form(token, sc):
     token, the Gram phase for bdac, the protocol's closed form for bcd:L."""
     name, depth = harness.parse_algorithm(token)
     links = sc.C if sc.C > 1 else 0
-    if name == "bdac":
-        return links * sc.K * sc.K
-    return links * predicted_traffic(sc.K, sc.N, depth) if name == "bcd" else 0
+    return links * paper_traffic(sc.K, sc.N, depth) if name in ("bdac", "bcd") else 0
 
 
 def _check_outcome(command, raw, sweeps, flags, out):

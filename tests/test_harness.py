@@ -11,10 +11,12 @@ import yaml
 
 from chainmmse import central, cli, daisy, detect, harness, model
 from chainmmse.interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
-                                    PHASE_SWEEP, predicted_traffic)
+                                    PHASE_SWEEP)
 from chainmmse.harness import (ExperimentConfig, ResultRow, emit_csv,
                                emit_convergence_trace, load_config, parse_algorithm,
                                profile_scenario, run_experiment)
+
+from conftest import paper_traffic
 
 
 def read_results_csv(path) -> list[ResultRow]:
@@ -382,8 +384,9 @@ class TestRunExperiment:
         chain = daisy.make_chain(ch, model.draw_noise_pool(ch, sc, rng_pool), sc.E_s)
         ledger = daisy.run_bcd(chain, daisy.Schedule(L=1)).ledger
         [row] = run_experiment(cfg)
-        assert row.traffic_entries == cfg.trials * sum(
-            ledger.per_link(link, PHASE_GRAM) for link in ledger.topology.links)
+        gram = [ledger.per_link(link, PHASE_GRAM) for link in ledger.topology.links]
+        assert gram == [paper_traffic(sc.K, sc.N, None)] * sc.C
+        assert row.traffic_entries == cfg.trials * sc.C * paper_traffic(sc.K, sc.N, None)
 
     def test_chain_tokens_read_one_chain_run_per_stack(self, monkeypatch):
         tokens = ("bdac", "bcd:0", "bcd:1", "bcd:4")
@@ -645,8 +648,8 @@ class TestCli:
             (phase, link) for phase in phases for link in links)
         per_link = {link: sum(int(r["entries"]) for r in rows if r["link"] == link)
                     for link in links}
-        assert per_link == dict.fromkeys(links, predicted_traffic(4, 96, 4))
-        assert f"predicted per-link entries (loop chain): {predicted_traffic(4, 96, 4)}" \
+        assert per_link == dict.fromkeys(links, paper_traffic(4, 96, 4))
+        assert f"predicted per-link entries (loop chain): {paper_traffic(4, 96, 4)}" \
             in capsys.readouterr().out
 
     def test_traffic_meters_a_chain_of_c_equal_clusters_holding_k(self, tmp_path):
@@ -657,7 +660,7 @@ class TestCli:
                          "--out", str(tmp_path)]) == 0
         with open(tmp_path / "traffic.csv", newline="") as fh:
             total = sum(int(r["entries"]) for r in csv.DictReader(fh))
-        assert total == 4 * predicted_traffic(20, 96, 1)
+        assert total == 4 * paper_traffic(20, 96, 1)
 
     def test_run_without_config_is_run_of_the_default_config(self, tmp_path):
         path = tmp_path / "default.yaml"

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from chainmmse import daisy
 from chainmmse.harness import write_table
-from chainmmse.interconnect import PHASE_SWEEP, Topology, predicted_traffic
+from chainmmse.interconnect import (PHASE_GRAM, PHASE_SWEEP, Topology, chain_traffic,
+                                    predicted_traffic)
 
-from conftest import make_instance
+from conftest import make_instance, paper_traffic
 
 
 class TestTopology:
@@ -34,6 +35,15 @@ class TestPredictedTraffic:
 
     def test_preprocessing_only(self):
         assert predicted_traffic(8, 192, 0) == 3264
+
+    def test_bdac_alone_is_the_gram_phase(self):
+        assert chain_traffic(8, 192, None) == {PHASE_GRAM: 64}
+        assert predicted_traffic(8, 192, None) == 64
+
+    def test_negative_arguments(self):
+        for K, N, L in ((-1, 4, 1), (4, -1, 1), (4, 4, -1), (-1, 4, None)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                predicted_traffic(K, N, L)
 
     @given(K=st.integers(0, 32), N=st.integers(0, 512), L=st.integers(0, 16))
     @settings(max_examples=50)
@@ -68,7 +78,7 @@ class TestMeteredTraffic:
         for L in (0, 1, 4):
             ledger = self._run(M=32, L=L)
             for link in ledger.topology.links:
-                assert ledger.per_link(link) == predicted_traffic(4, 64, L)
+                assert ledger.per_link(link) == paper_traffic(4, 64, L)
 
     def test_independent_of_antenna_count(self):
         ledgers = [self._run(M=M, L=4) for M in (16, 32, 64)]
