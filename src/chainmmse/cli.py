@@ -87,7 +87,7 @@ def cmd_trace(args, config: harness.ExperimentConfig) -> int:
         print(f"predicted per-link entries (loop chain): "
               f"{predicted_traffic(sc.K, sc.N, args.sweeps)}")
     for link in ledger.topology.links:
-        print(f"  link {link[0]}-{link[1]}: metered {ledger.per_link(link)} "
+        print(f"  link {link[0]}-{link[1]}: booked {ledger.per_link(link)} "
               f"(preprocessing {ledger.per_link(link, 'preprocess')}, "
               f"sweeps {ledger.per_link(link, 'sweep')})")
     return 0

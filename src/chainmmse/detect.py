@@ -138,34 +138,35 @@ class _Lane:
     trial's estimates, and a block of its replayed rows), and its replay
     generator, whose state every trial sets."""
 
-    def __init__(self, index: int):
-        self.index = index
+    def __init__(self):
         self.est = self.replay = np.empty(0)
         self.rng = np.random.Generator(np.random.PCG64(0))
 
 
-def _attempt(work, lane: _Lane, n_lanes: int) -> BaseException | None:
-    try:
-        work(lane, n_lanes)
+def _attempt(work, trials, lane: _Lane) -> BaseException | None:
+    try:  # trials, the job's range iterator, is shared: under the GIL each next() is whole
+        for t in trials:
+            work(lane, t)
     except BaseException as exc:  # re-raised on the calling thread
         return exc
     return None
 
 
 class Lanes:
-    """The two detection lanes of a run and their buffers.
+    """The two detection lanes of a run, their buffers, and the job lane 1 holds.
 
     Lane 0 runs on the calling thread, and lane 1 on one thread,
-    chainmmse-lane-1, started by the first two-lane call and fed through a
-    pair of queue.SimpleQueue (work in, its error or None out). The buffers
-    are kept between calls, so a chunk does not fault in again the pages of
-    the chunk before. close(), or the end of a with block, joins the thread
-    and drops both lanes' buffers. A Lanes serves one caller at a time.
+    chainmmse-lane-1, started by the first two-lane job and fed through a
+    pair of queue.SimpleQueue (jobs in, each one's error or None out). The
+    buffers are kept between jobs, so a chunk does not fault in again the
+    pages of the chunk before. close(), or the end of a with block, ends the
+    job lane 1 holds unfinished, joins the thread and drops both lanes'
+    buffers. A Lanes serves one caller at a time.
     """
 
     def __init__(self):
-        self._lanes = (_Lane(0), _Lane(1))
-        self._thread = None
+        self._lanes = (_Lane(), _Lane())
+        self._thread = self._job = None
 
     def __enter__(self) -> Lanes:
         return self
@@ -173,41 +174,53 @@ class Lanes:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def run(self, work, n_trials: int, trial_bytes: int) -> None:
-        """work(lane, n_lanes) on each of the n_lanes = lanes(n_trials,
-        trial_bytes) lanes, all done before returning. Lane 0's error, else
-        lane 1's, is raised, and both lanes stay usable."""
-        n_lanes = lanes(n_trials, trial_bytes)
-        if n_lanes == 2:
-            if self._thread is None:
-                import queue
-                self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-                self._thread = threading.Thread(target=self._serve, name="chainmmse-lane-1",
-                                                daemon=True)
-                self._thread.start()
-            self._todo.put(work)
-        errors = [_attempt(work, self._lanes[0], n_lanes)]
-        if n_lanes == 2:
-            errors.append(self._done.get())
-        for error in errors:
-            if error is not None:
-                raise error
+    def start(self, work, n_trials: int, trial_bytes: int) -> None:
+        """Join the job before (wait), then run work(lane, t) on the trials t <
+        n_trials: on one lane, lanes(n_trials, trial_bytes), before returning;
+        on two, lane 1 takes the job and start returns at once."""
+        self.wait()
+        if lanes(n_trials, trial_bytes) == 1:
+            for t in range(n_trials):
+                work(self._lanes[0], t)
+            return
+        if self._thread is None:
+            import queue
+            self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name="chainmmse-lane-1",
+                                            daemon=True)
+            self._thread.start()
+        self._job = work, iter(range(n_trials))
+        self._todo.put(self._job)
+
+    def wait(self) -> None:
+        """Join lane 1's job, if any: the calling thread, as lane 0, takes the
+        trials lane 1 has not taken, one at a time, then waits for lane 1.
+        Lane 0's error, else lane 1's, is raised, and both lanes stay usable."""
+        if self._job is not None:
+            job, self._job = self._job, None
+            for error in (_attempt(*job, self._lanes[0]), self._done.get()):
+                if error is not None:
+                    raise error
 
     def _serve(self) -> None:
-        while (work := self._todo.get()) is not None:
-            self._done.put(_attempt(work, self._lanes[1], 2))
+        while (job := self._todo.get()) is not None:
+            self._done.put(_attempt(*job, self._lanes[1]))
 
     def close(self) -> None:
+        job, self._job = self._job, None
+        for _ in job[1] if job else ():  # lane 1 takes no further trial of it
+            pass
         if self._thread is not None:
             self._todo.put(None)
             self._thread.join()
             self._thread = None
-        self._lanes = (_Lane(0), _Lane(1))
+        self._lanes = (_Lane(), _Lane())
 
 
 def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Scenario,
                        constellation: Constellation | None = None, *,
-                       lanes: Lanes) -> tuple[np.ndarray, np.ndarray]:
+                       lanes: Lanes, out: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize a chunk of T frames with a (..., T, K, M) stack of equalizers,
     W[..., t, :, :] on frames[t], hard-decide all users at once, and count bit
     and symbol errors on the symbol indices (the bits are the index's MSB-first
@@ -224,11 +237,17 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     lane, and each block is folded into the estimates, held whole in a second
     buffer of the lane, as soon as it is drawn. Both products and the
     decisions, made in place on the estimates, run in blocks of columns,
-    DETECT_BYTES of estimates each. The trials are split between the lanes of
-    lanes, the run's Lanes (one or two, see lanes), each of which draws and
-    equalizes its own trials, so the counts do not depend on the lanes.
+    DETECT_BYTES of estimates each. The trials are a job of lanes, the run's
+    Lanes, whose lanes (one or two, see lanes) take them one at a time from
+    one shared counter; each lane draws and equalizes the trials it takes, so
+    the counts do not depend on the lanes.
 
-    Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2].
+    Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2]: the
+    halves of out, an int64 (2,) + W.shape[:-2] array it overwrites, or of a
+    new one. Without out they are complete on return. With out, lane 1 may
+    still hold a two-lane job on return, while the caller builds the next
+    chunk: they are complete, and the job's error raised, when the next call
+    with these lanes returns, or lanes.wait() does.
     """
     const = constellation or Constellation(scenario.constellation)
     if W.shape[-3] != len(frames):
@@ -237,6 +256,8 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     lead, (T, K, M) = W.shape[:-3], W.shape[-3:]
     if channels.H.shape[0] != T:  # a stack of one would broadcast over the trials
         raise ValueError(f"channels: {channels.H.shape[0]} trials for {T} frames")
+    counts = np.empty((2,) + W.shape[:-2], dtype=np.int64) if out is None else out
+    counts[...] = 0
     W = W.reshape((-1, T, K, M))
     AK = W.shape[0] * K
     # T x 2AK x rows: each trial's real form of its gains on S, Z, then X with
@@ -250,43 +271,42 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     del gains  # freed before the lanes run
     rows = G.shape[-1]
     block = max(1, DETECT_BYTES // (16 * AK))
-    counts = np.zeros((2, W.shape[0], T), dtype=np.int64)
 
-    def work(lane, n_lanes):
-        for t in range(lane.index, T, n_lanes):
-            frame = frames[t]
-            n = frame.sym.shape[1]
-            per = max(2 * K, min(rows, DRAW_BYTES // (8 * max(n, 1))))  # symbols in block one
-            if lane.replay.size < per * n:
-                lane.replay = np.empty(per * n)
-            if lane.est.size < 2 * AK * n:
-                lane.est = np.empty(2 * AK * n)
-            # the estimates by blocks of columns, each a contiguous part of est
-            blocks = [(slice(c, c + block),
-                       lane.est[2 * AK * c:2 * AK * min(c + block, n)].reshape(2 * AK, -1))
-                      for c in range(0, n, block)]
-            rng = lane.rng
-            rng.bit_generator.state = frame.noise_state  # refuses a non-PCG64 state
-            for r in range(0, rows, per):
-                h = min(per, rows - r)
-                x = lane.replay[:h * n].reshape(h, n)
+    def work(lane, t):
+        frame = frames[t]
+        n = frame.sym.shape[1]
+        per = max(2 * K, min(rows, DRAW_BYTES // (8 * max(n, 1))))  # symbols in block one
+        if lane.replay.size < per * n:
+            lane.replay = np.empty(per * n)
+        if lane.est.size < 2 * AK * n:
+            lane.est = np.empty(2 * AK * n)
+        # the estimates by blocks of columns, each a contiguous part of est
+        blocks = [(slice(c, c + block),
+                   lane.est[2 * AK * c:2 * AK * min(c + block, n)].reshape(2 * AK, -1))
+                  for c in range(0, n, block)]
+        rng = lane.rng
+        rng.bit_generator.state = frame.noise_state  # refuses a non-PCG64 state
+        for r in range(0, rows, per):
+            h = min(per, rows - r)
+            x = lane.replay[:h * n].reshape(h, n)
+            if r == 0:
+                np.take(const.points.real, frame.sym, out=x[:K], mode="clip")
+                np.take(const.points.imag, frame.sym, out=x[K:2 * K], mode="clip")
+            rng.standard_normal(out=x[2 * K:] if r == 0 else x)
+            for cols, e in blocks:
                 if r == 0:
-                    np.take(const.points.real, frame.sym, out=x[:K], mode="clip")
-                    np.take(const.points.imag, frame.sym, out=x[K:2 * K], mode="clip")
-                rng.standard_normal(out=x[2 * K:] if r == 0 else x)
-                for cols, e in blocks:
-                    if r == 0:
-                        np.matmul(G[t, :, :h], x[:, cols], out=e)
-                    else:
-                        e += G[t, :, r:r + h] @ x[:, cols]
-                    if r + h < rows:
-                        continue
-                    # the block's last use: decided in place
-                    wrong = const.decide_in_place(e.reshape(2, AK, -1)).reshape(-1, K, e.shape[-1])
-                    wrong ^= frame.sym[:, cols]
-                    counts[0, :, t] += const._popcount[wrong].sum(axis=(-2, -1),
-                                                                  dtype=np.int64)
-                    counts[1, :, t] += np.count_nonzero(wrong, axis=(-2, -1))
+                    np.matmul(G[t, :, :h], x[:, cols], out=e)
+                else:
+                    e += G[t, :, r:r + h] @ x[:, cols]
+                if r + h < rows:
+                    continue
+                # the block's last use: decided in place
+                wrong = const.decide_in_place(e.reshape(2, AK, -1)).reshape(lead + (K, -1))
+                wrong ^= frame.sym[:, cols]
+                counts[0, ..., t] += const._popcount[wrong].sum(axis=(-2, -1), dtype=np.int64)
+                counts[1, ..., t] += np.count_nonzero(wrong, axis=(-2, -1))
 
-    lanes.run(work, T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
-    return counts[0].reshape(lead + (T,)), counts[1].reshape(lead + (T,))
+    lanes.start(work, T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
+    if out is None:
+        lanes.wait()
+    return counts[0], counts[1]

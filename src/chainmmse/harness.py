@@ -13,10 +13,13 @@ bcd:L after L sweeps), then each centralized one builds a chunk in one call,
 mmse_sampleR from the chain's R_hat. The chunk's equalizers form one algorithm
 x trial stack, scored by one objective call; a trial's equalizers do not depend
 on its chunk. Each trial draws one frame, in trial order, and the chunk's
-frames are equalized and decided for all algorithms in one detection call,
-whose per-trial counts do not depend on how it splits the trials into threads.
-A grid point keeps its trials' counts and objectives; its rows reduce them,
-the objective summed in trial order. A row's traffic sums the table
+frames are equalized and decided for all algorithms in one detection call.
+On two lanes it returns once lane 1 holds the chunk, and the next chunk is
+built meanwhile; the next call, or the point's end, joins it, taking the trials
+lane 1 has not from their shared counter. Which lane takes a trial does not
+change its counts. A grid point keeps its trials' objectives and counts, the
+counts complete once its last chunk is joined; its rows reduce them, the
+objective summed in trial order. A row's traffic sums the table
 interconnect.chain_traffic, which convergence_trace's ledger books.
 """
 from __future__ import annotations
@@ -258,8 +261,11 @@ def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every algorithm at every (Es/N0, IoT) grid point. The run's
-    two detection lanes serve every chunk; the lane thread is joined, and the
-    buffers dropped, when it returns or raises."""
+    two detection lanes serve every chunk: lane 1 detects a chunk while the
+    next is built, and the calling thread joins it, from the trials' shared
+    counter, at the next detection call; a point's counts are complete once
+    its end joins its last chunk. The lane thread is joined, and the buffers
+    dropped, when the run returns or raises."""
     with detect.Lanes() as lanes:
         return _run_grid(config, lanes)
 
@@ -311,8 +317,9 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
                                                                      sc.E_s)
             frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
                       for rng_data in data_rngs]
-            errors[..., first:first + T] = detect.evaluate_equalizer(
-                W, channels, frames, sc, const, lanes=lanes)
+            detect.evaluate_equalizer(W, channels, frames, sc, const, lanes=lanes,
+                                      out=errors[..., first:first + T])
+        lanes.wait()  # the point's counts are complete
         symbols = config.trials * sc.K * config.symbols_per_trial
         links = len(interconnect.Topology("uni_loop", sc.C).links)
         for a, (name, L) in enumerate(parsed):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -398,12 +399,34 @@ class TestErrorCounts:
             assert detect.lanes(8, 8 * 72 * 500) == 2
             assert detect.lanes(8, 8 * 72 * 64) == 1
 
+    def test_the_lanes_take_every_trial_once(self):
+        # trials of Python work only, with the GIL handed between the lanes
+        # every microsecond: a counter that lost an update would repeat a trial
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def take(lane, t):
+            taken.append(t)
+            for _ in range(100):
+                pass
+
+        try:
+            with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
+                    detect.Lanes() as lanes:
+                for _ in range(20):
+                    taken = []
+                    lanes.start(take, 500, detect.LANE_BYTES)
+                    lanes.wait()
+                    assert sorted(taken) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_an_error_in_a_lane_is_raised_to_the_caller(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
         W, chs, frames = _chunk(sc, (80, 84), 100)
-        # the second trial runs on the second lane's thread
-        frames[1] = dataclasses.replace(frames[1], sym=frames[1].sym[:2])
+        # every trial fails, on whichever lane takes it
+        frames = [dataclasses.replace(f, sym=f.sym[:2]) for f in frames]
         with mock.patch.multiple(detect, LANE_BYTES=0), \
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
                 pytest.raises(ValueError):
@@ -414,8 +437,8 @@ class TestErrorCounts:
                             constellation=16)
         W, chs, frames = _chunk(sc, (80, 84), 100)
         want = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)  # in one lane
-        # the second trial runs on the second lane's thread
-        bad = [frames[0], dataclasses.replace(frames[1], sym=frames[1].sym[:2])]
+        # every trial fails, on whichever lane takes it
+        bad = [dataclasses.replace(f, sym=f.sym[:2]) for f in frames]
         with mock.patch.multiple(detect, LANE_BYTES=0), \
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
             with pytest.raises(ValueError):

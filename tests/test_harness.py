@@ -43,6 +43,11 @@ def _small_config(**overrides):
     return ExperimentConfig(**params)
 
 
+def _counted(rows: list[ResultRow]) -> list[ResultRow]:
+    """The rows without their wall times, which no two runs share."""
+    return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
+
+
 class TestConfig:
     def test_parse_algorithm_tokens(self):
         assert parse_algorithm("zf") == ("zf", None)
@@ -301,32 +306,50 @@ class TestRunExperiment:
                                     r"singular"):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("iot_db, raises", [((10.0,), False), ((10.0, 300.0), True)])
+    @pytest.mark.parametrize("iot_db, raises", [((10.0,), False), ((10.0, 300.0), True),
+                                                ((10.0,), "build")])
     def test_no_lane_thread_outlives_the_run(self, monkeypatch, iot_db, raises):
-        # two lanes on every chunk; at IoT 300 dB the sample covariance is
-        # singular, after the first grid point has started the lane thread
+        # two lanes on every chunk of two trials. At IoT 300 dB the sample
+        # covariance is singular, after the first grid point has started the
+        # lane thread; a build that fails on the second chunk finds lane 1
+        # holding the first
         monkeypatch.setattr(detect, "LANE_BYTES", 0)
         monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        cfg = _small_config(scenario=model.Scenario(M=8, C=2, K=2, K_int=1, N=16,
-                                                    constellation=4),
-                            es_n0_db=(0.0,), iot_db=iot_db, algorithms=("zf", "mmse_sampleR"))
-        seen = []  # the threads alive after each detection call
-        evaluate = detect.evaluate_equalizer
+        sc = model.Scenario(M=8, C=2, K=2, K_int=1, N=16, constellation=4)
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * sc.M * (sc.N + sc.M))
+        cfg = _small_config(scenario=sc, es_n0_db=(0.0,), algorithms=("zf", "mmse_sampleR"),
+                            trials=4)
+        want = _counted(run_experiment(cfg))
+        seen, used = [], []  # the threads alive after each detection call; its lanes
+        evaluate, build = detect.evaluate_equalizer, harness._build_equalizer
 
         def evaluate_and_look(*args, **kwargs):
             counts = evaluate(*args, **kwargs)
             seen.extend(threading.enumerate())
+            used.append(kwargs["lanes"])
             return counts
+
+        def build_after_one_chunk(token, *args):
+            if used:  # the second chunk: lane 1 holds the first (a private look)
+                assert used[-1]._job is not None
+                raise RuntimeError("build failed")
+            return build(token, *args)
 
         monkeypatch.setattr(detect, "evaluate_equalizer", evaluate_and_look)
         before = threading.enumerate()
-        if raises:
+        if raises is True:
             with pytest.raises(central.SingularMatrixError, match="IoT 300.0 dB"):
+                run_experiment(dataclasses.replace(cfg, iot_db=iot_db))
+        elif raises == "build":
+            monkeypatch.setattr(harness, "_build_equalizer", build_after_one_chunk)
+            with pytest.raises(RuntimeError, match="build failed"):
                 run_experiment(cfg)
+            monkeypatch.setattr(harness, "_build_equalizer", build)
         else:
             run_experiment(cfg)
         assert any(t.name.startswith("chainmmse-lane") for t in seen)
         assert threading.enumerate() == before
+        assert _counted(run_experiment(cfg)) == want  # no count of the run before
 
     def test_desk_run_makes_no_eigendecomposition(self, monkeypatch):
         def eigvalsh(*args, **kwargs):
@@ -475,6 +498,92 @@ class TestRunExperiment:
             cfg = _small_config(scenario=sc, algorithms=("bcd:2",), trials=1)
             entries.append(run_experiment(cfg)[0].traffic_entries)
         assert entries[0] == entries[1] > 0
+
+
+class TestOverlap:
+    """A chunk's detection on lane 1 behind the build of the next chunk, with
+    two lanes on every chunk of more than one trial and the CPUs mocked."""
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        """Sets the CPUs the process may run on; two to start with."""
+        monkeypatch.setattr(detect, "LANE_BYTES", 0)
+
+        def set_cpus(cpus):
+            monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+
+        set_cpus({0, 1})
+        return set_cpus
+
+    def test_overlapped_run_counts_what_one_cpu_counts(self, monkeypatch, cpus, tmp_path):
+        # desk chunks hold 8 trials: 8, 8 and 4 at each of two grid points
+        cfg = ExperimentConfig(scenario=profile_scenario("desk"), es_n0_db=(0.0, 12.0),
+                               algorithms=("zf", "mmse_sampleR", "bdac", "bcd:1"),
+                               trials=20, symbols_per_trial=100, seed=4)
+        evaluate = detect.evaluate_equalizer
+        counts, held = {}, {}
+
+        def evaluate_and_keep(*args, lanes, out, **kwargs):
+            got = evaluate(*args, lanes=lanes, out=out, **kwargs)
+            outs.append(out)
+            held[n].append(lanes._job is not None)  # a private look at lane 1's job
+            return got
+
+        monkeypatch.setattr(detect, "evaluate_equalizer", evaluate_and_keep)
+        for n in (2, 1):
+            cpus(set(range(n)))
+            outs, held[n] = [], []
+            emit_csv(run_experiment(cfg), tmp_path / f"{n}.csv")
+            counts[n] = np.concatenate(outs, axis=-1)  # read once the run has returned
+        assert held == {2: [True] * 6, 1: [False] * 6}
+        assert counts[1].shape == (2, 4, 40) and counts[1][:, :, :20].all()
+        np.testing.assert_array_equal(counts[2], counts[1])
+        assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+    def _chunk(self):
+        """The zf equalizers, channels and frames of a chunk of three desk trials."""
+        sc = profile_scenario("desk").with_ratios(6.0, 10.0)
+        channels, _, data_rngs = harness.draw_trials(sc, 3, 0, range(3))
+        frames = [detect.make_frame(sc, 100, rng) for rng in data_rngs]
+        return central.zf_centralized(channels.H)[None], channels, frames, sc
+
+    @pytest.mark.parametrize("joined_by", ["the next call", "wait"])
+    def test_an_error_in_a_held_job_is_raised_when_it_is_joined(self, joined_by):
+        W, channels, frames, sc = self._chunk()
+        bad = [dataclasses.replace(f, sym=f.sym[:2]) for f in frames]  # every trial fails
+        with detect.Lanes() as lanes:
+            want = detect.evaluate_equalizer(W, channels, frames, sc, lanes=lanes)
+            out = np.empty((2, 1, 3), dtype=np.int64)
+            detect.evaluate_equalizer(W, channels, bad, sc, lanes=lanes, out=out)  # held
+            with pytest.raises(ValueError):
+                if joined_by == "wait":
+                    lanes.wait()
+                else:
+                    detect.evaluate_equalizer(W, channels, frames, sc, lanes=lanes, out=out)
+            lanes.wait()  # nothing is left to join
+            detect.evaluate_equalizer(W, channels, frames, sc, lanes=lanes, out=out)
+            lanes.wait()
+        assert want[0].all()
+        np.testing.assert_array_equal(out, np.stack(want))
+
+    def test_an_error_in_the_points_last_chunk_is_raised_by_the_run(self, monkeypatch):
+        # desk chunks of 8 and 2 trials: the second is joined at the point's end
+        make_frame, made = detect.make_frame, []
+
+        def make_bad_frame_after_eight(*args):
+            made.append(make_frame(*args))
+            return made[-1] if len(made) <= 8 else dataclasses.replace(made[-1],
+                                                                       sym=made[-1].sym[:2])
+
+        monkeypatch.setattr(detect, "make_frame", make_bad_frame_after_eight)
+        before = threading.enumerate()
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig(scenario=profile_scenario("desk"),
+                                            es_n0_db=(6.0,), algorithms=("zf",), trials=10,
+                                            symbols_per_trial=50, seed=2))
+        assert len(made) == 10
+        assert threading.enumerate() == before
 
 
 class TestCsv:
