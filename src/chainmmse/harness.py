@@ -14,13 +14,13 @@ mmse_sampleR from the chain's R_hat. The chunk's equalizers form one algorithm
 x trial stack, scored by one objective call; a trial's equalizers do not depend
 on its chunk. Each trial draws one frame, in trial order, and the chunk's
 frames are equalized and decided for all algorithms in one detection call.
-On two lanes it returns once lane 1 holds the chunk, and the next chunk is
-built meanwhile; the next call, or the point's end, joins it, taking the trials
-lane 1 has not from their shared counter. Which lane takes a trial does not
-change its counts. A grid point keeps its trials' objectives and counts, the
-counts complete once its last chunk is joined; its rows reduce them, the
-objective summed in trial order. A row's traffic sums the table
-interconnect.chain_traffic, which convergence_trace's ledger books.
+On two lanes it returns once lane 1 holds the chunk, and the next chunk, of
+this point or the next, is built meanwhile; the next call, or the run's end,
+joins it, taking the trials lane 1 has not from their shared counter. Which
+lane takes a trial does not change its counts. The run keeps one record: per
+trial its objectives and counts, per point its build times. Once its last
+chunk is joined, the rows reduce it, the objective summed in trial order. A
+row's traffic sums interconnect.chain_traffic, which convergence_trace books.
 """
 from __future__ import annotations
 
@@ -88,6 +88,9 @@ class ExperimentConfig:
                              for v in value]
                 except ValueError as exc:
                     errors.append(str(exc))
+                else:  # each grid value keys rows: 0.0 and -0.0 are one value
+                    errors += [f"{key}: {v!r} repeats {value[value.index(v)]!r}"
+                               for i, v in enumerate(value) if v in value[:i]]
             object.__setattr__(self, key, tuple(value))
         for key, least in (("trials", 1), ("symbols_per_trial", 1), ("seed", 0)):
             try:
@@ -262,10 +265,10 @@ def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every algorithm at every (Es/N0, IoT) grid point. The run's
     two detection lanes serve every chunk: lane 1 detects a chunk while the
-    next is built, and the calling thread joins it, from the trials' shared
-    counter, at the next detection call; a point's counts are complete once
-    its end joins its last chunk. The lane thread is joined, and the buffers
-    dropped, when the run returns or raises."""
+    next, of this grid point or the next, is built, and the calling thread
+    joins it, from the trials' shared counter, at the next detection call or
+    at the run's end. The lane thread is joined, and the buffers dropped,
+    when the run returns or raises."""
     with detect.Lanes() as lanes:
         return _run_grid(config, lanes)
 
@@ -279,15 +282,15 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
     builds += [(t,) for t in config.algorithms if t not in depths]
     A = len(config.algorithms)
     axis = {t: a for a, t in enumerate(config.algorithms)}  # the algorithm axis
-    rows = []
     grid = [(es, iot) for iot in config.iot_db for es in config.es_n0_db]
+    # neither depends on the operating point that a grid point sets
+    const = detect.Constellation(config.scenario.constellation)
+    chunk = chunk_trials(config.scenario)
+    # the run's per-trial record: bit and symbol errors, objectives, build times
+    errors = np.zeros((len(grid), 2, A, config.trials), dtype=np.int64)
+    objective, wall = np.zeros((len(grid), A, config.trials)), np.zeros((len(grid), A))
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
-        const = detect.Constellation(sc.constellation)
-        # the point's per-trial record: bit and symbol errors, and objectives
-        errors = np.zeros((2, A, config.trials), dtype=np.int64)
-        objective, wall = np.zeros((A, config.trials)), np.zeros(A)
-        chunk = chunk_trials(sc)
         for first in range(0, config.trials, chunk):
             channels, pool, data_rngs = draw_trials(
                 sc, config.seed, p, range(first, min(first + chunk, config.trials)))
@@ -311,31 +314,28 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
                         f"{', '.join(tokens)} at Es/N0 {es} dB, IoT {iot} dB, in the "
                         f"stack of trials {first}..{first + T - 1} (stack "
                         f"trial t is trial {first} + t): {exc}") from exc
-                wall[axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
+                wall[p, axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
                     time.perf_counter() - t0)
-            objective[:, first:first + T] = central.sample_objective(W, channels.H, pool,
-                                                                     sc.E_s)
+            objective[p, :, first:first + T] = central.sample_objective(W, channels.H, pool,
+                                                                        sc.E_s)
             frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
                       for rng_data in data_rngs]
             detect.evaluate_equalizer(W, channels, frames, sc, const, lanes=lanes,
-                                      out=errors[..., first:first + T])
-        lanes.wait()  # the point's counts are complete
-        symbols = config.trials * sc.K * config.symbols_per_trial
-        links = len(interconnect.Topology("uni_loop", sc.C).links)
-        for a, (name, L) in enumerate(parsed):
-            # one trial's closed-form entries per link; L is None for bdac
-            per_link = (interconnect.predicted_traffic(sc.K, sc.N, L)
-                        if name in ("bdac", "bcd") else 0)
-            rows.append(ResultRow(
-                algorithm=name, L=L or 0, es_n0_db=es, iot_db=iot,
-                M=sc.M, C=sc.C, K=sc.K, N=sc.N,
-                ber=int(errors[0, a].sum()) / (symbols * const.bits_per_symbol),
-                ser=int(errors[1, a].sum()) / symbols, symbols=symbols,
-                traffic_entries=config.trials * links * per_link,
-                # summed trial by trial, in trial order: np.sum adds pairwise
-                objective=sum(objective[a].tolist()) / config.trials,
-                wall_time_s=float(wall[a])))
-    return rows
+                                      out=errors[p, ..., first:first + T])
+    lanes.wait()  # the run's counts are complete
+    M, C, K, N = (getattr(config.scenario, key) for key in "MCKN")
+    symbols = config.trials * K * config.symbols_per_trial
+    links = len(interconnect.Topology("uni_loop", C).links)
+    return [ResultRow(
+        algorithm=name, L=L or 0, es_n0_db=es, iot_db=iot, M=M, C=C, K=K, N=N,
+        ber=int(errors[p, 0, a].sum()) / (symbols * const.bits_per_symbol),
+        ser=int(errors[p, 1, a].sum()) / symbols, symbols=symbols,
+        # one trial's closed-form entries per link; L is None for bdac
+        traffic_entries=config.trials * links * (
+            interconnect.predicted_traffic(K, N, L) if name in ("bdac", "bcd") else 0),
+        # summed trial by trial, in trial order: np.sum adds pairwise
+        objective=sum(objective[p, a].tolist()) / config.trials, wall_time_s=float(wall[p, a]))
+        for p, (es, iot) in enumerate(grid) for a, (name, L) in enumerate(parsed)]
 
 
 def write_table(path, columns, rows) -> None:
@@ -364,7 +364,7 @@ class TraceRow:
 
 
 def convergence_trace(scenario: model.Scenario, seed: int,
-                      L: int = 50) -> tuple[list[TraceRow], interconnect.TrafficLedger]:
+                      L: int) -> tuple[list[TraceRow], interconnect.TrafficLedger]:
     """Run one chain instance, drawn as trial 0 of grid point 0 of the seed;
     report per-block-update distance to the optimum and the run's traffic ledger."""
     channels, pool, _ = draw_trials(scenario, seed, 0, range(1))  # a stack of one

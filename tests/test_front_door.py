@@ -176,6 +176,8 @@ def usage_error(command, raw, sweeps=1, flags=None, out=None):
 @usage_error("run", {**DESK, "scenario": {"gain_range_db": [0.0, -6.0]}})
 @usage_error("trace", {**DESK, "scenario": {"N": 16}, "algorithms": ["bdac", "bcd:4"]}, 4)
 @usage_error("trace", {**DESK, "es_n0_db": [math.inf, 8.0], "algorithms": ["zf"]}, 2)
+# a repeated grid value, once two rows of one key
+@usage_error("run", {**DESK, "es_n0_db": [0.0, -0.0]})
 # more interferers than antennas at an extreme IoT: mmse_exactR solves R itself
 @example(command="run", raw={"scenario": {"M": 8, "C": 2, "K": 2, "K_int": 12, "N": 16},
                              "es_n0_db": [0.0], "iot_db": [150.0],

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import importlib.util
+import math
+import re
 import sys
 import threading
 from pathlib import Path
@@ -229,6 +231,18 @@ class TestConfig:
         # two tokens of one (name, L) would write two rows of one algorithm
         with pytest.raises(ValueError, match=f"algorithms: '{algorithms[-1]}' repeats"):
             _small_config(algorithms=algorithms)
+
+    @pytest.mark.parametrize("key, values, message", [
+        ("es_n0_db", (0.0, 0.0), "es_n0_db: 0.0 repeats 0.0"),
+        ("es_n0_db", (0.0, -0.0), "es_n0_db: -0.0 repeats 0.0"),
+        ("es_n0_db", (4, 8.0, np.float64(4.0)), "es_n0_db: 4.0 repeats 4.0"),
+        ("iot_db", (None, 10.0, None), "iot_db: None repeats None"),
+        ("iot_db", (-math.inf, 10.0, -math.inf), "iot_db: -inf repeats -inf")],
+        ids=["twice", "signed_zero", "numpy", "null", "minus_inf"])
+    def test_repeated_grid_value_rejected(self, key, values, message):
+        # a grid value keys its rows: a repeat would write two rows of one key
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            _small_config(**{key: values})
 
     def test_profile_with_uneven_cluster_sizes(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -540,6 +554,30 @@ class TestOverlap:
         assert counts[1].shape == (2, 4, 40) and counts[1][:, :, :20].all()
         np.testing.assert_array_equal(counts[2], counts[1])
         assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+    def test_a_points_last_chunk_is_held_at_the_next_points_draw(self, monkeypatch, cpus):
+        # desk chunks of 8 and 2 trials at each of three grid points
+        draw, evaluate = harness.draw_trials, detect.evaluate_equalizer
+        used, held = [], {}  # the run's lanes; lane 1's job at each point's first draw
+
+        def evaluate_and_keep(*args, **kwargs):
+            used.append(kwargs["lanes"])
+            return evaluate(*args, **kwargs)
+
+        def draw_and_look(scenario, seed, point_index, trials):
+            if point_index > 0 and trials.start == 0:
+                held[n].append(used[-1]._job is not None)  # a private look at lane 1
+            return draw(scenario, seed, point_index, trials)
+
+        monkeypatch.setattr(detect, "evaluate_equalizer", evaluate_and_keep)
+        monkeypatch.setattr(harness, "draw_trials", draw_and_look)
+        for n in (2, 1):
+            cpus(set(range(n)))
+            held[n] = []
+            run_experiment(ExperimentConfig(scenario=profile_scenario("desk"),
+                                            es_n0_db=(0.0, 6.0, 12.0), algorithms=("zf",),
+                                            trials=10, symbols_per_trial=50, seed=2))
+        assert held == {2: [True, True], 1: [False, False]}
 
     def _chunk(self):
         """The zf equalizers, channels and frames of a chunk of three desk trials."""
