@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,30 +142,26 @@ class _Lane:
         self.rng = np.random.Generator(np.random.PCG64(0))
 
 
-def _attempt(work, trials, lane: _Lane) -> BaseException | None:
-    try:  # trials, the job's range iterator, is shared: under the GIL each next() is whole
-        for t in trials:
-            work(lane, t)
-    except BaseException as exc:  # re-raised on the calling thread
-        return exc
-    return None
+def _take(work, trials, lane: _Lane) -> None:
+    for t in trials:  # a two-lane job's shared range iterator: under the GIL each next() is whole
+        work(lane, t)
 
 
 class Lanes:
     """The two detection lanes of a run, their buffers, and the job lane 1 holds.
 
-    Lane 0 runs on the calling thread, and lane 1 on one thread,
-    chainmmse-lane-1, started by the first two-lane job and fed through a
-    pair of queue.SimpleQueue (jobs in, each one's error or None out). The
-    buffers are kept between jobs, so a chunk does not fault in again the
-    pages of the chunk before. close(), or the end of a with block, ends the
-    job lane 1 holds unfinished, joins the thread and drops both lanes'
-    buffers. A Lanes serves one caller at a time.
+    Lane 0 runs on the calling thread. Lane 1 is the one worker thread,
+    chainmmse-lane-1_0, of a concurrent.futures.ThreadPoolExecutor made by the
+    first two-lane job; the job's Future carries lane 1's error to wait(). The
+    buffers are kept between jobs, so a chunk does not fault in again the pages
+    of the chunk before. close(), or the end of a with block, ends the job lane
+    1 holds unfinished, shuts the executor down, joining its thread, and drops
+    both lanes' buffers. A Lanes serves one caller at a time.
     """
 
     def __init__(self):
         self._lanes = (_Lane(), _Lane())
-        self._thread = self._job = None
+        self._pool = self._job = None
 
     def __enter__(self) -> Lanes:
         return self
@@ -180,40 +175,33 @@ class Lanes:
         on two, lane 1 takes the job and start returns at once."""
         self.wait()
         if lanes(n_trials, trial_bytes) == 1:
-            for t in range(n_trials):
-                work(self._lanes[0], t)
-            return
-        if self._thread is None:
-            import queue
-            self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-            self._thread = threading.Thread(target=self._serve, name="chainmmse-lane-1",
-                                            daemon=True)
-            self._thread.start()
-        self._job = work, iter(range(n_trials))
-        self._todo.put(self._job)
+            return _take(work, range(n_trials), self._lanes[0])
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="chainmmse-lane-1")
+        trials = iter(range(n_trials))
+        self._job = work, trials, self._pool.submit(_take, work, trials, self._lanes[1])
 
     def wait(self) -> None:
         """Join lane 1's job, if any: the calling thread, as lane 0, takes the
         trials lane 1 has not taken, one at a time, then waits for lane 1.
         Lane 0's error, else lane 1's, is raised, and both lanes stay usable."""
         if self._job is not None:
-            job, self._job = self._job, None
-            for error in (_attempt(*job, self._lanes[0]), self._done.get()):
-                if error is not None:
-                    raise error
-
-    def _serve(self) -> None:
-        while (job := self._todo.get()) is not None:
-            self._done.put(_attempt(*job, self._lanes[1]))
+            (work, trials, lane_1), self._job = self._job, None
+            try:
+                _take(work, trials, self._lanes[0])
+            finally:
+                error = lane_1.exception()
+            if error is not None:
+                raise error
 
     def close(self) -> None:
         job, self._job = self._job, None
         for _ in job[1] if job else ():  # lane 1 takes no further trial of it
             pass
-        if self._thread is not None:
-            self._todo.put(None)
-            self._thread.join()
-            self._thread = None
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         self._lanes = (_Lane(), _Lane())
 
 

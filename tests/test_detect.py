@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -431,6 +432,31 @@ class TestErrorCounts:
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
                 pytest.raises(ValueError):
             evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
+
+    def test_lane_0s_error_wins_over_lane_1s(self):
+        # each lane holds one trial of two at the barrier, then fails: lane 1
+        # (the lane thread) with a ValueError, lane 0 with a KeyError
+        barrier = threading.Barrier(2, timeout=10)
+
+        def fail(lane, t):
+            barrier.wait()
+            if threading.current_thread().name.startswith("chainmmse-lane"):
+                raise ValueError("lane 1")
+            raise KeyError("lane 0")
+
+        def take(lane, t):
+            taken.append(t)
+
+        with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
+                detect.Lanes() as lanes:
+            for _ in range(20):
+                lanes.start(fail, 2, detect.LANE_BYTES)
+                with pytest.raises(KeyError):
+                    lanes.wait()
+                taken = []
+                lanes.start(take, 50, detect.LANE_BYTES)
+                lanes.wait()
+                assert sorted(taken) == list(range(50))
 
     def test_a_lane_that_failed_serves_the_next_call(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import math
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -841,6 +842,17 @@ class TestCli:
                         "es_n0_db: [0.0]\niot_db: [300.0]\nalgorithms: [mmse_sampleR]\n")
         with pytest.raises(central.SingularMatrixError, match="noise covariance"):
             cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+
+    def test_importing_the_cli_leaves_scipy_and_the_lane_executor_unimported(self):
+        # every run pays for its imports in setup; concurrent.futures (which
+        # imports logging and queue) waits for the first two-lane job
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import chainmmse.cli; "
+                "print(sorted({'scipy', 'concurrent.futures', 'logging', 'queue'}"
+                " & set(sys.modules)))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestConvergenceTrace:
