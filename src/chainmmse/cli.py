@@ -6,7 +6,7 @@ import dataclasses
 import os
 
 from . import central, harness
-from .interconnect import predicted_traffic
+from .interconnect import BYTES_PER_ENTRY, Topology, chain_traffic
 
 # the config of run and trace without --config; its flags are put over it
 DEFAULT_CONFIG = {"profile": "desk"}
@@ -71,25 +71,24 @@ def cmd_trace(args, config: harness.ExperimentConfig) -> int:
     [es], [iot] = config.es_n0_db, config.iot_db
     sc = config.scenario.with_ratios(es, iot)
     try:
-        rows, ledger = harness.convergence_trace(sc, L=args.sweeps, seed=config.seed)
+        rows = harness.convergence_trace(sc, L=args.sweeps, seed=config.seed)
     except central.SingularMatrixError as exc:  # named as the run names it
         raise central.SingularMatrixError(
             f"trace of trial 0 at Es/N0 {es} dB, IoT {iot} dB: {exc}") from exc
     path = os.path.join(config.out_dir, "trace.csv")
     harness.emit_convergence_trace(rows, path)
-    ledger_path = os.path.join(config.out_dir, "traffic.csv")
-    harness.write_table(ledger_path, ledger.CSV_COLUMNS, ledger.csv_rows())
+    table = chain_traffic(sc.K, sc.N, args.sweeps)  # the closed form, on every loop link
+    links = sorted(Topology("uni_loop", sc.C).links)  # as tuples: 2-3 before 10-11
+    traffic_path = os.path.join(config.out_dir, "traffic.csv")
+    harness.write_table(traffic_path, ("phase", "link", "entries", "bytes"), [
+        (phase, f"{a}-{b}", n, n * BYTES_PER_ENTRY)
+        for phase, n in sorted(table.items()) for a, b in links])
     last = rows[-1]
     print(f"traced trial 0 at Es/N0 {es} dB, IoT {iot} dB: wrote {len(rows)} block "
-          f"updates to {path} and their traffic to {ledger_path}; final objective "
+          f"updates to {path} and their traffic to {traffic_path}; final objective "
           f"{last.objective:.6e}, ||W - W*||_F/||W*||_F = {last.w_error:.3e}")
-    if ledger.topology.links:  # a loop of one cluster has no link
-        print(f"predicted per-link entries (loop chain): "
-              f"{predicted_traffic(sc.K, sc.N, args.sweeps)}")
-    for link in ledger.topology.links:
-        print(f"  link {link[0]}-{link[1]}: booked {ledger.per_link(link)} "
-              f"(preprocessing {ledger.per_link(link, 'preprocess')}, "
-              f"sweeps {ledger.per_link(link, 'sweep')})")
+    if links:  # a loop of one cluster has no link
+        print(f"predicted per-link entries (loop chain): {sum(table.values())}")
     return 0
 
 

@@ -24,7 +24,6 @@ all of them at once as stacked matmuls and solves.
 """
 from __future__ import annotations
 
-import warnings
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -57,7 +56,8 @@ class Chain:
 def make_chain(channels: model.ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
     """Build the chains of a stack of trials (see model.stack_trials), with
     W = 0, from H and the pool's sample covariance R_hat; a single trial
-    builds a stack of one."""
+    builds a stack of one. It loads a near-singular Gram matrix and flags it
+    in loaded; the caller, which knows the trial and grid point, warns."""
     H = channels.H if channels.H.ndim == 3 else channels.H[None]
     R_hat = model.sample_covariance(pool if pool.ndim == 3 else pool[None])
     T, M, K = H.shape
@@ -71,8 +71,6 @@ def make_chain(channels: model.ChannelSet, pool: np.ndarray, E_s: float) -> Chai
             # keep long Monte Carlo runs alive on near-singular local blocks
             delta = DIAG_LOAD * np.trace(G[t]).real / G.shape[-1]
             G[t] += delta * np.eye(G.shape[-1])
-            warnings.warn(f"cluster {c}, trial {t}: ill-conditioned update matrix, "
-                          f"diagonal loading {delta:.3e} applied")
         G_inv = np.linalg.inv(G)
         F.append(E_s * herm(H[:, s]) @ G_inv)
         # Gamma[:, s_c] G_c^-1 in parts: one product, or a solve for G_c^-1,

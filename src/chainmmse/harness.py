@@ -20,13 +20,14 @@ joins it, taking the trials lane 1 has not from their shared counter. Which
 lane takes a trial does not change its counts. The run keeps one record: per
 trial its objectives and counts, per point its build times. Once its last
 chunk is joined, the rows reduce it, the objective summed in trial order. A
-row's traffic sums interconnect.chain_traffic, which convergence_trace books.
+row's traffic sums interconnect.chain_traffic, as the trace's traffic.csv does.
 """
 from __future__ import annotations
 
 import csv
 import math
 import time
+import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
@@ -252,10 +253,19 @@ def _build_equalizer(token: str, channels, R_hat, sc: model.Scenario) -> np.ndar
     return central.mmse_centralized(channels.H, R_hat, sc.E_s)
 
 
-def _run_chain(depths: dict[str, int], channels, pool, E_s: float):
-    """One chain run over a stack of trials to the deepest of depths (chain token
-    -> sweeps, bdac 0): its R_hat and {token: T x K x M equalizers}."""
-    chain = daisy.make_chain(channels, pool, E_s)
+def warn_loaded(loaded: np.ndarray, sc: model.Scenario, first: int = 0) -> None:
+    """Warn once per loaded (trial, cluster) of a chain stack at grid point sc;
+    stack trial t is trial first + t."""
+    for t, c in np.argwhere(loaded).tolist():
+        warnings.warn(f"cluster {c}, trial {first + t} at Es/N0 {sc.es_n0_db} dB, IoT "
+                      f"{sc.iot_db} dB: diagonal loading of its ill-conditioned Gram matrix")
+
+
+def _run_chain(depths: dict[str, int], channels, pool, sc: model.Scenario, first: int):
+    """One chain run over a stack of trials from first on to the deepest of depths
+    (chain token -> sweeps, bdac 0): its R_hat and {token: T x K x M equalizers}."""
+    chain = daisy.make_chain(channels, pool, sc.E_s)
+    warn_loaded(chain.loaded, sc, first)
     C = len(chain.slices)
     result = daisy.run_bcd(chain, daisy.Schedule(L=max(depths.values())),
                            keep={L * C for L in depths.values()})
@@ -303,7 +313,7 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
                 t0 = time.perf_counter()
                 try:
                     if tokens[0] in depths:
-                        R_hat, built = _run_chain(depths, channels, pool, sc.E_s)
+                        R_hat, built = _run_chain(depths, channels, pool, sc, first)
                         for t, W_t in built.items():
                             W[axis[t]] = W_t
                     else:
@@ -363,12 +373,12 @@ class TraceRow:
     w_error: float  # ||W - W*||_F / ||W*||_F against the centralized solve
 
 
-def convergence_trace(scenario: model.Scenario, seed: int,
-                      L: int) -> tuple[list[TraceRow], interconnect.TrafficLedger]:
+def convergence_trace(scenario: model.Scenario, seed: int, L: int) -> list[TraceRow]:
     """Run one chain instance, drawn as trial 0 of grid point 0 of the seed;
-    report per-block-update distance to the optimum and the run's traffic ledger."""
+    report per-block-update distance to the optimum."""
     channels, pool, _ = draw_trials(scenario, seed, 0, range(1))  # a stack of one
     chain = daisy.make_chain(channels, pool, scenario.E_s)
+    warn_loaded(chain.loaded, scenario)
     W_star = central.mmse_centralized(channels.H, chain.R_hat, scenario.E_s)[0]
     norm_star = np.linalg.norm(W_star, "fro")
     C = len(chain.slices)
@@ -380,7 +390,7 @@ def convergence_trace(scenario: model.Scenario, seed: int,
         err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
         rows.append(TraceRow(sweep=sweep + 1, block=block, objective=float(obj),
                              w_error=float(err)))
-    return rows, result.ledger
+    return rows
 
 
 def emit_convergence_trace(rows: list[TraceRow], path) -> None:

@@ -2,7 +2,8 @@
 
 Traffic is counted in complex-valued entries (16 bytes each). chain_traffic is
 the one table of the uni-directional loop's per-link traffic, by phase, which
-sums to (3K^2 + 2NK) + L*K*(N+K), independent of the antenna count M.
+sums to (3K^2 + 2NK) + L*K*(N+K), independent of the antenna count M; a run's
+rows and the trace's traffic.csv read it.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ class Topology:
 
 class TrafficLedger:
     """Exact integer complex-entry counts per (phase, link)."""
-    CSV_COLUMNS = ("phase", "link", "entries", "bytes")  # of csv_rows
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -51,15 +51,8 @@ class TrafficLedger:
             for phase, entries in phases.items():
                 self.counts[phase, link] = self.counts.get((phase, link), 0) + entries
 
-    def per_link(self, link: tuple[int, int], phase_prefix: str = "") -> int:
-        return sum(n for (p, l), n in self.counts.items()
-                   if l == link and p.startswith(phase_prefix))
-
-    def csv_rows(self) -> list[tuple[str, str, int, int]]:
-        rows = []
-        for (phase, link), n in sorted(self.counts.items()):
-            rows.append((phase, f"{link[0]}-{link[1]}", n, n * BYTES_PER_ENTRY))
-        return rows
+    def per_link(self, link: tuple[int, int]) -> int:
+        return sum(n for (_, l), n in self.counts.items() if l == link)
 
 
 def chain_traffic(K: int, N: int, L: int | None) -> dict[str, int]:

@@ -166,7 +166,7 @@ def test_criterion_4_traffic_formula():
         for L in (1, 4):
             ledger = daisy.run_bcd(daisy.make_chain(ch, pool, sc.E_s),
                                    daisy.Schedule(L=L)).ledger
-            ok &= all(ledger.per_link(link, PHASE_SWEEP) == L * K * (N + K)
+            ok &= all(ledger.counts[PHASE_SWEEP, link] == L * K * (N + K)
                       for link in ledger.topology.links)
             if L == 4:
                 totals.add(sum(ledger.per_link(link) for link in ledger.topology.links))

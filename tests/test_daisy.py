@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chainmmse import central, model
+from chainmmse import central, harness, model
 from chainmmse.central import herm, mmse_centralized, sample_objective
 from chainmmse.daisy import (DIAG_LOAD, Schedule, bcd_block_update, bdac_init,
                              make_chain, run_bcd)
@@ -208,7 +208,7 @@ class TestRunBcd:
             sc, ch, pool, _ = make_instance(seed=14, M=M, C=4, K=4, K_int=4, N=64)
             ledger = run_bcd(make_chain(ch, pool, sc.E_s), Schedule(L=1)).ledger
             for link in ledger.topology.links:
-                assert ledger.per_link(link, PHASE_SWEEP) == sc.K ** 2 + sc.N * sc.K
+                assert ledger.counts[PHASE_SWEEP, link] == sc.K ** 2 + sc.N * sc.K
 
 
 def _ill_conditioned_trial(sc, ch, pool):
@@ -222,7 +222,8 @@ def _ill_conditioned_trial(sc, ch, pool):
 def test_ill_conditioned_local_block_gets_loaded():
     sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
                                     iot_db=None)
-    with pytest.warns(UserWarning, match="diagonal loading"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the caller warns, naming the run's trial
         chain = make_chain(*_ill_conditioned_trial(sc, ch, pool), sc.E_s)
     assert chain.loaded.any()
 
@@ -231,14 +232,17 @@ def test_near_singular_trial_in_stack_loads_only_that_trial():
     sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
                                     iot_db=None)
     ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
+    chain = make_chain(*model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool]),
+                       sc.E_s)
+    assert not chain.loaded[[0, 2]].any() and chain.loaded[1, 0]
+    # a stack of trials 5, 6 and 7 of the run: the warning names trial 6
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        chain = make_chain(*model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool]),
-                           sc.E_s)
-    assert not chain.loaded[[0, 2]].any() and chain.loaded[1, 0]
+        harness.warn_loaded(chain.loaded, sc, first=5)
     messages = [str(w.message) for w in caught]
     assert len(messages) == chain.loaded.sum()
-    assert all(", trial 1: " in m and "diagonal loading" in m for m in messages)
+    assert all(", trial 6 at Es/N0 10.0 dB, IoT None dB: " in m and "diagonal loading" in m
+               for m in messages)
     alone = make_chain(ch, pool, sc.E_s)
     for t in (0, 2):
         for c in range(sc.C):
@@ -253,8 +257,7 @@ def test_sweeps_descend_on_a_loaded_trial():
                                     iot_db=None)
     ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
     channels, pools = model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool])
-    with pytest.warns(UserWarning, match="diagonal loading"):
-        chain = make_chain(channels, pools, sc.E_s)
+    chain = make_chain(channels, pools, sc.E_s)
     assert chain.loaded[1, 0]
     values = [sample_objective(chain.W, channels.H, pools, sc.E_s)]
     for sweep in range(10):
@@ -346,9 +349,7 @@ def test_iterates_equal_the_message_form(case):
     # the chain steps W through Q_c and F_c and forms no message; the
     # message-form step it stands for gives the same iterates
     sc, channels, pool = _oracle_case(case)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        chain = make_chain(channels, pool, sc.E_s)
+    chain = make_chain(channels, pool, sc.E_s)
     assert chain.loaded.any() == (case == "loaded_stack")
     # the run's BDAC start; the loaded trial's R_cc is singular, so that stack
     # starts at W = 0

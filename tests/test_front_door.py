@@ -11,6 +11,7 @@ import io
 import math
 import os
 import tempfile
+import warnings
 
 import yaml
 from hypothesis import example, given, settings
@@ -95,6 +96,18 @@ def _closed_form(token, sc):
     return links * paper_traffic(sc.K, sc.N, depth) if name in ("bdac", "bcd") else 0
 
 
+def _names_a_grid_point(text, config):
+    return any(f"at Es/N0 {es} dB, IoT {iot} dB" in text
+               for es in config.es_n0_db for iot in config.iot_db)
+
+
+def _check_warnings(caught, config):
+    """A run may warn only of diagonal loading, naming one of its grid points."""
+    for w in caught:
+        text = str(w.message)
+        assert "diagonal loading" in text and _names_a_grid_point(text, config), text
+
+
 def _check_outcome(command, raw, sweeps, flags, out):
     """Run command on the config raw under flags (config key -> value). out
     names the --out target in a scratch directory: "out" to be made, "taken"
@@ -116,11 +129,14 @@ def _check_outcome(command, raw, sweeps, flags, out):
         before = sorted(os.listdir(tmp))
         stderr = io.StringIO()
         try:
-            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert cli.main(argv) == 0
         except SystemExit as exc:
             [line] = stderr.getvalue().splitlines()
             assert (exc.code, line.split(": error: ")[0]) == (2, f"chainmmse {command}")
+            assert caught == []
             assert sorted(os.listdir(tmp)) == before
             with open(taken) as fh:
                 assert fh.read() == "a file\n"
@@ -128,11 +144,12 @@ def _check_outcome(command, raw, sweeps, flags, out):
         except central.SingularMatrixError as exc:
             assert out != "taken" and os.listdir(out_dir) == []
             config = harness.make_config({**raw, **flags})
-            assert any(f"at Es/N0 {es} dB, IoT {iot} dB" in str(exc)
-                       for es in config.es_n0_db for iot in config.iot_db), str(exc)
+            assert _names_a_grid_point(str(exc), config), str(exc)
+            _check_warnings(caught, config)
             return "singular"
         assert out != "taken" and sorted(os.listdir(tmp)) == sorted(before + ["out"])
         config = harness.make_config({**raw, **flags})
+        _check_warnings(caught, config)
         sc = config.scenario
         if command == "run":
             rows = _rows(os.path.join(out_dir, "results.csv"))

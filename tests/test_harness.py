@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,15 +312,20 @@ class TestRunExperiment:
                                  r"trial 0 is numerically singular"):
             run_experiment(cfg)
         # the chain tokens share one chain run, and the message names them all
-        # (every local Gram matrix is rank deficient and gets loaded first)
+        # (every local Gram matrix is rank deficient, and is loaded and warned
+        # of first)
         cfg = dataclasses.replace(cfg, algorithms=("zf", "bdac", "bcd:1"))
-        with pytest.warns(UserWarning, match="diagonal loading"), \
+        with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(central.SingularMatrixError,
                               match=r"^bdac, bcd:1 at Es/N0 0\.0 dB, IoT 300\.0 dB, in "
                                     r"the stack of trials 0\.\.2 .*: cluster 0: local "
                                     r"covariance block R_cc in trial 0 is numerically "
                                     r"singular"):
+            warnings.simplefilter("always")
             run_experiment(cfg)
+        assert sorted(str(w.message) for w in caught) == sorted(
+            f"cluster {c}, trial {t} at Es/N0 0.0 dB, IoT 300.0 dB: diagonal loading of its "
+            "ill-conditioned Gram matrix" for t in range(3) for c in range(2))
 
     @pytest.mark.parametrize("iot_db, raises", [((10.0,), False), ((10.0, 300.0), True),
                                                 ((10.0,), "build")])
@@ -409,6 +415,27 @@ class TestRunExperiment:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_loading_warnings_name_the_grid_point_and_the_runs_trial(self):
+        # at 150 dB every local Gram matrix is loaded; 12 trials build in
+        # chunks of 8 and 4, and bdac and bcd:2 read one chain run
+        cfg = harness.make_config({"profile": "desk", "es_n0_db": [150.0],
+                                   "iot_db": [10.0], "algorithms": ["bdac", "bcd:2"],
+                                   "trials": 12, "symbols_per_trial": 10})
+        assert harness.chunk_trials(cfg.scenario) == 8
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        assert sorted(str(w.message) for w in caught) == sorted(
+            f"cluster {c}, trial {t} at Es/N0 150.0 dB, IoT 10.0 dB: diagonal loading of "
+            "its ill-conditioned Gram matrix" for t in range(12) for c in range(4))
+        # the trace warns of its one instance, trial 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            harness.convergence_trace(cfg.scenario.with_ratios(150.0, 10.0), cfg.seed, L=1)
+        assert [str(w.message) for w in caught] == [
+            f"cluster {c}, trial 0 at Es/N0 150.0 dB, IoT 10.0 dB: diagonal loading of its "
+            "ill-conditioned Gram matrix" for c in range(4)]
+
     def test_chunk_size_from_byte_budget(self):
         # 16 M (N + M) bytes per trial: 64 KiB on desk, 640 KiB on paper
         assert harness.chunk_trials(profile_scenario("desk")) == 8
@@ -422,7 +449,7 @@ class TestRunExperiment:
         chain = daisy.make_chain(ch, model.draw_noise_pool(ch, sc, rng_pool), sc.E_s)
         ledger = daisy.run_bcd(chain, daisy.Schedule(L=1)).ledger
         [row] = run_experiment(cfg)
-        gram = [ledger.per_link(link, PHASE_GRAM) for link in ledger.topology.links]
+        gram = [ledger.counts[PHASE_GRAM, link] for link in ledger.topology.links]
         assert gram == [paper_traffic(sc.K, sc.N, None)] * sc.C
         assert row.traffic_entries == cfg.trials * sc.C * paper_traffic(sc.K, sc.N, None)
 
@@ -893,6 +920,30 @@ class TestConvergenceTrace:
         with open(tmp_path / "traffic.csv", newline="") as fh:
             assert sum(int(r["entries"]) for r in csv.DictReader(fh)) == row.traffic_entries
 
+    @pytest.mark.parametrize("scenario", [
+        "profile: desk", "profile: desk\nscenario: {C: 3, cluster_sizes: [5, 11, 16]}",
+        "scenario: {M: 8, C: 1, K: 2, K_int: 2, N: 32}",
+        "profile: desk\nscenario: {M: 36, C: 12}"],
+        ids=["desk", "uneven", "one_cluster", "twelve_clusters"])
+    def test_trace_traffic_is_the_ledger_run_bcd_books(self, tmp_path, scenario):
+        # traffic.csv is the closed form; the ledger run_bcd books for the
+        # traced instance holds the same (phase, link) counts
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"{scenario}\nes_n0_db: [12.0]\n")
+        assert cli.main(["trace", "--config", str(path), "--sweeps", "3",
+                         "--out", str(tmp_path)]) == 0
+        config = load_config(path)
+        sc = config.scenario.with_ratios(12.0, config.iot_db[0])
+        channels, pool, _ = harness.draw_trials(sc, config.seed, 0, range(1))
+        ledger = daisy.run_bcd(daisy.make_chain(channels, pool, sc.E_s),
+                               daisy.Schedule(L=3)).ledger
+        with open(tmp_path / "traffic.csv", newline="") as fh:
+            rows = [(r["phase"], r["link"], int(r["entries"]), int(r["bytes"]))
+                    for r in csv.DictReader(fh)]
+        assert rows == [(phase, f"{a}-{b}", n, 16 * n)
+                        for (phase, (a, b)), n in sorted(ledger.counts.items())]
+        assert bool(rows) == (sc.C > 1)
+
     def test_trace_writes_to_the_config_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.yaml").write_text("profile: desk\nout_dir: cfgout\n")
@@ -911,7 +962,7 @@ class TestConvergenceTrace:
 
     def test_single_cluster_one_row_per_sweep(self):
         sc = model.Scenario(M=8, C=1, K=2, K_int=2, N=32)
-        rows, _ = harness.convergence_trace(sc, seed=2, L=5)
+        rows = harness.convergence_trace(sc, seed=2, L=5)
         assert len(rows) == 5
         assert all(r.block == 0 for r in rows)
         assert rows[0].w_error < 1e-9  # exact after the first block solve
@@ -929,7 +980,7 @@ class TestConvergenceTrace:
 
     def test_converges_and_monotone(self, tmp_path):
         sc = model.Scenario(M=16, C=4, K=4, K_int=4, N=64, es_n0_db=0.0)
-        rows, _ = harness.convergence_trace(sc, seed=3, L=400)
+        rows = harness.convergence_trace(sc, seed=3, L=400)
         assert [(r.sweep, r.block) for r in rows] == [
             (sweep, block) for sweep in range(1, 401) for block in range(4)]
         assert rows[-1].w_error < 1e-8

@@ -1,12 +1,10 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainmmse import daisy
-from chainmmse.harness import write_table
-from chainmmse.interconnect import (PHASE_GRAM, PHASE_SWEEP, Topology, chain_traffic,
-                                    predicted_traffic)
+from chainmmse import cli, daisy
+from chainmmse.interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
+                                    PHASE_SWEEP, Topology, chain_traffic, predicted_traffic)
 
 from conftest import make_instance, paper_traffic
 
@@ -60,19 +58,20 @@ class TestMeteredTraffic:
     def test_sweep_message_size(self):
         ledger = self._run(M=16, L=1)
         for link in ledger.topology.links:
-            assert ledger.per_link(link, PHASE_SWEEP) == 4 ** 2 + 64 * 4
+            assert ledger.counts[PHASE_SWEEP, link] == 4 ** 2 + 64 * 4
 
     def test_per_link_sweep_traffic_closed_form(self):
         for L in (1, 3, 7):
             ledger = self._run(M=16, L=L)
             for link in ledger.topology.links:
-                assert ledger.per_link(link, PHASE_SWEEP) == L * 4 * (64 + 4)
+                assert ledger.counts[PHASE_SWEEP, link] == L * 4 * (64 + 4)
 
     def test_preprocessing_matches_paper_accounting(self):
         ledger = self._run(M=16, L=2)
         K, N = 4, 64
         for link in ledger.topology.links:
-            assert ledger.per_link(link, "preprocess") == 3 * K * K + 2 * N * K
+            assert sum(ledger.counts[phase, link] for phase in (
+                PHASE_GRAM, PHASE_ACCUMULATE, PHASE_DISTRIBUTE)) == 3 * K * K + 2 * N * K
 
     def test_total_per_link_matches_prediction(self):
         for L in (0, 1, 4):
@@ -87,15 +86,18 @@ class TestMeteredTraffic:
         assert len(totals) == 1
 
     def test_csv_roundtrip(self, tmp_path):
-        ledger = self._run(M=16, L=1)
-        path = tmp_path / "traffic.csv"
-        write_table(path, ledger.CSV_COLUMNS, ledger.csv_rows())
-        lines = path.read_text().strip().splitlines()
+        # the trace's traffic.csv at C = 12: the closed form, 16 bytes per entry,
+        # by phase and then by link as a tuple, so 2-3 comes before 10-11
+        path = tmp_path / "twelve.yaml"
+        path.write_text("profile: desk\nscenario: {M: 36, C: 12}\n")
+        assert cli.main(["trace", "--config", str(path), "--sweeps", "2",
+                         "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "traffic.csv").read_text().splitlines()
         assert lines[0] == "phase,link,entries,bytes"
-        assert len(lines) == len(ledger.csv_rows()) + 1
-        assert lines[1:] == [",".join(map(str, row)) for row in ledger.csv_rows()]
-        assert sum(row[2] for row in ledger.csv_rows()) == sum(
-            ledger.per_link(link) for link in ledger.topology.links)
-        for row in ledger.csv_rows():
-            assert row[3] == 16 * row[2]
+        links = [f"{c}-{(c + 1) % 12}" for c in range(12)]
+        assert lines[1:] == [f"{phase},{link},{n},{16 * n}"
+                             for phase, n in sorted(chain_traffic(4, 96, 2).items())
+                             for link in links]
+        assert sum(int(line.split(",")[2]) for line in lines[1:]) == 12 * paper_traffic(
+            4, 96, 2)
 
