@@ -45,12 +45,12 @@ class Constellation:
 
     def decide_in_place(self, est: np.ndarray) -> np.ndarray:
         """uint8 symbol index of the nearest point to every estimate
-        est[0] + 1j * est[1]. est, a float64 array, is overwritten: each axis
-        by its nearest amplitude level, the real one then by the pair's index
-        into a table of symbol indices. An axis at x times the scale is
-        nearest the odd amplitude 2 floor(x / 2) + 1, so an estimate a few
-        ulps off a boundary, 0 among them, is decided to its own side."""
-        np.divide(est, 2.0 * self.scale, out=est)
+        est[0] + 1j * est[1], in units of the level spacing 2 scale: the levels
+        are then the half-integers and the boundaries the integers. est, a
+        float64 array, is overwritten: each axis by its nearest amplitude
+        level, the real one then by the pair's index into a table of symbol
+        indices. floor is exact, so an estimate an ulp off a boundary, 0 among
+        them, is decided to its own side."""
         np.floor(est, out=est)
         np.subtract(self.side // 2 - 1, est, out=est)
         np.clip(est, 0, self.side - 1, out=est)
@@ -215,20 +215,20 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     binary). channels is the chunk's stack of T trials (model.stack_trials),
     and scenario the one the frames were made with.
 
-    The estimates W Y / scale are W's gain on each part of the frame, summed:
-    (W H) S + (sqrt(p_int) / scale) (W H_int) X + (sqrt(sigma2) / scale) W Z.
-    The real form of each gain (_real_form) maps the real rows of its part to
-    the real and imaginary estimates: [Re S; Im S], then the normals [a; b]
-    and [c; d] of the frame's stream. A trial's estimates start from its
-    symbols. Its normals are then replayed from the frame's noise_state in
-    stream order, DRAW_BYTES of whole rows at a time into a buffer of its
-    lane, and each block is folded into the estimates, held whole in a second
-    buffer of the lane, as soon as it is drawn. Both products and the
-    decisions, made in place on the estimates, run in blocks of columns,
-    DETECT_BYTES of estimates each. The trials are a job of lanes, the run's
-    Lanes, whose lanes (one or two, see lanes) take them one at a time from
-    one shared counter; each lane draws and equalizes the trials it takes, so
-    the counts do not depend on the lanes.
+    The estimates are W Y / scale in units of the level spacing 2 const.scale:
+    (W H) S + (sqrt(p_int) / scale) (W H_int) X + (sqrt(sigma2) / scale) W Z,
+    W's gain on each part of the frame, summed. The real form of each gain
+    (_real_form) maps the real rows of its part to the real and imaginary
+    estimates: [Re S; Im S], then the normals [a; b] and [c; d] of the frame's
+    stream. A trial's estimates start from its symbols. Its normals are then
+    replayed from the frame's noise_state in stream order, DRAW_BYTES of whole
+    rows at a time into a buffer of its lane, and each block is folded into the
+    estimates, held whole in a second buffer of the lane, as soon as it is
+    drawn. Both products and the decisions, made in place on the estimates, run
+    in blocks of columns, DETECT_BYTES of estimates each. The trials are a job
+    of lanes, the run's Lanes, whose lanes (one or two, see lanes) take them
+    one at a time from one shared counter; each lane draws and equalizes the
+    trials it takes, so the counts do not depend on the lanes.
 
     Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2]: the
     halves of out, an int64 (2,) + W.shape[:-2] array it overwrites, or of a
@@ -257,6 +257,7 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     G = np.concatenate([_real_form(np.moveaxis(P, 1, 0).reshape(T, AK, -1)) for P in gains],
                        axis=-1)
     del gains  # freed before the lanes run
+    G *= 0.5 / const.scale  # the estimates in units of the level spacing
     rows = G.shape[-1]
     block = max(1, DETECT_BYTES // (16 * AK))
 

@@ -10,10 +10,11 @@ subset, and trials may run in any order.
 Trials are drawn one by one and built in chunks stacked along a leading trial
 axis: all chain algorithms read theirs from one chain run (bdac at its start,
 bcd:L after L sweeps), then each centralized one builds a chunk in one call,
-mmse_sampleR from the chain's R_hat. The chunk's equalizers form one algorithm
-x trial stack, scored by one objective call; a trial's equalizers do not depend
-on its chunk. Each trial draws one frame, in trial order, and the chunk's
-frames are equalized and decided for all algorithms in one detection call.
+mmse_sampleR from the chain's R_hat, else from its pool's sample covariance.
+The chunk's equalizers form one algorithm x trial stack, scored by one
+objective call; a trial's equalizers do not depend on its chunk. Each trial
+draws one frame, in trial order, and the chunk's frames are equalized and
+decided for all algorithms in one detection call.
 On two lanes it returns once lane 1 holds the chunk, and the next chunk, of
 this point or the next, is built meanwhile; the next call, or the run's end,
 joins it, taking the trials lane 1 has not from their shared counter. Which
@@ -243,13 +244,16 @@ def chunk_trials(scenario: model.Scenario) -> int:
     return max(1, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
 
 
-def _build_equalizer(token: str, channels, R_hat, sc: model.Scenario) -> np.ndarray:
-    """T x K x M equalizers of a centralized solver for a stack of trials."""
+def _build_equalizer(token: str, channels, pool, sc: model.Scenario, R_hat) -> np.ndarray:
+    """T x K x M equalizers of a centralized solver for a stack of trials;
+    mmse_sampleR solves with R_hat, the chain's, or if None with the pool's."""
     if token == "zf":
         return central.zf_centralized(channels.H)
     if token == "mmse_exactR":
         sigma2, p_int, _ = model.powers_from_ratios(sc)
         return central.mmse_exact(channels.H, channels.H_int, sigma2, p_int, sc.E_s)
+    if R_hat is None:
+        R_hat = model.sample_covariance(pool)
     return central.mmse_centralized(channels.H, R_hat, sc.E_s)
 
 
@@ -261,15 +265,14 @@ def warn_loaded(loaded: np.ndarray, sc: model.Scenario, first: int = 0) -> None:
                       f"{sc.iot_db} dB: diagonal loading of its ill-conditioned Gram matrix")
 
 
-def _run_chain(depths: dict[str, int], channels, pool, sc: model.Scenario, first: int):
-    """One chain run over a stack of trials from first on to the deepest of depths
-    (chain token -> sweeps, bdac 0): its R_hat and {token: T x K x M equalizers}."""
+def _run_chain(channels, pool, sc: model.Scenario, first: int, keep):
+    """One chain run over a stack of trials from first on, through the sweeps
+    that reach the most block updates in keep: its R_hat and {u: T x K x M
+    equalizers after u block updates} for every u in keep (0 the BDAC start)."""
     chain = daisy.make_chain(channels, pool, sc.E_s)
     warn_loaded(chain.loaded, sc, first)
-    C = len(chain.slices)
-    result = daisy.run_bcd(chain, daisy.Schedule(L=max(depths.values())),
-                           keep={L * C for L in depths.values()})
-    return chain.R_hat, {t: result.kept[L * C] for t, L in depths.items()}
+    result = daisy.run_bcd(chain, daisy.Schedule(L=math.ceil(max(keep) / sc.C)), keep=keep)
+    return chain.R_hat, result.kept
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -285,11 +288,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
     parsed = [parse_algorithm(token) for token in config.algorithms]
-    depths = {t: L or 0 for t, (name, L) in zip(config.algorithms, parsed)
-              if name in ("bdac", "bcd")}
+    # chain token -> the block updates its W reads: bdac 0, bcd:L L C
+    updates = {t: (L or 0) * config.scenario.C for t, (name, L) in zip(config.algorithms, parsed)
+               if name in ("bdac", "bcd")}
     # the chain tokens share one build, timed as the deepest; it runs first
-    builds = [tuple(depths)] if depths else []
-    builds += [(t,) for t in config.algorithms if t not in depths]
+    builds = [tuple(updates)] if updates else []
+    builds += [(t,) for t in config.algorithms if t not in updates]
     A = len(config.algorithms)
     axis = {t: a for a, t in enumerate(config.algorithms)}  # the algorithm axis
     grid = [(es, iot) for iot in config.iot_db for es in config.es_n0_db]
@@ -304,27 +308,24 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
         for first in range(0, config.trials, chunk):
             channels, pool, data_rngs = draw_trials(
                 sc, config.seed, p, range(first, min(first + chunk, config.trials)))
-            T = len(data_rngs)
-            # mmse_sampleR reads the chain's R_hat when a chain token runs
-            R_hat = (model.sample_covariance(pool)
-                     if "mmse_sampleR" in axis and not depths else None)
+            T, R_hat = len(data_rngs), None
             W = np.empty((A, T, sc.K, sc.M), dtype=complex)
             for tokens in builds:
                 t0 = time.perf_counter()
                 try:
-                    if tokens[0] in depths:
-                        R_hat, built = _run_chain(depths, channels, pool, sc, first)
-                        for t, W_t in built.items():
-                            W[axis[t]] = W_t
+                    if tokens[0] in updates:
+                        R_hat, kept = _run_chain(channels, pool, sc, first, updates.values())
+                        for t, u in updates.items():
+                            W[axis[t]] = kept[u]
                     else:
-                        W[axis[tokens[0]]] = _build_equalizer(tokens[0], channels,
-                                                              R_hat, sc)
+                        W[axis[tokens[0]]] = _build_equalizer(tokens[0], channels, pool,
+                                                              sc, R_hat)
                 except central.SingularMatrixError as exc:
                     raise central.SingularMatrixError(
                         f"{', '.join(tokens)} at Es/N0 {es} dB, IoT {iot} dB, in the "
                         f"stack of trials {first}..{first + T - 1} (stack "
                         f"trial t is trial {first} + t): {exc}") from exc
-                wall[p, axis[max(tokens, key=lambda t: depths.get(t, 0))]] += (
+                wall[p, axis[max(tokens, key=lambda t: updates.get(t, 0))]] += (
                     time.perf_counter() - t0)
             objective[p, :, first:first + T] = central.sample_objective(W, channels.H, pool,
                                                                         sc.E_s)
@@ -374,22 +375,19 @@ class TraceRow:
 
 
 def convergence_trace(scenario: model.Scenario, seed: int, L: int) -> list[TraceRow]:
-    """Run one chain instance, drawn as trial 0 of grid point 0 of the seed;
-    report per-block-update distance to the optimum."""
+    """Run one chain instance, drawn as trial 0 of grid point 0 of the seed,
+    then its W*, as a run of mmse_sampleR and bcd:L builds them; report
+    per-block-update distance to the optimum."""
     channels, pool, _ = draw_trials(scenario, seed, 0, range(1))  # a stack of one
-    chain = daisy.make_chain(channels, pool, scenario.E_s)
-    warn_loaded(chain.loaded, scenario)
-    W_star = central.mmse_centralized(channels.H, chain.R_hat, scenario.E_s)[0]
+    R_hat, kept = _run_chain(channels, pool, scenario, 0, range(1, L * scenario.C + 1))
+    W_star = _build_equalizer("mmse_sampleR", channels, pool, scenario, R_hat)[0]
     norm_star = np.linalg.norm(W_star, "fro")
-    C = len(chain.slices)
-    result = daisy.run_bcd(chain, daisy.Schedule(L=L), keep=range(1, L * C + 1))
     rows = []
-    for u, W in result.kept.items():  # stacks of one trial
-        sweep, block = divmod(u - 1, C)
+    for u, W in kept.items():  # stacks of one trial
+        sweep, block = divmod(u - 1, scenario.C)
         obj = central.sample_objective(W[0], channels.H[0], pool[0], scenario.E_s)
         err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
-        rows.append(TraceRow(sweep=sweep + 1, block=block, objective=float(obj),
-                             w_error=float(err)))
+        rows.append(TraceRow(sweep + 1, block, float(obj), float(err)))
     return rows
 
 

@@ -47,20 +47,29 @@ def demodulate_hard(s_hat, constellation):
 
 
 def decide(s_hat, constellation):
-    """Constellation.decide_in_place on a copy of the estimates."""
+    """Constellation.decide_in_place on a copy of the estimates, given in
+    units of the level spacing."""
     s_hat = np.asarray(s_hat)
     return constellation.decide_in_place(np.stack([s_hat.real, s_hat.imag]))
 
 
+def spaced(constellation):
+    """The constellation's points in units of the level spacing 2 scale:
+    exact half-integers, an odd multiple of scale over 2 scale each."""
+    p = constellation.points / constellation.scale
+    return (np.round(p.real) + 1j * np.round(p.imag)) / 2
+
+
 def exact_nearest(re, im, constellation):
     """Brute-force oracle in exact arithmetic: for every estimate re + 1j im,
-    a mask of the points at the least squared distance from it. The floats
-    are taken as integers in units of the least subnormal, 2**-1074."""
+    in units of the level spacing, a mask of the points at the least squared
+    distance from it. The floats are taken as integers in units of the least
+    subnormal, 2**-1074."""
     def exact(x):
         return np.array([n * (2 ** 1074 // d) for n, d in
                          (float(v).as_integer_ratio() for v in np.ravel(x))], dtype=object)
 
-    p = constellation.points
+    p = spaced(constellation)
     d = ((exact(re)[:, None] - exact(p.real)) ** 2
          + (exact(im)[:, None] - exact(p.imag)) ** 2)
     return d == d.min(axis=1)[:, None]
@@ -146,9 +155,10 @@ class TestModulate:
 
 
 def _axis(constellation):
-    """The amplitudes of an axis, ascending, and the decision boundaries
-    between neighbours, their midpoints."""
-    amp = np.unique(constellation.points.real)
+    """The amplitudes of an axis in units of the level spacing, ascending, and
+    the decision boundaries between neighbours, their midpoints: the
+    half-integers and the integers between them."""
+    amp = np.unique(spaced(constellation).real)
     return amp, (amp[:-1] + amp[1:]) / 2
 
 
@@ -158,22 +168,24 @@ class TestDemodulate:
         c = Constellation(order)
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=c.bits_per_symbol * 256)
-        np.testing.assert_array_equal(symbol_bits(decide(modulate(bits, c), c), c), bits)
-        np.testing.assert_array_equal(demodulate_hard(modulate(bits, c), c), bits)
+        sym = modulate(bits, c)
+        np.testing.assert_array_equal(symbol_bits(decide(sym / (2 * c.scale), c), c), bits)
+        np.testing.assert_array_equal(demodulate_hard(sym, c), bits)
 
     def test_small_perturbation_same_decision(self):
         c = Constellation(16)
         bits = np.array([1, 0, 1, 1])
-        sym = modulate(bits, c)
+        sym = modulate(bits, c) / (2 * c.scale)
         np.testing.assert_array_equal(symbol_bits(decide(sym + 1e-6 * (1 + 1j), c), c), bits)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_brute_force_nearest_point_oracle(self, order):
+        # in units of the level spacing, the points of 64-QAM reach +-3.5
         c = Constellation(order)
         rng = np.random.default_rng(2)
-        soft = 2.0 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+        soft = c.side / 2 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
         got = symbol_bits(decide(soft, c), c).reshape(500, -1)
-        nearest = np.argmin(np.abs(soft[:, None] - c.points[None, :]), axis=1)
+        nearest = np.argmin(np.abs(soft[:, None] - spaced(c)[None, :]), axis=1)
         bps = c.bits_per_symbol
         oracle = np.array([[(s >> (bps - 1 - j)) & 1 for j in range(bps)]
                            for s in nearest])
@@ -181,19 +193,18 @@ class TestDemodulate:
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_decisions_beside_every_boundary_are_the_nearest_point(self, order):
-        # each axis at a level, or 2 to 4 ulps or 1e-9 relative to either side
-        # of a boundary (one ulp off, the quotient by 2 scale of decide_in_place
-        # may round onto it); every pair, so beside a boundary on one axis or
-        # at the corner of four points
+        # each axis at a level, or 1 to 4 ulps or 1e-9 relative to either side
+        # of a boundary, an integer; every pair, so beside a boundary on one
+        # axis or at the corner of four points
         c = Constellation(order)
         amp, bounds = _axis(c)
         values = list(amp)
         for b in bounds:
-            step = 1e-9 * max(abs(b), c.scale)
+            step = 1e-9 * max(abs(b), 0.5)
             values += [b - step, b + step]
             for direction in (-np.inf, np.inf):
-                x = np.nextafter(b, direction)
-                for _ in range(3):  # 2, 3 and 4 ulps off
+                x = b
+                for _ in range(4):  # 1, 2, 3 and 4 ulps off
                     x = np.nextafter(x, direction)
                     values.append(x)
         re, im = (v.ravel() for v in np.meshgrid(values, values))
@@ -210,7 +221,7 @@ class TestDemodulate:
         values = np.concatenate([amp, bounds])
         nearest = [{a} for a in amp] + [{amp[j], amp[j + 1]} for j in range(len(bounds))]
         i, q = (v.ravel() for v in np.meshgrid(range(len(values)), range(len(values))))
-        got = c.points[decide(values[i] + 1j * values[q], c)]
+        got = spaced(c)[decide(values[i] + 1j * values[q], c)]
         for n in range(len(got)):
             assert got[n].real in nearest[i[n]] and got[n].imag in nearest[q[n]]
 
@@ -220,7 +231,8 @@ class TestDemodulate:
         c = Constellation(order)
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=c.bits_per_symbol * 32)
-        np.testing.assert_array_equal(symbol_bits(decide(modulate(bits, c), c), c), bits)
+        sym = modulate(bits, c) / (2 * c.scale)
+        np.testing.assert_array_equal(symbol_bits(decide(sym, c), c), bits)
 
 
 def _equalizer_stack(ch, rng):

@@ -916,7 +916,7 @@ class TestConvergenceTrace:
         with open(tmp_path / "trace.csv", newline="") as fh:
             trace = list(csv.DictReader(fh))
         assert (row.algorithm, row.L, row.es_n0_db) == ("bcd", 7, 12.0)
-        assert float(trace[-1]["objective"]) == pytest.approx(row.objective, rel=1e-12)
+        assert float(trace[-1]["objective"]) == row.objective
         with open(tmp_path / "traffic.csv", newline="") as fh:
             assert sum(int(r["entries"]) for r in csv.DictReader(fh)) == row.traffic_entries
 
@@ -943,6 +943,26 @@ class TestConvergenceTrace:
         assert rows == [(phase, f"{a}-{b}", n, 16 * n)
                         for (phase, (a, b)), n in sorted(ledger.counts.items())]
         assert bool(rows) == (sc.C > 1)
+
+    def test_trace_fails_where_the_run_fails(self, tmp_path):
+        # one interferer 300 dB over the thermal noise: the run of mmse_sampleR
+        # and bcd:2 stops at the chain's first local block, and so does the
+        # trace, whose W* is the run's mmse_sampleR build after its chain; both
+        # warn of the loaded local Gram matrices first
+        path = tmp_path / "loud.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, K_int: 1, N: 16}\n"
+                        "es_n0_db: [0.0]\niot_db: [300.0]\n")
+        errors = []
+        for argv in (["run", "--algorithms", "mmse_sampleR,bcd:2"], ["trace", "--sweeps", "2"]):
+            with (pytest.warns(UserWarning, match="diagonal loading"),
+                  pytest.raises(central.SingularMatrixError) as exc):
+                cli.main([*argv, "--config", str(path), "--out", str(tmp_path)])
+            errors.append(exc.value)
+        run, trace = errors
+        assert str(trace).startswith("trace of trial 0 at Es/N0 0.0 dB, IoT 300.0 dB: "
+                                     "cluster 0: local covariance block R_cc")
+        assert str(trace) == f"trace of trial 0 at Es/N0 0.0 dB, IoT 300.0 dB: {run.__cause__}"
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_trace_writes_to_the_config_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
