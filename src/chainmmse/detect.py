@@ -7,6 +7,7 @@ amplitude, so QPSK bits 00 -> (+1+j)/sqrt(2).
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -132,6 +133,51 @@ def lanes(n_trials: int, trial_bytes: int) -> int:
     return min(2, n_trials, len(os.sched_getaffinity(0)))
 
 
+def _openblas() -> list[tuple]:
+    """The (get, set) thread-count functions of every loaded library that
+    /proc/self/maps names OpenBLAS and that exports them, as numpy's own
+    wheels (scipy_openblas_*_num_threads64_) and a system OpenBLAS
+    (openblas_*_num_threads) do; scipy's 32-bit wheel library does not, and
+    numpy does not call it. Empty where that map cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({f[-1] for f in (line.split() for line in fh)
+                            if len(f) >= 6 and "openblas" in os.path.basename(f[-1]).lower()})
+    except OSError:
+        return []
+    import ctypes
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                found.append((get, put))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread (every library
+    _openblas finds), each library's count restored after it, on return or
+    raise; where it finds none, do nothing. A run's lanes are its
+    parallelism: BLAS threads beside them would share their CPUs, and sum in
+    another order on another count. The count is the process's: two blocks
+    open at once in two threads restore each other's counts."""
+    libs = _openblas()
+    prior = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(libs, prior):
+            put(n)
+
+
 class _Lane:
     """A lane's buffers, each grown to the largest trial the lane has run (the
     trial's estimates, and a block of its replayed rows), and its replay
@@ -154,16 +200,20 @@ class Lanes:
     chainmmse-lane-1_0, of a concurrent.futures.ThreadPoolExecutor made by the
     first two-lane job; the job's Future carries lane 1's error to wait(). The
     buffers are kept between jobs, so a chunk does not fault in again the pages
-    of the chunk before. close(), or the end of a with block, ends the job lane
-    1 holds unfinished, shuts the executor down, joining its thread, and drops
-    both lanes' buffers. A Lanes serves one caller at a time.
+    of the chunk before. A with block runs BLAS at one thread (one_blas_thread)
+    from its start to close(). close(), or the end of a with block, ends the
+    job lane 1 holds unfinished, shuts the executor down, joining its thread,
+    restores the BLAS thread count, and drops both lanes' buffers. A Lanes
+    serves one caller at a time.
     """
 
     def __init__(self):
         self._lanes = (_Lane(), _Lane())
         self._pool = self._job = None
+        self._blas = contextlib.ExitStack()
 
     def __enter__(self) -> Lanes:
+        self._blas.enter_context(one_blas_thread())
         return self
 
     def __exit__(self, *exc) -> None:
@@ -202,6 +252,7 @@ class Lanes:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        self._blas.close()  # once lane 1's thread is joined
         self._lanes = (_Lane(), _Lane())
 
 

@@ -39,7 +39,8 @@ from . import central, daisy, detect, interconnect, model
 KNOWN_ALGORITHMS = ("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd")
 
 # bytes of stacked trial data per chunk; a chunk of the desk profile holds
-# 8 trials, one of the paper profile a single trial
+# 8 trials. A chunk holds at least two (chunk_trials), so one of the paper
+# profile, whose trial alone is over the budget, holds two
 CHUNK_BYTES = 1 << 19
 
 
@@ -240,8 +241,9 @@ def draw_trials(scenario: model.Scenario, seed: int, point_index: int, trials: r
 
 def chunk_trials(scenario: model.Scenario) -> int:
     """Trials built as one stack: CHUNK_BYTES over a trial's complex noise
-    samples and covariance matrix, 16 M (N + M) bytes."""
-    return max(1, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
+    samples and covariance matrix, 16 M (N + M) bytes, and at least two, as a
+    chunk of one trial detects in one lane, with lane 1 idle (detect.lanes)."""
+    return max(2, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
 
 
 def _build_equalizer(token: str, channels, pool, sc: model.Scenario, R_hat) -> np.ndarray:
@@ -280,8 +282,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     two detection lanes serve every chunk: lane 1 detects a chunk while the
     next, of this grid point or the next, is built, and the calling thread
     joins it, from the trials' shared counter, at the next detection call or
-    at the run's end. The lane thread is joined, and the buffers dropped,
-    when the run returns or raises."""
+    at the run's end. The lanes are the run's parallelism: BLAS runs at one
+    thread while they are open (detect.one_blas_thread). The lane thread is
+    joined, the BLAS thread count restored, and the buffers dropped, when the
+    run returns or raises."""
     with detect.Lanes() as lanes:
         return _run_grid(config, lanes)
 
@@ -376,18 +380,19 @@ class TraceRow:
 
 def convergence_trace(scenario: model.Scenario, seed: int, L: int) -> list[TraceRow]:
     """Run one chain instance, drawn as trial 0 of grid point 0 of the seed,
-    then its W*, as a run of mmse_sampleR and bcd:L builds them; report
-    per-block-update distance to the optimum."""
-    channels, pool, _ = draw_trials(scenario, seed, 0, range(1))  # a stack of one
-    R_hat, kept = _run_chain(channels, pool, scenario, 0, range(1, L * scenario.C + 1))
-    W_star = _build_equalizer("mmse_sampleR", channels, pool, scenario, R_hat)[0]
-    norm_star = np.linalg.norm(W_star, "fro")
-    rows = []
-    for u, W in kept.items():  # stacks of one trial
-        sweep, block = divmod(u - 1, scenario.C)
-        obj = central.sample_objective(W[0], channels.H[0], pool[0], scenario.E_s)
-        err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
-        rows.append(TraceRow(sweep + 1, block, float(obj), float(err)))
+    then its W*, as a run of mmse_sampleR and bcd:L builds them, at one BLAS
+    thread as a run builds; report per-block-update distance to the optimum."""
+    with detect.one_blas_thread():
+        channels, pool, _ = draw_trials(scenario, seed, 0, range(1))  # a stack of one
+        R_hat, kept = _run_chain(channels, pool, scenario, 0, range(1, L * scenario.C + 1))
+        W_star = _build_equalizer("mmse_sampleR", channels, pool, scenario, R_hat)[0]
+        norm_star = np.linalg.norm(W_star, "fro")
+        rows = []
+        for u, W in kept.items():  # stacks of one trial
+            sweep, block = divmod(u - 1, scenario.C)
+            obj = central.sample_objective(W[0], channels.H[0], pool[0], scenario.E_s)
+            err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
+            rows.append(TraceRow(sweep + 1, block, float(obj), float(err)))
     return rows
 
 

@@ -52,6 +52,23 @@ def _counted(rows: list[ResultRow]) -> list[ResultRow]:
     return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
 
 
+@pytest.fixture
+def blas_at_two():
+    """Every loaded OpenBLAS library at two threads, the library default on two
+    CPUs; yields a reader of their counts, and restores the counts after."""
+    libs = detect._openblas()
+    if not libs:
+        assert "openblas" not in np.show_config(mode="dicts")["Build Dependencies"][
+            "blas"].get("name", "")  # numpy's own OpenBLAS is found
+        pytest.skip("no OpenBLAS library loaded")
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(2)
+    yield lambda: [get() for get, _ in libs]
+    for (_, put), n in zip(libs, before):
+        put(n)
+
+
 class TestConfig:
     def test_parse_algorithm_tokens(self):
         assert parse_algorithm("zf") == ("zf", None)
@@ -403,12 +420,12 @@ class TestRunExperiment:
             assert bcd.ber <= bdac.ber + 2.0 * se, f"Es/N0={es}"
 
     def test_results_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
-        # 5 trials: chunks of 8 (one stack), of 2 (2+2+1) and of 1
+        # 5 trials: chunks of 8 (one stack), of 2 (2+2+1) and of 3 (3+2)
         cfg = _small_config(algorithms=("zf", "mmse_exactR", "mmse_sampleR", "bdac",
                                         "bcd:3"), trials=5)
         assert harness.chunk_trials(cfg.scenario) >= 5
         blobs = []
-        for budget in (harness.CHUNK_BYTES, 2 * 16 * 8 * (16 + 8), 1):
+        for budget in (harness.CHUNK_BYTES, 2 * 16 * 8 * (16 + 8), 3 * 16 * 8 * (16 + 8)):
             monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
             path = tmp_path / f"{budget}.csv"
             emit_csv(run_experiment(cfg), path)
@@ -437,9 +454,18 @@ class TestRunExperiment:
             "ill-conditioned Gram matrix" for c in range(4)]
 
     def test_chunk_size_from_byte_budget(self):
-        # 16 M (N + M) bytes per trial: 64 KiB on desk, 640 KiB on paper
+        # 16 M (N + M) bytes per trial: 64 KiB on desk, 640 KiB on paper, over
+        # the budget alone, so its chunks hold the least, two trials
         assert harness.chunk_trials(profile_scenario("desk")) == 8
-        assert harness.chunk_trials(profile_scenario("paper")) == 1
+        assert harness.chunk_trials(profile_scenario("paper")) == 2
+        # a run of one trial builds a chunk of one: its bcd:1 row is the trace's
+        # last block update
+        sc = profile_scenario("paper")
+        [row] = run_experiment(ExperimentConfig(scenario=sc, es_n0_db=(0.0,), iot_db=(10.0,),
+                                                algorithms=("bcd:1",), trials=1,
+                                                symbols_per_trial=10, seed=3))
+        last = harness.convergence_trace(sc.with_ratios(0.0, 10.0), seed=3, L=1)[-1]
+        assert row.symbols == sc.K * 10 and row.objective == last.objective
 
     def test_bdac_traffic_is_the_schedule_gram_phase(self):
         cfg = _small_config(algorithms=("bdac",))
@@ -582,6 +608,22 @@ class TestOverlap:
         assert counts[1].shape == (2, 4, 40) and counts[1][:, :, :20].all()
         np.testing.assert_array_equal(counts[2], counts[1])
         assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+    def test_blas_runs_at_one_thread_on_both_lanes(self, monkeypatch, blas_at_two):
+        # each lane's share of a detection job reads the BLAS thread count as
+        # it starts, on the lane's own thread; chunks of the least, two trials
+        take, seen = detect._take, []
+
+        def take_and_look(work, trials, lane):
+            seen.append((threading.current_thread().name, blas_at_two()))
+            take(work, trials, lane)
+
+        monkeypatch.setattr(detect, "_take", take_and_look)
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 0)
+        run_experiment(_small_config(trials=4))
+        ones = [1] * len(blas_at_two())
+        assert sorted(seen) == [("MainThread", ones)] * 2 + [("chainmmse-lane-1_0", ones)] * 2
+        assert blas_at_two() == [2] * len(ones)  # the count before the run, back
 
     def test_a_points_last_chunk_is_held_at_the_next_points_draw(self, monkeypatch, cpus):
         # desk chunks of 8 and 2 trials at each of three grid points
@@ -963,6 +1005,48 @@ class TestConvergenceTrace:
                                      "cluster 0: local covariance block R_cc")
         assert str(trace) == f"trace of trial 0 at Es/N0 0.0 dB, IoT 300.0 dB: {run.__cause__}"
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_trace_builds_at_one_blas_thread(self, monkeypatch, blas_at_two):
+        build, seen = harness._build_equalizer, []
+
+        def build_and_look(*args):
+            seen.append(blas_at_two())
+            return build(*args)
+
+        monkeypatch.setattr(harness, "_build_equalizer", build_and_look)
+        harness.convergence_trace(profile_scenario("desk").with_ratios(0.0, 10.0), seed=1, L=1)
+        ones = [1] * len(blas_at_two())
+        assert seen == [ones] and blas_at_two() == [2] * len(ones)
+
+    def test_a_failed_run_and_trace_restore_the_blas_threads(self, tmp_path, blas_at_two):
+        # the config of test_trace_fails_where_the_run_fails: both raise
+        path = tmp_path / "loud.yaml"
+        path.write_text("scenario: {M: 8, C: 2, K: 2, K_int: 1, N: 16}\n"
+                        "es_n0_db: [0.0]\niot_db: [300.0]\n")
+        for argv in (["run", "--algorithms", "mmse_sampleR,bcd:2"], ["trace", "--sweeps", "2"]):
+            with (pytest.warns(UserWarning, match="diagonal loading"),
+                  pytest.raises(central.SingularMatrixError)):
+                cli.main([*argv, "--config", str(path), "--out", str(tmp_path)])
+            assert set(blas_at_two()) == {2}
+
+    @pytest.mark.parametrize("missing", ["symbols", "maps"])
+    def test_without_openblas_the_pin_does_nothing(self, monkeypatch, blas_at_two, missing):
+        # every library loads without the thread functions, or no map of the
+        # loaded libraries can be read
+        import ctypes
+
+        def refuse(*args):
+            raise OSError("no map")
+
+        if missing == "symbols":
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        else:
+            monkeypatch.setattr(detect, "open", refuse, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with detect.one_blas_thread():
+                assert set(blas_at_two()) == {2}
+        assert set(blas_at_two()) == {2}
 
     def test_trace_writes_to_the_config_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
