@@ -136,11 +136,13 @@ def sample_objective(W: np.ndarray, H: np.ndarray, pool: np.ndarray, E_s: float)
 
     This is the quadratic the decentralized sweeps descend on; its unique
     minimizer is mmse_centralized(H, sample_covariance(pool), E_s). Returns
-    one value per matrix of a stack (W may carry leading axes beyond H's),
-    a scalar for a single matrix.
+    one value per matrix of a stack, a scalar for a single matrix. W may carry
+    leading axes beyond H's, such as a run's algorithms: it is scored one
+    index of them at a time, so only that index's W n products are held.
     """
-    K = H.shape[-1]
-    fit = W @ H - np.eye(K)
-    noise = W @ pool
-    return (E_s * np.linalg.norm(fit, "fro", axis=(-2, -1)) ** 2
-            + np.linalg.norm(noise, "fro", axis=(-2, -1)) ** 2 / pool.shape[-1])
+    eye = np.eye(H.shape[-1])
+    value = np.empty(W.shape[:-2])
+    for i in np.ndindex(W.shape[:W.ndim - H.ndim]):
+        value[i] = (E_s * np.linalg.norm(W[i] @ H - eye, "fro", axis=(-2, -1)) ** 2
+                    + np.linalg.norm(W[i] @ pool, "fro", axis=(-2, -1)) ** 2 / pool.shape[-1])
+    return value[()]

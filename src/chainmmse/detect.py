@@ -8,6 +8,7 @@ amplitude, so QPSK bits 00 -> (+1+j)/sqrt(2).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -116,11 +117,21 @@ def make_frame(scenario: Scenario, n_symbols: int, rng: np.random.Generator,
     return Frame(sym, rng.bit_generator.state)
 
 
-def _real_form(Q: np.ndarray) -> np.ndarray:
-    """The real matrices [[Re Q, -Im Q], [Im Q, Re Q]] of a (..., r, m) stack:
-    each maps the rows [x; y] to the real and imaginary parts of Q (x + 1j y)."""
-    return np.concatenate([np.concatenate([Q.real, -Q.imag], axis=-1),
-                           np.concatenate([Q.imag, Q.real], axis=-1)], axis=-2)
+def _real_form(gains: list[np.ndarray]) -> np.ndarray:
+    """The real forms [[Re P, -Im P], [Im P, Re P]] of (A, T, K, m) stacks of
+    gains P, side by side in one T x 2AK x 2(sum of m) array, written into it
+    part by part: trial t's matrix maps the rows [x; y] of every part to the
+    real and imaginary parts of the sum of P[:, t] (x + 1j y) over the parts."""
+    A, T, K = gains[0].shape[:3]
+    G = np.empty((T, 2, A, K, 2 * sum(P.shape[-1] for P in gains)))
+    c = 0
+    for P in gains:
+        P, m = np.moveaxis(P, 1, 0), P.shape[-1]
+        G[:, 0, ..., c:c + m] = G[:, 1, ..., c + m:c + 2 * m] = P.real
+        G[:, 1, ..., c:c + m] = P.imag
+        np.negative(P.imag, out=G[:, 0, ..., c + m:c + 2 * m])
+        c += 2 * m
+    return G.reshape(T, 2 * A * K, -1)
 
 
 def lanes(n_trials: int, trial_bytes: int) -> int:
@@ -133,18 +144,20 @@ def lanes(n_trials: int, trial_bytes: int) -> int:
     return min(2, n_trials, len(os.sched_getaffinity(0)))
 
 
-def _openblas() -> list[tuple]:
+@functools.cache
+def _openblas() -> tuple[tuple, ...]:
     """The (get, set) thread-count functions of every loaded library that
     /proc/self/maps names OpenBLAS and that exports them, as numpy's own
     wheels (scipy_openblas_*_num_threads64_) and a system OpenBLAS
     (openblas_*_num_threads) do; scipy's 32-bit wheel library does not, and
-    numpy does not call it. Empty where that map cannot be read."""
+    numpy does not call it. Empty where that map cannot be read. Looked up at
+    the first call, once per process (numpy's library loads with numpy)."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({f[-1] for f in (line.split() for line in fh)
                             if len(f) >= 6 and "openblas" in os.path.basename(f[-1]).lower()})
     except OSError:
-        return []
+        return ()
     import ctypes
     found = []
     for path in paths:
@@ -156,7 +169,7 @@ def _openblas() -> list[tuple]:
                 put.restype, put.argtypes = None, [ctypes.c_int]
                 found.append((get, put))
                 break
-    return found
+    return tuple(found)
 
 
 @contextlib.contextmanager
@@ -263,7 +276,7 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     """Equalize a chunk of T frames with a (..., T, K, M) stack of equalizers,
     W[..., t, :, :] on frames[t], hard-decide all users at once, and count bit
     and symbol errors on the symbol indices (the bits are the index's MSB-first
-    binary). channels is the chunk's stack of T trials (model.stack_trials),
+    binary). channels is the chunk's stack of T trials (model.stack_channels),
     and scenario the one the frames were made with.
 
     The estimates are W Y / scale in units of the level spacing 2 const.scale:
@@ -305,8 +318,7 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     gains = [W @ channels.H, W * (math.sqrt(sigma2 / 2) / scale)]
     if p_int > 0.0:
         gains.append((W @ channels.H_int) * (math.sqrt(p_int / 2) / scale))
-    G = np.concatenate([_real_form(np.moveaxis(P, 1, 0).reshape(T, AK, -1)) for P in gains],
-                       axis=-1)
+    G = _real_form(gains)
     del gains  # freed before the lanes run
     G *= 0.5 / const.scale  # the estimates in units of the level spacing
     rows = G.shape[-1]

@@ -8,9 +8,11 @@ paired. Total RNG consumption is therefore independent of the algorithm
 subset, and trials may run in any order.
 
 Trials are drawn one by one and built in chunks stacked along a leading trial
-axis: all chain algorithms read theirs from one chain run (bdac at its start,
-bcd:L after L sweeps), then each centralized one builds a chunk in one call,
-mmse_sampleR from the chain's R_hat, else from its pool's sample covariance.
+axis, a grid point's trials split evenly over the fewest chunks a byte budget
+allows (chunk_plan): all chain algorithms read theirs from one chain run (bdac
+at its start, bcd:L after L sweeps), then each centralized one builds a chunk
+in one call, mmse_sampleR from the chain's R_hat, else from its pool's sample
+covariance.
 The chunk's equalizers form one algorithm x trial stack, scored by one
 objective call; a trial's equalizers do not depend on its chunk. Each trial
 draws one frame, in trial order, and the chunk's frames are equalized and
@@ -38,10 +40,9 @@ from . import central, daisy, detect, interconnect, model
 
 KNOWN_ALGORITHMS = ("zf", "mmse_exactR", "mmse_sampleR", "bdac", "bcd")
 
-# bytes of stacked trial data per chunk; a chunk of the desk profile holds
-# 8 trials. A chunk holds at least two (chunk_trials), so one of the paper
-# profile, whose trial alone is over the budget, holds two
-CHUNK_BYTES = 1 << 19
+# bytes of stacked trial data per chunk: a chunk of the desk profile holds up
+# to 32 trials, one of the paper profile up to 3 (chunk_plan)
+CHUNK_BYTES = 1 << 21
 
 
 def parse_algorithm(token: str) -> tuple[str, int | None]:
@@ -233,17 +234,25 @@ def draw_trials(scenario: model.Scenario, seed: int, point_index: int, trials: r
     trial and stacked along a leading trial axis, and each trial's data stream."""
     rngs = [trial_rngs(seed, point_index, t) for t in trials]
     channel_sets = [model.build_channel(scenario, rng_ch) for rng_ch, _, _ in rngs]
-    channels, pool = model.stack_trials(
-        channel_sets, [model.draw_noise_pool(ch, scenario, rng_pool)
-                       for ch, (_, rng_pool, _) in zip(channel_sets, rngs)])
-    return channels, pool, [rng_data for _, _, rng_data in rngs]
+    pool = np.empty((len(rngs), scenario.M, scenario.N), dtype=complex)
+    for t, (ch, (_, rng_pool, _)) in enumerate(zip(channel_sets, rngs)):
+        model.draw_noise_pool(ch, scenario, rng_pool, out=pool[t])  # drawn in place
+    return model.stack_channels(channel_sets), pool, [rng_data for _, _, rng_data in rngs]
 
 
-def chunk_trials(scenario: model.Scenario) -> int:
-    """Trials built as one stack: CHUNK_BYTES over a trial's complex noise
-    samples and covariance matrix, 16 M (N + M) bytes, and at least two, as a
-    chunk of one trial detects in one lane, with lane 1 idle (detect.lanes)."""
-    return max(2, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
+def chunk_plan(scenario: model.Scenario, trials: int) -> list[range]:
+    """The chunks, as ranges of trials, that a grid point's trials are built
+    in: the fewest that hold at most CHUNK_BYTES of stacked trial data, at a
+    trial's complex noise samples and covariance matrix, 16 M (N + M) bytes,
+    or two trials, as a chunk of one detects in one lane with lane 1 idle
+    (detect.lanes). The trials are split evenly over them, the first chunks a
+    trial larger than the rest: a small tail chunk pays a whole chunk's calls
+    for few trials, and one of one trial detects in one lane."""
+    most = max(2, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
+    n = -(-trials // most)
+    size, extra = divmod(trials, n)
+    ends = [c * size + min(c, extra) for c in range(n + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def _build_equalizer(token: str, channels, pool, sc: model.Scenario, R_hat) -> np.ndarray:
@@ -303,16 +312,15 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
     grid = [(es, iot) for iot in config.iot_db for es in config.es_n0_db]
     # neither depends on the operating point that a grid point sets
     const = detect.Constellation(config.scenario.constellation)
-    chunk = chunk_trials(config.scenario)
+    plan = chunk_plan(config.scenario, config.trials)
     # the run's per-trial record: bit and symbol errors, objectives, build times
     errors = np.zeros((len(grid), 2, A, config.trials), dtype=np.int64)
     objective, wall = np.zeros((len(grid), A, config.trials)), np.zeros((len(grid), A))
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
-        for first in range(0, config.trials, chunk):
-            channels, pool, data_rngs = draw_trials(
-                sc, config.seed, p, range(first, min(first + chunk, config.trials)))
-            T, R_hat = len(data_rngs), None
+        for trials in plan:
+            channels, pool, data_rngs = draw_trials(sc, config.seed, p, trials)
+            first, T, R_hat = trials.start, len(trials), None
             W = np.empty((A, T, sc.K, sc.M), dtype=complex)
             for tokens in builds:
                 t0 = time.perf_counter()
@@ -333,10 +341,12 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
                     time.perf_counter() - t0)
             objective[p, :, first:first + T] = central.sample_objective(W, channels.H, pool,
                                                                         sc.E_s)
+            del pool, R_hat  # the chunk's largest arrays, not held while it is detected
             frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
                       for rng_data in data_rngs]
             detect.evaluate_equalizer(W, channels, frames, sc, const, lanes=lanes,
                                       out=errors[p, ..., first:first + T])
+            del channels, W  # nor while the next chunk is drawn
     lanes.wait()  # the run's counts are complete
     M, C, K, N = (getattr(config.scenario, key) for key in "MCKN")
     symbols = config.trials * K * config.symbols_per_trial

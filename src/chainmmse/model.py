@@ -2,9 +2,10 @@
 
 The receiver noise is the sum of thermal noise and signals from out-of-cell
 interference users, so its covariance is non-diagonal ("colored"). All
-operations here are pure and seed-deterministic. Draws are per trial;
-stack_trials stacks a chunk of trials along a leading axis, and the
-covariance functions accept such stacks.
+operations here are seed-deterministic, and pure but for a draw into a given
+array. Draws are per trial; stack_channels and stack_trials stack a chunk of
+trials along a leading axis (a pool may be drawn into its trial's row of a
+stack instead), and the covariance functions accept such stacks.
 """
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Circular complex Gaussian CN(0, 1): unit variance per entry.
+def crandn(rng: np.random.Generator, *shape: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Circular complex Gaussian CN(0, 1): unit variance per entry, written
+    into out, a complex array of the shape, if given.
 
     The normals fill a (2,) + shape buffer: the real block, then the
     imaginary block, the stream of two consecutive standard_normal(shape)
@@ -28,7 +30,7 @@ def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """
     draws = np.empty((2,) + shape)
     rng.standard_normal(out=draws)
-    z = np.empty(shape, dtype=complex)
+    z = np.empty(shape, dtype=complex) if out is None else out
     np.multiply(draws[0], 1 / np.sqrt(2.0), out=z.real)
     np.multiply(draws[1], 1 / np.sqrt(2.0), out=z.imag)
     return z
@@ -189,13 +191,14 @@ def build_channel(scenario: Scenario, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(H=H, H_int=H_int, cluster_sizes=scenario.cluster_sizes)
 
 
-def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
-                    rng: np.random.Generator) -> np.ndarray:
+def draw_noise_pool(channels: ChannelSet, scenario: Scenario, rng: np.random.Generator,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Draw the N independent pilot-RE samples of thermal-plus-interference
-    noise: the noise pool, one sample per column of an (M, N) array."""
+    noise: the noise pool, one sample per column of an (M, N) array, out if
+    given (a trial's row of a stack, say)."""
     sigma2, p_int, _ = powers_from_ratios(scenario)
     M, K_int = channels.H_int.shape
-    pool = crandn(rng, M, scenario.N)
+    pool = crandn(rng, M, scenario.N, out=out)
     pool *= np.sqrt(sigma2)
     if K_int > 0 and p_int > 0.0:
         x = crandn(rng, K_int, scenario.N)  # unit-power interference symbols
@@ -203,14 +206,18 @@ def draw_noise_pool(channels: ChannelSet, scenario: Scenario,
     return pool
 
 
+def stack_channels(channel_sets: list[ChannelSet]) -> ChannelSet:
+    """Stack per-trial channels of one scenario along a new leading trial axis."""
+    return ChannelSet(H=np.stack([c.H for c in channel_sets]),
+                      H_int=np.stack([c.H_int for c in channel_sets]),
+                      cluster_sizes=channel_sets[0].cluster_sizes)
+
+
 def stack_trials(channel_sets: list[ChannelSet],
                  pools: list[np.ndarray]) -> tuple[ChannelSet, np.ndarray]:
     """Stack per-trial channels and (M, N) noise pools of one scenario along a
     new leading trial axis."""
-    channels = ChannelSet(H=np.stack([c.H for c in channel_sets]),
-                          H_int=np.stack([c.H_int for c in channel_sets]),
-                          cluster_sizes=channel_sets[0].cluster_sizes)
-    return channels, np.stack(pools)
+    return stack_channels(channel_sets), np.stack(pools)
 
 
 def exact_covariance(channels: ChannelSet, scenario: Scenario) -> np.ndarray:
@@ -228,8 +235,13 @@ def exact_covariance(channels: ChannelSet, scenario: Scenario) -> np.ndarray:
 
 def sample_covariance(pool: np.ndarray) -> np.ndarray:
     """Average of outer products over the (..., M, N) pool's columns,
-    (1/N) sum_i n_i n_i^H."""
+    (1/N) sum_i n_i n_i^H. A stack is formed one trial at a time, so no copy
+    of the whole pool's conjugate is held."""
     N = pool.shape[-1]
     if N == 0:
         raise ValueError("noise pool is empty")
-    return pool @ pool.conj().swapaxes(-1, -2) / N
+    R = np.empty(pool.shape[:-1] + pool.shape[-2:-1], dtype=np.result_type(pool, 1.0))
+    for i in np.ndindex(pool.shape[:-2]):
+        np.matmul(pool[i], pool[i].conj().T, out=R[i])
+    R /= N
+    return R

@@ -66,6 +66,22 @@ def test_mmse_rejects_singular_covariance():
         mmse_centralized(H, R, 1.0)
 
 
+def test_objective_scores_each_algorithm_as_the_stacked_product_does():
+    # one algorithm's W n at a time, bit for bit the value of the whole
+    # A x T x K x N product
+    rng = np.random.default_rng(12)
+    A, T, K, M, N = 3, 4, 2, 6, 9
+    W = model.crandn(rng, A, T, K, M)
+    H, pool = model.crandn(rng, T, M, K), model.crandn(rng, T, M, N)
+    stacked = (2.0 * np.linalg.norm(W @ H - np.eye(K), "fro", axis=(-2, -1)) ** 2
+               + np.linalg.norm(W @ pool, "fro", axis=(-2, -1)) ** 2 / N)
+    got = sample_objective(W, H, pool, 2.0)
+    assert got.shape == (A, T) and (got == stacked).all()
+    assert (sample_objective(W[0], H, pool, 2.0) == stacked[0]).all()
+    one = sample_objective(W[1, 2], H[2], pool[2], 2.0)
+    assert type(one) is np.float64 and one == stacked[1, 2]
+
+
 def _exact_instance(seed, M, K, K_int, T, es_n0_db, iot_db):
     """A stack of T trials of one scenario with C = 1, and its noise powers."""
     sc = model.Scenario(M=M, K=K, C=1, N=M, K_int=K_int, es_n0_db=es_n0_db,

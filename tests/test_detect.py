@@ -245,11 +245,7 @@ def _equalizer_stack(ch, rng):
                      W + 0.5 * size * model.crandn(rng, K, M), model.crandn(rng, K, M)])
 
 
-def stack(chs):
-    """The channels of a chunk of trials, stacked as model.stack_trials does."""
-    return model.ChannelSet(H=np.stack([ch.H for ch in chs]),
-                            H_int=np.stack([ch.H_int for ch in chs]),
-                            cluster_sizes=chs[0].cluster_sizes)
+stack = model.stack_channels  # the channels of a chunk of trials
 
 
 def evaluate_one(W, ch, frame, sc, lanes):
@@ -271,6 +267,24 @@ def _chunk(sc, seeds, n):
 
 def _two_cpus(pid):
     return {0, 1}
+
+
+def test_real_forms_are_written_bit_for_bit_as_concatenated():
+    # each part's real form [[Re P, -Im P], [Im P, Re P]], trial by trial,
+    # with the parts side by side
+    rng = np.random.default_rng(3)
+    A, T, K = 3, 2, 2
+    parts = [model.crandn(rng, A, T, K, m) for m in (2, 5, 1)]
+
+    def real_form(Q):
+        return np.concatenate([np.concatenate([Q.real, -Q.imag], axis=-1),
+                               np.concatenate([Q.imag, Q.real], axis=-1)], axis=-2)
+
+    want = np.concatenate([real_form(np.moveaxis(P, 1, 0).reshape(T, A * K, -1))
+                           for P in parts], axis=-1)
+    got = detect._real_form(parts)
+    assert got.shape == (T, 2 * A * K, 16) and (got == want).all()
+    assert (np.signbit(got) == np.signbit(want)).all()
 
 
 class TestErrorCounts:

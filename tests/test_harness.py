@@ -55,7 +55,9 @@ def _counted(rows: list[ResultRow]) -> list[ResultRow]:
 @pytest.fixture
 def blas_at_two():
     """Every loaded OpenBLAS library at two threads, the library default on two
-    CPUs; yields a reader of their counts, and restores the counts after."""
+    CPUs; yields a reader of their counts, and restores the counts after. The
+    libraries are looked up afresh, and the lookup's cache is cleared after."""
+    detect._openblas.cache_clear()
     libs = detect._openblas()
     if not libs:
         assert "openblas" not in np.show_config(mode="dicts")["Build Dependencies"][
@@ -67,6 +69,7 @@ def blas_at_two():
     yield lambda: [get() for get, _ in libs]
     for (_, put), n in zip(libs, before):
         put(n)
+    detect._openblas.cache_clear()  # no test's faked lookup outlives it
 
 
 class TestConfig:
@@ -420,25 +423,35 @@ class TestRunExperiment:
             assert bcd.ber <= bdac.ber + 2.0 * se, f"Es/N0={es}"
 
     def test_results_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
-        # 5 trials: chunks of 8 (one stack), of 2 (2+2+1) and of 3 (3+2)
+        # 7 trials: the plans of budgets of 7, 2, 3 and 4 trials (one stack,
+        # 2+2+2+1, 3+2+2 and 4+3), and the uneven 6+1 of fixed chunks of 6
         cfg = _small_config(algorithms=("zf", "mmse_exactR", "mmse_sampleR", "bdac",
-                                        "bcd:3"), trials=5)
-        assert harness.chunk_trials(cfg.scenario) >= 5
-        blobs = []
-        for budget in (harness.CHUNK_BYTES, 2 * 16 * 8 * (16 + 8), 3 * 16 * 8 * (16 + 8)):
+                                        "bcd:3"), trials=7)
+        trial = 16 * 8 * (16 + 8)
+        plans = {}
+        for budget in (harness.CHUNK_BYTES, 2 * trial, 3 * trial, 4 * trial):
             monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
-            path = tmp_path / f"{budget}.csv"
+            plans[budget] = harness.chunk_plan(cfg.scenario, cfg.trials)
+        assert [[len(c) for c in plan] for plan in plans.values()] == [
+            [7], [2, 2, 2, 1], [3, 2, 2], [4, 3]]
+        plans["uneven"] = [range(0, 6), range(6, 7)]
+        blobs = []
+        for key, plan in plans.items():
+            monkeypatch.setattr(harness, "chunk_plan", lambda scenario, trials: plan)
+            path = tmp_path / f"{key}.csv"
             emit_csv(run_experiment(cfg), path)
             blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs == [blobs[0]] * 5
 
-    def test_loading_warnings_name_the_grid_point_and_the_runs_trial(self):
-        # at 150 dB every local Gram matrix is loaded; 12 trials build in
-        # chunks of 8 and 4, and bdac and bcd:2 read one chain run
+    def test_loading_warnings_name_the_grid_point_and_the_runs_trial(self, monkeypatch):
+        # at 150 dB every local Gram matrix is loaded; at a budget of 8 desk
+        # trials, 12 trials build in chunks of 6 and 6, and bdac and bcd:2
+        # read one chain run
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 1 << 19)
         cfg = harness.make_config({"profile": "desk", "es_n0_db": [150.0],
                                    "iot_db": [10.0], "algorithms": ["bdac", "bcd:2"],
                                    "trials": 12, "symbols_per_trial": 10})
-        assert harness.chunk_trials(cfg.scenario) == 8
+        assert harness.chunk_plan(cfg.scenario, 12) == [range(0, 6), range(6, 12)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_experiment(cfg)
@@ -453,19 +466,76 @@ class TestRunExperiment:
             f"cluster {c}, trial 0 at Es/N0 150.0 dB, IoT 10.0 dB: diagonal loading of its "
             "ill-conditioned Gram matrix" for c in range(4)]
 
-    def test_chunk_size_from_byte_budget(self):
-        # 16 M (N + M) bytes per trial: 64 KiB on desk, 640 KiB on paper, over
-        # the budget alone, so its chunks hold the least, two trials
-        assert harness.chunk_trials(profile_scenario("desk")) == 8
-        assert harness.chunk_trials(profile_scenario("paper")) == 2
+    def test_chunk_size_from_byte_budget(self, monkeypatch):
+        # 16 M (N + M) bytes per trial: 64 KiB on desk, 640 KiB on paper. A
+        # budget of 512 KiB holds 8 desk trials, and no paper trial, so paper
+        # chunks hold the least, two trials
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 1 << 19)
+        desk, paper = profile_scenario("desk"), profile_scenario("paper")
+        assert [len(c) for c in harness.chunk_plan(desk, 8)] == [8]
+        assert [len(c) for c in harness.chunk_plan(desk, 16)] == [8, 8]
+        assert [len(c) for c in harness.chunk_plan(desk, 9)] == [5, 4]
+        assert [len(c) for c in harness.chunk_plan(paper, 4)] == [2, 2]
+        assert [len(c) for c in harness.chunk_plan(paper, 5)] == [2, 2, 1]
         # a run of one trial builds a chunk of one: its bcd:1 row is the trace's
         # last block update
+        assert harness.chunk_plan(paper, 1) == [range(1)]
         sc = profile_scenario("paper")
         [row] = run_experiment(ExperimentConfig(scenario=sc, es_n0_db=(0.0,), iot_db=(10.0,),
                                                 algorithms=("bcd:1",), trials=1,
                                                 symbols_per_trial=10, seed=3))
         last = harness.convergence_trace(sc.with_ratios(0.0, 10.0), seed=3, L=1)[-1]
         assert row.symbols == sc.K * 10 and row.objective == last.objective
+
+    @pytest.mark.parametrize("iot_db", [10.0, None])
+    def test_a_stack_draws_each_trials_pool_bit_for_bit(self, iot_db):
+        # the pools are drawn in place into one stack: each equals its trial's
+        # own draw_noise_pool, with and without interference power
+        sc = profile_scenario("desk").with_ratios(4.0, iot_db)
+        channels, pool, data_rngs = harness.draw_trials(sc, 7, 2, range(3, 8))
+        assert pool.shape == (5, sc.M, sc.N) and len(data_rngs) == 5
+        for i, t in enumerate(range(3, 8)):
+            rng_ch, rng_pool, rng_data = harness.trial_rngs(7, 2, t)
+            ch = model.build_channel(sc, rng_ch)
+            assert (channels.H[i] == ch.H).all() and (channels.H_int[i] == ch.H_int).all()
+            assert (pool[i] == model.draw_noise_pool(ch, sc, rng_pool)).all()
+            assert data_rngs[i].bit_generator.state == rng_data.bit_generator.state
+
+    def test_chunk_plans_of_the_benchmark_workloads(self):
+        # configs/desk.yaml (the desk workload) 50 trials: 25+25; chain_deep, 20
+        # desk trials: one chunk; paper, 4 trials of which 3 fit the budget:
+        # 2+2, not 3+1; detect_long, 8 trials of the desk scenario at 64-QAM
+        root = Path(__file__).resolve().parent.parent
+        desk = load_config(root / "configs" / "desk.yaml")
+        assert desk.trials == 50 and desk.scenario == profile_scenario("desk")
+        plans = {name: [len(c) for c in harness.chunk_plan(sc, trials)]
+                 for name, sc, trials in [
+                     ("desk", desk.scenario, desk.trials),
+                     ("chain_deep", profile_scenario("desk"), 20),
+                     ("paper", profile_scenario("paper"), 4),
+                     ("detect_long", profile_scenario("desk", constellation=64), 8)]}
+        assert plans == {"desk": [25, 25], "chain_deep": [20], "paper": [2, 2],
+                         "detect_long": [8]}
+
+    @pytest.mark.parametrize("budget", [0, 1 << 19, 1 << 21, 3 * 655360 + 1])
+    def test_chunk_plan_is_the_fewest_even_chunks_in_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        for sc in (profile_scenario("desk"), profile_scenario("paper"),
+                   model.Scenario(M=8, C=2, K=2, N=16)):
+            trial = 16 * sc.M * (sc.N + sc.M)
+            for trials in range(1, 101):
+                plan = harness.chunk_plan(sc, trials)
+                sizes = [len(c) for c in plan]
+                # consecutive ranges that cover the trials, the larger first
+                assert [t for c in plan for t in c] == list(range(trials))
+                assert all(c.step == 1 for c in plan)
+                assert sizes == sorted(sizes, reverse=True)
+                assert max(sizes) - min(sizes) <= 1
+                # within the budget, or of the least, two trials
+                assert all(n * trial <= budget or n <= 2 for n in sizes)
+                # the fewest: one chunk fewer would hold a chunk over both
+                most = max(2, budget // trial)
+                assert (len(plan) - 1) * most < trials
 
     def test_bdac_traffic_is_the_schedule_gram_phase(self):
         cfg = _small_config(algorithms=("bdac",))
@@ -481,7 +551,7 @@ class TestRunExperiment:
 
     def test_chain_tokens_read_one_chain_run_per_stack(self, monkeypatch):
         tokens = ("bdac", "bcd:0", "bcd:1", "bcd:4")
-        # 5 trials in chunks of 2: three stacks at each of two grid points
+        # 5 trials at a budget of 2 trials: stacks of 2, 2 and 1 at each of two grid points
         monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
         cfg = _small_config(algorithms=("zf",) + tokens, es_n0_db=(0.0, 8.0), trials=5)
 
@@ -506,7 +576,7 @@ class TestRunExperiment:
         (("zf", "mmse_exactR"), 0), (("mmse_sampleR",), 1), (("bdac",), 1),
         (("zf", "mmse_sampleR", "bdac", "bcd:2"), 1)])
     def test_one_sample_covariance_per_chunk(self, monkeypatch, algorithms, per_chunk):
-        # 5 trials in chunks of 2: three stacks at each of two grid points;
+        # 5 trials at a budget of 2 trials: stacks of 2, 2 and 1 at each of two grid points;
         # mmse_sampleR reads the chain's R_hat when a chain token runs
         monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
         cfg = _small_config(algorithms=algorithms, es_n0_db=(0.0, 8.0), trials=5)
@@ -518,7 +588,7 @@ class TestRunExperiment:
         assert calls == [(T, 8, 16) for T in (2, 2, 1)] * 2 * per_chunk
 
     def test_one_detection_call_and_one_objective_call_per_chunk(self, monkeypatch):
-        # 5 trials in chunks of 2: three stacks at each of two grid points
+        # 5 trials at a budget of 2 trials: stacks of 2, 2 and 1 at each of two grid points
         monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 16 * 8 * (16 + 8))
         cfg = _small_config(algorithms=("zf", "mmse_exactR", "mmse_sampleR", "bdac",
                                         "bcd:2"), es_n0_db=(0.0, 8.0), trials=5)
@@ -585,7 +655,9 @@ class TestOverlap:
         return set_cpus
 
     def test_overlapped_run_counts_what_one_cpu_counts(self, monkeypatch, cpus, tmp_path):
-        # desk chunks hold 8 trials: 8, 8 and 4 at each of two grid points
+        # at a budget of 8 desk trials, 20 trials build in chunks of 7, 7 and 6
+        # at each of two grid points
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 1 << 19)
         cfg = ExperimentConfig(scenario=profile_scenario("desk"), es_n0_db=(0.0, 12.0),
                                algorithms=("zf", "mmse_sampleR", "bdac", "bcd:1"),
                                trials=20, symbols_per_trial=100, seed=4)
@@ -626,7 +698,9 @@ class TestOverlap:
         assert blas_at_two() == [2] * len(ones)  # the count before the run, back
 
     def test_a_points_last_chunk_is_held_at_the_next_points_draw(self, monkeypatch, cpus):
-        # desk chunks of 8 and 2 trials at each of three grid points
+        # at a budget of 8 desk trials, chunks of 5 and 5 at each of three
+        # grid points
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 1 << 19)
         draw, evaluate = harness.draw_trials, detect.evaluate_equalizer
         used, held = [], {}  # the run's lanes; lane 1's job at each point's first draw
 
@@ -676,15 +750,17 @@ class TestOverlap:
         np.testing.assert_array_equal(out, np.stack(want))
 
     def test_an_error_in_the_points_last_chunk_is_raised_by_the_run(self, monkeypatch):
-        # desk chunks of 8 and 2 trials: the second is joined at the point's end
+        # at a budget of 8 desk trials, chunks of 5 and 5: the second is joined
+        # at the point's end
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 1 << 19)
         make_frame, made = detect.make_frame, []
 
-        def make_bad_frame_after_eight(*args):
+        def make_bad_frame_after_five(*args):
             made.append(make_frame(*args))
-            return made[-1] if len(made) <= 8 else dataclasses.replace(made[-1],
+            return made[-1] if len(made) <= 5 else dataclasses.replace(made[-1],
                                                                        sym=made[-1].sym[:2])
 
-        monkeypatch.setattr(detect, "make_frame", make_bad_frame_after_eight)
+        monkeypatch.setattr(detect, "make_frame", make_bad_frame_after_five)
         before = threading.enumerate()
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(scenario=profile_scenario("desk"),
@@ -1042,11 +1118,26 @@ class TestConvergenceTrace:
             monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
         else:
             monkeypatch.setattr(detect, "open", refuse, raising=False)
+        detect._openblas.cache_clear()  # the pin looks the libraries up again
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with detect.one_blas_thread():
                 assert set(blas_at_two()) == {2}
         assert set(blas_at_two()) == {2}
+        assert detect._openblas() == ()  # the faked lookup found none
+
+    def test_the_pin_looks_the_libraries_up_once(self, monkeypatch, blas_at_two):
+        # the first pin reads the map of loaded libraries; later ones, of this
+        # run or the next, reuse what it found
+        detect._openblas.cache_clear()
+        reads = []
+        monkeypatch.setattr(detect, "open", lambda *args: reads.append(args) or open(*args),
+                            raising=False)
+        for _ in range(3):
+            with detect.one_blas_thread():
+                assert set(blas_at_two()) == {1}
+        run_experiment(_small_config(trials=1))
+        assert reads == [("/proc/self/maps",)] and set(blas_at_two()) == {2}
 
     def test_trace_writes_to_the_config_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

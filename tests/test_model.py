@@ -209,6 +209,15 @@ def test_sample_covariance_two_loop_oracle():
     assert np.max(np.abs(acc - Rhat)) < 1e-14
 
 
+def test_sample_covariance_of_a_stack_is_the_stacked_product_bit_for_bit():
+    # formed one trial at a time, without a copy of the whole pool's conjugate
+    pool = model.crandn(np.random.default_rng(9), 2, 3, 8, 20)
+    want = pool @ pool.conj().swapaxes(-1, -2) / 20
+    got = model.sample_covariance(pool)
+    assert got.shape == (2, 3, 8, 8) and (got == want).all()
+    assert (model.sample_covariance(pool[1, 2]) == want[1, 2]).all()
+
+
 def test_powers_from_ratios_values():
     sc = model.Scenario(M=4, C=2, K=2, K_int=0, N=8, iot_db=None,
                         es_n0_db=0.0)
