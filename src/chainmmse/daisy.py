@@ -52,6 +52,12 @@ class Chain:
     loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
     W: np.ndarray            # T x K x M equalizers
 
+    def __post_init__(self):
+        # bcd_block_update's own: per cluster a T x K x M_c buffer for W Q_c,
+        # and the column blocks of W, views of the array they were made from
+        self._WQ = [np.empty_like(F) for F in self.F]
+        self._blocks = None, []
+
 
 def make_chain(channels: model.ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
     """Build the chains of a stack of trials (see model.stack_trials), with
@@ -109,8 +115,16 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
 
 def bcd_block_update(chain: Chain, c: int) -> None:
     """One coordinate-descent block solve at cluster c, in every trial:
-    W_c += F_c - W Q_c moves W_c to the block minimizer."""
-    chain.W[:, :, chain.slices[c]] += chain.F[c] - chain.W @ chain.Q[c]
+    W_c += F_c - W Q_c moves W_c to the block minimizer. W Q_c, then
+    F_c - W Q_c, is written into the cluster's buffer, reused across the
+    sweeps, and added into a view of W's column block, kept while chain.W
+    is the same array."""
+    if chain._blocks[0] is not chain.W:
+        chain._blocks = chain.W, [chain.W[:, :, s] for s in chain.slices]
+    step = np.matmul(chain.W, chain.Q[c], out=chain._WQ[c])
+    np.subtract(chain.F[c], step, out=step)
+    block = chain._blocks[1][c]
+    block += step
 
 
 @dataclass

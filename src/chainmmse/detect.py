@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -144,6 +145,25 @@ def lanes(n_trials: int, trial_bytes: int) -> int:
     return min(2, n_trials, len(os.sched_getaffinity(0)))
 
 
+def group_plan(n_symbols: list[int], rows: int, AK: int, n_lanes: int) -> list[range]:
+    """The groups of consecutive trials that a job of n_lanes lanes equalizes
+    and decides in one stacked pass each (evaluate_equalizer), for trials of
+    n_symbols[t] symbols, rows real rows (the symbol rows and the normals) and
+    2 AK real estimates per symbol. On two lanes every group is one trial, as
+    the lanes share the trials out one at a time. On one, the groups are the
+    largest runs of trials of one frame length whose replayed rows fit
+    DRAW_BYTES and whose estimates fit DETECT_BYTES; a trial that does not fit
+    both alone is a group of one, replayed in blocks."""
+    plan, first = [], 0
+    for n, run in itertools.groupby(n_symbols):
+        end, n = first + len(list(run)), max(n, 1)
+        most = 1 if n_lanes > 1 else max(1, min(DRAW_BYTES // (8 * rows * n),
+                                                 DETECT_BYTES // (16 * AK * n)))
+        plan += [range(a, min(a + most, end)) for a in range(first, end, most)]
+        first = end
+    return plan
+
+
 @functools.cache
 def _openblas() -> tuple[tuple, ...]:
     """The (get, set) thread-count functions of every loaded library that
@@ -192,18 +212,18 @@ def one_blas_thread():
 
 
 class _Lane:
-    """A lane's buffers, each grown to the largest trial the lane has run (the
-    trial's estimates, and a block of its replayed rows), and its replay
-    generator, whose state every trial sets."""
+    """A lane's buffers, each grown to the largest group of trials the lane
+    has run (the group's estimates, and a block of its replayed rows), and its
+    replay generator, whose state every trial sets."""
 
     def __init__(self):
         self.est = self.replay = np.empty(0)
         self.rng = np.random.Generator(np.random.PCG64(0))
 
 
-def _take(work, trials, lane: _Lane) -> None:
-    for t in trials:  # a two-lane job's shared range iterator: under the GIL each next() is whole
-        work(lane, t)
+def _take(work, units, lane: _Lane) -> None:
+    for u in units:  # a two-lane job's shared iterator: under the GIL each next() is whole
+        work(lane, u)
 
 
 class Lanes:
@@ -220,6 +240,10 @@ class Lanes:
     serves one caller at a time.
     """
 
+    # lanes(n_trials, trial_bytes), under a name that evaluate_equalizer's
+    # lanes argument does not shadow
+    count = staticmethod(lanes)
+
     def __init__(self):
         self._lanes = (_Lane(), _Lane())
         self._pool = self._job = None
@@ -232,27 +256,27 @@ class Lanes:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self, work, n_trials: int, trial_bytes: int) -> None:
-        """Join the job before (wait), then run work(lane, t) on the trials t <
-        n_trials: on one lane, lanes(n_trials, trial_bytes), before returning;
-        on two, lane 1 takes the job and start returns at once."""
+    def start(self, work, units, n_lanes: int) -> None:
+        """Join the job before (wait), then run work(lane, u) on each unit u
+        of units: on one lane (n_lanes 1), before returning; on two, lane 1
+        takes the job and start returns at once."""
         self.wait()
-        if lanes(n_trials, trial_bytes) == 1:
-            return _take(work, range(n_trials), self._lanes[0])
+        if n_lanes == 1:
+            return _take(work, units, self._lanes[0])
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(1, thread_name_prefix="chainmmse-lane-1")
-        trials = iter(range(n_trials))
-        self._job = work, trials, self._pool.submit(_take, work, trials, self._lanes[1])
+        units = iter(units)
+        self._job = work, units, self._pool.submit(_take, work, units, self._lanes[1])
 
     def wait(self) -> None:
         """Join lane 1's job, if any: the calling thread, as lane 0, takes the
-        trials lane 1 has not taken, one at a time, then waits for lane 1.
+        units lane 1 has not taken, one at a time, then waits for lane 1.
         Lane 0's error, else lane 1's, is raised, and both lanes stay usable."""
         if self._job is not None:
-            (work, trials, lane_1), self._job = self._job, None
+            (work, units, lane_1), self._job = self._job, None
             try:
-                _take(work, trials, self._lanes[0])
+                _take(work, units, self._lanes[0])
             finally:
                 error = lane_1.exception()
             if error is not None:
@@ -260,7 +284,7 @@ class Lanes:
 
     def close(self) -> None:
         job, self._job = self._job, None
-        for _ in job[1] if job else ():  # lane 1 takes no further trial of it
+        for _ in job[1] if job else ():  # lane 1 takes no further unit of it
             pass
         if self._pool is not None:
             self._pool.shutdown()
@@ -284,15 +308,20 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     W's gain on each part of the frame, summed. The real form of each gain
     (_real_form) maps the real rows of its part to the real and imaginary
     estimates: [Re S; Im S], then the normals [a; b] and [c; d] of the frame's
-    stream. A trial's estimates start from its symbols. Its normals are then
-    replayed from the frame's noise_state in stream order, DRAW_BYTES of whole
-    rows at a time into a buffer of its lane, and each block is folded into the
-    estimates, held whole in a second buffer of the lane, as soon as it is
-    drawn. Both products and the decisions, made in place on the estimates, run
-    in blocks of columns, DETECT_BYTES of estimates each. The trials are a job
-    of lanes, the run's Lanes, whose lanes (one or two, see lanes) take them
-    one at a time from one shared counter; each lane draws and equalizes the
-    trials it takes, so the counts do not depend on the lanes.
+    stream. The trials are equalized in groups of consecutive trials of one
+    frame length (group_plan). Each trial of a group writes its symbol rows
+    into its own slice of a buffer of its lane, and its normals are replayed
+    after them from the frame's noise_state, in stream order. A group of one
+    trial too long for one block is replayed DRAW_BYTES of whole rows at a
+    time, and each block is folded into the estimates, held whole in a second
+    buffer of the lane, as soon as it is drawn; a group of several trials is
+    replayed in one block. Both products and the decisions, made in place on
+    the estimates, run once per block as stacked calls over the group, in
+    blocks of columns, DETECT_BYTES of estimates each. The groups are a job of
+    lanes, the run's Lanes, whose lanes (one or two, see lanes) take them one
+    at a time from one shared counter; on two lanes each group is one trial.
+    Each lane draws and equalizes the trials it takes, each trial with its own
+    products, so the counts do not depend on the lanes or the groups.
 
     Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2]: the
     halves of out, an int64 (2,) + W.shape[:-2] array it overwrites, or of a
@@ -323,42 +352,49 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     G *= 0.5 / const.scale  # the estimates in units of the level spacing
     rows = G.shape[-1]
     block = max(1, DETECT_BYTES // (16 * AK))
+    to_counts = tuple(range(1, len(lead) + 1)) + (0,)  # a group's (g,) + lead axes to lead + (g,)
 
-    def work(lane, t):
-        frame = frames[t]
-        n = frame.sym.shape[1]
-        per = max(2 * K, min(rows, DRAW_BYTES // (8 * max(n, 1))))  # symbols in block one
-        if lane.replay.size < per * n:
-            lane.replay = np.empty(per * n)
-        if lane.est.size < 2 * AK * n:
-            lane.est = np.empty(2 * AK * n)
+    def work(lane, group):
+        g, ts, syms = len(group), slice(group.start, group.stop), [frames[t].sym for t in group]
+        n = syms[0].shape[1]
+        per = max(2 * K, min(rows, DRAW_BYTES // (8 * max(n, 1))))  # rows in block one
+        if lane.replay.size < g * per * n:
+            lane.replay = np.empty(g * per * n)
+        if lane.est.size < g * 2 * AK * n:
+            lane.est = np.empty(g * 2 * AK * n)
         # the estimates by blocks of columns, each a contiguous part of est
-        blocks = [(slice(c, c + block),
-                   lane.est[2 * AK * c:2 * AK * min(c + block, n)].reshape(2 * AK, -1))
-                  for c in range(0, n, block)]
+        blocks = [(slice(c, c + block), lane.est[g * 2 * AK * c:g * 2 * AK * min(c + block, n)]
+                   .reshape(g, 2 * AK, -1)) for c in range(0, n, block)]
+        # the group's symbols, broadcast over the lead axes of its decisions
+        sym = (syms[0] if g == 1 else np.stack(syms)).reshape((g,) + (1,) * len(lead) + (K, n))
         rng = lane.rng
-        rng.bit_generator.state = frame.noise_state  # refuses a non-PCG64 state
         for r in range(0, rows, per):
             h = min(per, rows - r)
-            x = lane.replay[:h * n].reshape(h, n)
-            if r == 0:
-                np.take(const.points.real, frame.sym, out=x[:K], mode="clip")
-                np.take(const.points.imag, frame.sym, out=x[K:2 * K], mode="clip")
-            rng.standard_normal(out=x[2 * K:] if r == 0 else x)
+            x = lane.replay[:g * h * n].reshape(g, h, n)
+            for i, t in enumerate(group):
+                if r == 0:
+                    np.take(const.points.real, syms[i], out=x[i, :K], mode="clip")
+                    np.take(const.points.imag, syms[i], out=x[i, K:2 * K], mode="clip")
+                    rng.bit_generator.state = frames[t].noise_state  # refuses a non-PCG64 state
+                rng.standard_normal(out=x[i, 2 * K:] if r == 0 else x[i])
             for cols, e in blocks:
                 if r == 0:
-                    np.matmul(G[t, :, :h], x[:, cols], out=e)
+                    np.matmul(G[ts, :, :h], x[..., cols], out=e)
                 else:
-                    e += G[t, :, r:r + h] @ x[:, cols]
+                    e += G[ts, :, r:r + h] @ x[..., cols]
                 if r + h < rows:
                     continue
-                # the block's last use: decided in place
-                wrong = const.decide_in_place(e.reshape(2, AK, -1)).reshape(lead + (K, -1))
-                wrong ^= frame.sym[:, cols]
-                counts[0, ..., t] += const._popcount[wrong].sum(axis=(-2, -1), dtype=np.int64)
-                counts[1, ..., t] += np.count_nonzero(wrong, axis=(-2, -1))
+                # the block's last use: decided in place, the real and
+                # imaginary estimates of every trial first
+                est = e.reshape(g, 2, AK, -1).swapaxes(0, 1)
+                wrong = const.decide_in_place(est).reshape((g,) + lead + (K, -1))
+                wrong ^= sym[..., cols]
+                bits = const._popcount[wrong].sum(axis=(-2, -1), dtype=np.int64)
+                counts[0, ..., ts] += bits.transpose(to_counts)
+                counts[1, ..., ts] += np.count_nonzero(wrong, axis=(-2, -1)).transpose(to_counts)
 
-    lanes.start(work, T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
+    n_lanes = Lanes.count(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
+    lanes.start(work, group_plan([f.sym.shape[1] for f in frames], rows, AK, n_lanes), n_lanes)
     if out is None:
         lanes.wait()
     return counts[0], counts[1]

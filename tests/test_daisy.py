@@ -109,6 +109,20 @@ class TestBlockUpdate:
             bcd_block_update(chain, c)
             assert np.linalg.norm(W[:, s] - W_ref) / np.linalg.norm(W_ref) < 1e-11
 
+    def test_updates_are_the_formula_bit_for_bit_on_whichever_w_the_chain_holds(self):
+        # two sweeps of a stack of three trials, from BDAC and then from a W
+        # put in its place: each update is W_c += F_c - W Q_c on that array
+        sc = harness.profile_scenario("desk").with_ratios(8.0, 10.0)
+        channels, pool, _ = harness.draw_trials(sc, 3, 0, range(3))
+        chain = make_chain(channels, pool, sc.E_s)
+        for start in (bdac_init(chain), 0.5 * chain.W):
+            chain.W = W = start.copy()
+            for c in [*range(sc.C)] * 2:
+                want = W.copy()
+                want[:, :, chain.slices[c]] += chain.F[c] - want @ chain.Q[c]
+                bcd_block_update(chain, c)
+                assert chain.W is W and (W == want).all()
+
 
 class TestRunBcd:
     def test_zero_sweeps_returns_initializer(self):

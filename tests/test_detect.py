@@ -368,6 +368,102 @@ class TestErrorCounts:
         np.testing.assert_array_equal(got[0], np.stack([w[0] for w in want], axis=-1))
         np.testing.assert_array_equal(got[1], np.stack([w[1] for w in want], axis=-1))
 
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 6), K=st.integers(1, 3),
+           K_int=st.integers(0, 3), iot_db=st.sampled_from([None, -math.inf, 3.0]),
+           es_n0_db=st.sampled_from([0.0, 12.0, math.inf]), order=st.sampled_from([4, 16, 64]),
+           lead=st.sampled_from([(), (2,), (2, 3)]), n=st.integers(1, 40),
+           T=st.integers(1, 6), draw=st.integers(1, 6), decide=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_one_lane_group_counts_equal_the_oracle_on_the_received_block(
+            self, lanes, seed, M, K, K_int, iot_db, es_n0_db, order, lead, n, T, draw, decide):
+        K, draw, decide = min(K, M), min(draw, T), min(decide, T)
+        if K_int == 0 and iot_db == 3.0:
+            iot_db = None
+        sc = model.Scenario(M=M, C=1, K=K, K_int=K_int, N=M, iot_db=iot_db,
+                            es_n0_db=es_n0_db, constellation=order)
+        rng = np.random.default_rng(seed)
+        chs = [model.build_channel(sc, rng) for _ in range(T)]
+        W = np.stack([central.zf_centralized(ch.H) for ch in chs])
+        W = W + 0.3 * np.abs(W).mean() * model.crandn(rng, *lead, T, K, M)
+        # on one CPU, budgets that hold the rows of `draw` trials and the
+        # estimates of `decide`: groups of the smaller, the last one short
+        # unless it divides T
+        AK = math.prod(lead) * K
+        rows = 2 * K + 2 * M + 2 * K_int * (model.powers_from_ratios(sc)[1] > 0.0)
+        size = min(draw, decide)
+        plan = detect.group_plan
+        with mock.patch.multiple(detect, DRAW_BYTES=8 * rows * n * draw,
+                                 DETECT_BYTES=16 * AK * n * decide), \
+                mock.patch.object(detect.os, "sched_getaffinity", return_value={0}, create=True), \
+                mock.patch.object(detect, "group_plan", side_effect=plan) as spy:
+            frames = [make_frame(sc, n, np.random.default_rng(seed + t)) for t in range(T)]
+            got = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
+            assert plan(*spy.call_args.args) == [range(a, min(a + size, T))
+                                                 for a in range(0, T, size)]
+        assert spy.call_args.args[1:] == (rows, AK, 1)
+        want = [oracle_counts(W[..., t, :, :], Y_ref, bits, sc)
+                for t, (bits, Y_ref) in enumerate(reference_frame(ch, sc, n, seed + t)
+                                                  for t, ch in enumerate(chs))]
+        assert got[0].shape == got[1].shape == lead + (T,)
+        np.testing.assert_array_equal(got[0], np.stack([w[0] for w in want], axis=-1))
+        np.testing.assert_array_equal(got[1], np.stack([w[1] for w in want], axis=-1))
+
+    def test_one_lane_groups_count_what_two_lanes_count_trial_by_trial(self, lanes):
+        # chain_deep-shaped frames of 64 symbols: on one CPU the 6 trials are
+        # one group, on two each trial is its own
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0, constellation=16)
+        W, chs, frames = _chunk(sc, (100, 104, 108, 112, 116, 120), 64)
+        plan, plans, counts = detect.group_plan, [], {}
+        for cpus in ({0}, {0, 1}):
+            with mock.patch.object(detect, "LANE_BYTES", 0), \
+                    mock.patch.object(detect.os, "sched_getaffinity", return_value=cpus,
+                                      create=True), \
+                    mock.patch.object(detect, "group_plan",
+                                      lambda *args: plans.append(plan(*args)) or plans[-1]):
+                counts[len(cpus)] = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
+        assert plans == [[range(6)], [range(t, t + 1) for t in range(6)]]
+        for t in range(6):
+            assert counts[1][0][:, t].all()
+            for one, two in zip(counts[1], counts[2]):
+                np.testing.assert_array_equal(one[:, t], two[:, t])
+
+    def test_groups_end_where_the_frame_length_changes(self, lanes):
+        # frames of 30, 30, 30, 50, 30 and 30 symbols in one lane: groups of
+        # 0-2, 3 and 4-5, each trial counted as when it is evaluated alone
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0, constellation=64)
+        W, chs, _ = _chunk(sc, (130, 134, 138, 142, 146, 150), 1)
+        frames = [make_frame(sc, n, np.random.default_rng(160 + t))
+                  for t, n in enumerate((30, 30, 30, 50, 30, 30))]
+        assert detect.group_plan([30, 30, 30, 50, 30, 30], 28, 12, 1) == [
+            range(0, 3), range(3, 4), range(4, 6)]
+        with mock.patch.object(detect.os, "sched_getaffinity", return_value={0}, create=True):
+            bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc,
+                                                           lanes=lanes)
+        for t, frame in enumerate(frames):
+            one = evaluate_one(W[:, t], chs[t], frame, sc, lanes)
+            assert one[0].all()
+            np.testing.assert_array_equal(one[0], bit_errors[:, t])
+            np.testing.assert_array_equal(one[1], symbol_errors[:, t])
+
+    def test_group_plan_takes_the_largest_groups_both_budgets_hold(self):
+        # 8 bytes a row and 16 an estimate pair a symbol: trials of 10
+        # symbols, 20 rows and AK = 5 take 1600 bytes of rows and 800 of
+        # estimates each
+        lengths = [10] * 7
+        with mock.patch.multiple(detect, DRAW_BYTES=3 * 1600, DETECT_BYTES=5 * 800):
+            assert detect.group_plan(lengths, 20, 5, 1) == [range(0, 3), range(3, 6),
+                                                            range(6, 7)]
+            assert detect.group_plan(lengths, 20, 5, 2) == [range(t, t + 1) for t in range(7)]
+        with mock.patch.multiple(detect, DRAW_BYTES=1 << 30, DETECT_BYTES=2 * 800 + 799):
+            assert detect.group_plan(lengths, 20, 5, 1) == [range(a, min(a + 2, 7))
+                                                            for a in range(0, 7, 2)]
+        # a trial that one budget does not hold whole is a group of one
+        for draw, decide in ((1599, 1 << 30), (1 << 30, 799)):
+            with mock.patch.multiple(detect, DRAW_BYTES=draw, DETECT_BYTES=decide):
+                assert detect.group_plan(lengths, 20, 5, 1) == [range(t, t + 1)
+                                                                for t in range(7)]
+        assert detect.group_plan([], 20, 5, 1) == []
+
     def test_one_lane_and_two_lanes_give_the_same_counts(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
                             constellation=16)
@@ -420,11 +516,23 @@ class TestErrorCounts:
 
     def test_desk_trials_run_in_two_lanes_and_chain_deep_trials_in_one(self):
         # a trial's normals: 8 bytes x (2 M + 2 K_int) rows x its symbols. In
-        # the desk profile (M = 32, K_int = 4) 500 symbols run in two lanes
+        # the desk profile (M = 32, K = K_int = 4) 500 symbols run in two lanes
         # and the 64 of the chain_deep benchmark in one
         with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
             assert detect.lanes(8, 8 * 72 * 500) == 2
             assert detect.lanes(8, 8 * 72 * 64) == 1
+            # the group plans of the benchmark workloads' chunks, of 2 M + 2 K
+            # + 2 K_int rows and A K estimate pairs a symbol: chain_deep's 20
+            # trials (A = 2) are one group; desk's 25 and paper's 2 (M = 128,
+            # K = K_int = 8), A = 6, are groups of one, in two lanes or one
+            assert detect.group_plan([64] * 20, 80, 2 * 4, detect.lanes(20, 8 * 72 * 64)) == [
+                range(20)]
+            for n_trials, M, K in ((25, 32, 4), (2, 128, 8)):
+                rows = 2 * M + 4 * K
+                assert detect.lanes(n_trials, 8 * (rows - 2 * K) * 500) == 2
+                for n_lanes in (2, 1):
+                    assert detect.group_plan([500] * n_trials, rows, 6 * K, n_lanes) == [
+                        range(t, t + 1) for t in range(n_trials)]
 
     def test_the_lanes_take_every_trial_once(self):
         # trials of Python work only, with the GIL handed between the lanes
@@ -438,11 +546,10 @@ class TestErrorCounts:
                 pass
 
         try:
-            with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
-                    detect.Lanes() as lanes:
+            with detect.Lanes() as lanes:
                 for _ in range(20):
                     taken = []
-                    lanes.start(take, 500, detect.LANE_BYTES)
+                    lanes.start(take, range(500), 2)
                     lanes.wait()
                     assert sorted(taken) == list(range(500))
         finally:
@@ -473,14 +580,13 @@ class TestErrorCounts:
         def take(lane, t):
             taken.append(t)
 
-        with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
-                detect.Lanes() as lanes:
+        with detect.Lanes() as lanes:
             for _ in range(20):
-                lanes.start(fail, 2, detect.LANE_BYTES)
+                lanes.start(fail, range(2), 2)
                 with pytest.raises(KeyError):
                     lanes.wait()
                 taken = []
-                lanes.start(take, 50, detect.LANE_BYTES)
+                lanes.start(take, range(50), 2)
                 lanes.wait()
                 assert sorted(taken) == list(range(50))
 

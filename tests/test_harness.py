@@ -443,6 +443,24 @@ class TestRunExperiment:
             blobs.append(path.read_bytes())
         assert blobs == [blobs[0]] * 5
 
+    def test_results_do_not_depend_on_detection_groups(self, tmp_path, monkeypatch):
+        # a chain_deep-shaped run: 20 desk trials of 64 symbols, detected in one
+        # lane as one group of 20, then, with DRAW_BYTES at one trial's rows
+        # (2 M + 2 K + 2 K_int = 80), in groups of one
+        cfg = harness.make_config({"profile": "desk", "es_n0_db": [0.0, 16.0],
+                                   "iot_db": [10.0], "algorithms": ["mmse_sampleR", "bcd:50"],
+                                   "trials": 20, "symbols_per_trial": 64})
+        plan, plans = detect.group_plan, []
+        monkeypatch.setattr(detect, "group_plan",
+                            lambda *args: plans.append(plan(*args)) or plans[-1])
+        blobs = []
+        for draw in (detect.DRAW_BYTES, 8 * 80 * 64):
+            monkeypatch.setattr(detect, "DRAW_BYTES", draw)
+            emit_csv(run_experiment(cfg), tmp_path / "results.csv")
+            blobs.append((tmp_path / "results.csv").read_bytes())
+        assert plans == [[range(20)]] * 2 + [[range(t, t + 1) for t in range(20)]] * 2
+        assert blobs[1] == blobs[0]
+
     def test_loading_warnings_name_the_grid_point_and_the_runs_trial(self, monkeypatch):
         # at 150 dB every local Gram matrix is loaded; at a budget of 8 desk
         # trials, 12 trials build in chunks of 6 and 6, and bdac and bcd:2
