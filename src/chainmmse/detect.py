@@ -323,9 +323,10 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     Each lane draws and equalizes the trials it takes, each trial with its own
     products, so the counts do not depend on the lanes or the groups.
 
-    Returns (bit_errors, symbol_errors), integers shaped W.shape[:-2]: the
-    halves of out, an int64 (2,) + W.shape[:-2] array it overwrites, or of a
-    new one. Without out they are complete on return. With out, lane 1 may
+    W, channels and each frame's sym (K rows) are checked against the chunk
+    before any lane runs. Returns (bit_errors, symbol_errors), integers
+    shaped W.shape[:-2]: the halves of out, an int64 (2,) + W.shape[:-2]
+    array it overwrites, or of a new one. Without out they are complete on return. With out, lane 1 may
     still hold a two-lane job on return, while the caller builds the next
     chunk: they are complete, and the job's error raised, when the next call
     with these lanes returns, or lanes.wait() does.
@@ -337,6 +338,10 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     lead, (T, K, M) = W.shape[:-3], W.shape[-3:]
     if channels.H.shape[0] != T:  # a stack of one would broadcast over the trials
         raise ValueError(f"channels: {channels.H.shape[0]} trials for {T} frames")
+    for t, f in enumerate(frames):
+        if f.sym.ndim != 2 or f.sym.shape[0] != K:
+            raise ValueError(f"frame of trial {t}: sym shaped {f.sym.shape}, not K = {K} "
+                             "rows of symbol indices")
     counts = np.empty((2,) + W.shape[:-2], dtype=np.int64) if out is None else out
     counts[...] = 0
     W = W.reshape((-1, T, K, M))

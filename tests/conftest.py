@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,13 @@ def colored_noise_reference(channels, sigma2, p_int, n, rng):
     if K_int > 0 and p_int > 0.0:
         noise = noise + np.sqrt(p_int) * (channels.H_int @ crandn_reference(rng, K_int, n))
     return noise
+
+
+def unreplayable(frame):
+    """The frame with a noise_state that a detection lane refuses when it
+    replays the frame's normals (an MT19937 state, not a PCG64 one): a job
+    that fails inside a lane, after evaluate_equalizer's checks."""
+    return dataclasses.replace(frame, noise_state=np.random.MT19937(0).state)
 
 
 def paper_traffic(K, N, L):

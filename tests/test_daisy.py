@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chainmmse import central, harness, model
+from chainmmse import central, daisy, harness, model
 from chainmmse.central import herm, mmse_centralized, sample_objective
 from chainmmse.daisy import (DIAG_LOAD, Schedule, bcd_block_update, bdac_init,
                              make_chain, run_bcd)
@@ -376,3 +376,110 @@ def test_iterates_equal_the_message_form(case):
         rel = (np.linalg.norm(chain.W - W, axis=(-2, -1))
                / np.linalg.norm(W, axis=(-2, -1)))
         assert rel.max() < 1e-12, f"sweep {sweep}: {rel}"
+
+
+def _powers_case(case):
+    """A stack of trials for the sweep-map tests, with W = 0."""
+    if case == "desk_stack":
+        sc = harness.profile_scenario("desk").with_ratios(8.0, 10.0)
+        return sc, *harness.draw_trials(sc, 3, 0, range(3))[:2]
+    if case == "loaded_stack":
+        # at Es/N0 150 dB the local Gram matrices are loaded, yet BDAC solves
+        sc = harness.profile_scenario("desk").with_ratios(150.0, 10.0)
+        return sc, *harness.draw_trials(sc, 1, 0, range(2))[:2]
+    shape = (dict(M=12, C=3, cluster_sizes=(2, 7, 3), K=3, K_int=2, N=24) if case == "uneven"
+             else dict(M=8, C=1, K=2, K_int=2, N=32))  # one_cluster
+    instances = [make_instance(seed=s, **shape) for s in (16, 17, 18)]
+    return instances[0][0], *model.stack_trials(*zip(*[i[1:3] for i in instances]))
+
+
+def _stepped(channels, pool, sc, L):
+    """W after BDAC and L sweeps of bcd_block_update, one block at a time."""
+    chain = make_chain(channels, pool, sc.E_s)
+    bdac_init(chain)
+    for _ in range(L):
+        for c in range(sc.C):
+            bcd_block_update(chain, c)
+    return chain.W
+
+
+class TestSweepPowers:
+    @pytest.mark.parametrize("case", ["desk_stack", "loaded_stack", "uneven", "one_cluster"])
+    def test_powers_equal_the_block_updates(self, case):
+        # deep gaps advance by powers of the sweep map; on both sides of the
+        # threshold and at 200 sweeps, W and the objective are the stepped ones
+        sc, channels, pool = _powers_case(case)
+        assert make_chain(channels, pool, sc.E_s).loaded.all() == (case == "loaded_stack")
+        depth = next(d for d in range(1, 200) if daisy.powered(d, sc.K, sc.M))
+        for L in (depth - 1, depth, depth + 1, 200):
+            assert daisy.powered(L, sc.K, sc.M) == (L >= depth)
+            run = run_bcd(make_chain(channels, pool, sc.E_s), Schedule(L=L), keep={0, L * sc.C})
+            want = _stepped(channels, pool, sc, L)
+            rel = (np.linalg.norm(run.W - want, axis=(-2, -1))
+                   / np.linalg.norm(want, axis=(-2, -1)))
+            assert rel.max() < 1e-12, f"L={L}: {rel}"
+            assert run.kept[L * sc.C] is not run.W and (run.kept[L * sc.C] == run.W).all()
+            f_run = sample_objective(run.W, channels.H, pool, sc.E_s)
+            f_want = sample_objective(want, channels.H, pool, sc.E_s)
+            assert np.abs(f_run / f_want - 1.0).max() < 1e-12, f"L={L}"
+
+    def test_the_map_is_one_sweep_and_its_powers_are_the_sweeps(self):
+        # [S; b] takes W to one sweep of it, and d sweeps by powers is d sweeps
+        sc, channels, pool = _powers_case("uneven")
+        chain = make_chain(channels, pool, sc.E_s)
+        W = bdac_init(chain)
+        Y = daisy._sweep_map(chain)
+        assert Y.shape == (3, sc.M + sc.K, sc.M)
+        for d in (1, 2, 3, 6, 13):
+            want = _stepped(channels, pool, sc, d)
+            got = daisy._advance(W, Y, d)
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13, d
+        np.testing.assert_array_equal(W, chain.W)  # neither call writes W
+
+    @pytest.mark.parametrize("case", ["desk_stack", "loaded_stack", "uneven", "one_cluster"])
+    def test_a_stacked_powered_run_equals_each_trial_alone(self, case):
+        sc, channels, pool = _powers_case(case)
+        assert daisy.powered(60, sc.K, sc.M)
+        keep = {0, 60 * sc.C}
+        stacked = run_bcd(make_chain(channels, pool, sc.E_s), Schedule(L=60), keep=keep)
+        for t in range(pool.shape[0]):
+            ch_t = dataclasses.replace(channels, H=channels.H[t:t + 1],
+                                       H_int=channels.H_int[t:t + 1])
+            alone = run_bcd(make_chain(ch_t, pool[t:t + 1], sc.E_s), Schedule(L=60), keep=keep)
+            np.testing.assert_array_equal(stacked.W[t], alone.W[0], err_msg=f"trial {t}")
+            for u in keep:
+                np.testing.assert_array_equal(stacked.kept[u][t], alone.kept[u][0])
+
+    def test_only_deep_gaps_between_sweep_ends_take_powers(self, monkeypatch):
+        # the gaps are the kept counts in order; a gap runs block updates
+        # unless it starts and ends on a sweep and is deep
+        sc, channels, pool = _powers_case("desk_stack")
+        depth = next(d for d in range(1, 200) if daisy.powered(d, sc.K, sc.M))
+        calls = {"updates": 0, "maps": 0}
+        update, sweep_map = daisy.bcd_block_update, daisy._sweep_map
+
+        def counted_update(chain, c):
+            calls["updates"] += 1
+            update(chain, c)
+
+        def counted_map(chain):
+            calls["maps"] += 1
+            return sweep_map(chain)
+
+        monkeypatch.setattr(daisy, "bcd_block_update", counted_update)
+        monkeypatch.setattr(daisy, "_sweep_map", counted_map)
+        C, deep = sc.C, depth + 3
+        cases = [
+            ({0, deep * C}, deep, 0, 1),                         # one deep gap
+            ({deep * C, 3 * deep * C}, 3 * deep, 0, 1),          # two, one map
+            ({C, 4 * C}, 4, 4 * C, 0),                           # shallow gaps
+            ({1, deep * C}, deep, deep * C, 0),                  # a mid-sweep keep
+            ({C, (deep + 1) * C}, deep + 1, C, 1),               # shallow, then deep
+            ({2 * C + 1}, deep + 3, (deep + 3) * C, 0),          # deep, from mid-sweep
+            (range(deep * C + 1), deep, deep * C, 0),            # the trace: every update
+            ((), deep, 0, 1),                                    # the end alone
+        ]
+        for keep, L, updates, maps in cases:
+            calls.update(updates=0, maps=0)
+            run_bcd(make_chain(channels, pool, sc.E_s), Schedule(L=L), keep=keep)
+            assert calls == {"updates": updates, "maps": maps}, (sorted(keep)[:4], L)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 from unittest import mock
@@ -13,7 +14,7 @@ from scipy.stats import norm
 from chainmmse import central, detect, model
 from chainmmse.detect import Constellation, evaluate_equalizer, make_frame
 
-from conftest import colored_noise_reference, crandn_reference
+from conftest import colored_noise_reference, crandn_reference, unreplayable
 
 
 def modulate(bits, constellation):
@@ -560,11 +561,23 @@ class TestErrorCounts:
                             constellation=16)
         W, chs, frames = _chunk(sc, (80, 84), 100)
         # every trial fails, on whichever lane takes it
-        frames = [dataclasses.replace(f, sym=f.sym[:2]) for f in frames]
+        frames = [unreplayable(f) for f in frames]
         with mock.patch.multiple(detect, LANE_BYTES=0), \
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
-                pytest.raises(ValueError):
+                pytest.raises(ValueError, match="PCG64"):
             evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
+
+    def test_a_frame_of_another_user_count_is_rejected_before_the_lanes_run(self, lanes):
+        sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
+                            constellation=16)
+        W, chs, frames = _chunk(sc, (80, 84, 88), 100)
+        for sym, shape in [(frames[1].sym[:2], "(2, 100)"), (frames[1].sym[0], "(100,)"),
+                           (frames[1].sym[None], "(1, 3, 100)")]:
+            bad = [frames[0], dataclasses.replace(frames[1], sym=sym), frames[2]]
+            with mock.patch.object(lanes, "start", side_effect=AssertionError("lanes ran")), \
+                    pytest.raises(ValueError, match=rf"frame of trial 1: sym shaped "
+                                                    rf"{re.escape(shape)}, not K = 3 rows"):
+                evaluate_equalizer(W, stack(chs), bad, sc, lanes=lanes)
 
     def test_lane_0s_error_wins_over_lane_1s(self):
         # each lane holds one trial of two at the barrier, then fails: lane 1
@@ -596,10 +609,10 @@ class TestErrorCounts:
         W, chs, frames = _chunk(sc, (80, 84), 100)
         want = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)  # in one lane
         # every trial fails, on whichever lane takes it
-        bad = [dataclasses.replace(f, sym=f.sym[:2]) for f in frames]
+        bad = [unreplayable(f) for f in frames]
         with mock.patch.multiple(detect, LANE_BYTES=0), \
                 mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="PCG64"):
                 evaluate_equalizer(W, stack(chs), bad, sc, lanes=lanes)
             got = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
         assert want[0].all()

@@ -20,7 +20,7 @@ from chainmmse.harness import (ExperimentConfig, ResultRow, emit_csv,
                                emit_convergence_trace, load_config, parse_algorithm,
                                profile_scenario, run_experiment)
 
-from conftest import paper_traffic
+from conftest import paper_traffic, unreplayable
 
 
 def read_results_csv(path) -> list[ResultRow]:
@@ -461,6 +461,35 @@ class TestRunExperiment:
         assert plans == [[range(20)]] * 2 + [[range(t, t + 1) for t in range(20)]] * 2
         assert blobs[1] == blobs[0]
 
+    @pytest.mark.parametrize("shape, updates, maps", [
+        # chain_deep: bcd:50 is one deep gap from the BDAC start, powered
+        ({"profile": "desk", "algorithms": ["mmse_sampleR", "bcd:50"]}, 0, 2),
+        # desk and paper: bdac, bcd:1 and bcd:4 read sweeps 0, 1 and 4, stepped
+        ({"profile": "desk", "algorithms": ["zf", "mmse_exactR", "mmse_sampleR", "bdac",
+                                            "bcd:1", "bcd:4"]}, 2 * 4 * 4, 0),
+        ({"profile": "paper", "algorithms": ["bdac", "bcd:1", "bcd:4"]}, 2 * 4 * 8, 0)],
+        ids=["chain_deep", "desk", "paper"])
+    def test_deep_chain_tokens_advance_by_powers_of_the_sweep_map(self, monkeypatch, shape,
+                                                                  updates, maps):
+        # two grid points of one chunk each: the block updates and the sweep
+        # maps that their chain runs make
+        calls = {"updates": 0, "maps": 0}
+        update, sweep_map = daisy.bcd_block_update, daisy._sweep_map
+
+        def counted_update(chain, c):
+            calls["updates"] += 1
+            update(chain, c)
+
+        def counted_map(chain):
+            calls["maps"] += 1
+            return sweep_map(chain)
+
+        monkeypatch.setattr(daisy, "bcd_block_update", counted_update)
+        monkeypatch.setattr(daisy, "_sweep_map", counted_map)
+        run_experiment(harness.make_config({**shape, "es_n0_db": [0.0, 16.0], "iot_db": [10.0],
+                                            "trials": 2, "symbols_per_trial": 16}))
+        assert calls == {"updates": updates, "maps": maps}
+
     def test_loading_warnings_name_the_grid_point_and_the_runs_trial(self, monkeypatch):
         # at 150 dB every local Gram matrix is loaded; at a budget of 8 desk
         # trials, 12 trials build in chunks of 6 and 6, and bdac and bcd:2
@@ -751,12 +780,12 @@ class TestOverlap:
     @pytest.mark.parametrize("joined_by", ["the next call", "wait"])
     def test_an_error_in_a_held_job_is_raised_when_it_is_joined(self, joined_by):
         W, channels, frames, sc = self._chunk()
-        bad = [dataclasses.replace(f, sym=f.sym[:2]) for f in frames]  # every trial fails
+        bad = [unreplayable(f) for f in frames]  # every trial fails, in a lane
         with detect.Lanes() as lanes:
             want = detect.evaluate_equalizer(W, channels, frames, sc, lanes=lanes)
             out = np.empty((2, 1, 3), dtype=np.int64)
             detect.evaluate_equalizer(W, channels, bad, sc, lanes=lanes, out=out)  # held
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="PCG64"):
                 if joined_by == "wait":
                     lanes.wait()
                 else:
@@ -775,12 +804,11 @@ class TestOverlap:
 
         def make_bad_frame_after_five(*args):
             made.append(make_frame(*args))
-            return made[-1] if len(made) <= 5 else dataclasses.replace(made[-1],
-                                                                       sym=made[-1].sym[:2])
+            return made[-1] if len(made) <= 5 else unreplayable(made[-1])
 
         monkeypatch.setattr(detect, "make_frame", make_bad_frame_after_five)
         before = threading.enumerate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="PCG64"):
             run_experiment(ExperimentConfig(scenario=profile_scenario("desk"),
                                             es_n0_db=(6.0,), algorithms=("zf",), trials=10,
                                             symbols_per_trial=50, seed=2))
