@@ -24,7 +24,7 @@ all of them at once as stacked matmuls and solves.
 """
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,13 +173,16 @@ def _advance(W: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
         Y = square
 
 
-def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = ()) -> BcdResult:
+def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = (),
+            on_keep: Callable[[int, np.ndarray], None] | None = None) -> BcdResult:
     """Full chain run: block-diagonal init, message preprocessing circuits,
     L sweeps of C block updates.
 
     Returns the final equalizers, the ledger of one chain instance's traffic
     (chain_traffic on every loop link), and a copy of W after each block-update
-    count u in keep: u = 0 is the BDAC start, u = d C the end of sweep d.
+    count u in keep: u = 0 is the BDAC start, u = d C the end of sweep d. With
+    on_keep, no copy is kept: on_keep(u, W) gets the chain's own W, which the
+    next block update changes in place.
     Between consecutive counts of keep (and the end), a gap of d whole sweeps
     that powered() calls deep is advanced by powers of the sweep map, built
     once per run; every other gap runs bcd_block_update one block at a time.
@@ -199,6 +202,8 @@ def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = ()) -> Bcd
             for v in range(u + 1, stop + 1):
                 bcd_block_update(chain, (v - 1) % C)
         u = stop
-        if u in keep:
+        if u in keep and on_keep is None:
             kept[u] = chain.W.copy()
+        elif u in keep:
+            on_keep(u, chain.W)
     return BcdResult(chain.W, ledger, kept)

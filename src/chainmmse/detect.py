@@ -91,8 +91,10 @@ class Frame:
     data stream, each row by row; c and d are drawn only with interference
     power, and X is zero without it. noise_state is the bit generator's state
     at the first of them, from which evaluate_equalizer replays them; the
-    stream must be a PCG64 one, as every stream of harness.trial_rngs is. The
-    transmitted bits are the MSB-first binary of the symbol indices.
+    stream must be a PCG64 one. A run draws every trial's bits through its
+    one generator, set to the trial's data stream (harness.set_stream):
+    noise_state is a copy, which the generator's next trial leaves as it is.
+    The transmitted bits are the MSB-first binary of the symbol indices.
     """
     sym: np.ndarray       # (K, n_symbols) uint8 symbol indices into the constellation
     noise_state: dict     # rng.bit_generator.state at the first normal of a
@@ -135,7 +137,7 @@ def _real_form(gains: list[np.ndarray]) -> np.ndarray:
     return G.reshape(T, 2 * A * K, -1)
 
 
-def lanes(n_trials: int, trial_bytes: int) -> int:
+def lane_count(n_trials: int, trial_bytes: int) -> int:
     """Lanes, 1 or 2, that evaluate a chunk of n_trials trials, each of
     trial_bytes of normals: 2 when a trial reaches LANE_BYTES, capped by the
     trials and by the CPUs of os.sched_getaffinity (so `taskset -c 0` gives
@@ -240,10 +242,6 @@ class Lanes:
     serves one caller at a time.
     """
 
-    # lanes(n_trials, trial_bytes), under a name that evaluate_equalizer's
-    # lanes argument does not shadow
-    count = staticmethod(lanes)
-
     def __init__(self):
         self._lanes = (_Lane(), _Lane())
         self._pool = self._job = None
@@ -318,8 +316,8 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     replayed in one block. Both products and the decisions, made in place on
     the estimates, run once per block as stacked calls over the group, in
     blocks of columns, DETECT_BYTES of estimates each. The groups are a job of
-    lanes, the run's Lanes, whose lanes (one or two, see lanes) take them one
-    at a time from one shared counter; on two lanes each group is one trial.
+    lanes, the run's Lanes, whose lanes (one or two, see lane_count) take them
+    one at a time from one shared counter; on two lanes each group is one trial.
     Each lane draws and equalizes the trials it takes, each trial with its own
     products, so the counts do not depend on the lanes or the groups.
 
@@ -398,7 +396,7 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
                 counts[0, ..., ts] += bits.transpose(to_counts)
                 counts[1, ..., ts] += np.count_nonzero(wrong, axis=(-2, -1)).transpose(to_counts)
 
-    n_lanes = Lanes.count(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
+    n_lanes = lane_count(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
     lanes.start(work, group_plan([f.sym.shape[1] for f in frames], rows, AK, n_lanes), n_lanes)
     if out is None:
         lanes.wait()

@@ -1,11 +1,13 @@
 """Monte Carlo experiment driver: seeded sweeps over Es/N0 x IoT x algorithm.
 
-Common-random-numbers discipline: at every grid point, each trial derives
-three independent RNG streams (channel, noise pool, data) from
-SeedSequence([seed, point_index, trial_index]), so every algorithm sees
-identical channels, pools, bits, and data noise, and BER comparisons are
-paired. Total RNG consumption is therefore independent of the algorithm
-subset, and trials may run in any order.
+Common-random-numbers discipline: at every grid point, each trial has
+three independent RNG streams (channel, noise pool, data), numpy's PCG64
+children of SeedSequence([seed, point_index, trial_index]), so every
+algorithm sees identical channels, pools, bits, and data noise, and BER
+comparisons are paired. Total RNG consumption is therefore independent of the
+algorithm subset, and trials may run in any order. The streams of a grid
+point's trials are derived in one vectorized pass (stream_states), and every
+trial is drawn through the run's one generator, set to each stream in turn.
 
 Trials are drawn one by one and built in chunks stacked along a leading trial
 axis, a grid point's trials split evenly over the fewest chunks a byte budget
@@ -28,6 +30,7 @@ row's traffic sums interconnect.chain_traffic, as the trace's traffic.csv does.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 import warnings
@@ -223,21 +226,133 @@ def make_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(scenario=_make_scenario(sc_raw, profile), **params)
 
 
+# numpy's SeedSequence, from which its PCG64 seeds: O'Neill's seed_seq hash
+# over a pool of 4 uint32 words (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905), its constants, and PCG64's LCG multiplier
+_POOL = 4
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy's hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.cache
+def _rounds(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 constants of n successive hash rounds from the multiplier
+    init: round i xors its word with the multiplier, advances the multiplier
+    by mult, and multiplies the word by it."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    xors, mults = np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
+    xors.flags.writeable = mults.flags.writeable = False  # one pair serves every call
+    return xors, mults
+
+
+def _hash(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Hash rounds on uint32 arrays, the constants broadcast over the words."""
+    h = words ^ xors
+    h *= mults
+    h ^= h >> 16
+    return h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    m = x * _MIX_L - y * _MIX_R
+    m ^= m >> 16
+    return m
+
+
+def _words(n: int) -> list[int]:
+    """n's uint32 words, least significant first; 0 is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def stream_states(seed: int, point_index: int, trials: range) -> np.ndarray:
+    """The PCG64 states of the channel, pool and data streams of trials at a
+    grid point, trials x 3 x 4 uint64 words: state high and low, increment
+    high and low. They are numpy's PCG64(SeedSequence([seed, point_index,
+    t]).spawn(3)[i]) bit for bit, the hash run on uint32 arrays across the
+    trials and the 128-bit seeding step on Python ints; set_stream sets one.
+    Every trial's entropy words are the seed's, point_index's and t's, zeros
+    up to the pool, then the child's spawn key i."""
+    if min(seed, point_index, trials.start) < 0:
+        raise ValueError("stream_states: seed, point and trials must be >= 0")
+    cut = 1 << 32 * len(_words(trials.start))
+    if trials.stop > cut:  # trials of one word count share the layout of their words
+        return np.concatenate([stream_states(seed, point_index, range(trials.start, cut)),
+                               stream_states(seed, point_index, range(cut, trials.stop))])
+    head, n_t = _words(seed) + _words(point_index), len(_words(trials.start))
+    entropy = np.zeros((len(trials), max(_POOL, len(head) + n_t)), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    entropy[:, len(head):len(head) + n_t] = [_words(t) for t in trials]
+    # mix_entropy: the first words hashed into the pool, each pool word into
+    # every other, then each further word into every pool word; the hash's
+    # multiplier runs on through the rounds, whatever the words are
+    xors, mults = _rounds(_INIT_A, _MULT_A, _POOL * (entropy.shape[1] + 1))
+    pool, k = _hash(entropy[:, :_POOL], xors[:_POOL], mults[:_POOL]), _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xors[k:k + 3],
+                                                mults[k:k + 3]))
+        k += 3
+    for src in range(_POOL, entropy.shape[1]):
+        pool = _mix(pool, _hash(entropy[:, src, None], xors[k:k + 4], mults[k:k + 4]))
+        k += 4
+    # the children's last word, their spawn keys 0, 1 and 2: trials x 3 pools
+    pool = _mix(pool[:, None], _hash(np.arange(3, dtype=np.uint32)[:, None], xors[k:], mults[k:]))
+    # generate_state(4, uint64): 8 words, cycling through the pool, paired
+    # little end first into the seed's and the sequence's 128 bits
+    words = _hash(np.tile(pool, 2), *_rounds(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
+    seeds = (words[..., 0::2] | words[..., 1::2] << 32).reshape(-1, 4)
+    flat = []
+    for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
+        # PCG64's seeding: inc = 2 sequence + 1, then two LCG steps from 0,
+        # the seed added between them
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        flat += (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)
+    return np.array(flat, dtype=np.uint64).reshape(len(trials), 3, 4)
+
+
+def set_stream(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
+    """rng, its PCG64 set to the stream of words, one stream of stream_states."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def generator() -> np.random.Generator:
+    """A PCG64 generator to set streams into (set_stream). It is made when a
+    run or a trace starts, never at import: numpy.random, which importing
+    numpy leaves out, is then imported by the first call, not by the package."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def trial_rngs(seed: int, point_index: int, trial_index: int):
     """Three independent streams (channel, pool, data) for one trial."""
-    ss = np.random.SeedSequence([seed, point_index, trial_index])
-    return [np.random.default_rng(child) for child in ss.spawn(3)]
+    return [set_stream(generator(), words)
+            for words in stream_states(seed, point_index, range(trial_index, trial_index + 1))[0]]
 
 
-def draw_trials(scenario: model.Scenario, seed: int, point_index: int, trials: range):
-    """The channels and noise pools of trials at a grid point, drawn trial by
-    trial and stacked along a leading trial axis, and each trial's data stream."""
-    rngs = [trial_rngs(seed, point_index, t) for t in trials]
-    channel_sets = [model.build_channel(scenario, rng_ch) for rng_ch, _, _ in rngs]
-    pool = np.empty((len(rngs), scenario.M, scenario.N), dtype=complex)
-    for t, (ch, (_, rng_pool, _)) in enumerate(zip(channel_sets, rngs)):
-        model.draw_noise_pool(ch, scenario, rng_pool, out=pool[t])  # drawn in place
-    return model.stack_channels(channel_sets), pool, [rng_data for _, _, rng_data in rngs]
+def draw_trials(scenario: model.Scenario, states: np.ndarray, rng: np.random.Generator):
+    """The channels and noise pools of the trials of states (stream_states
+    rows), stacked along a leading trial axis, drawn trial by trial through
+    rng: set to the trial's channel stream, then to its pool stream."""
+    pool = np.empty((len(states), scenario.M, scenario.N), dtype=complex)
+    channel_sets = []
+    for t, (channel, noise, _) in enumerate(states):
+        channel_sets.append(model.build_channel(scenario, set_stream(rng, channel)))
+        model.draw_noise_pool(channel_sets[-1], scenario, set_stream(rng, noise),
+                              out=pool[t])  # drawn in place
+    return model.stack_channels(channel_sets), pool
 
 
 def chunk_plan(scenario: model.Scenario, trials: int) -> list[range]:
@@ -245,9 +360,9 @@ def chunk_plan(scenario: model.Scenario, trials: int) -> list[range]:
     in: the fewest that hold at most CHUNK_BYTES of stacked trial data, at a
     trial's complex noise samples and covariance matrix, 16 M (N + M) bytes,
     or two trials, as a chunk of one detects in one lane with lane 1 idle
-    (detect.lanes). The trials are split evenly over them, the first chunks a
-    trial larger than the rest: a small tail chunk pays a whole chunk's calls
-    for few trials, and one of one trial detects in one lane."""
+    (detect.lane_count). The trials are split evenly over them, the first
+    chunks a trial larger than the rest: a small tail chunk pays a whole
+    chunk's calls for few trials, and one of one trial detects in one lane."""
     most = max(2, CHUNK_BYTES // (16 * scenario.M * (scenario.N + scenario.M)))
     n = -(-trials // most)
     size, extra = divmod(trials, n)
@@ -276,12 +391,18 @@ def warn_loaded(loaded: np.ndarray, sc: model.Scenario, first: int = 0) -> None:
                       f"{sc.iot_db} dB: diagonal loading of its ill-conditioned Gram matrix")
 
 
+def _make_chain(channels, pool, sc: model.Scenario, first: int) -> daisy.Chain:
+    """The chains of a stack of trials from first on; a loaded Gram matrix warns."""
+    chain = daisy.make_chain(channels, pool, sc.E_s)
+    warn_loaded(chain.loaded, sc, first)
+    return chain
+
+
 def _run_chain(channels, pool, sc: model.Scenario, first: int, keep):
     """One chain run over a stack of trials from first on, through the sweeps
     that reach the most block updates in keep: its R_hat and {u: T x K x M
     equalizers after u block updates} for every u in keep (0 the BDAC start)."""
-    chain = daisy.make_chain(channels, pool, sc.E_s)
-    warn_loaded(chain.loaded, sc, first)
+    chain = _make_chain(channels, pool, sc, first)
     result = daisy.run_bcd(chain, daisy.Schedule(L=math.ceil(max(keep) / sc.C)), keep=keep)
     return chain.R_hat, result.kept
 
@@ -316,11 +437,14 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
     # the run's per-trial record: bit and symbol errors, objectives, build times
     errors = np.zeros((len(grid), 2, A, config.trials), dtype=np.int64)
     objective, wall = np.zeros((len(grid), A, config.trials)), np.zeros((len(grid), A))
+    rng = generator()  # set to each stream of each trial in turn
     for p, (es, iot) in enumerate(grid):
         sc = config.scenario.with_ratios(es_n0_db=es, iot_db=iot)
+        states = stream_states(config.seed, p, range(config.trials))
         for trials in plan:
-            channels, pool, data_rngs = draw_trials(sc, config.seed, p, trials)
             first, T, R_hat = trials.start, len(trials), None
+            streams = states[first:first + T]
+            channels, pool = draw_trials(sc, streams, rng)
             W = np.empty((A, T, sc.K, sc.M), dtype=complex)
             for tokens in builds:
                 t0 = time.perf_counter()
@@ -342,8 +466,8 @@ def _run_grid(config: ExperimentConfig, lanes: detect.Lanes) -> list[ResultRow]:
             objective[p, :, first:first + T] = central.sample_objective(W, channels.H, pool,
                                                                         sc.E_s)
             del pool, R_hat  # the chunk's largest arrays, not held while it is detected
-            frames = [detect.make_frame(sc, config.symbols_per_trial, rng_data, const)
-                      for rng_data in data_rngs]
+            frames = [detect.make_frame(sc, config.symbols_per_trial, set_stream(rng, data), const)
+                      for data in streams[:, 2]]
             detect.evaluate_equalizer(W, channels, frames, sc, const, lanes=lanes,
                                       out=errors[p, ..., first:first + T])
             del channels, W  # nor while the next chunk is drawn
@@ -390,19 +514,28 @@ class TraceRow:
 
 def convergence_trace(scenario: model.Scenario, seed: int, L: int) -> list[TraceRow]:
     """Run one chain instance, drawn as trial 0 of grid point 0 of the seed,
-    then its W*, as a run of mmse_sampleR and bcd:L builds them, at one BLAS
-    thread as a run builds; report per-block-update distance to the optimum."""
+    and its W*, as a run of mmse_sampleR and bcd:L builds them, at one BLAS
+    thread as a run builds; report per-block-update distance to the optimum,
+    each W scored as the chain makes it."""
     with detect.one_blas_thread():
-        channels, pool, _ = draw_trials(scenario, seed, 0, range(1))  # a stack of one
-        R_hat, kept = _run_chain(channels, pool, scenario, 0, range(1, L * scenario.C + 1))
-        W_star = _build_equalizer("mmse_sampleR", channels, pool, scenario, R_hat)[0]
-        norm_star = np.linalg.norm(W_star, "fro")
-        rows = []
-        for u, W in kept.items():  # stacks of one trial
+        channels, pool = draw_trials(scenario, stream_states(seed, 0, range(1)),
+                                     generator())  # a stack of one
+        chain = _make_chain(channels, pool, scenario, 0)
+        rows, W_star, norm_star = [], None, None
+
+        def score(u, W):
+            nonlocal W_star, norm_star
+            if W_star is None:  # built once the chain has started, as a run builds it
+                W_star = _build_equalizer("mmse_sampleR", channels, pool, scenario,
+                                          chain.R_hat)[0]
+                norm_star = np.linalg.norm(W_star, "fro")
             sweep, block = divmod(u - 1, scenario.C)
             obj = central.sample_objective(W[0], channels.H[0], pool[0], scenario.E_s)
             err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
             rows.append(TraceRow(sweep + 1, block, float(obj), float(err)))
+
+        daisy.run_bcd(chain, daisy.Schedule(L=L), keep=range(1, L * scenario.C + 1),
+                      on_keep=score)
     return rows
 
 

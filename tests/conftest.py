@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chainmmse import detect, model
+from chainmmse import detect, harness, model
 
 
 def make_instance(seed=0, M=16, C=4, K=4, K_int=4, N=64, es_n0_db=10.0,
@@ -29,6 +29,14 @@ def colored_noise_reference(channels, sigma2, p_int, n, rng):
     if K_int > 0 and p_int > 0.0:
         noise = noise + np.sqrt(p_int) * (channels.H_int @ crandn_reference(rng, K_int, n))
     return noise
+
+
+def draw_point(sc, seed, point_index, trials):
+    """harness.draw_trials of trials at a grid point, as a run draws them, and
+    each trial's data stream, a generator of its own."""
+    states = harness.stream_states(seed, point_index, trials)
+    channels, pool = harness.draw_trials(sc, states, harness.generator())
+    return channels, pool, [harness.set_stream(harness.generator(), s) for s in states[:, 2]]
 
 
 def unreplayable(frame):

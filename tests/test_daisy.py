@@ -10,7 +10,7 @@ from chainmmse.daisy import (DIAG_LOAD, Schedule, bcd_block_update, bdac_init,
                              make_chain, run_bcd)
 from chainmmse.interconnect import PHASE_SWEEP
 
-from conftest import make_instance
+from conftest import draw_point, make_instance
 
 def _disjoint_pool(sc, rng, zero_cluster=None):
     """Noise pool in which each cluster has its own sample columns, so the
@@ -113,7 +113,7 @@ class TestBlockUpdate:
         # two sweeps of a stack of three trials, from BDAC and then from a W
         # put in its place: each update is W_c += F_c - W Q_c on that array
         sc = harness.profile_scenario("desk").with_ratios(8.0, 10.0)
-        channels, pool, _ = harness.draw_trials(sc, 3, 0, range(3))
+        channels, pool, _ = draw_point(sc, 3, 0, range(3))
         chain = make_chain(channels, pool, sc.E_s)
         for start in (bdac_init(chain), 0.5 * chain.W):
             chain.W = W = start.copy()
@@ -382,11 +382,11 @@ def _powers_case(case):
     """A stack of trials for the sweep-map tests, with W = 0."""
     if case == "desk_stack":
         sc = harness.profile_scenario("desk").with_ratios(8.0, 10.0)
-        return sc, *harness.draw_trials(sc, 3, 0, range(3))[:2]
+        return sc, *draw_point(sc, 3, 0, range(3))[:2]
     if case == "loaded_stack":
         # at Es/N0 150 dB the local Gram matrices are loaded, yet BDAC solves
         sc = harness.profile_scenario("desk").with_ratios(150.0, 10.0)
-        return sc, *harness.draw_trials(sc, 1, 0, range(2))[:2]
+        return sc, *draw_point(sc, 1, 0, range(2))[:2]
     shape = (dict(M=12, C=3, cluster_sizes=(2, 7, 3), K=3, K_int=2, N=24) if case == "uneven"
              else dict(M=8, C=1, K=2, K_int=2, N=32))  # one_cluster
     instances = [make_instance(seed=s, **shape) for s in (16, 17, 18)]

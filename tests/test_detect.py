@@ -474,7 +474,7 @@ class TestErrorCounts:
             with mock.patch.object(detect, "LANE_BYTES", 0), \
                     mock.patch.object(detect.os, "sched_getaffinity", return_value=cpus,
                                       create=True):
-                assert detect.lanes(5, 0) == len(cpus)
+                assert detect.lane_count(5, 0) == len(cpus)
                 counts[len(cpus)] = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
         assert counts[1][0].all()
         for got, want in zip(counts[2], counts[1]):
@@ -506,31 +506,31 @@ class TestErrorCounts:
 
     def test_lanes_are_capped_by_the_gate_the_trials_and_the_cpus(self):
         with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
-            assert detect.lanes(8, detect.LANE_BYTES) == 2
-            assert detect.lanes(8, detect.LANE_BYTES - 1) == 1
-            assert detect.lanes(1, detect.LANE_BYTES) == 1
+            assert detect.lane_count(8, detect.LANE_BYTES) == 2
+            assert detect.lane_count(8, detect.LANE_BYTES - 1) == 1
+            assert detect.lane_count(1, detect.LANE_BYTES) == 1
         with mock.patch.object(detect.os, "sched_getaffinity", lambda pid: {0}, create=True):
-            assert detect.lanes(8, detect.LANE_BYTES) == 1
+            assert detect.lane_count(8, detect.LANE_BYTES) == 1
         with mock.patch.object(detect.os, "sched_getaffinity", lambda pid: set(range(8)),
                                create=True):
-            assert detect.lanes(8, detect.LANE_BYTES) == 2
+            assert detect.lane_count(8, detect.LANE_BYTES) == 2
 
     def test_desk_trials_run_in_two_lanes_and_chain_deep_trials_in_one(self):
         # a trial's normals: 8 bytes x (2 M + 2 K_int) rows x its symbols. In
         # the desk profile (M = 32, K = K_int = 4) 500 symbols run in two lanes
         # and the 64 of the chain_deep benchmark in one
         with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True):
-            assert detect.lanes(8, 8 * 72 * 500) == 2
-            assert detect.lanes(8, 8 * 72 * 64) == 1
+            assert detect.lane_count(8, 8 * 72 * 500) == 2
+            assert detect.lane_count(8, 8 * 72 * 64) == 1
             # the group plans of the benchmark workloads' chunks, of 2 M + 2 K
             # + 2 K_int rows and A K estimate pairs a symbol: chain_deep's 20
             # trials (A = 2) are one group; desk's 25 and paper's 2 (M = 128,
             # K = K_int = 8), A = 6, are groups of one, in two lanes or one
-            assert detect.group_plan([64] * 20, 80, 2 * 4, detect.lanes(20, 8 * 72 * 64)) == [
+            assert detect.group_plan([64] * 20, 80, 2 * 4, detect.lane_count(20, 8 * 72 * 64)) == [
                 range(20)]
             for n_trials, M, K in ((25, 32, 4), (2, 128, 8)):
                 rows = 2 * M + 4 * K
-                assert detect.lanes(n_trials, 8 * (rows - 2 * K) * 500) == 2
+                assert detect.lane_count(n_trials, 8 * (rows - 2 * K) * 500) == 2
                 for n_lanes in (2, 1):
                     assert detect.group_plan([500] * n_trials, rows, 6 * K, n_lanes) == [
                         range(t, t + 1) for t in range(n_trials)]

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainmmse import central, cli, daisy, detect, harness, model
 from chainmmse.interconnect import (PHASE_ACCUMULATE, PHASE_DISTRIBUTE, PHASE_GRAM,
@@ -20,7 +22,7 @@ from chainmmse.harness import (ExperimentConfig, ResultRow, emit_csv,
                                emit_convergence_trace, load_config, parse_algorithm,
                                profile_scenario, run_experiment)
 
-from conftest import paper_traffic, unreplayable
+from conftest import draw_point, paper_traffic, unreplayable
 
 
 def read_results_csv(path) -> list[ResultRow]:
@@ -536,17 +538,21 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("iot_db", [10.0, None])
     def test_a_stack_draws_each_trials_pool_bit_for_bit(self, iot_db):
-        # the pools are drawn in place into one stack: each equals its trial's
-        # own draw_noise_pool, with and without interference power
+        # the pools are drawn in place into one stack, through one generator:
+        # each equals its trial's own draw_noise_pool from numpy's own
+        # streams, with and without interference power
         sc = profile_scenario("desk").with_ratios(4.0, iot_db)
-        channels, pool, data_rngs = harness.draw_trials(sc, 7, 2, range(3, 8))
-        assert pool.shape == (5, sc.M, sc.N) and len(data_rngs) == 5
+        states = harness.stream_states(7, 2, range(3, 8))
+        channels, pool = harness.draw_trials(sc, states, harness.generator())
+        assert pool.shape == (5, sc.M, sc.N) and states.shape == (5, 3, 4)
         for i, t in enumerate(range(3, 8)):
-            rng_ch, rng_pool, rng_data = harness.trial_rngs(7, 2, t)
+            rng_ch, rng_pool, rng_data = [np.random.default_rng(child) for child
+                                          in np.random.SeedSequence([7, 2, t]).spawn(3)]
             ch = model.build_channel(sc, rng_ch)
             assert (channels.H[i] == ch.H).all() and (channels.H_int[i] == ch.H_int).all()
             assert (pool[i] == model.draw_noise_pool(ch, sc, rng_pool)).all()
-            assert data_rngs[i].bit_generator.state == rng_data.bit_generator.state
+            data = harness.set_stream(harness.generator(), states[i, 2])
+            assert data.bit_generator.state == rng_data.bit_generator.state
 
     def test_chunk_plans_of_the_benchmark_workloads(self):
         # configs/desk.yaml (the desk workload) 50 trials: 25+25; chain_deep, 20
@@ -685,6 +691,66 @@ class TestRunExperiment:
         assert entries[0] == entries[1] > 0
 
 
+def _numpy_states(seed, point_index, t):
+    """The PCG64 states of a trial's streams as numpy seeds them: the test oracle."""
+    return [np.random.PCG64(child).state
+            for child in np.random.SeedSequence([seed, point_index, t]).spawn(3)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a uint32 overflow warning fails
+class TestStreams:
+    @given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+                          st.integers(0, 2**128 - 1)),
+           point_index=st.integers(0, 2**33), start=st.integers(1, 2**33),
+           length=st.sampled_from([1, 2, 50]))
+    @example(seed=1, point_index=0, start=2**32 - 25, length=50)  # across a word count
+    @settings(max_examples=60, deadline=None)
+    def test_batched_states_are_numpys_seed_sequence_spawn(self, seed, point_index, start,
+                                                           length):
+        trials = range(start, start + length)
+        states = harness.stream_states(seed, point_index, trials)
+        assert states.shape == (length, 3, 4) and states.dtype == np.uint64
+        rng = harness.generator()
+        for words, t in zip(states, trials):
+            assert [harness.set_stream(rng, w).bit_generator.state for w in words] \
+                == _numpy_states(seed, point_index, t)
+
+    def test_trial_rngs_are_numpys_streams(self):
+        for seed, point_index, t in [(0, 0, 0), (7, 2, 5), (2**64 + 5, 2**33, 2**32)]:
+            assert [rng.bit_generator.state for rng in harness.trial_rngs(seed, point_index, t)] \
+                == _numpy_states(seed, point_index, t)
+        with pytest.raises(ValueError, match=">= 0"):
+            harness.stream_states(-1, 0, range(1))
+
+    def test_a_run_seeds_no_sequence_and_makes_no_default_rng(self, monkeypatch):
+        # a desk-shaped run derives its trials' streams itself: numpy's own
+        # seeding is the test oracle only
+        made = []
+
+        def counted(name, make):
+            def make_and_count(*args, **kwargs):
+                made.append(name)
+                return make(*args, **kwargs)
+            return make_and_count
+
+        for name in ("SeedSequence", "default_rng"):
+            monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+        config = ExperimentConfig(scenario=profile_scenario("desk"), es_n0_db=(0.0, 8.0),
+                                  trials=6, symbols_per_trial=100, seed=4)
+        rows = run_experiment(config)
+        assert made == [] and len(rows) == 2 * len(config.algorithms)
+
+    def test_importing_the_package_leaves_numpy_random_unimported(self):
+        # the run makes its generator: one made at import would import
+        # numpy.random with the package, and every run would pay for it in setup
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import chainmmse.cli, chainmmse.harness; print('numpy.random' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "False\n"
+
+
 class TestOverlap:
     """A chunk's detection on lane 1 behind the build of the next chunk, with
     two lanes on every chunk of more than one trial and the CPUs mocked."""
@@ -755,16 +821,17 @@ class TestOverlap:
             used.append(kwargs["lanes"])
             return evaluate(*args, **kwargs)
 
-        def draw_and_look(scenario, seed, point_index, trials):
-            if point_index > 0 and trials.start == 0:
+        def draw_and_look(scenario, states, rng):
+            if points and points[-1] != scenario.es_n0_db:  # a later point's first draw
                 held[n].append(used[-1]._job is not None)  # a private look at lane 1
-            return draw(scenario, seed, point_index, trials)
+            points.append(scenario.es_n0_db)
+            return draw(scenario, states, rng)
 
         monkeypatch.setattr(detect, "evaluate_equalizer", evaluate_and_keep)
         monkeypatch.setattr(harness, "draw_trials", draw_and_look)
         for n in (2, 1):
             cpus(set(range(n)))
-            held[n] = []
+            held[n], points = [], []
             run_experiment(ExperimentConfig(scenario=profile_scenario("desk"),
                                             es_n0_db=(0.0, 6.0, 12.0), algorithms=("zf",),
                                             trials=10, symbols_per_trial=50, seed=2))
@@ -773,7 +840,7 @@ class TestOverlap:
     def _chunk(self):
         """The zf equalizers, channels and frames of a chunk of three desk trials."""
         sc = profile_scenario("desk").with_ratios(6.0, 10.0)
-        channels, _, data_rngs = harness.draw_trials(sc, 3, 0, range(3))
+        channels, _, data_rngs = draw_point(sc, 3, 0, range(3))
         frames = [detect.make_frame(sc, 100, rng) for rng in data_rngs]
         return central.zf_centralized(channels.H)[None], channels, frames, sc
 
@@ -1098,7 +1165,7 @@ class TestConvergenceTrace:
                          "--out", str(tmp_path)]) == 0
         config = load_config(path)
         sc = config.scenario.with_ratios(12.0, config.iot_db[0])
-        channels, pool, _ = harness.draw_trials(sc, config.seed, 0, range(1))
+        channels, pool, _ = draw_point(sc, config.seed, 0, range(1))
         ledger = daisy.run_bcd(daisy.make_chain(channels, pool, sc.E_s),
                                daisy.Schedule(L=3)).ledger
         with open(tmp_path / "traffic.csv", newline="") as fh:
