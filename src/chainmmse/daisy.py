@@ -24,7 +24,7 @@ all of them at once as stacked matmuls and solves.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Collection
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +52,9 @@ class Chain:
     loaded: np.ndarray       # T x C: diagonal loading applied to that Gram matrix
     W: np.ndarray            # T x K x M equalizers
 
-    def __post_init__(self):
-        # bcd_block_update's own: per cluster a T x K x M_c buffer for W Q_c,
-        # and the column blocks of W, views of the array they were made from
-        self._WQ = [np.empty_like(F) for F in self.F]
-        self._blocks = None, []
-
 
 def make_chain(channels: model.ChannelSet, pool: np.ndarray, E_s: float) -> Chain:
-    """Build the chains of a stack of trials (see model.stack_trials), with
+    """Build the chains of a stack of trials (see model.stack_channels), with
     W = 0, from H and the pool's sample covariance R_hat; a single trial
     builds a stack of one. It loads a near-singular Gram matrix and flags it
     in loaded; the caller, which knows the trial and grid point, warns."""
@@ -115,16 +109,8 @@ def bdac_init(chain: Chain, ledger: TrafficLedger | None = None) -> np.ndarray:
 
 def bcd_block_update(chain: Chain, c: int) -> None:
     """One coordinate-descent block solve at cluster c, in every trial:
-    W_c += F_c - W Q_c moves W_c to the block minimizer. W Q_c, then
-    F_c - W Q_c, is written into the cluster's buffer, reused across the
-    sweeps, and added into a view of W's column block, kept while chain.W
-    is the same array."""
-    if chain._blocks[0] is not chain.W:
-        chain._blocks = chain.W, [chain.W[:, :, s] for s in chain.slices]
-    step = np.matmul(chain.W, chain.Q[c], out=chain._WQ[c])
-    np.subtract(chain.F[c], step, out=step)
-    block = chain._blocks[1][c]
-    block += step
+    W_c += F_c - W Q_c moves W_c to the block minimizer."""
+    chain.W[:, :, chain.slices[c]] += chain.F[c] - chain.W @ chain.Q[c]
 
 
 @dataclass
@@ -173,16 +159,13 @@ def _advance(W: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
         Y = square
 
 
-def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = (),
-            on_keep: Callable[[int, np.ndarray], None] | None = None) -> BcdResult:
+def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = ()) -> BcdResult:
     """Full chain run: block-diagonal init, message preprocessing circuits,
     L sweeps of C block updates.
 
     Returns the final equalizers, the ledger of one chain instance's traffic
     (chain_traffic on every loop link), and a copy of W after each block-update
-    count u in keep: u = 0 is the BDAC start, u = d C the end of sweep d. With
-    on_keep, no copy is kept: on_keep(u, W) gets the chain's own W, which the
-    next block update changes in place.
+    count u in keep: u = 0 is the BDAC start, u = d C the end of sweep d.
     Between consecutive counts of keep (and the end), a gap of d whole sweeps
     that powered() calls deep is advanced by powers of the sweep map, built
     once per run; every other gap runs bcd_block_update one block at a time.
@@ -202,8 +185,6 @@ def run_bcd(chain: Chain, schedule: Schedule, keep: Collection[int] = (),
             for v in range(u + 1, stop + 1):
                 bcd_block_update(chain, (v - 1) % C)
         u = stop
-        if u in keep and on_keep is None:
+        if u in keep:
             kept[u] = chain.W.copy()
-        elif u in keep:
-            on_keep(u, chain.W)
     return BcdResult(chain.W, ledger, kept)

@@ -147,20 +147,18 @@ def lane_count(n_trials: int, trial_bytes: int) -> int:
     return min(2, n_trials, len(os.sched_getaffinity(0)))
 
 
-def group_plan(n_symbols: list[int], rows: int, AK: int, n_lanes: int) -> list[range]:
-    """The groups of consecutive trials that a job of n_lanes lanes equalizes
-    and decides in one stacked pass each (evaluate_equalizer), for trials of
-    n_symbols[t] symbols, rows real rows (the symbol rows and the normals) and
-    2 AK real estimates per symbol. On two lanes every group is one trial, as
-    the lanes share the trials out one at a time. On one, the groups are the
-    largest runs of trials of one frame length whose replayed rows fit
-    DRAW_BYTES and whose estimates fit DETECT_BYTES; a trial that does not fit
-    both alone is a group of one, replayed in blocks."""
+def group_plan(n_symbols: list[int], rows: int, AK: int) -> list[range]:
+    """The groups of consecutive trials that a job equalizes and decides in
+    one stacked pass each (evaluate_equalizer), for trials of n_symbols[t]
+    symbols, rows real rows (the symbol rows and the normals) and 2 AK real
+    estimates per symbol: the largest runs of trials of one frame length whose
+    replayed rows fit DRAW_BYTES and whose estimates fit DETECT_BYTES. A trial
+    that does not fit both alone is a group of one, replayed in blocks. The
+    plan does not depend on the lanes, which take the groups one at a time."""
     plan, first = [], 0
     for n, run in itertools.groupby(n_symbols):
         end, n = first + len(list(run)), max(n, 1)
-        most = 1 if n_lanes > 1 else max(1, min(DRAW_BYTES // (8 * rows * n),
-                                                 DETECT_BYTES // (16 * AK * n)))
+        most = max(1, min(DRAW_BYTES // (8 * rows * n), DETECT_BYTES // (16 * AK * n)))
         plan += [range(a, min(a + most, end)) for a in range(first, end, most)]
         first = end
     return plan
@@ -231,24 +229,27 @@ def _take(work, units, lane: _Lane) -> None:
 class Lanes:
     """The two detection lanes of a run, their buffers, and the job lane 1 holds.
 
-    Lane 0 runs on the calling thread. Lane 1 is the one worker thread,
-    chainmmse-lane-1_0, of a concurrent.futures.ThreadPoolExecutor made by the
-    first two-lane job; the job's Future carries lane 1's error to wait(). The
-    buffers are kept between jobs, so a chunk does not fault in again the pages
-    of the chunk before. A with block runs BLAS at one thread (one_blas_thread)
-    from its start to close(). close(), or the end of a with block, ends the
-    job lane 1 holds unfinished, shuts the executor down, joining its thread,
-    restores the BLAS thread count, and drops both lanes' buffers. A Lanes
-    serves one caller at a time.
+    A job's units (evaluate_equalizer's groups of trials) are taken one at a
+    time from one shared iterator, by lane 0 alone or by both lanes; which
+    lane takes a unit does not change its result. Lane 0 runs on the calling
+    thread. Lane 1 is the one worker thread, chainmmse-lane-1_0, of a
+    concurrent.futures.ThreadPoolExecutor made by the first two-lane job.
+    start() returns once lane 1 holds a two-lane job, so the caller builds
+    the next chunk meanwhile; the next start(), or wait(), joins it, lane 0
+    taking the units lane 1 has not. The buffers are kept between jobs, so a
+    chunk does not fault in again the pages of the chunk before. close(), or
+    the end of a with block, ends the job lane 1 holds unfinished, shuts the
+    executor down, joining its thread, and drops both lanes' buffers. The
+    lanes are their owner's parallelism, but they leave the BLAS thread count
+    as it is: a run opens them inside one_blas_thread(), which restores the
+    count after close() has joined lane 1. A Lanes serves one caller at a time.
     """
 
     def __init__(self):
         self._lanes = (_Lane(), _Lane())
         self._pool = self._job = None
-        self._blas = contextlib.ExitStack()
 
     def __enter__(self) -> Lanes:
-        self._blas.enter_context(one_blas_thread())
         return self
 
     def __exit__(self, *exc) -> None:
@@ -287,7 +288,6 @@ class Lanes:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        self._blas.close()  # once lane 1's thread is joined
         self._lanes = (_Lane(), _Lane())
 
 
@@ -316,18 +316,16 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
     replayed in one block. Both products and the decisions, made in place on
     the estimates, run once per block as stacked calls over the group, in
     blocks of columns, DETECT_BYTES of estimates each. The groups are a job of
-    lanes, the run's Lanes, whose lanes (one or two, see lane_count) take them
-    one at a time from one shared counter; on two lanes each group is one trial.
-    Each lane draws and equalizes the trials it takes, each trial with its own
-    products, so the counts do not depend on the lanes or the groups.
+    lanes (Lanes), on one lane or two (lane_count). Each lane draws and
+    equalizes the trials it takes, each trial with its own products, so the
+    counts do not depend on the lanes or the groups.
 
     W, channels and each frame's sym (K rows) are checked against the chunk
     before any lane runs. Returns (bit_errors, symbol_errors), integers
     shaped W.shape[:-2]: the halves of out, an int64 (2,) + W.shape[:-2]
-    array it overwrites, or of a new one. Without out they are complete on return. With out, lane 1 may
-    still hold a two-lane job on return, while the caller builds the next
-    chunk: they are complete, and the job's error raised, when the next call
-    with these lanes returns, or lanes.wait() does.
+    array it overwrites, or of a new one. Without out they are complete on
+    return. With out, lane 1 may still hold the job on return: they are
+    complete, and its error raised, once lanes joins it (Lanes).
     """
     const = constellation or Constellation(scenario.constellation)
     if W.shape[-3] != len(frames):
@@ -397,7 +395,7 @@ def evaluate_equalizer(W: np.ndarray, channels: ChannelSet, frames, scenario: Sc
                 counts[1, ..., ts] += np.count_nonzero(wrong, axis=(-2, -1)).transpose(to_counts)
 
     n_lanes = lane_count(T, 8 * (rows - 2 * K) * max(f.sym.shape[1] for f in frames))
-    lanes.start(work, group_plan([f.sym.shape[1] for f in frames], rows, AK, n_lanes), n_lanes)
+    lanes.start(work, group_plan([f.sym.shape[1] for f in frames], rows, AK), n_lanes)
     if out is None:
         lanes.wait()
     return counts[0], counts[1]

@@ -18,14 +18,12 @@ covariance.
 The chunk's equalizers form one algorithm x trial stack, scored by one
 objective call; a trial's equalizers do not depend on its chunk. Each trial
 draws one frame, in trial order, and the chunk's frames are equalized and
-decided for all algorithms in one detection call.
-On two lanes it returns once lane 1 holds the chunk, and the next chunk, of
-this point or the next, is built meanwhile; the next call, or the run's end,
-joins it, taking the trials lane 1 has not from their shared counter. Which
-lane takes a trial does not change its counts. The run keeps one record: per
-trial its objectives and counts, per point its build times. Once its last
-chunk is joined, the rows reduce it, the objective summed in trial order. A
-row's traffic sums interconnect.chain_traffic, as the trace's traffic.csv does.
+decided for all algorithms in one detection call, a job of the run's lanes
+(detect.Lanes), so the next chunk may be built while lane 1 detects this
+one. The run keeps one record: per trial its objectives and counts, per
+point its build times. Once its last chunk is joined, the rows reduce it,
+the objective summed in trial order. A row's traffic sums
+interconnect.chain_traffic, as the trace's traffic.csv does.
 """
 from __future__ import annotations
 
@@ -408,15 +406,12 @@ def _run_chain(channels, pool, sc: model.Scenario, first: int, keep):
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Evaluate every algorithm at every (Es/N0, IoT) grid point. The run's
-    two detection lanes serve every chunk: lane 1 detects a chunk while the
-    next, of this grid point or the next, is built, and the calling thread
-    joins it, from the trials' shared counter, at the next detection call or
-    at the run's end. The lanes are the run's parallelism: BLAS runs at one
-    thread while they are open (detect.one_blas_thread). The lane thread is
-    joined, the BLAS thread count restored, and the buffers dropped, when the
-    run returns or raises."""
-    with detect.Lanes() as lanes:
+    """Evaluate every algorithm at every (Es/N0, IoT) grid point. Every chunk
+    is detected on the run's detect.Lanes, its parallelism, so BLAS runs at
+    one thread while they are open (detect.one_blas_thread). When the run
+    returns or raises, the lane thread is joined, then the BLAS thread count
+    restored."""
+    with detect.one_blas_thread(), detect.Lanes() as lanes:
         return _run_grid(config, lanes)
 
 
@@ -516,26 +511,23 @@ def convergence_trace(scenario: model.Scenario, seed: int, L: int) -> list[Trace
     """Run one chain instance, drawn as trial 0 of grid point 0 of the seed,
     and its W*, as a run of mmse_sampleR and bcd:L builds them, at one BLAS
     thread as a run builds; report per-block-update distance to the optimum,
-    each W scored as the chain makes it."""
+    the chain stepped one block update at a time, as a run steps a shallow
+    gap, and each W scored as it is made."""
     with detect.one_blas_thread():
         channels, pool = draw_trials(scenario, stream_states(seed, 0, range(1)),
                                      generator())  # a stack of one
         chain = _make_chain(channels, pool, scenario, 0)
-        rows, W_star, norm_star = [], None, None
-
-        def score(u, W):
-            nonlocal W_star, norm_star
-            if W_star is None:  # built once the chain has started, as a run builds it
-                W_star = _build_equalizer("mmse_sampleR", channels, pool, scenario,
-                                          chain.R_hat)[0]
-                norm_star = np.linalg.norm(W_star, "fro")
-            sweep, block = divmod(u - 1, scenario.C)
-            obj = central.sample_objective(W[0], channels.H[0], pool[0], scenario.E_s)
-            err = np.linalg.norm(W[0] - W_star, "fro") / norm_star
+        daisy.bdac_init(chain)
+        # built once the chain has started, as a run builds it after its chain
+        W_star = _build_equalizer("mmse_sampleR", channels, pool, scenario, chain.R_hat)[0]
+        norm_star = np.linalg.norm(W_star, "fro")
+        rows = []
+        for u in range(L * scenario.C):
+            sweep, block = divmod(u, scenario.C)
+            daisy.bcd_block_update(chain, block)
+            obj = central.sample_objective(chain.W[0], channels.H[0], pool[0], scenario.E_s)
+            err = np.linalg.norm(chain.W[0] - W_star, "fro") / norm_star
             rows.append(TraceRow(sweep + 1, block, float(obj), float(err)))
-
-        daisy.run_bcd(chain, daisy.Schedule(L=L), keep=range(1, L * scenario.C + 1),
-                      on_keep=score)
     return rows
 
 

@@ -3,9 +3,9 @@
 The receiver noise is the sum of thermal noise and signals from out-of-cell
 interference users, so its covariance is non-diagonal ("colored"). All
 operations here are seed-deterministic, and pure but for a draw into a given
-array. Draws are per trial; stack_channels and stack_trials stack a chunk of
-trials along a leading axis (a pool may be drawn into its trial's row of a
-stack instead), and the covariance functions accept such stacks.
+array. Draws are per trial; stack_channels stacks a chunk of trials'
+channels along a leading axis (a pool is drawn into its trial's row of a
+stack), and the covariance functions accept such stacks.
 """
 from __future__ import annotations
 
@@ -211,13 +211,6 @@ def stack_channels(channel_sets: list[ChannelSet]) -> ChannelSet:
     return ChannelSet(H=np.stack([c.H for c in channel_sets]),
                       H_int=np.stack([c.H_int for c in channel_sets]),
                       cluster_sizes=channel_sets[0].cluster_sizes)
-
-
-def stack_trials(channel_sets: list[ChannelSet],
-                 pools: list[np.ndarray]) -> tuple[ChannelSet, np.ndarray]:
-    """Stack per-trial channels and (M, N) noise pools of one scenario along a
-    new leading trial axis."""
-    return stack_channels(channel_sets), np.stack(pools)
 
 
 def exact_covariance(channels: ChannelSet, scenario: Scenario) -> np.ndarray:

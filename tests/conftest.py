@@ -61,6 +61,7 @@ def instance():
 
 @pytest.fixture(scope="module")
 def lanes():
-    """The detection lanes a module's tests share, closed after them."""
-    with detect.Lanes() as shared:
+    """The detection lanes a module's tests share, closed after them, at one
+    BLAS thread, as a run holds them."""
+    with detect.one_blas_thread(), detect.Lanes() as shared:
         yield shared

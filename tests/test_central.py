@@ -87,8 +87,7 @@ def _exact_instance(seed, M, K, K_int, T, es_n0_db, iot_db):
     sc = model.Scenario(M=M, K=K, C=1, N=M, K_int=K_int, es_n0_db=es_n0_db,
                         iot_db=iot_db, gain_range_db=(-6.0, 0.0))
     rng = np.random.default_rng(seed)
-    channels, _ = model.stack_trials([model.build_channel(sc, rng) for _ in range(T)],
-                                     [np.zeros((M, 1))] * T)
+    channels = model.stack_channels([model.build_channel(sc, rng) for _ in range(T)])
     return sc, channels, model.powers_from_ratios(sc)[:2]
 
 

@@ -68,7 +68,8 @@ class TestBdacInit:
     def test_singular_block_in_one_trial_names_cluster_and_trial(self):
         sc, ch, pool, _ = make_instance(seed=4, M=4, C=2, K=2, K_int=2, N=16)
         singular = _disjoint_pool(sc, np.random.default_rng(4), zero_cluster=1)
-        chain = make_chain(*model.stack_trials([ch] * 3, [pool, pool, singular]), sc.E_s)
+        chain = make_chain(model.stack_channels([ch] * 3), np.stack([pool, pool, singular]),
+                           sc.E_s)
         with pytest.raises(central.SingularMatrixError,
                            match="cluster 1: .* in trial 2 is numerically singular"):
             bdac_init(chain)
@@ -188,7 +189,8 @@ class TestRunBcd:
         # one L=4 run serves bdac and every bcd:L with L <= 4 in the harness
         instances = [make_instance(seed=s)[1:3] for s in (17, 18, 19)]
         sc = make_instance(seed=17)[0]
-        stack = model.stack_trials(*zip(*instances))
+        chs, pools = zip(*instances)
+        stack = model.stack_channels(chs), np.stack(pools)
         # W is kept only after the block-update counts asked for, one of them
         # inside a sweep; the final W always
         keep = {0, sc.C, sc.C + 1, 3 * sc.C}
@@ -246,7 +248,7 @@ def test_near_singular_trial_in_stack_loads_only_that_trial():
     sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
                                     iot_db=None)
     ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
-    chain = make_chain(*model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool]),
+    chain = make_chain(model.stack_channels([ch, ill_ch, ch]), np.stack([pool, ill_pool, pool]),
                        sc.E_s)
     assert not chain.loaded[[0, 2]].any() and chain.loaded[1, 0]
     # a stack of trials 5, 6 and 7 of the run: the warning names trial 6
@@ -270,7 +272,7 @@ def test_sweeps_descend_on_a_loaded_trial():
     sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16,
                                     iot_db=None)
     ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
-    channels, pools = model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool])
+    channels, pools = model.stack_channels([ch, ill_ch, ch]), np.stack([pool, ill_pool, pool])
     chain = make_chain(channels, pools, sc.E_s)
     assert chain.loaded[1, 0]
     values = [sample_objective(chain.W, channels.H, pools, sc.E_s)]
@@ -348,14 +350,14 @@ class TestConsistencyAudit:
 def _oracle_case(case):
     if case == "desk":
         sc, ch, pool, _ = make_instance(seed=16, M=32, C=4, K=4, K_int=4, N=96)
-        return sc, *model.stack_trials([ch], [pool])
+        return sc, model.stack_channels([ch]), pool[None]
     if case == "uneven":
         sc, ch, pool, _ = make_instance(seed=16, M=12, C=3, cluster_sizes=(2, 7, 3),
                                         K=3, K_int=2, N=24)
-        return sc, *model.stack_trials([ch], [pool])
+        return sc, model.stack_channels([ch]), pool[None]
     sc, ch, pool, _ = make_instance(seed=19, M=4, C=2, K=2, K_int=0, N=16, iot_db=None)
     ill_ch, ill_pool = _ill_conditioned_trial(sc, ch, pool)
-    return sc, *model.stack_trials([ch, ill_ch, ch], [pool, ill_pool, pool])
+    return sc, model.stack_channels([ch, ill_ch, ch]), np.stack([pool, ill_pool, pool])
 
 
 @pytest.mark.parametrize("case", ["desk", "uneven", "loaded_stack"])
@@ -390,7 +392,8 @@ def _powers_case(case):
     shape = (dict(M=12, C=3, cluster_sizes=(2, 7, 3), K=3, K_int=2, N=24) if case == "uneven"
              else dict(M=8, C=1, K=2, K_int=2, N=32))  # one_cluster
     instances = [make_instance(seed=s, **shape) for s in (16, 17, 18)]
-    return instances[0][0], *model.stack_trials(*zip(*[i[1:3] for i in instances]))
+    return (instances[0][0], model.stack_channels([i[1] for i in instances]),
+            np.stack([i[2] for i in instances]))
 
 
 def _stepped(channels, pool, sc, L):

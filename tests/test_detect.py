@@ -401,7 +401,7 @@ class TestErrorCounts:
             got = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
             assert plan(*spy.call_args.args) == [range(a, min(a + size, T))
                                                  for a in range(0, T, size)]
-        assert spy.call_args.args[1:] == (rows, AK, 1)
+        assert spy.call_args.args[1:] == (rows, AK)
         want = [oracle_counts(W[..., t, :, :], Y_ref, bits, sc)
                 for t, (bits, Y_ref) in enumerate(reference_frame(ch, sc, n, seed + t)
                                                   for t, ch in enumerate(chs))]
@@ -410,8 +410,8 @@ class TestErrorCounts:
         np.testing.assert_array_equal(got[1], np.stack([w[1] for w in want], axis=-1))
 
     def test_one_lane_groups_count_what_two_lanes_count_trial_by_trial(self, lanes):
-        # chain_deep-shaped frames of 64 symbols: on one CPU the 6 trials are
-        # one group, on two each trial is its own
+        # chain_deep-shaped frames of 64 symbols: the 6 trials are one group on
+        # one CPU and on two, where the lanes share the job
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0, constellation=16)
         W, chs, frames = _chunk(sc, (100, 104, 108, 112, 116, 120), 64)
         plan, plans, counts = detect.group_plan, [], {}
@@ -422,7 +422,7 @@ class TestErrorCounts:
                     mock.patch.object(detect, "group_plan",
                                       lambda *args: plans.append(plan(*args)) or plans[-1]):
                 counts[len(cpus)] = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
-        assert plans == [[range(6)], [range(t, t + 1) for t in range(6)]]
+        assert plans == [[range(6)]] * 2
         for t in range(6):
             assert counts[1][0][:, t].all()
             for one, two in zip(counts[1], counts[2]):
@@ -435,7 +435,7 @@ class TestErrorCounts:
         W, chs, _ = _chunk(sc, (130, 134, 138, 142, 146, 150), 1)
         frames = [make_frame(sc, n, np.random.default_rng(160 + t))
                   for t, n in enumerate((30, 30, 30, 50, 30, 30))]
-        assert detect.group_plan([30, 30, 30, 50, 30, 30], 28, 12, 1) == [
+        assert detect.group_plan([30, 30, 30, 50, 30, 30], 28, 12) == [
             range(0, 3), range(3, 4), range(4, 6)]
         with mock.patch.object(detect.os, "sched_getaffinity", return_value={0}, create=True):
             bit_errors, symbol_errors = evaluate_equalizer(W, stack(chs), frames, sc,
@@ -452,18 +452,17 @@ class TestErrorCounts:
         # estimates each
         lengths = [10] * 7
         with mock.patch.multiple(detect, DRAW_BYTES=3 * 1600, DETECT_BYTES=5 * 800):
-            assert detect.group_plan(lengths, 20, 5, 1) == [range(0, 3), range(3, 6),
-                                                            range(6, 7)]
-            assert detect.group_plan(lengths, 20, 5, 2) == [range(t, t + 1) for t in range(7)]
+            assert detect.group_plan(lengths, 20, 5) == [range(0, 3), range(3, 6),
+                                                         range(6, 7)]
         with mock.patch.multiple(detect, DRAW_BYTES=1 << 30, DETECT_BYTES=2 * 800 + 799):
-            assert detect.group_plan(lengths, 20, 5, 1) == [range(a, min(a + 2, 7))
-                                                            for a in range(0, 7, 2)]
+            assert detect.group_plan(lengths, 20, 5) == [range(a, min(a + 2, 7))
+                                                         for a in range(0, 7, 2)]
         # a trial that one budget does not hold whole is a group of one
         for draw, decide in ((1599, 1 << 30), (1 << 30, 799)):
             with mock.patch.multiple(detect, DRAW_BYTES=draw, DETECT_BYTES=decide):
-                assert detect.group_plan(lengths, 20, 5, 1) == [range(t, t + 1)
-                                                                for t in range(7)]
-        assert detect.group_plan([], 20, 5, 1) == []
+                assert detect.group_plan(lengths, 20, 5) == [range(t, t + 1)
+                                                             for t in range(7)]
+        assert detect.group_plan([], 20, 5) == []
 
     def test_one_lane_and_two_lanes_give_the_same_counts(self, lanes):
         sc = model.Scenario(M=8, C=2, K=3, K_int=2, N=16, es_n0_db=6.0,
@@ -525,15 +524,36 @@ class TestErrorCounts:
             # the group plans of the benchmark workloads' chunks, of 2 M + 2 K
             # + 2 K_int rows and A K estimate pairs a symbol: chain_deep's 20
             # trials (A = 2) are one group; desk's 25 and paper's 2 (M = 128,
-            # K = K_int = 8), A = 6, are groups of one, in two lanes or one
-            assert detect.group_plan([64] * 20, 80, 2 * 4, detect.lane_count(20, 8 * 72 * 64)) == [
-                range(20)]
+            # K = K_int = 8), A = 6, are groups of one
+            assert detect.group_plan([64] * 20, 80, 2 * 4) == [range(20)]
             for n_trials, M, K in ((25, 32, 4), (2, 128, 8)):
                 rows = 2 * M + 4 * K
                 assert detect.lane_count(n_trials, 8 * (rows - 2 * K) * 500) == 2
-                for n_lanes in (2, 1):
-                    assert detect.group_plan([500] * n_trials, rows, 6 * K, n_lanes) == [
-                        range(t, t + 1) for t in range(n_trials)]
+                assert detect.group_plan([500] * n_trials, rows, 6 * K) == [
+                    range(t, t + 1) for t in range(n_trials)]
+
+    def test_a_two_lane_chunk_of_desk_frames_is_planned_in_pairs(self, lanes):
+        # the desk config's 250-symbol frames, A = 6 equalizers: a trial's
+        # normals (8 bytes x 72 rows x 250 symbols) reach LANE_BYTES, and two
+        # trials' estimates fit DETECT_BYTES, so the two lanes take pairs
+        sc = model.Scenario(M=32, C=4, K=4, K_int=4, N=96, es_n0_db=8.0, iot_db=10.0,
+                            constellation=16)
+        rng = np.random.default_rng(170)
+        chs = [model.build_channel(sc, rng) for _ in range(5)]
+        W = np.stack([central.zf_centralized(ch.H) for ch in chs])
+        W = W + 0.1 * np.abs(W).mean() * model.crandn(rng, 6, 5, sc.K, sc.M)
+        frames = [make_frame(sc, 250, np.random.default_rng(180 + t)) for t in range(5)]
+        with mock.patch.object(detect.os, "sched_getaffinity", _two_cpus, create=True), \
+                mock.patch.object(lanes, "start", wraps=lanes.start) as spy:
+            got = evaluate_equalizer(W, stack(chs), frames, sc, lanes=lanes)
+        _, groups, n_lanes = spy.call_args.args
+        assert n_lanes == 2 and groups == [range(0, 2), range(2, 4), range(4, 5)]
+        want = [oracle_counts(W[:, t], Y_ref, bits, sc)
+                for t, (bits, Y_ref) in enumerate(reference_frame(ch, sc, 250, 180 + t)
+                                                  for t, ch in enumerate(chs))]
+        assert got[0].all()
+        np.testing.assert_array_equal(got[0], np.stack([w[0] for w in want], axis=-1))
+        np.testing.assert_array_equal(got[1], np.stack([w[1] for w in want], axis=-1))
 
     def test_the_lanes_take_every_trial_once(self):
         # trials of Python work only, with the GIL handed between the lanes

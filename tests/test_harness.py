@@ -810,6 +810,16 @@ class TestOverlap:
         assert sorted(seen) == [("MainThread", ones)] * 2 + [("chainmmse-lane-1_0", ones)] * 2
         assert blas_at_two() == [2] * len(ones)  # the count before the run, back
 
+    def test_bare_lanes_leave_the_blas_threads_as_they_are(self, blas_at_two):
+        # a run holds BLAS at one thread around its lanes; the lanes alone, and
+        # a two-lane job on them, leave the count as it was
+        seen = []
+        with detect.Lanes() as lanes:
+            lanes.start(lambda lane, u: seen.append(blas_at_two()), range(2), 2)
+            lanes.wait()
+        twos = [2] * len(blas_at_two())
+        assert seen == [twos] * 2 and blas_at_two() == twos
+
     def test_a_points_last_chunk_is_held_at_the_next_points_draw(self, monkeypatch, cpus):
         # at a budget of 8 desk trials, chunks of 5 and 5 at each of three
         # grid points

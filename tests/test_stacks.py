@@ -35,8 +35,8 @@ def test_stacked_build_equals_each_trial_alone(sizes, K, extra_N, T, L, seed):
     rngs = [np.random.default_rng([seed, t]) for t in range(T)]
     channel_sets = [model.build_channel(sc, rng) for rng in rngs]
     pools = [model.draw_noise_pool(ch, sc, rng) for ch, rng in zip(channel_sets, rngs)]
-    stacked = _build(*model.stack_trials(channel_sets, pools), sc, L)
+    stacked = _build(model.stack_channels(channel_sets), np.stack(pools), sc, L)
     for t, (ch, pool) in enumerate(zip(channel_sets, pools)):
-        alone = _build(*model.stack_trials([ch], [pool]), sc, L)
+        alone = _build(model.stack_channels([ch]), pool[None], sc, L)
         for name, value in stacked.items():
             np.testing.assert_array_equal(value[t], alone[name][0], err_msg=f"{name}, trial {t}")
